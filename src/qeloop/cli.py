@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import domain, qe_env, rewards, trainer
+from .config import ConfigTypeError, UnknownConfigKey
 from .knowledge import KnowledgeStore
 from .rl_core import gradient_check
 
@@ -92,10 +93,13 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> trainer.RunConfig
         node[keys[-1]] = value
     try:
         config = trainer.RunConfig.from_dict(raw)
-        config.validate()
-    except trainer.UnknownConfigKey as exc:
+    except UnknownConfigKey as exc:
         raise UnknownKey(exc.key) from exc
-    except (ValueError, TypeError, KeyError, qe_env.BadConfig) as exc:
+    except ConfigTypeError as exc:
+        raise ValidationError(exc.key, exc.problem) from exc
+    try:
+        config.validate()
+    except (ValueError, qe_env.BadConfig) as exc:
         raise ValidationError(_guess_key(str(exc)), str(exc)) from exc
     return config
 
@@ -319,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[invocation.subcommand](invocation, config)
-    except (CliError, trainer.UnknownConfigKey) as exc:
+    except (CliError, UnknownConfigKey) as exc:
         print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
         return 1
     except (

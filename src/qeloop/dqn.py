@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import ConfigCodec
 from .knowledge import KB_ACTION_COUNT, KBAction
 from .rl_core import Adam, ExperienceBuffer, MLPParameters, Transition, backward, forward
 
@@ -30,7 +31,7 @@ class InsufficientReplay(DQNError):
 
 
 @dataclass(frozen=True)
-class DQNConfig:
+class DQNConfig(ConfigCodec):
     replay_capacity: int = 50_000
     batch_size: int = 64
     target_sync_interval: int = 1_000
@@ -54,31 +55,6 @@ class DQNConfig:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "replay_capacity": self.replay_capacity,
-            "batch_size": self.batch_size,
-            "target_sync_interval": self.target_sync_interval,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_end": self.epsilon_end,
-            "epsilon_decay_steps": self.epsilon_decay_steps,
-            "learning_rate": self.learning_rate,
-            "train_steps_per_action": self.train_steps_per_action,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DQNConfig":
-        return cls(
-            replay_capacity=int(d.get("replay_capacity", 50_000)),
-            batch_size=int(d.get("batch_size", 64)),
-            target_sync_interval=int(d.get("target_sync_interval", 1_000)),
-            epsilon_start=float(d.get("epsilon_start", 0.9)),
-            epsilon_end=float(d.get("epsilon_end", 0.05)),
-            epsilon_decay_steps=int(d.get("epsilon_decay_steps", 100_000)),
-            learning_rate=float(d.get("learning_rate", 1e-3)),
-            train_steps_per_action=int(d.get("train_steps_per_action", 1)),
-        )
 
 
 def epsilon_at(step: int, config: DQNConfig) -> float:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import ConfigCodec
 from .domain import FeedbackRecord, RetrievalMode
 
 
@@ -89,19 +90,15 @@ def action_edge_type(action: KBAction) -> EdgeType | None:
 
 
 @dataclass(frozen=True)
-class RetrievalParams:
+class RetrievalParams(ConfigCodec):
     """Tunable retrieval knobs; every mutation goes through clamping."""
 
     similarity_threshold: float = 0.35
     top_k: int = 8
     traversal_depth: int = 2
-    edge_type_weights: Mapping[EdgeType, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.edge_type_weights is None:
-            object.__setattr__(
-                self, "edge_type_weights", {et: 0.6 for et in EdgeType}
-            )
+    edge_type_weights: Mapping[EdgeType, float] = field(
+        default_factory=lambda: {et: 0.6 for et in EdgeType}
+    )
 
     def validate(self) -> "RetrievalParams":
         if not 0.0 <= self.similarity_threshold <= 1.0:
@@ -115,28 +112,6 @@ class RetrievalParams:
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"edge_type_weights[{et.name}] {w} outside [0, 1]")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "similarity_threshold": self.similarity_threshold,
-            "top_k": self.top_k,
-            "traversal_depth": self.traversal_depth,
-            "edge_type_weights": {et.name: self.edge_type_weights[et] for et in EdgeType},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RetrievalParams":
-        weights = d.get("edge_type_weights")
-        return cls(
-            similarity_threshold=float(d.get("similarity_threshold", 0.35)),
-            top_k=int(d.get("top_k", 8)),
-            traversal_depth=int(d.get("traversal_depth", 2)),
-            edge_type_weights=(
-                {EdgeType[name]: float(w) for name, w in weights.items()}
-                if weights is not None
-                else None
-            ),
-        ).validate()
 
 
 def apply_kb_action(action: KBAction, params: RetrievalParams) -> RetrievalParams:
@@ -499,7 +474,8 @@ class KnowledgeStore:
         version = d.get("schema_version")
         if version != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported knowledge snapshot schema_version {version!r}")
-        store = cls(d_emb=int(d["d_emb"]), params=RetrievalParams.from_dict(d["retrieval_params"]))
+        params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
+        store = cls(d_emb=int(d["d_emb"]), params=params)
         for rec_d in d.get("vector_records", ()):
             rec = VectorRecord.from_dict(rec_d)
             store.insert_vector(rec.id, np.asarray(rec.embedding), rec.payload_ref, rec.usefulness)

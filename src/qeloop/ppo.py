@@ -13,10 +13,11 @@ with advantages from GAE, normalized per update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import ConfigCodec
 from .rl_core import (
     Adam,
     MLPGradients,
@@ -43,7 +44,7 @@ class StaleRollout(PPOError):
 
 
 @dataclass(frozen=True)
-class PPOConfig:
+class PPOConfig(ConfigCodec):
     clip_epsilon: float = 0.2
     learning_rate: float = 3e-4
     epochs_per_update: int = 4
@@ -66,29 +67,6 @@ class PPOConfig:
         if self.value_loss_coeff < 0 or self.entropy_coeff < 0:
             raise ValueError("loss coefficients must be non-negative")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "clip_epsilon": self.clip_epsilon,
-            "learning_rate": self.learning_rate,
-            "epochs_per_update": self.epochs_per_update,
-            "minibatch_size": self.minibatch_size,
-            "rollout_length": self.rollout_length,
-            "value_loss_coeff": self.value_loss_coeff,
-            "entropy_coeff": self.entropy_coeff,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PPOConfig":
-        return cls(
-            clip_epsilon=float(d.get("clip_epsilon", 0.2)),
-            learning_rate=float(d.get("learning_rate", 3e-4)),
-            epochs_per_update=int(d.get("epochs_per_update", 4)),
-            minibatch_size=int(d.get("minibatch_size", 64)),
-            rollout_length=int(d.get("rollout_length", 256)),
-            value_loss_coeff=float(d.get("value_loss_coeff", 0.5)),
-            entropy_coeff=float(d.get("entropy_coeff", 0.01)),
-        )
 
 
 @dataclass

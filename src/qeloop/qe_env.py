@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .agents import SIGNATURE_ACTIVE_DIMS, strategy_signature
+from .config import ConfigCodec
 from .domain import (
     DEFAULT_COVERAGE_DIM,
     DefectReport,
@@ -121,7 +122,7 @@ _TAG_VOCAB = ("billing", "inventory", "auth", "reporting", "shipping", "pricing"
 
 
 @dataclass(frozen=True)
-class ExecutionModel:
+class ExecutionModel(ConfigCodec):
     """Knobs of the simulated execution channel."""
 
     detection_sharpness: float = 5.0
@@ -148,25 +149,9 @@ class ExecutionModel:
             )
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "detection_sharpness": self.detection_sharpness,
-            "detection_midpoint": self.detection_midpoint,
-            "false_positive_rate": self.false_positive_rate,
-            "base_time": self.base_time,
-            "per_step_time": self.per_step_time,
-            "baseline_time": self.baseline_time,
-            "noise_scale": self.noise_scale,
-            "workflow_integration_factor": self.workflow_integration_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ExecutionModel":
-        return cls(**{k: float(v) for k, v in d.items()}).validate()
-
 
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(ConfigCodec):
     """Project generation knobs.
 
     A defect signature mixes its requirement's base pattern, the signature
@@ -205,36 +190,6 @@ class EnvConfig:
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise BadConfig(f"signature mix weights must be non-negative and not all zero: {weights}")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "n_requirements": self.n_requirements,
-            "n_defects": self.n_defects,
-            "d_cov": self.d_cov,
-            "severity_proportions": {s.name: p for s, p in self.severity_proportions.items()},
-            "requirement_link_density": self.requirement_link_density,
-            "signature_requirement_weight": self.signature_requirement_weight,
-            "signature_strategy_weight": self.signature_strategy_weight,
-            "signature_noise_weight": self.signature_noise_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EnvConfig":
-        props = d.get("severity_proportions")
-        return cls(
-            n_requirements=int(d.get("n_requirements", 20)),
-            n_defects=int(d.get("n_defects", 40)),
-            d_cov=int(d.get("d_cov", DEFAULT_COVERAGE_DIM)),
-            severity_proportions=(
-                {Severity[name]: float(p) for name, p in props.items()}
-                if props is not None
-                else dict(DEFAULT_SEVERITY_PROPORTIONS)
-            ),
-            requirement_link_density=float(d.get("requirement_link_density", 0.15)),
-            signature_requirement_weight=float(d.get("signature_requirement_weight", 0.55)),
-            signature_strategy_weight=float(d.get("signature_strategy_weight", 0.30)),
-            signature_noise_weight=float(d.get("signature_noise_weight", 0.25)),
-        ).validate()
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .config import ConfigCodec
 from .domain import FeedbackRecord, Severity
 
 EFFICIENCY_CLAMP = 4.0
@@ -33,7 +34,7 @@ class NonPositiveTime(RewardError):
 
 
 @dataclass(frozen=True)
-class RewardWeights:
+class RewardWeights(ConfigCodec):
     """Component weights; must sum to 1 within 1e-9."""
 
     alpha_effectiveness: float = 0.35
@@ -60,26 +61,13 @@ class RewardWeights:
             raise ValueError(f"reward weights sum to {total}, expected 1.0")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_effectiveness": self.alpha_effectiveness,
-            "alpha_coverage": self.alpha_coverage,
-            "alpha_efficiency": self.alpha_efficiency,
-            "alpha_compliance": self.alpha_compliance,
-            "alpha_adaptation": self.alpha_adaptation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RewardWeights":
-        return cls(**{k: float(v) for k, v in d.items()}).validate()
-
     @classmethod
     def effectiveness_only(cls) -> "RewardWeights":
         return cls(1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class SeverityWeights:
+class SeverityWeights(ConfigCodec):
     """Per-severity positive weights, strictly decreasing with severity."""
 
     critical: float = 4.0
@@ -105,19 +93,6 @@ class SeverityWeights:
         if self.false_positive_penalty < 0:
             raise ValueError(f"false_positive_penalty {self.false_positive_penalty} negative")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "critical": self.critical,
-            "high": self.high,
-            "medium": self.medium,
-            "low": self.low,
-            "false_positive_penalty": self.false_positive_penalty,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SeverityWeights":
-        return cls(**{k: float(v) for k, v in d.items()}).validate()
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import ConfigCodec
+
 HIDDEN_WIDTH = 64
 
 ADAM_BETA1 = 0.9
@@ -32,10 +34,9 @@ class DimensionMismatch(RLCoreError):
 
 
 @dataclass(frozen=True)
-class RLCoreConfig:
+class RLCoreConfig(ConfigCodec):
     discount_factor: float = 0.99
     gae_lambda: float = 0.95
-    seed: int = 0
 
     def validate(self) -> "RLCoreConfig":
         if not 0.0 <= self.discount_factor < 1.0:

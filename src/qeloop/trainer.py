@@ -36,6 +36,7 @@ from .agents import (
     record_feedback,
     requirement_summary,
 )
+from .config import ConfigCodec, UnknownConfigKey  # noqa: F401 - re-exported
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
@@ -81,7 +82,12 @@ METRICS_CSV_COLUMNS = (
     "r_total",
 )
 
-CHECKPOINT_SCHEMA_VERSION = 1
+# Version 2 dropped the unused rl.seed knob from the checkpointed config.
+CHECKPOINT_SCHEMA_VERSION = 2
+
+# Length of the false-positive and retrieval-hit windows that feed the
+# knowledge controller's state.
+KB_STATE_WINDOW = 50
 
 
 class TrainerError(Exception):
@@ -96,41 +102,16 @@ class SchemaVersionMismatch(TrainerError):
     """A checkpoint is unreadable or carries an unsupported schema version."""
 
 
-class UnknownConfigKey(TrainerError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown config key {key!r}")
-
-
-def _check_keys(d: Mapping, allowed: Sequence[str], prefix: str = "") -> None:
-    for key in d:
-        if key not in allowed:
-            raise UnknownConfigKey(f"{prefix}{key}")
-
-
 @dataclass(frozen=True)
-class AblationFlags:
+class AblationFlags(ConfigCodec):
     disable_ppo: bool = False
     disable_dqn: bool = False
     scalar_reward: bool = False
     no_feedback: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "disable_ppo": self.disable_ppo,
-            "disable_dqn": self.disable_dqn,
-            "scalar_reward": self.scalar_reward,
-            "no_feedback": self.no_feedback,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "AblationFlags":
-        _check_keys(d, ("disable_ppo", "disable_dqn", "scalar_reward", "no_feedback"), "ablation.")
-        return cls(**{k: bool(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(ConfigCodec):
     weights: RewardWeights = field(default_factory=RewardWeights)
     severity: SeverityWeights = field(default_factory=SeverityWeights)
     adaptation_window: int = 50
@@ -141,22 +122,6 @@ class RewardConfig:
         if self.adaptation_window < 2:
             raise ValueError(f"adaptation_window must be >= 2, got {self.adaptation_window}")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.to_dict(),
-            "severity": self.severity.to_dict(),
-            "adaptation_window": self.adaptation_window,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RewardConfig":
-        _check_keys(d, ("weights", "severity", "adaptation_window"), "rewards.")
-        return cls(
-            weights=RewardWeights.from_dict(d["weights"]) if "weights" in d else RewardWeights(),
-            severity=SeverityWeights.from_dict(d["severity"]) if "severity" in d else SeverityWeights(),
-            adaptation_window=int(d.get("adaptation_window", 50)),
-        ).validate()
 
 
 def _default_initial_params() -> RetrievalParams:
@@ -180,7 +145,7 @@ def _default_initial_params() -> RetrievalParams:
 
 
 @dataclass(frozen=True)
-class KBConfig:
+class KBConfig(ConfigCodec):
     """Knowledge-store sizing and evolution rates.
 
     ``max_records`` caps vector inserts; once the store is full the early
@@ -206,37 +171,9 @@ class KBConfig:
             raise ValueError("max_records must be >= 1")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "d_emb": self.d_emb,
-            "initial_params": self.initial_params.to_dict(),
-            "edge_learning_rate": self.edge_learning_rate,
-            "usefulness_learning_rate": self.usefulness_learning_rate,
-            "max_records": self.max_records,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "KBConfig":
-        _check_keys(
-            d,
-            ("d_emb", "initial_params", "edge_learning_rate", "usefulness_learning_rate", "max_records"),
-            "kb.",
-        )
-        return cls(
-            d_emb=int(d.get("d_emb", 256)),
-            initial_params=(
-                RetrievalParams.from_dict(d["initial_params"])
-                if "initial_params" in d
-                else _default_initial_params()
-            ),
-            edge_learning_rate=float(d.get("edge_learning_rate", 0.25)),
-            usefulness_learning_rate=float(d.get("usefulness_learning_rate", 0.25)),
-            max_records=int(d.get("max_records", 600)),
-        ).validate()
-
 
 @dataclass(frozen=True)
-class LoopConfig:
+class LoopConfig(ConfigCodec):
     """Per-slot loop shape: how many tests per action, update cadences."""
 
     n_tests: int = 3
@@ -253,39 +190,6 @@ class LoopConfig:
         if self.modifier_scale < 0:
             raise ValueError("modifier_scale must be non-negative")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "n_tests": self.n_tests,
-            "tracker_window": self.tracker_window,
-            "kb_action_interval": self.kb_action_interval,
-            "integration_slot_interval": self.integration_slot_interval,
-            "modifier_scale": self.modifier_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LoopConfig":
-        _check_keys(
-            d,
-            (
-                "n_tests",
-                "tracker_window",
-                "kb_action_interval",
-                "integration_slot_interval",
-                "modifier_scale",
-            ),
-            "loop.",
-        )
-        defaults = cls()
-        return cls(
-            n_tests=int(d.get("n_tests", defaults.n_tests)),
-            tracker_window=int(d.get("tracker_window", defaults.tracker_window)),
-            kb_action_interval=int(d.get("kb_action_interval", defaults.kb_action_interval)),
-            integration_slot_interval=int(
-                d.get("integration_slot_interval", defaults.integration_slot_interval)
-            ),
-            modifier_scale=float(d.get("modifier_scale", defaults.modifier_scale)),
-        ).validate()
 
 
 def _default_run_ppo() -> PPOConfig:
@@ -317,7 +221,7 @@ def _default_run_rl() -> RLCoreConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ConfigCodec):
     seed: int = 0
     episode_count: int = 300
     tests_per_episode: int = 10
@@ -347,132 +251,6 @@ class RunConfig:
         self.kb.validate()
         self.loop.validate()
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "episode_count": self.episode_count,
-            "tests_per_episode": self.tests_per_episode,
-            "output_dir": self.output_dir,
-            "allow_out_of_range": self.allow_out_of_range,
-            "ablation": self.ablation.to_dict(),
-            "ppo": self.ppo.to_dict(),
-            "dqn": self.dqn.to_dict(),
-            "rl": {
-                "discount_factor": self.rl.discount_factor,
-                "gae_lambda": self.rl.gae_lambda,
-                "seed": self.rl.seed,
-            },
-            "rewards": self.rewards.to_dict(),
-            "env": self.env.to_dict(),
-            "execution": self.execution.to_dict(),
-            "kb": self.kb.to_dict(),
-            "loop": self.loop.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RunConfig":
-        _check_keys(
-            d,
-            (
-                "seed",
-                "episode_count",
-                "tests_per_episode",
-                "output_dir",
-                "allow_out_of_range",
-                "ablation",
-                "ppo",
-                "dqn",
-                "rl",
-                "rewards",
-                "env",
-                "execution",
-                "kb",
-                "loop",
-            ),
-        )
-        ppo_d = dict(d.get("ppo", {}))
-        _check_keys(
-            ppo_d,
-            (
-                "clip_epsilon",
-                "learning_rate",
-                "epochs_per_update",
-                "minibatch_size",
-                "rollout_length",
-                "value_loss_coeff",
-                "entropy_coeff",
-            ),
-            "ppo.",
-        )
-        dqn_d = dict(d.get("dqn", {}))
-        _check_keys(
-            dqn_d,
-            (
-                "replay_capacity",
-                "batch_size",
-                "target_sync_interval",
-                "epsilon_start",
-                "epsilon_end",
-                "epsilon_decay_steps",
-                "learning_rate",
-                "train_steps_per_action",
-            ),
-            "dqn.",
-        )
-        rl_d = dict(d.get("rl", {}))
-        _check_keys(rl_d, ("discount_factor", "gae_lambda", "seed"), "rl.")
-        env_d = dict(d.get("env", {}))
-        _check_keys(
-            env_d,
-            (
-                "n_requirements",
-                "n_defects",
-                "d_cov",
-                "severity_proportions",
-                "requirement_link_density",
-                "signature_requirement_weight",
-                "signature_strategy_weight",
-                "signature_noise_weight",
-            ),
-            "env.",
-        )
-        exec_d = dict(d.get("execution", {}))
-        _check_keys(
-            exec_d,
-            (
-                "detection_sharpness",
-                "detection_midpoint",
-                "false_positive_rate",
-                "base_time",
-                "per_step_time",
-                "baseline_time",
-                "noise_scale",
-                "workflow_integration_factor",
-            ),
-            "execution.",
-        )
-        defaults = cls()
-        return cls(
-            seed=int(d.get("seed", 0)),
-            episode_count=int(d.get("episode_count", defaults.episode_count)),
-            tests_per_episode=int(d.get("tests_per_episode", defaults.tests_per_episode)),
-            output_dir=str(d.get("output_dir", defaults.output_dir)),
-            allow_out_of_range=bool(d.get("allow_out_of_range", False)),
-            ablation=AblationFlags.from_dict(d.get("ablation", {})),
-            ppo=replace(_default_run_ppo(), **{k: type(getattr(_default_run_ppo(), k))(v) for k, v in ppo_d.items()}),
-            dqn=replace(_default_run_dqn(), **{k: type(getattr(_default_run_dqn(), k))(v) for k, v in dqn_d.items()}),
-            rl=RLCoreConfig(
-                discount_factor=float(rl_d.get("discount_factor", _default_run_rl().discount_factor)),
-                gae_lambda=float(rl_d.get("gae_lambda", 0.95)),
-                seed=int(rl_d.get("seed", 0)),
-            ),
-            rewards=RewardConfig.from_dict(d.get("rewards", {})),
-            env=EnvConfig.from_dict(env_d),
-            execution=ExecutionModel.from_dict(exec_d) if exec_d else ExecutionModel(),
-            kb=KBConfig.from_dict(d.get("kb", {})),
-            loop=LoopConfig.from_dict(d.get("loop", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -593,8 +371,8 @@ class TrainingSystem:
 
         self.test_catalog: dict[str, TestCase] = {}
         self.reward_window: deque[float] = deque(maxlen=config.rewards.adaptation_window)
-        self.fp_window: deque[float] = deque(maxlen=50)
-        self.hit_window: deque[float] = deque(maxlen=50)
+        self.fp_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
+        self.hit_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
         self.kb_pending: tuple[np.ndarray, int, list[float]] | None = None
         self._prev_interval_mean: float | None = None
         self.global_slot = 0
@@ -1007,8 +785,8 @@ class TrainingSystem:
                 [float(x) for x in payload["reward_window"]],
                 maxlen=config.rewards.adaptation_window,
             )
-            system.fp_window = deque([float(x) for x in payload["fp_window"]], maxlen=50)
-            system.hit_window = deque([float(x) for x in payload["hit_window"]], maxlen=50)
+            system.fp_window = deque([float(x) for x in payload["fp_window"]], maxlen=KB_STATE_WINDOW)
+            system.hit_window = deque([float(x) for x in payload["hit_window"]], maxlen=KB_STATE_WINDOW)
             pending = payload["kb_pending"]
             system.kb_pending = (
                 None

@@ -78,6 +78,39 @@ class TestLoadConfig:
         with pytest.raises(cli.ParseError):
             cli.load_config(str(path), ("no_equals_sign",))
 
+    @pytest.mark.parametrize(
+        "override, error, key",
+        [
+            ("kb.initial_params.bogus=1", cli.UnknownKey, "kb.initial_params.bogus"),
+            ("ppo.epochs_per_update=2.7", cli.ValidationError, "ppo.epochs_per_update"),
+            ('ablation.disable_ppo="no"', cli.ValidationError, "ablation.disable_ppo"),
+            ("seed=1.9", cli.ValidationError, "seed"),
+            ("rewards.weights.bogus=0.1", cli.UnknownKey, "rewards.weights.bogus"),
+            ("env.severity_proportions.Bogus=0.1", cli.UnknownKey, "env.severity_proportions.Bogus"),
+            ("ppo=x", cli.ValidationError, "ppo"),
+            ("rl.seed=0", cli.UnknownKey, "rl.seed"),
+        ],
+    )
+    def test_bad_override_rejected_with_its_path(self, tmp_path, override, error, key):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        with pytest.raises(error) as exc:
+            cli.load_config(str(path), (override,))
+        assert exc.value.key == key
+
+    def test_partial_initial_params_keep_run_defaults(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        params = cli.load_config(str(path), ("kb.initial_params.top_k=16",)).kb.initial_params
+        assert params.top_k == 16
+        assert params.similarity_threshold == 0.95
+        assert params.edge_type_weights == {
+            EdgeType.Covers: 0.3,
+            EdgeType.Impacts: 0.7,
+            EdgeType.DependsOn: 0.7,
+            EdgeType.DetectedBy: 0.3,
+        }
+
 
 class TestMainExitCodes:
     def test_missing_config_exits_one(self, tmp_path, capsys):

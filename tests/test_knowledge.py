@@ -366,6 +366,12 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             KnowledgeStore.from_snapshot_dict({"schema_version": 99})
 
+    def test_out_of_range_params_rejected(self):
+        payload = KnowledgeStore(d_emb=8).snapshot_dict()
+        payload["retrieval_params"]["similarity_threshold"] = 1.5
+        with pytest.raises(ValueError, match="similarity_threshold"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
     def test_self_loop_rejected(self):
         store = KnowledgeStore(d_emb=8)
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+from qeloop.config import ConfigTypeError
 from qeloop.dqn import DQNConfig
+from qeloop.knowledge import EdgeType
 from qeloop.ppo import PPOConfig
 from qeloop.qe_env import EnvConfig
 from qeloop.trainer import (
@@ -189,6 +191,19 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch):
             TrainingSystem.restore(path)
 
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # Version 1 checkpoints still carry the removed rl.seed knob; they
+        # must fail on their version, not on that key.
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=1)
+        payload = system.checkpoint_dict()
+        payload["schema_version"] = 1
+        payload["config"]["rl"]["seed"] = 0
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 1"):
+            TrainingSystem.restore(path)
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
             TrainingSystem.restore(tmp_path / "absent.json")
@@ -280,6 +295,33 @@ class TestRunConfig:
         config = RunConfig.from_dict({"ablation": {"disable_ppo": True}})
         assert config.ablation.disable_ppo is True
         assert config.ablation.scalar_reward is False
+
+    @pytest.mark.parametrize(
+        "raw, error, key",
+        [
+            ({"kb": {"initial_params": {"bogus": 1}}}, UnknownConfigKey, "kb.initial_params.bogus"),
+            ({"ppo": {"epochs_per_update": 2.7}}, ConfigTypeError, "ppo.epochs_per_update"),
+            ({"ablation": {"disable_ppo": "no"}}, ConfigTypeError, "ablation.disable_ppo"),
+            ({"seed": 1.9}, ConfigTypeError, "seed"),
+            ({"rewards": {"weights": {"bogus": 0.1}}}, UnknownConfigKey, "rewards.weights.bogus"),
+            (
+                {"env": {"severity_proportions": {"Bogus": 0.1}}},
+                UnknownConfigKey,
+                "env.severity_proportions.Bogus",
+            ),
+            ({"ppo": "x"}, ConfigTypeError, "ppo"),
+            ({"rl": {"seed": 0}}, UnknownConfigKey, "rl.seed"),
+        ],
+    )
+    def test_bad_input_rejected_with_its_path(self, raw, error, key):
+        with pytest.raises(error) as exc:
+            RunConfig.from_dict(raw)
+        assert exc.value.key == key
+
+    def test_partial_enum_map_keeps_run_defaults(self):
+        raw = {"kb": {"initial_params": {"edge_type_weights": {"Covers": 0.5}}}}
+        weights = RunConfig.from_dict(raw).kb.initial_params.edge_type_weights
+        assert weights == {**RunConfig().kb.initial_params.edge_type_weights, EdgeType.Covers: 0.5}
 
 
 class TestAblationSuite:
