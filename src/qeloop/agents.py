@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -95,26 +96,50 @@ def _hashed_dims(label: str, count: int, dim: int) -> list[int]:
     return dims
 
 
+def _read_only(vec: np.ndarray) -> np.ndarray:
+    vec.flags.writeable = False
+    return vec
+
+
+# The functions below are pure and called every slot with a handful of
+# distinct arguments, so each result is computed once and shared read-only.
+
+
+@lru_cache(maxsize=None)
 def strategy_signature(strategy: GenerationStrategy, d_cov: int) -> np.ndarray:
     """Sparse unit-norm coverage pattern owned by a generation strategy."""
     vec = np.zeros(d_cov, dtype=np.float64)
     for dim in _hashed_dims(f"strategy:{strategy.name}", SIGNATURE_ACTIVE_DIMS, d_cov):
         vec[dim] = 1.0
-    return vec / np.linalg.norm(vec)
+    return _read_only(vec / np.linalg.norm(vec))
 
 
+@lru_cache(maxsize=None)
 def modifier_vector(role: AgentRole, option: int, d_cov: int) -> np.ndarray:
     """Deterministic nudge direction for a modifier role's option."""
-    return embed([role.name.lower(), f"option{option}"], d_cov)
+    return _read_only(embed([role.name.lower(), f"option{option}"], d_cov))
+
+
+@lru_cache(maxsize=4096)
+def requirement_query(requirement: Requirement, d_emb: int) -> np.ndarray:
+    """The knowledge-store query embedding of a requirement's text and id."""
+    return _read_only(embed(requirement.text.split() + [requirement.id], d_emb))
 
 
 class PerformanceTracker:
-    """Per-agent rolling windows of rewards, defect counts, and FP counts."""
+    """Per-agent rolling windows of rewards, defect counts, and FP counts.
+
+    Append through the ``push_*`` methods only: they drop the cached
+    aggregates and reward stats, which are otherwise computed once per push
+    however often they are read.
+    """
 
     def __init__(self, window: int = 50):
         self.window = window
         self.breakdowns: deque[RewardBreakdown] = deque(maxlen=window)
         self.records: deque[tuple[int, int, int, float]] = deque(maxlen=window)
+        self._aggregates: tuple[float, float, float, float] | None = None
+        self._reward_stats: tuple[float, float] | None = None
 
     def push_record(self, feedback: FeedbackRecord) -> None:
         true_defects = feedback.true_defects()
@@ -126,19 +151,24 @@ class PerformanceTracker:
                 feedback.quality_rating,
             )
         )
+        self._aggregates = None
 
     def push_breakdown(self, reward: RewardBreakdown) -> None:
         self.breakdowns.append(reward)
+        self._reward_stats = None
 
     def aggregates(self) -> tuple[float, float, float, float]:
         """(defect rate, FP rate, mean severity, mean quality), zeros when empty."""
+        if self._aggregates is None:
+            self._aggregates = self._compute_aggregates()
+        return self._aggregates
+
+    def _compute_aggregates(self) -> tuple[float, float, float, float]:
         if not self.records:
             return (0.0, 0.0, 0.0, 0.0)
         n = len(self.records)
-        true_total = sum(r[0] for r in self.records)
-        fp_total = sum(r[1] for r in self.records)
-        sev_total = sum(r[2] for r in self.records)
-        quality = sum(r[3] for r in self.records) / n
+        true_total, fp_total, sev_total, quality_total = map(sum, zip(*self.records))
+        quality = quality_total / n
         # Severity ranks run 0..3; dividing by 3 maps the mean into [0, 1].
         mean_sev = (sev_total / true_total) / 3.0 if true_total else 0.0
         return (
@@ -149,6 +179,12 @@ class PerformanceTracker:
         )
 
     def reward_stats(self) -> tuple[float, float]:
+        """(mean, trend slope) of the windowed reward totals, zeros when empty."""
+        if self._reward_stats is None:
+            self._reward_stats = self._compute_reward_stats()
+        return self._reward_stats
+
+    def _compute_reward_stats(self) -> tuple[float, float]:
         totals = [b.total for b in self.breakdowns]
         if not totals:
             return (0.0, 0.0)
@@ -269,7 +305,7 @@ def _test_case_id(
     requirement_id: str,
     strategy: GenerationStrategy,
     mode: RetrievalMode,
-    coverage: np.ndarray,
+    coverage: Sequence[float],
     index: int,
     role: AgentRole,
 ) -> str:
@@ -278,7 +314,7 @@ def _test_case_id(
             requirement_id,
             strategy.name,
             mode.name,
-            ",".join(repr(float(x)) for x in coverage),
+            ",".join(repr(x) for x in coverage),
             str(index),
             role.name,
         ]
@@ -314,7 +350,7 @@ def generate_test_cases(
     """
     if action.strategy is None or action.retrieval_mode is None:
         raise ValueError(f"{action.role.name} action does not generate test cases")
-    query = embed(requirement.text.split() + [requirement.id], kb.d_emb)
+    query = requirement_query(requirement, kb.d_emb)
     seeds = [requirement.id] if kb.has_node(requirement.id) else []
     params = context.params or kb.params
     if action.retrieval_mode == RetrievalMode.GraphOnly and not seeds:
@@ -335,10 +371,11 @@ def generate_test_cases(
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature + CONTEXT_BLEND * ctx_mean)
     else:
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature)
+    coverage_vector = tuple(coverage.tolist())
     tests = []
     for i in range(context.n_tests):
         test_id = _test_case_id(
-            requirement.id, action.strategy, action.retrieval_mode, coverage, i, action.role
+            requirement.id, action.strategy, action.retrieval_mode, coverage_vector, i, action.role
         )
         tests.append(
             TestCase(
@@ -346,7 +383,7 @@ def generate_test_cases(
                 requirement_refs=(requirement.id,),
                 strategy=action.strategy,
                 retrieval_mode=action.retrieval_mode,
-                coverage_vector=tuple(float(x) for x in coverage),
+                coverage_vector=coverage_vector,
                 generating_agent=action.role,
             )
         )

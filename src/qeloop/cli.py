@@ -211,7 +211,7 @@ def replay_into_store(
         if not store.has_node(test_id):
             continue
         context = {test_id}
-        context.update(nbr for nbr, _ in store._incidence.get(test_id, ()))
+        context.update(nbr for nbr, _ in store.neighbors(test_id))
         touched += store.reinforce_edges(record, context, eta)
     return touched
 

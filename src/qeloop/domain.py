@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Set
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Iterable, Mapping
 
@@ -37,6 +38,24 @@ class RangeViolation(DomainError):
 
 class UnknownTestCase(DomainError):
     """A feedback record references a test case absent from the catalog."""
+
+
+class MalformedRecord(DomainError, ValueError):
+    """A serialized record lacks a key it requires or carries one it does not define."""
+
+
+def check_keys(
+    what: str, d: object, required: frozenset[str], optional: frozenset[str] = frozenset()
+) -> None:
+    """Reject outside input whose keys are not exactly those its type reads."""
+    if not isinstance(d, Mapping):
+        raise MalformedRecord(f"{what} must be an object, got {type(d).__name__}")
+    missing = required - d.keys()
+    unknown = d.keys() - required - optional
+    if missing or unknown:
+        problems = [f"missing key(s) {sorted(missing)}"] if missing else []
+        problems += [f"unknown key(s) {sorted(unknown)}"] if unknown else []
+        raise MalformedRecord(f"{what}: {'; '.join(problems)}")
 
 
 class GenerationStrategy(IntEnum):
@@ -188,6 +207,7 @@ class DefectReport:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DefectReport":
+        check_keys("DefectReport", d, _DEFECT_REPORT_REQUIRED, _DEFECT_REPORT_OPTIONAL)
         return cls(
             id=d["id"],
             test_case_ref=d["test_case_ref"],
@@ -195,6 +215,10 @@ class DefectReport:
             is_false_positive=bool(d["is_false_positive"]),
             defect_ref=d.get("defect_ref"),
         )
+
+
+_DEFECT_REPORT_OPTIONAL = frozenset({"defect_ref"})
+_DEFECT_REPORT_REQUIRED = frozenset(f.name for f in fields(DefectReport)) - _DEFECT_REPORT_OPTIONAL
 
 
 @dataclass(frozen=True)
@@ -232,6 +256,7 @@ class FeedbackRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeedbackRecord":
+        check_keys("FeedbackRecord", d, _FEEDBACK_RECORD_REQUIRED, _FEEDBACK_RECORD_OPTIONAL)
         return cls(
             test_case_ref=d["test_case_ref"],
             defects=tuple(DefectReport.from_dict(x) for x in d.get("defects", ())),
@@ -250,6 +275,10 @@ class FeedbackRecord:
     @classmethod
     def from_json_line(cls, line: str) -> "FeedbackRecord":
         return cls.from_dict(json.loads(line))
+
+
+_FEEDBACK_RECORD_OPTIONAL = frozenset({"defects"})
+_FEEDBACK_RECORD_REQUIRED = frozenset(f.name for f in fields(FeedbackRecord)) - _FEEDBACK_RECORD_OPTIONAL
 
 
 # (field, low, high, low_inclusive, high_inclusive); None means unbounded.
@@ -271,19 +300,20 @@ def validate_feedback(
     """Check all range and referential invariants of a feedback record.
 
     ``catalog`` is the set (or mapping keyed by id) of known test cases.
-    Returns the record unchanged on success.
+    A mapping or set is asked for membership directly; any other iterable
+    is copied into a set first. Returns the record unchanged on success.
     """
     for name, lo, hi, lo_inc, hi_inc in _FEEDBACK_BOUNDS:
         value = getattr(record, name)
         if not isinstance(value, (int, float)) or math.isnan(value):
             raise RangeViolation(name, value, "finite real")
-        bounds = f"{'[' if lo_inc else '('}{lo}, {hi if hi is not None else 'inf'}{']' if hi_inc else ')'}"
-        if lo is not None and (value < lo or (not lo_inc and value == lo)):
-            raise RangeViolation(name, value, bounds)
-        if hi is not None and (value > hi or (not hi_inc and value == hi)):
+        if (lo is not None and (value < lo or (not lo_inc and value == lo))) or (
+            hi is not None and (value > hi or (not hi_inc and value == hi))
+        ):
+            bounds = f"{'[' if lo_inc else '('}{lo}, {hi if hi is not None else 'inf'}{']' if hi_inc else ')'}"
             raise RangeViolation(name, value, bounds)
 
-    known = set(catalog.keys()) if isinstance(catalog, Mapping) else set(catalog)
+    known = catalog if isinstance(catalog, (Mapping, Set)) else set(catalog)
     if record.test_case_ref not in known:
         raise UnknownTestCase(f"feedback references unknown test case {record.test_case_ref!r}")
     for report in record.defects:

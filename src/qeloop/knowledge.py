@@ -6,6 +6,11 @@ breadth-first with multiplicative path scoring. Both are deterministic:
 ties always break by ascending id, and the embedding is platform-stable
 signed feature hashing (no learned model, no process-salted ``hash()``).
 
+Embeddings are held once, as rows of one append-only float64 matrix with a
+per-row norm computed at insert; a query is one matrix-vector product plus
+a partial selection of the best ``top_k`` rows, so only the scan itself
+grows with the store.
+
 Edge weights and retrieval parameters are the knobs the learning loop turns:
 ``apply_kb_action`` moves one retrieval parameter by a fixed step, and
 ``reinforce_edges`` nudges contributing edge weights toward 1 (true defect
@@ -22,8 +27,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ConfigCodec
-from .domain import FeedbackRecord, RetrievalMode
+from .domain import FeedbackRecord, RetrievalMode, check_keys
 
 
 class KnowledgeError(Exception):
@@ -142,29 +148,14 @@ def apply_kb_action(action: KBAction, params: RetrievalParams) -> RetrievalParam
 
 @dataclass(frozen=True)
 class VectorRecord:
-    """One embedded item; usefulness is an EMA of reward attribution."""
+    """One embedded item; usefulness is an EMA of reward attribution.
+
+    The embedding itself lives only in the store's matrix.
+    """
 
     id: str
-    embedding: tuple[float, ...]
     payload_ref: str
     usefulness: float = 0.5
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "embedding": list(self.embedding),
-            "payload_ref": self.payload_ref,
-            "usefulness": self.usefulness,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "VectorRecord":
-        return cls(
-            id=d["id"],
-            embedding=tuple(float(x) for x in d["embedding"]),
-            payload_ref=d["payload_ref"],
-            usefulness=float(d.get("usefulness", 0.5)),
-        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +175,18 @@ class GraphEdge:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "GraphEdge":
+        check_keys("graph edge", d, _EDGE_KEYS)
         return cls(d["source"], d["target"], EdgeType[d["edge_type"]], float(d["weight"]))
+
+
+EdgeKey = tuple[str, str, EdgeType]
+
+_EDGE_KEYS = frozenset({"source", "target", "edge_type", "weight"})
+_RECORD_KEYS = frozenset({"id", "embedding", "payload_ref"})
+_RECORD_OPTIONAL_KEYS = frozenset({"usefulness"})
+_SNAPSHOT_KEYS = frozenset(
+    {"schema_version", "d_emb", "vector_records", "graph_nodes", "graph_edges", "retrieval_params"}
+)
 
 
 def _feature_hash(feature: str) -> int:
@@ -230,12 +232,16 @@ class KnowledgeStore:
         self.d_emb = d_emb
         self.params = (params or RetrievalParams()).validate()
         self._records: dict[str, VectorRecord] = {}
+        # Row i of _matrix[:len(_ids)] is the embedding of _ids[i], and
+        # _norms[i] its norm; rows past len(_ids) are spare capacity.
         self._ids: list[str] = []
-        self._matrix_rows: list[np.ndarray] = []
-        self._matrix_cache: np.ndarray | None = None
+        self._row: dict[str, int] = {}
+        self._matrix = np.zeros((0, d_emb), dtype=np.float64)
+        self._norms = np.zeros(0, dtype=np.float64)
         self._nodes: set[str] = set()
-        self._edges: dict[tuple[str, str, EdgeType], float] = {}
-        self._incidence: dict[str, list[tuple[str, tuple[str, str, EdgeType]]]] = {}
+        self._edges: dict[EdgeKey, float] = {}
+        self._incidence: dict[str, list[tuple[str, EdgeKey]]] = {}
+        self._mean_edge_weight: float | None = None
 
     # -- vector side ---------------------------------------------------
 
@@ -248,16 +254,29 @@ class KnowledgeStore:
         norm = float(np.linalg.norm(emb))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"embedding norm {norm} not within 1e-6 of 1")
-        record = VectorRecord(record_id, tuple(float(x) for x in emb), payload_ref, usefulness)
-        if record_id not in self._records:
+        row = self._row.get(record_id)
+        if row is None:
+            row = len(self._ids)
+            if row == len(self._matrix):
+                self._grow()
             self._ids.append(record_id)
-            self._matrix_rows.append(emb)
-            self._matrix_cache = None
-        else:
-            self._matrix_rows[self._ids.index(record_id)] = emb
-            self._matrix_cache = None
+            self._row[record_id] = row
+        self._matrix[row] = emb
+        # The same row-wise call as a norm over the whole matrix, so each
+        # row's norm carries the bits a batched computation would give it.
+        self._norms[row] = np.linalg.norm(self._matrix[row : row + 1], axis=1)[0]
+        record = VectorRecord(record_id, payload_ref, usefulness)
         self._records[record_id] = record
         return record
+
+    def _grow(self) -> None:
+        capacity = max(16, 2 * len(self._matrix))
+        matrix = np.zeros((capacity, self.d_emb), dtype=np.float64)
+        norms = np.zeros(capacity, dtype=np.float64)
+        n = len(self._ids)
+        matrix[:n] = self._matrix[:n]
+        norms[:n] = self._norms[:n]
+        self._matrix, self._norms = matrix, norms
 
     @property
     def vector_count(self) -> int:
@@ -266,40 +285,33 @@ class KnowledgeStore:
     def get_record(self, record_id: str) -> VectorRecord | None:
         return self._records.get(record_id)
 
-    def _matrix(self) -> np.ndarray:
-        if self._matrix_cache is None:
-            if self._matrix_rows:
-                self._matrix_cache = np.vstack(self._matrix_rows)
-            else:
-                self._matrix_cache = np.zeros((0, self.d_emb), dtype=np.float64)
-        return self._matrix_cache
-
     def vector_query(
         self, query: np.ndarray, params: RetrievalParams | None = None
     ) -> list[tuple[VectorRecord, float]]:
         """Records with cosine similarity >= threshold, best first, top_k kept.
 
-        Ties break by ascending id so repeated calls are identical.
+        Ties break by ascending id so repeated calls are identical. Only the
+        records at or above the k-th best similarity are sorted, ties at
+        that similarity included, so the id tie-break sees every candidate.
         """
         params = params or self.params
-        if not self._ids:
+        n = len(self._ids)
+        if not n:
             return []
         q = np.asarray(query, dtype=np.float64)
         qn = float(np.linalg.norm(q))
         if qn == 0.0:
             return []
-        matrix = self._matrix()
-        norms = np.linalg.norm(matrix, axis=1)
-        sims = matrix @ q / (norms * qn)
-        order = sorted(range(len(self._ids)), key=lambda i: (-sims[i], self._ids[i]))
-        out: list[tuple[VectorRecord, float]] = []
-        for i in order:
-            if sims[i] < params.similarity_threshold:
-                break
-            out.append((self._records[self._ids[i]], float(sims[i])))
-            if len(out) >= params.top_k:
-                break
-        return out
+        sims = self._matrix[:n] @ q / (self._norms[:n] * qn)
+        rows = np.flatnonzero(sims >= params.similarity_threshold)
+        k = params.top_k
+        if len(rows) > k:
+            cand = sims[rows]
+            kth_best = np.partition(cand, len(cand) - k)[len(cand) - k]
+            rows = rows[cand >= kth_best]
+        ids = self._ids
+        ranked = sorted(zip(sims[rows].tolist(), rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))
+        return [(self._records[ids[row]], sim) for sim, row in ranked[:k]]
 
     def update_usefulness(self, record_ids: Iterable[str], target: float, eta: float) -> None:
         """EMA each named record's usefulness toward target (0 or 1)."""
@@ -308,7 +320,7 @@ class KnowledgeStore:
             if rec is None:
                 continue
             u = rec.usefulness + eta * (target - rec.usefulness)
-            self._records[rid] = replace(rec, usefulness=min(1.0, max(0.0, u)))
+            self._records[rid] = VectorRecord(rec.id, rec.payload_ref, min(1.0, max(0.0, u)))
 
     # -- graph side ----------------------------------------------------
 
@@ -335,11 +347,20 @@ class KnowledgeStore:
         key = (source, target, EdgeType(edge_type))
         is_new = key not in self._edges
         self._edges[key] = float(weight)
+        self._mean_edge_weight = None
         if is_new:
             self._nodes.add(source)
             self._nodes.add(target)
             self._incidence.setdefault(source, []).append((target, key))
             self._incidence.setdefault(target, []).append((source, key))
+
+    def neighbors(self, node_id: str) -> Sequence[tuple[str, EdgeKey]]:
+        """(neighbor, edge key) for each edge incident to a node, either
+        direction, in insertion order; empty for an unknown node.
+
+        The returned sequence is the store's own and must not be modified.
+        """
+        return self._incidence.get(node_id, ())
 
     def edge_weight(self, source: str, target: str, edge_type: EdgeType) -> float | None:
         return self._edges.get((source, target, EdgeType(edge_type)))
@@ -351,9 +372,12 @@ class KnowledgeStore:
         ]
 
     def mean_edge_weight(self) -> float:
-        if not self._edges:
-            return 0.0
-        return float(sum(self._edges.values()) / len(self._edges))
+        """Mean of all edge weights (0 without edges); cached between edge writes."""
+        if self._mean_edge_weight is None:
+            self._mean_edge_weight = (
+                float(sum(self._edges.values()) / len(self._edges)) if self._edges else 0.0
+            )
+        return self._mean_edge_weight
 
     def graph_traverse(
         self, seed_nodes: Sequence[str], params: RetrievalParams | None = None
@@ -379,7 +403,7 @@ class KnowledgeStore:
             nxt: dict[str, float] = {}
             for node in sorted(level):
                 score = level[node]
-                for neighbor, key in self._incidence.get(node, ()):
+                for neighbor, key in self.neighbors(node):
                     factor = self._edges[key] * params.edge_type_weights[key[2]]
                     cand = score * factor
                     if cand > nxt.get(neighbor, -1.0):
@@ -428,9 +452,11 @@ class KnowledgeStore:
         """EMA contributing edge weights toward 1 (true defect) or 0 (FP only).
 
         Contributing edges are those with both endpoints in the retrieval
-        context that produced the fed-back test case. Feedback with no
-        defect reports at all leaves every weight unchanged. Returns the
-        number of edges touched.
+        context that produced the fed-back test case; they are found by
+        walking the context nodes' incident edges. Each update reads only
+        its own edge's weight, so the order of updates does not matter.
+        Feedback with no defect reports at all leaves every weight
+        unchanged. Returns the number of edges touched.
         """
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta {eta} outside (0, 1]")
@@ -443,14 +469,13 @@ class KnowledgeStore:
         else:
             return 0
         context = set(contributing_context)
-        touched = 0
-        for key in sorted(self._edges, key=lambda k: (k[0], k[1], k[2])):
-            source, dest, _ = key
-            if source in context and dest in context:
-                w = self._edges[key]
-                self._edges[key] = min(1.0, max(0.0, w + eta * (target - w)))
-                touched += 1
-        return touched
+        keys = {key for node in context for nbr, key in self.neighbors(node) if nbr in context}
+        for key in keys:
+            w = self._edges[key]
+            self._edges[key] = min(1.0, max(0.0, w + eta * (target - w)))
+        if keys:
+            self._mean_edge_weight = None
+        return len(keys)
 
     # -- snapshot ------------------------------------------------------
 
@@ -458,30 +483,47 @@ class KnowledgeStore:
         return {
             "schema_version": self.SCHEMA_VERSION,
             "d_emb": self.d_emb,
-            "vector_records": [self._records[rid].to_dict() for rid in sorted(self._records)],
+            "vector_records": [self._record_dict(rid) for rid in sorted(self._records)],
             "graph_nodes": sorted(self._nodes),
             "graph_edges": [e.to_dict() for e in self.edges()],
             "retrieval_params": self.params.to_dict(),
         }
 
+    def _record_dict(self, record_id: str) -> dict:
+        record = self._records[record_id]
+        return {
+            "id": record.id,
+            "embedding": self._matrix[self._row[record_id]].tolist(),
+            "payload_ref": record.payload_ref,
+            "usefulness": record.usefulness,
+        }
+
     def save_snapshot(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write the snapshot JSON; the previous file survives a failed write."""
+        with atomic_open(path) as fh:
             json.dump(self.snapshot_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
     @classmethod
     def from_snapshot_dict(cls, d: Mapping) -> "KnowledgeStore":
+        """Rebuild a store; a missing or unknown key anywhere is rejected."""
         version = d.get("schema_version")
         if version != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported knowledge snapshot schema_version {version!r}")
+        check_keys("knowledge snapshot", d, _SNAPSHOT_KEYS)
         params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
         store = cls(d_emb=int(d["d_emb"]), params=params)
-        for rec_d in d.get("vector_records", ()):
-            rec = VectorRecord.from_dict(rec_d)
-            store.insert_vector(rec.id, np.asarray(rec.embedding), rec.payload_ref, rec.usefulness)
-        for node in d.get("graph_nodes", ()):
+        for rec_d in d["vector_records"]:
+            check_keys("vector record", rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
+            store.insert_vector(
+                rec_d["id"],
+                np.asarray(rec_d["embedding"], dtype=np.float64),
+                rec_d["payload_ref"],
+                float(rec_d.get("usefulness", 0.5)),
+            )
+        for node in d["graph_nodes"]:
             store.add_node(node)
-        for edge_d in d.get("graph_edges", ()):
+        for edge_d in d["graph_edges"]:
             e = GraphEdge.from_dict(edge_d)
             store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
         return store

@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -215,11 +217,16 @@ class SyntheticProject:
     def requirement_by_id(self) -> dict[str, Requirement]:
         return {r.id: r for r in self.requirements}
 
-    def defects_by_requirement(self) -> dict[str, list[DefectSpec]]:
+    def defects_by_requirement(self) -> Mapping[str, tuple[DefectSpec, ...]]:
+        """Each requirement's defects in catalog order; built once, read-only."""
+        return self._defects_by_requirement
+
+    @cached_property
+    def _defects_by_requirement(self) -> Mapping[str, tuple[DefectSpec, ...]]:
         out: dict[str, list[DefectSpec]] = {r.id: [] for r in self.requirements}
         for defect in self.defects:
             out[defect.requirement_ref].append(defect)
-        return out
+        return MappingProxyType({rid: tuple(defects) for rid, defects in out.items()})
 
     def affinity_of(self, strategy: GenerationStrategy, severity: Severity) -> float:
         return self.affinity[strategy][severity]

@@ -12,6 +12,7 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -183,8 +184,13 @@ def trend_slope(history: Sequence[float]) -> float:
     x_mean = (n - 1) / 2.0
     y_mean = sum(history) / n
     num = sum((i - x_mean) * (y - y_mean) for i, y in enumerate(history))
-    den = sum((i - x_mean) ** 2 for i in range(n))
-    return num / den
+    return num / _slope_denominator(n)
+
+
+@lru_cache(maxsize=None)
+def _slope_denominator(n: int) -> float:
+    x_mean = (n - 1) / 2.0
+    return sum((i - x_mean) ** 2 for i in range(n))
 
 
 def adaptation_reward(history: Sequence[float]) -> float:

@@ -36,6 +36,7 @@ from .agents import (
     record_feedback,
     requirement_summary,
 )
+from .atomic import atomic_open
 from .config import ConfigCodec, UnknownConfigKey  # noqa: F401 - re-exported
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
@@ -736,8 +737,9 @@ class TrainingSystem:
         }
 
     def checkpoint(self, path) -> None:
+        """Write the checkpoint JSON; the previous file survives a failed write."""
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with atomic_open(path) as fh:
                 json.dump(self.checkpoint_dict(), fh, sort_keys=True)
         except OSError as exc:
             raise IOFailure(f"cannot write checkpoint to {path}: {exc}") from exc

@@ -14,6 +14,7 @@ from qeloop.domain import (
     RetrievalMode,
     Severity,
     TestCase as DomainTestCase,
+    MalformedRecord,
     UnknownTestCase,
     validate_feedback,
     validate_test_case,
@@ -73,6 +74,53 @@ class TestValidateFeedback:
         bad = DefectReport("r1", "tc-1", Severity.Low, False, defect_ref=None)
         with pytest.raises(RangeViolation):
             validate_feedback(make_record(defects=(bad,)), {"tc-1"})
+
+    def test_catalog_kinds_agree(self):
+        # A mapping, a set and a plain iterable of ids are the same catalog.
+        for catalog in ({"tc-1": None}, {"tc-1"}, frozenset({"tc-1"}), ["tc-1"], iter(["tc-1"])):
+            validate_feedback(make_record(), catalog)
+        for catalog in ({"tc-2": None}, {"tc-2"}, ["tc-2"], iter(())):
+            with pytest.raises(UnknownTestCase):
+                validate_feedback(make_record(), catalog)
+
+
+class TestStrictRecordKeys:
+    def test_feedback_record_unknown_key_rejected(self):
+        payload = make_record().to_dict()
+        payload["qualty_rating"] = 0.5
+        with pytest.raises(MalformedRecord, match="qualty_rating"):
+            FeedbackRecord.from_dict(payload)
+
+    def test_defect_report_unknown_key_rejected(self):
+        payload = DefectReport("r1", "tc-1", Severity.High, False, "def-1").to_dict()
+        payload["extra"] = 1
+        with pytest.raises(MalformedRecord, match="extra"):
+            DefectReport.from_dict(payload)
+
+    def test_unknown_key_inside_a_defect_of_a_record_rejected(self):
+        report = DefectReport("r1", "tc-1", Severity.High, False, "def-1")
+        payload = make_record(defects=(report,)).to_dict()
+        payload["defects"][0]["severty"] = "Low"
+        with pytest.raises(MalformedRecord, match="severty"):
+            FeedbackRecord.from_dict(payload)
+
+    def test_missing_key_rejected(self):
+        payload = make_record().to_dict()
+        del payload["compliance_score"]
+        with pytest.raises(MalformedRecord, match="compliance_score"):
+            FeedbackRecord.from_dict(payload)
+
+    def test_malformed_record_is_a_value_error(self):
+        # Readers that treat ValueError as malformed input keep doing so.
+        assert issubclass(MalformedRecord, ValueError)
+
+    def test_optional_keys_may_be_left_out(self):
+        payload = make_record().to_dict()
+        del payload["defects"]
+        assert FeedbackRecord.from_dict(payload) == make_record()
+        report = DefectReport("r1", "tc-1", Severity.Low, True).to_dict()
+        del report["defect_ref"]
+        assert DefectReport.from_dict(report).defect_ref is None
 
 
 class TestSerializationRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeloop.domain import FeedbackRecord, DefectReport, RetrievalMode, Severity
+from qeloop.domain import FeedbackRecord, DefectReport, MalformedRecord, RetrievalMode, Severity
 from qeloop.knowledge import (
     EdgeType,
     EmptyInput,
@@ -371,6 +371,73 @@ class TestSnapshot:
         payload["retrieval_params"]["similarity_threshold"] = 1.5
         with pytest.raises(ValueError, match="similarity_threshold"):
             KnowledgeStore.from_snapshot_dict(payload)
+
+    def small_snapshot(self) -> dict:
+        store = KnowledgeStore(d_emb=8)
+        store.insert_vector("a", embed(["alpha"], 8), "a")
+        store.upsert_edge("a", "b", EdgeType.Covers, 0.4)
+        return store.snapshot_dict()
+
+    def test_misspelt_section_rejected(self):
+        payload = self.small_snapshot()
+        payload["graph_edgs"] = payload.pop("graph_edges")
+        with pytest.raises(MalformedRecord, match="graph_edgs") as exc:
+            KnowledgeStore.from_snapshot_dict(payload)
+        assert "graph_edges" in str(exc.value)
+
+    @pytest.mark.parametrize("section", ["graph_edges", "graph_nodes", "vector_records"])
+    def test_missing_section_rejected(self, section):
+        payload = self.small_snapshot()
+        del payload[section]
+        with pytest.raises(MalformedRecord, match=section):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_unknown_top_level_key_rejected(self):
+        payload = self.small_snapshot()
+        payload["comment"] = "hand edited"
+        with pytest.raises(MalformedRecord, match="comment"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_unknown_vector_record_key_rejected(self):
+        payload = self.small_snapshot()
+        payload["vector_records"][0]["usefullness"] = 0.9
+        with pytest.raises(MalformedRecord, match="usefullness"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_unknown_edge_key_rejected(self):
+        payload = self.small_snapshot()
+        payload["graph_edges"][0]["wieght"] = 0.9
+        with pytest.raises(MalformedRecord, match="wieght"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_usefulness_may_be_left_out(self):
+        payload = self.small_snapshot()
+        del payload["vector_records"][0]["usefulness"]
+        assert KnowledgeStore.from_snapshot_dict(payload).get_record("a").usefulness == 0.5
+
+    def test_malformed_snapshot_is_a_value_error(self):
+        # The checkpoint reader maps ValueError to SchemaVersionMismatch and
+        # the CLI maps it to exit code 2.
+        assert issubclass(MalformedRecord, ValueError)
+
+    def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        store = KnowledgeStore(d_emb=8)
+        store.insert_vector("a", embed(["alpha"], 8), "a")
+        path = tmp_path / "snap.json"
+        store.save_snapshot(path)
+        before = path.read_bytes()
+        store.upsert_edge("a", "b", EdgeType.Covers, 0.4)
+
+        def dump_half_then_fail(obj, fh, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.save_snapshot(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
     def test_self_loop_rejected(self):
         store = KnowledgeStore(d_emb=8)

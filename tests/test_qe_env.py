@@ -284,6 +284,18 @@ class TestReplayFeedback:
         with pytest.raises(ValidationError):
             list(replay_feedback(path, catalog={"tc-1"}))
 
+    def test_unknown_key_is_a_parse_error_with_its_line(self, tmp_path):
+        payload = json.loads(sample_record().to_json_line())
+        payload["quality"] = 0.5
+        path = tmp_path / "typo.jsonl"
+        write_lines(path, [sample_record().to_json_line(), json.dumps(payload)])
+        issues = []
+        assert list(replay_feedback(path, on_error=issues.append)) == [sample_record()]
+        assert len(issues) == 1
+        assert isinstance(issues[0], ParseError)
+        assert issues[0].line_number == 2
+        assert "quality" in str(issues[0])
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(sample_record().to_json_line() + "\n\n" + sample_record("tc-2").to_json_line() + "\n")

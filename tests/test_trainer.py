@@ -218,6 +218,30 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch):
             TrainingSystem.restore(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=1)
+        path = tmp_path / "ckpt.json"
+        system.checkpoint(path)
+        before = path.read_bytes()
+        system.run(episodes=1)
+        real_dump = json.dump
+
+        def dump_half_then_fail(obj, fh, **kwargs):
+            text = json.dumps(obj, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        with pytest.raises(IOFailure):
+            system.checkpoint(path)
+        monkeypatch.setattr(json, "dump", real_dump)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+        system.checkpoint(path)
+        assert path.read_bytes() != before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
 
 class TestExport:
     def run_result(self, config=None) -> RunResult:
