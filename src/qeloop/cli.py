@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import domain, qe_env, rewards, trainer
-from .config import ConfigTypeError, UnknownConfigKey
+from .config import ConfigRangeError, ConfigTypeError, UnknownConfigKey
 from .knowledge import KnowledgeStore
 from .rl_core import gradient_check
 
@@ -92,23 +92,11 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> trainer.RunConfig
             node = nxt
         node[keys[-1]] = value
     try:
-        config = trainer.RunConfig.from_dict(raw)
+        return trainer.RunConfig.from_dict(raw).validate()
     except UnknownConfigKey as exc:
         raise UnknownKey(exc.key) from exc
-    except ConfigTypeError as exc:
+    except (ConfigTypeError, ConfigRangeError) as exc:
         raise ValidationError(exc.key, exc.problem) from exc
-    try:
-        config.validate()
-    except (ValueError, qe_env.BadConfig) as exc:
-        raise ValidationError(_guess_key(str(exc)), str(exc)) from exc
-    return config
-
-
-def _guess_key(message: str) -> str:
-    for key in ("learning_rate", "epsilon", "clip", "seed", "episode_count", "weights"):
-        if key in message:
-            return key
-    return "config"
 
 
 def _provenance(exc: BaseException) -> str:
@@ -117,11 +105,10 @@ def _provenance(exc: BaseException) -> str:
 
 def _cmd_train(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     out_dir = invocation.output_dir or config.output_dir
-    system = trainer.TrainingSystem(config)
-    system.run(output_dir=out_dir)
-    result = trainer.RunResult(
-        config, system.metrics_history, system.events, system.ppo_rows, system.dqn_rows, system
-    )
+    with trainer.EventLog(out_dir) as events:
+        system = trainer.TrainingSystem(config, events=events)
+        system.run()
+    result = trainer.RunResult(config, system.metrics_history, events, system.ppo_rows, system.dqn_rows, system)
     paths = trainer.export_metrics(result, out_dir)
     system.checkpoint(os.path.join(out_dir, "checkpoint.json"))
     final = trainer.final_window_mean(result.metrics, "r_total", 30)
@@ -150,17 +137,16 @@ def _cmd_evaluate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     if not invocation.checkpoint:
         raise ValidationError("checkpoint", "evaluate requires --checkpoint PATH")
     out_dir = invocation.output_dir or config.output_dir
-    system = trainer.TrainingSystem.restore(invocation.checkpoint)
     episodes = invocation.episodes or config.episode_count
     frozen = trainer.AblationFlags(disable_ppo=True, disable_dqn=True, no_feedback=True)
-    system.config = replace(system.config, ablation=frozen)
-    system.deterministic_policy = True
-    start = len(system.metrics_history)
-    system.run(episodes=episodes, output_dir=out_dir)
+    with trainer.EventLog(out_dir) as events:
+        system = trainer.TrainingSystem.restore(invocation.checkpoint, events=events)
+        system.config = replace(system.config, ablation=frozen)
+        system.deterministic_policy = True
+        start = len(system.metrics_history)
+        system.run(episodes=episodes)
     evaluated = system.metrics_history[start:]
-    result = trainer.RunResult(
-        system.config, evaluated, system.events, system.ppo_rows, system.dqn_rows, system
-    )
+    result = trainer.RunResult(system.config, evaluated, events, system.ppo_rows, system.dqn_rows, system)
     paths = trainer.export_metrics(result, out_dir)
     mean_reward = sum(m.r_total for m in evaluated) / len(evaluated)
     print(f"evaluated {len(evaluated)} greedy episodes; mean reward {mean_reward:.4f}")
@@ -231,12 +217,8 @@ def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     if not invocation.input_path:
         raise ValidationError("input", "export requires an events JSONL path")
     out_dir = invocation.output_dir or config.output_dir
-    events = []
     with open(invocation.input_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                events.append(json.loads(line))
-    metrics = trainer.derive_metrics_from_events(events)
+        metrics = trainer.derive_metrics_from_events(json.loads(line) for line in fh if line.strip())
     if not metrics:
         raise ValidationError("input", "event log contains no complete episodes")
     os.makedirs(out_dir, exist_ok=True)

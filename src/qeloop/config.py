@@ -13,7 +13,8 @@ base instance, driven by the dataclass fields and their type hints:
   accept ints and floats, strings accept only strings, and a section must
   be an object. A mismatch raises ``ConfigTypeError`` with its path.
 
-Decoding checks shape only; ranges are each section's ``validate()``.
+Decoding checks shape only; ranges are each section's ``validate()``, which
+``RunConfig.validate`` reports as ``ConfigRangeError`` with the section.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ class ConfigTypeError(ValueError):
         self.key = key
         self.problem = f"expected {expected}, got {value!r}"
         super().__init__(f"{key or 'config'}: {self.problem}")
+
+
+class ConfigRangeError(ValueError):
+    """A value outside its valid range, in section (or top-level key) ``key``."""
+
+    def __init__(self, key: str, problem: str):
+        self.key = key
+        self.problem = problem
+        super().__init__(f"{key}: {problem}")
 
 
 _SCALARS = {

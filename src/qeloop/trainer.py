@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .agents import (
     requirement_summary,
 )
 from .atomic import atomic_open
-from .config import ConfigCodec, UnknownConfigKey  # noqa: F401 - re-exported
-from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, validate_feedback
+from .config import ConfigCodec, ConfigRangeError, UnknownConfigKey  # noqa: F401 - re-exported
+from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
     EdgeType,
@@ -49,7 +50,7 @@ from .knowledge import (
     embed,
 )
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
-from .qe_env import EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
+from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import (
     RewardBreakdown,
     RewardWeights,
@@ -83,8 +84,18 @@ METRICS_CSV_COLUMNS = (
     "r_total",
 )
 
-# Version 2 dropped the unused rl.seed knob from the checkpointed config.
-CHECKPOINT_SCHEMA_VERSION = 2
+# Version 2 dropped the unused rl.seed knob from the checkpointed config;
+# version 3 dropped the catalog of every generated test.
+CHECKPOINT_SCHEMA_VERSION = 3
+
+# The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
+_CHECKPOINT_KEYS = frozenset({
+    "schema_version", "config", "episode_index", "global_slot", "agents", "dqn", "kb",
+    "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
+    "metrics_history", "ppo_rows", "dqn_rows", "ppo_update_count", "rng_states",
+})
+_AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
+_KB_PENDING_KEYS = frozenset({"state", "action", "totals"})
 
 # Length of the false-positive and retrieval-hit windows that feed the
 # knowledge controller's state.
@@ -239,18 +250,16 @@ class RunConfig(ConfigCodec):
     loop: LoopConfig = field(default_factory=LoopConfig)
 
     def validate(self) -> "RunConfig":
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.episode_count < 1 or self.tests_per_episode < 1:
-            raise ValueError("episode_count and tests_per_episode must be >= 1")
-        self.ppo.validate(allow_out_of_range=self.allow_out_of_range)
-        self.dqn.validate()
-        self.rl.validate()
-        self.rewards.validate()
-        self.env.validate()
-        self.execution.validate()
-        self.kb.validate()
-        self.loop.validate()
+        """Check every range; ``ConfigRangeError`` names the failing key or section."""
+        for name, low in (("seed", 0), ("episode_count", 1), ("tests_per_episode", 1)):
+            if getattr(self, name) < low:
+                raise ConfigRangeError(name, f"must be >= {low}, got {getattr(self, name)}")
+        for name in ("ppo", "dqn", "rl", "rewards", "env", "execution", "kb", "loop"):
+            kwargs = {"allow_out_of_range": self.allow_out_of_range} if name == "ppo" else {}
+            try:
+                getattr(self, name).validate(**kwargs)
+            except (ValueError, BadConfig) as exc:
+                raise ConfigRangeError(name, str(exc)) from exc
         return self
 
 
@@ -330,10 +339,15 @@ def block_means(metrics: Sequence[EpisodeMetrics], attr: str, block_size: int = 
     return out
 
 
-class TrainingSystem:
-    """Owns every mutable piece of one run; single-threaded by construction."""
+class EventSink(Protocol):
+    def append(self, event: dict) -> None: ...
 
-    def __init__(self, config: RunConfig, deterministic_policy: bool = False):
+
+class TrainingSystem:
+    """Owns every mutable piece of one run; single-threaded by construction.
+    Its events go to ``events``: a new list by default, or an ``EventLog``."""
+
+    def __init__(self, config: RunConfig, deterministic_policy: bool = False, events: EventSink | None = None):
         self.config = config.validate()
         self.deterministic_policy = deterministic_policy
         self.streams = RngStreams(config.seed)
@@ -370,7 +384,6 @@ class TrainingSystem:
             state_dim=KB_STATE_DIM,
         )
 
-        self.test_catalog: dict[str, TestCase] = {}
         self.reward_window: deque[float] = deque(maxlen=config.rewards.adaptation_window)
         self.fp_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
         self.hit_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
@@ -379,11 +392,11 @@ class TrainingSystem:
         self.global_slot = 0
         self.episode_index = 0
         self.metrics_history: list[EpisodeMetrics] = []
-        self.events: list[dict] = []
+        self.events: EventSink = [] if events is None else events
         self.ppo_rows: list[dict] = []
         self.dqn_rows: list[dict] = []
         self._ppo_update_count = 0
-        self._event(
+        self.events.append(
             {
                 "type": "run_start",
                 "n_requirements": len(self.requirements),
@@ -393,9 +406,6 @@ class TrainingSystem:
         )
 
     # -- featurization ---------------------------------------------------
-
-    def _event(self, payload: dict) -> None:
-        self.events.append(payload)
 
     def _featurize(self, role: AgentRole, requirement_id: str) -> np.ndarray:
         return featurize_state(
@@ -446,7 +456,7 @@ class TrainingSystem:
         row = {"update_index": self._ppo_update_count, "role": role.name, **report.to_dict()}
         self._ppo_update_count += 1
         self.ppo_rows.append(row)
-        self._event({"type": "ppo_update", **row})
+        self.events.append({"type": "ppo_update", **row})
 
     def _run_kb_action(self) -> None:
         state = self._kb_state()
@@ -485,14 +495,16 @@ class TrainingSystem:
             "chosen_action": KBAction(action).name,
         }
         self.dqn_rows.append(row)
-        self._event({"type": "kb_action", "params": self.kb.params.to_dict(), **row})
+        self.events.append({"type": "kb_action", "params": self.kb.params.to_dict(), **row})
 
     def _evolve_knowledge(
         self,
         requirement: Requirement,
+        tests: Sequence[TestCase],
         records: Sequence[FeedbackRecord],
         context_ids: Sequence[str],
     ) -> None:
+        """``records[i]`` is the feedback on ``tests[i]``, the slot's tests."""
         eta = self.config.kb.edge_learning_rate
         context = set(context_ids) | {requirement.id}
         record_context_ids = [
@@ -511,11 +523,11 @@ class TrainingSystem:
             )
         # Every executed test enters the vector store; only defect-verified
         # tests earn graph edges, so edge-type weighting separates verified
-        # knowledge from the merely similar.
-        for fb in records:
+        # knowledge from the merely similar. A test id hashes the test's
+        # content, so a stored record with that id describes this test.
+        for test, fb in zip(tests, records):
             if self.kb.vector_count >= self.config.kb.max_records:
                 break
-            test = self.test_catalog[fb.test_case_ref]
             if self.kb.get_record(test.id) is None:
                 tokens = requirement.text.split() + [
                     requirement.id, test.strategy.name, test.retrieval_mode.name,
@@ -544,7 +556,7 @@ class TrainingSystem:
         episode = self.episode_index
         planned = self._planned_requirements()
         reachable = sum(len(self._defects_by_req[rid]) for rid in sorted(set(planned)))
-        self._event(
+        self.events.append(
             {
                 "type": "episode_start",
                 "episode": episode,
@@ -569,7 +581,7 @@ class TrainingSystem:
                 )
                 modifier_delta += modifier_vector(role, action.option, config.env.d_cov)
                 acting.append(role)
-                self._event(
+                self.events.append(
                     {
                         "type": "agent_action",
                         "episode": episode,
@@ -593,7 +605,7 @@ class TrainingSystem:
                 gen_state, self.streams.get(f"policy:{gen_role.name}"), self.deterministic_policy
             )
             acting.append(gen_role)
-            self._event(
+            self.events.append(
                 {
                     "type": "agent_action",
                     "episode": episode,
@@ -617,15 +629,15 @@ class TrainingSystem:
             self.hit_window.append(1.0 if context_ids else 0.0)
 
             slot_records: list[FeedbackRecord] = []
+            test_ids = {test.id for test in tests}
             for test in tests:
-                self.test_catalog[test.id] = test
-                self._event({"type": "test_generated", "episode": episode, "slot": slot, "test": test.to_dict()})
+                self.events.append({"type": "test_generated", "episode": episode, "slot": slot, "test": test.to_dict()})
                 feedback = execute_test(test, self.project, config.execution, self.streams.get("env"))
-                validate_feedback(feedback, self.test_catalog)
+                validate_feedback(feedback, test_ids)
                 slot_records.append(feedback)
                 ep_records.append(feedback)
                 self.fp_window.append(1.0 if feedback.false_positives() else 0.0)
-                self._event(
+                self.events.append(
                     {"type": "feedback", "episode": episode, "slot": slot, "record": feedback.to_dict()}
                 )
 
@@ -644,7 +656,7 @@ class TrainingSystem:
             self.reward_window.append(breakdown.total)
             if self.kb_pending is not None:
                 self.kb_pending[2].append(breakdown.total)
-            self._event(
+            self.events.append(
                 {"type": "reward", "episode": episode, "slot": slot, "breakdown": breakdown.to_dict()}
             )
 
@@ -663,7 +675,7 @@ class TrainingSystem:
                     self._run_ppo_update(role)
 
             if not flags.no_feedback:
-                self._evolve_knowledge(requirement, slot_records, context_ids)
+                self._evolve_knowledge(requirement, tests, slot_records, context_ids)
 
             self.global_slot += 1
             if not flags.disable_dqn and self.global_slot % config.loop.kb_action_interval == 0:
@@ -673,24 +685,15 @@ class TrainingSystem:
             episode, planned, reachable, ep_records, ep_breakdowns, len(self.requirements)
         )
         self.metrics_history.append(metrics)
-        self._event({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
+        self.events.append({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
         self.episode_index += 1
         return metrics
 
-    def run(self, episodes: int | None = None, output_dir: str | None = None) -> list[EpisodeMetrics]:
-        """Run episodes; on error, persist the partial event log before raising."""
+    def run(self, episodes: int | None = None) -> list[EpisodeMetrics]:
+        """Run ``episodes`` more episodes (default: the config's count)."""
         remaining = self.config.episode_count if episodes is None else episodes
-        try:
-            for _ in range(remaining):
-                self.run_episode()
-        except Exception:
-            if output_dir is not None:
-                try:
-                    os.makedirs(output_dir, exist_ok=True)
-                    write_events_jsonl(self.events, os.path.join(output_dir, "events_partial.jsonl"))
-                except OSError:
-                    pass
-            raise
+        for _ in range(remaining):
+            self.run_episode()
         return self.metrics_history
 
     # -- checkpointing -----------------------------------------------------
@@ -715,7 +718,6 @@ class TrainingSystem:
             "content_vectors": {
                 key: [float(x) for x in vec] for key, vec in sorted(self.content_vectors.items())
             },
-            "test_catalog": {tid: t.to_dict() for tid, t in sorted(self.test_catalog.items())},
             "reward_window": list(self.reward_window),
             "fp_window": list(self.fp_window),
             "hit_window": list(self.hit_window),
@@ -745,9 +747,10 @@ class TrainingSystem:
             raise IOFailure(f"cannot write checkpoint to {path}: {exc}") from exc
 
     @classmethod
-    def restore(cls, path) -> "TrainingSystem":
+    def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
         """Rebuild a system from a checkpoint; corrupt files never yield a
-        partial system."""
+        partial system, and a missing or unknown key at the top level, in an
+        agent's section or in ``kb_pending`` is named. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -764,18 +767,20 @@ class TrainingSystem:
                 else "checkpoint payload is not an object"
             )
         try:
+            check_keys("checkpoint", payload, _CHECKPOINT_KEYS)
+            check_keys("checkpoint agents", payload["agents"], frozenset(AgentRole.__members__))
+            if payload["kb_pending"] is not None:
+                check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
             config = RunConfig.from_dict(payload["config"])
-            system = cls(config)
+            system = cls(config, events=events)
             system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"])
             system.content_vectors = {
                 key: np.asarray(vec, dtype=np.float64)
                 for key, vec in payload["content_vectors"].items()
             }
-            system.test_catalog = {
-                tid: TestCase.from_dict(d) for tid, d in payload["test_catalog"].items()
-            }
             for role in AgentRole:
                 agent_d = payload["agents"][role.name]
+                check_keys(f"checkpoint agents.{role.name}", agent_d, _AGENT_KEYS)
                 agent = system.agents[role]
                 agent.params = MLPParameters.from_dict(agent_d["params"])
                 agent.adam = Adam(agent.params, config.ppo.learning_rate)
@@ -822,7 +827,7 @@ class TrainingSystem:
 class RunResult:
     config: RunConfig
     metrics: list[EpisodeMetrics]
-    events: list[dict]
+    events: EventSink
     ppo_rows: list[dict]
     dqn_rows: list[dict]
     system: TrainingSystem
@@ -834,15 +839,35 @@ def run_training(config: RunConfig, deterministic_policy: bool = False) -> RunRe
     return RunResult(config, metrics, system.events, system.ppo_rows, system.dqn_rows, system)
 
 
-def write_events_jsonl(events: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True))
-            fh.write("\n")
+class EventLog:
+    """Writes each appended event as a sorted-key JSON line of ``events.jsonl``
+    and each ``feedback`` event's record as its ``to_json_line`` in
+    ``feedback.jsonl``. Its files close on any exit from its ``with`` block,
+    so a failed run leaves every event before the failure."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.paths = {name: os.path.join(out_dir, f"{name}.jsonl") for name in ("events", "feedback")}
+
+    def __enter__(self) -> "EventLog":
+        os.makedirs(self.out_dir, exist_ok=True)
+        with ExitStack() as stack:
+            self._events = stack.enter_context(open(self.paths["events"], "w", encoding="utf-8"))
+            self._feedback = stack.enter_context(open(self.paths["feedback"], "w", encoding="utf-8"))
+            self._files = stack.pop_all()
+        return self
+
+    def append(self, event: dict) -> None:
+        self._events.write(json.dumps(event, sort_keys=True) + "\n")
+        if event.get("type") == "feedback":
+            self._feedback.write(json.dumps(event["record"], sort_keys=True) + "\n")
+
+    def __exit__(self, *exc_info) -> None:
+        self._files.close()
 
 
-def derive_metrics_from_events(events: Sequence[dict]) -> list[EpisodeMetrics]:
-    """Recompute per-episode metrics purely from the event log."""
+def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
+    """Recompute per-episode metrics purely from the event log, read once."""
     n_requirements = None
     out: list[EpisodeMetrics] = []
     episode = None
@@ -873,7 +898,8 @@ def derive_metrics_from_events(events: Sequence[dict]) -> list[EpisodeMetrics]:
 
 
 def export_metrics(run: RunResult, out_dir) -> dict[str, str]:
-    """Write metrics.csv, events.jsonl, and learner diagnostic CSVs.
+    """Write metrics.csv and the learner diagnostic CSVs (events are
+    written as they happen, by ``EventLog``).
 
     Returns the mapping of artifact name to path. Raises IOFailure on any
     filesystem problem and refuses to export an empty run.
@@ -887,16 +913,6 @@ def export_metrics(run: RunResult, out_dir) -> dict[str, str]:
         with open(metrics_path, "w", encoding="utf-8") as fh:
             fh.write(metrics_csv_text(run.metrics))
         paths["metrics"] = metrics_path
-        events_path = os.path.join(out_dir, "events.jsonl")
-        write_events_jsonl(run.events, events_path)
-        paths["events"] = events_path
-        feedback_path = os.path.join(out_dir, "feedback.jsonl")
-        with open(feedback_path, "w", encoding="utf-8") as fh:
-            for event in run.events:
-                if event.get("type") == "feedback":
-                    fh.write(FeedbackRecord.from_dict(event["record"]).to_json_line())
-                    fh.write("\n")
-        paths["feedback"] = feedback_path
         ppo_path = os.path.join(out_dir, "ppo_updates.csv")
         with open(ppo_path, "w", encoding="utf-8") as fh:
             fh.write("update_index,role,mean_ratio,clip_fraction,policy_loss,value_loss,entropy\n")

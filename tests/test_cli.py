@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from qeloop import cli
+from qeloop import cli, qe_env, trainer
 from qeloop.domain import FeedbackRecord, DefectReport, Severity
 from qeloop.knowledge import EdgeType, KnowledgeStore
-from qeloop.trainer import RunConfig, metrics_csv_text, run_training
+from qeloop.trainer import EventLog, RunConfig, metrics_csv_text, run_training
 
 
 TINY = {
@@ -89,6 +89,12 @@ class TestLoadConfig:
             ("env.severity_proportions.Bogus=0.1", cli.UnknownKey, "env.severity_proportions.Bogus"),
             ("ppo=x", cli.ValidationError, "ppo"),
             ("rl.seed=0", cli.UnknownKey, "rl.seed"),
+            ("kb.d_emb=4", cli.ValidationError, "kb"),
+            ("loop.n_tests=0", cli.ValidationError, "loop"),
+            ("kb.initial_params.top_k=100", cli.ValidationError, "kb"),
+            ("dqn.epsilon_end=0.95", cli.ValidationError, "dqn"),
+            ("episode_count=0", cli.ValidationError, "episode_count"),
+            ("tests_per_episode=0", cli.ValidationError, "tests_per_episode"),
         ],
     )
     def test_bad_override_rejected_with_its_path(self, tmp_path, override, error, key):
@@ -139,6 +145,36 @@ class TestTrainCommand:
         assert csv_text == metrics_csv_text(expected.metrics)
         assert (out_dir / "checkpoint.json").exists()
         assert (out_dir / "events.jsonl").exists()
+
+    def test_event_files_equal_event_log_of_in_process_run(self, tmp_path, config_path):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0
+        with EventLog(tmp_path / "expected") as log:
+            for event in run_training(RunConfig.from_dict(TINY)).events:
+                log.append(event)
+        for name in ("events.jsonl", "feedback.jsonl"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+
+    def test_failed_run_leaves_every_event_before_the_failure(self, tmp_path, config_path, monkeypatch):
+        events = run_training(RunConfig.from_dict(TINY)).events
+        fail_on = 6
+        generated = [i for i, e in enumerate(events) if e["type"] == "test_generated"]
+        expected = events[: generated[fail_on - 1] + 1]
+        real_execute = trainer.execute_test
+        calls = []
+
+        def execute_then_fail(*args):
+            calls.append(args)
+            if len(calls) == fail_on:
+                raise qe_env.QEEnvError("simulated channel failure")
+            return real_execute(*args)
+
+        monkeypatch.setattr(trainer, "execute_test", execute_then_fail)
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 2
+        lines = (out_dir / "events.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == expected
+        assert not (out_dir / "metrics.csv").exists()
 
     def test_config_file_not_modified(self, tmp_path, config_path):
         before = open(config_path, "rb").read()

@@ -12,6 +12,7 @@ from qeloop.trainer import (
     ABLATION_VARIANTS,
     AblationFlags,
     EpisodeMetrics,
+    EventLog,
     IOFailure,
     KBConfig,
     LoopConfig,
@@ -170,6 +171,12 @@ class TestCheckpoint:
         resumed = TrainingSystem.restore(path)
         resumed.run(episodes=3)
         assert metrics_csv_text(resumed.metrics_history) == metrics_csv_text(straight.metrics_history)
+        third = next(
+            i for i, e in enumerate(straight.events)
+            if e["type"] == "episode_start" and e["episode"] == 3
+        )
+        assert resumed.events[0]["type"] == "run_start"
+        assert resumed.events[1:] == straight.events[third:]
 
     def test_checkpoint_twice_is_byte_identical(self, tmp_path):
         system = TrainingSystem(tiny_config())
@@ -203,6 +210,40 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaVersionMismatch, match="schema_version 1"):
             TrainingSystem.restore(path)
+
+    def restore_edited(self, tmp_path, section: str, edit):
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=1)
+        payload = system.checkpoint_dict()
+        node = payload
+        for part in filter(None, section.split(".")):
+            node = node[part]
+        edit(node)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return TrainingSystem.restore(path)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("", "bogus_key"),
+            ("", "test_catalog"),
+            ("agents.LegacyTestAnalysis", "bogus_key"),
+            ("agents", "NoSuchRole"),
+            ("kb_pending", "bogus_key"),
+        ],
+    )
+    def test_unknown_key_rejected_with_its_name(self, tmp_path, section, key):
+        with pytest.raises(SchemaVersionMismatch, match=key):
+            self.restore_edited(tmp_path, section, lambda node: node.update({key: {}}))
+
+    def test_version_2_checkpoint_rejected(self, tmp_path):
+        # Version 2 checkpoints still carry the test catalog; they must fail
+        # on their version, not on that key.
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 2"):
+            self.restore_edited(
+                tmp_path, "", lambda node: node.update(schema_version=2, test_catalog={})
+            )
 
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
@@ -266,9 +307,15 @@ class TestExport:
         with pytest.raises(IOFailure):
             export_metrics(result, tmp_path / "out")
 
+    def event_log(self, result, out_dir) -> dict[str, str]:
+        with EventLog(out_dir) as log:
+            for event in result.events:
+                log.append(event)
+        return log.paths
+
     def test_events_jsonl_parseable_and_tagged(self, tmp_path):
         result = self.run_result()
-        paths = export_metrics(result, tmp_path / "out")
+        paths = self.event_log(result, tmp_path / "out")
         with open(paths["events"]) as fh:
             for line in fh:
                 assert "type" in json.loads(line)
@@ -284,7 +331,7 @@ class TestExport:
         from qeloop.qe_env import replay_feedback
 
         result = self.run_result()
-        paths = export_metrics(result, tmp_path / "out")
+        paths = self.event_log(result, tmp_path / "out")
         original = [
             FeedbackRecord.from_dict(e["record"]) for e in result.events if e["type"] == "feedback"
         ]
