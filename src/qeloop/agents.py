@@ -28,6 +28,7 @@ from .domain import (
     Requirement,
     RetrievalMode,
     TestCase,
+    check_keys,
 )
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import policy_value_forward
@@ -126,6 +127,9 @@ def requirement_query(requirement: Requirement, d_emb: int) -> np.ndarray:
     return _read_only(embed(requirement.text.split() + [requirement.id], d_emb))
 
 
+_TRACKER_KEYS = frozenset({"window", "breakdowns", "records"})
+
+
 class PerformanceTracker:
     """Per-agent rolling windows of rewards, defect counts, and FP counts.
 
@@ -198,7 +202,9 @@ class PerformanceTracker:
         }
 
     @classmethod
-    def from_state_dict(cls, d: Mapping) -> "PerformanceTracker":
+    def from_state_dict(cls, d: Mapping, what: str = "tracker state") -> "PerformanceTracker":
+        """``what`` names ``d`` in the error for a missing or unknown key."""
+        check_keys(what, d, _TRACKER_KEYS)
         tracker = cls(window=int(d["window"]))
         for b in d["breakdowns"]:
             tracker.breakdowns.append(RewardBreakdown.from_dict(b))
@@ -301,25 +307,21 @@ def _clamp01(vec: np.ndarray) -> np.ndarray:
     return np.clip(vec, 0.0, 1.0)
 
 
-def _test_case_id(
+def _test_case_ids(
     requirement_id: str,
     strategy: GenerationStrategy,
     mode: RetrievalMode,
     coverage: Sequence[float],
-    index: int,
+    n_tests: int,
     role: AgentRole,
-) -> str:
-    payload = "|".join(
-        [
-            requirement_id,
-            strategy.name,
-            mode.name,
-            ",".join(repr(x) for x in coverage),
-            str(index),
-            role.name,
-        ]
-    )
-    return "tc-" + hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
+) -> list[str]:
+    """Content-hash ids of a slot's tests; they differ only by index, so the
+    payload around it (the coverage text above all) is built once."""
+    prefix = "|".join([requirement_id, strategy.name, mode.name, ",".join(map(repr, coverage))])
+    return [
+        "tc-" + hashlib.blake2b(f"{prefix}|{i}|{role.name}".encode("utf-8"), digest_size=8).hexdigest()
+        for i in range(n_tests)
+    ]
 
 
 @dataclass
@@ -372,19 +374,18 @@ def generate_test_cases(
     else:
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature)
     coverage_vector = tuple(coverage.tolist())
-    tests = []
-    for i in range(context.n_tests):
-        test_id = _test_case_id(
-            requirement.id, action.strategy, action.retrieval_mode, coverage_vector, i, action.role
+    test_ids = _test_case_ids(
+        requirement.id, action.strategy, action.retrieval_mode, coverage_vector, context.n_tests, action.role
+    )
+    tests = [
+        TestCase(
+            id=test_id,
+            requirement_refs=(requirement.id,),
+            strategy=action.strategy,
+            retrieval_mode=action.retrieval_mode,
+            coverage_vector=coverage_vector,
+            generating_agent=action.role,
         )
-        tests.append(
-            TestCase(
-                id=test_id,
-                requirement_refs=(requirement.id,),
-                strategy=action.strategy,
-                retrieval_mode=action.retrieval_mode,
-                coverage_vector=coverage_vector,
-                generating_agent=action.role,
-            )
-        )
+        for test_id in test_ids
+    ]
     return tests, context_ids

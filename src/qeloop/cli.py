@@ -143,10 +143,13 @@ def _cmd_evaluate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
         system = trainer.TrainingSystem.restore(invocation.checkpoint, events=events)
         system.config = replace(system.config, ablation=frozen)
         system.deterministic_policy = True
-        start = len(system.metrics_history)
+        # The restored learner rows are the training run's; write only this run's.
+        start, ppo_start, dqn_start = len(system.metrics_history), len(system.ppo_rows), len(system.dqn_rows)
         system.run(episodes=episodes)
     evaluated = system.metrics_history[start:]
-    result = trainer.RunResult(system.config, evaluated, events, system.ppo_rows, system.dqn_rows, system)
+    result = trainer.RunResult(
+        system.config, evaluated, events, system.ppo_rows[ppo_start:], system.dqn_rows[dqn_start:], system
+    )
     paths = trainer.export_metrics(result, out_dir)
     mean_reward = sum(m.r_total for m in evaluated) / len(evaluated)
     print(f"evaluated {len(evaluated)} greedy episodes; mean reward {mean_reward:.4f}")

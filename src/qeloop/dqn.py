@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ConfigCodec
+from .domain import check_keys
 from .knowledge import KB_ACTION_COUNT, KBAction
 from .rl_core import Adam, ExperienceBuffer, MLPParameters, Transition, backward, forward
 
@@ -114,6 +115,11 @@ def dqn_train_step(
     return loss, float(q_taken.mean())
 
 
+_STATE_KEYS = frozenset(
+    {"qnet", "target_net", "adam", "replay", "replay_inserted", "action_steps", "train_steps"}
+)
+
+
 class DQNController:
     """Owns the online/target networks, replay, and the step counters.
 
@@ -182,13 +188,16 @@ class DQNController:
             "train_steps": self.train_steps,
         }
 
-    def load_state_dict(self, d: Mapping) -> None:
-        self.qnet = MLPParameters.from_dict(d["qnet"])
-        self.target_net = MLPParameters.from_dict(d["target_net"])
+    def load_state_dict(self, d: Mapping, what: str = "DQN state") -> None:
+        """``what`` names ``d``, and prefixes its sections' names, in the
+        error for a missing or unknown key."""
+        check_keys(what, d, _STATE_KEYS)
+        self.qnet = MLPParameters.from_dict(d["qnet"], f"{what}.qnet")
+        self.target_net = MLPParameters.from_dict(d["target_net"], f"{what}.target_net")
         self.adam = Adam(self.qnet, self.config.learning_rate)
-        self.adam.load_state_dict(d["adam"])
-        for t in d["replay"]:
-            self.replay.insert(Transition.from_dict(t))
+        self.adam.load_state_dict(d["adam"], f"{what}.adam")
+        for i, t in enumerate(d["replay"]):
+            self.replay.insert(Transition.from_dict(t, f"{what}.replay[{i}]"))
         self.replay.inserted = int(d["replay_inserted"])
         self.action_steps = int(d["action_steps"])
         self.train_steps = int(d["train_steps"])

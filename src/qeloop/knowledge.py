@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, dump_json
 from .config import ConfigCodec
 from .domain import FeedbackRecord, RetrievalMode, check_keys
 
@@ -252,7 +252,7 @@ class KnowledgeStore:
         if emb.shape != (self.d_emb,):
             raise ValueError(f"embedding shape {emb.shape} != ({self.d_emb},)")
         norm = float(np.linalg.norm(emb))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"embedding norm {norm} not within 1e-6 of 1")
         row = self._row.get(record_id)
         if row is None:
@@ -501,7 +501,7 @@ class KnowledgeStore:
     def save_snapshot(self, path) -> None:
         """Write the snapshot JSON; the previous file survives a failed write."""
         with atomic_open(path) as fh:
-            json.dump(self.snapshot_dict(), fh, sort_keys=True, indent=2)
+            dump_json(self.snapshot_dict(), fh, indent=2)
             fh.write("\n")
 
     @classmethod
@@ -515,18 +515,47 @@ class KnowledgeStore:
         store = cls(d_emb=int(d["d_emb"]), params=params)
         for rec_d in d["vector_records"]:
             check_keys("vector record", rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
-            store.insert_vector(
-                rec_d["id"],
-                np.asarray(rec_d["embedding"], dtype=np.float64),
-                rec_d["payload_ref"],
-                float(rec_d.get("usefulness", 0.5)),
-            )
+        store._load_records(d["vector_records"])
         for node in d["graph_nodes"]:
             store.add_node(node)
         for edge_d in d["graph_edges"]:
             e = GraphEdge.from_dict(edge_d)
             store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
         return store
+
+    def _load_records(self, records: Sequence[Mapping]) -> None:
+        """Fill an empty store from snapshot records: one matrix build and one
+        norm call for all of them. Rejects what ``insert_vector`` rejects and
+        a repeated id, naming the record."""
+        ids = [rec_d["id"] for rec_d in records]
+        try:
+            matrix = np.array([rec_d["embedding"] for rec_d in records], dtype=np.float64)
+        except (TypeError, ValueError):
+            matrix = None
+        if matrix is None or matrix.shape != (len(ids), self.d_emb):
+            # Ragged, non-numeric or wrong-length: find the record to name.
+            for rid, rec_d in zip(ids, records):
+                try:
+                    shape = np.asarray(rec_d["embedding"], dtype=np.float64).shape
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"vector record {rid!r}: embedding is not a vector of numbers: {exc}") from exc
+                if shape != (self.d_emb,):
+                    raise ValueError(f"vector record {rid!r}: embedding shape {shape} != ({self.d_emb},)")
+            matrix = np.zeros((0, self.d_emb), dtype=np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        off_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))
+        if len(off_unit):
+            row = int(off_unit[0])
+            raise ValueError(f"vector record {ids[row]!r}: embedding norm {norms[row]} not within 1e-6 of 1")
+        row_of = {rid: row for row, rid in enumerate(ids)}
+        if len(row_of) != len(ids):
+            duplicate = next(rid for row, rid in enumerate(ids) if row_of[rid] != row)
+            raise ValueError(f"vector record {duplicate!r}: duplicate id")
+        self._ids, self._row, self._matrix, self._norms = ids, row_of, matrix, norms
+        self._records = {
+            rid: VectorRecord(rid, rec_d["payload_ref"], float(rec_d.get("usefulness", 0.5)))
+            for rid, rec_d in zip(ids, records)
+        }
 
     @classmethod
     def load_snapshot(cls, path) -> "KnowledgeStore":

@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .atomic import dump_json
 from .config import ConfigCodec
+from .domain import check_keys
 
 HIDDEN_WIDTH = 64
 
@@ -68,7 +70,9 @@ class Transition:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "Transition":
+    def from_dict(cls, d: Mapping, what: str = "transition") -> "Transition":
+        """``what`` names ``d`` in the error for a missing or unknown key."""
+        check_keys(what, d, _TRANSITION_KEYS, _TRANSITION_OPTIONAL_KEYS)
         return cls(
             state=np.asarray(d["state"], dtype=np.float64),
             action=int(d["action"]),
@@ -77,6 +81,12 @@ class Transition:
             done=bool(d["done"]),
             log_prob_old=None if d.get("log_prob_old") is None else float(d["log_prob_old"]),
         )
+
+
+_TRANSITION_KEYS = frozenset({"state", "action", "reward", "next_state", "done"})
+_TRANSITION_OPTIONAL_KEYS = frozenset({"log_prob_old"})
+_MLP_KEYS = frozenset({"schema_version", "layer_sizes", "weights", "biases"})
+_ADAM_KEYS = frozenset({"learning_rate", "t", "m_w", "v_w", "m_b", "v_b"})
 
 
 class MLPParameters:
@@ -128,9 +138,11 @@ class MLPParameters:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "MLPParameters":
-        if d.get("schema_version") != 1:
-            raise ValueError(f"unsupported parameter schema_version {d.get('schema_version')!r}")
+    def from_dict(cls, d: Mapping, what: str = "MLP parameters") -> "MLPParameters":
+        """``what`` names ``d`` in the error for a missing or unknown key."""
+        check_keys(what, d, _MLP_KEYS)
+        if d["schema_version"] != 1:
+            raise ValueError(f"unsupported parameter schema_version {d['schema_version']!r}")
         sizes = tuple(int(n) for n in d["layer_sizes"])
         weights, biases = [], []
         for i in range(len(sizes) - 1):
@@ -143,7 +155,7 @@ class MLPParameters:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+            dump_json(self.to_dict(), fh)
 
     @classmethod
     def load(cls, path) -> "MLPParameters":
@@ -285,7 +297,9 @@ class Adam:
             "v_b": [[float(x) for x in a.ravel()] for a in self.v_b],
         }
 
-    def load_state_dict(self, d: Mapping) -> None:
+    def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
+        """``what`` names ``d`` in the error for a missing or unknown key."""
+        check_keys(what, d, _ADAM_KEYS)
         self.learning_rate = float(d["learning_rate"])
         self.t = int(d["t"])
         for name in ("m_w", "v_w", "m_b", "v_b"):

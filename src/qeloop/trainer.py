@@ -37,7 +37,7 @@ from .agents import (
     record_feedback,
     requirement_summary,
 )
-from .atomic import atomic_open
+from .atomic import atomic_open, dump_json
 from .config import ConfigCodec, ConfigRangeError, UnknownConfigKey  # noqa: F401 - re-exported
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
@@ -742,15 +742,16 @@ class TrainingSystem:
         """Write the checkpoint JSON; the previous file survives a failed write."""
         try:
             with atomic_open(path) as fh:
-                json.dump(self.checkpoint_dict(), fh, sort_keys=True)
+                dump_json(self.checkpoint_dict(), fh)
         except OSError as exc:
             raise IOFailure(f"cannot write checkpoint to {path}: {exc}") from exc
 
     @classmethod
     def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
         """Rebuild a system from a checkpoint; corrupt files never yield a
-        partial system, and a missing or unknown key at the top level, in an
-        agent's section or in ``kb_pending`` is named. ``events`` as in ``__init__``."""
+        partial system, and a missing or unknown key at the top level, in the
+        agents' sections, the DQN state or ``kb_pending`` is named with its
+        dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -780,14 +781,19 @@ class TrainingSystem:
             }
             for role in AgentRole:
                 agent_d = payload["agents"][role.name]
-                check_keys(f"checkpoint agents.{role.name}", agent_d, _AGENT_KEYS)
+                where = f"checkpoint agents.{role.name}"
+                check_keys(where, agent_d, _AGENT_KEYS)
                 agent = system.agents[role]
-                agent.params = MLPParameters.from_dict(agent_d["params"])
+                agent.params = MLPParameters.from_dict(agent_d["params"], f"{where}.params")
                 agent.adam = Adam(agent.params, config.ppo.learning_rate)
-                agent.adam.load_state_dict(agent_d["adam"])
-                agent.rollout = [Transition.from_dict(t) for t in agent_d["rollout"]]
-                system.trackers[role] = PerformanceTracker.from_state_dict(agent_d["tracker"])
-            system.dqn.load_state_dict(payload["dqn"])
+                agent.adam.load_state_dict(agent_d["adam"], f"{where}.adam")
+                agent.rollout = [
+                    Transition.from_dict(t, f"{where}.rollout[{i}]") for i, t in enumerate(agent_d["rollout"])
+                ]
+                system.trackers[role] = PerformanceTracker.from_state_dict(
+                    agent_d["tracker"], f"{where}.tracker"
+                )
+            system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
             system.reward_window = deque(
                 [float(x) for x in payload["reward_window"]],
                 maxlen=config.rewards.adaptation_window,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from qeloop.domain import (
     RetrievalMode,
     Severity,
 )
-from qeloop.knowledge import KnowledgeStore, RetrievalParams, embed
+from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
 from qeloop.rewards import RewardBreakdown
 
 
@@ -291,6 +293,36 @@ class TestGenerate:
         a, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb))
         b, _ = generate_test_cases(self.gen_action(), twin, kb, self.context(kb))
         assert a == b
+
+    @staticmethod
+    def reference_test_case_id(requirement_id, strategy, mode, coverage, index, role):
+        # The id formula as it stood when each test built its own payload.
+        payload = "|".join(
+            [
+                requirement_id,
+                strategy.name,
+                mode.name,
+                ",".join(repr(x) for x in coverage),
+                str(index),
+                role.name,
+            ]
+        )
+        return "tc-" + hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
+
+    @pytest.mark.parametrize("strategy", list(GenerationStrategy))
+    @pytest.mark.parametrize("mode", list(RetrievalMode))
+    def test_ids_match_the_reference_formula(self, strategy, mode):
+        kb = self.build_kb()
+        kb.insert_vector("tc-a", embed(REQ.text.split() + ["tc-a"], 64), "tc-a")
+        kb.upsert_edge("tc-a", "req-1", EdgeType.Covers, 0.5)
+        content = {"tc-a": np.full(16, 1 / 3), "req-1": np.linspace(0.0, 1.0, 16)}
+        action = self.gen_action(strategy, mode)
+        tests, _ = generate_test_cases(action, REQ, kb, self.context(kb, content, n_tests=12))
+        expected = [
+            self.reference_test_case_id(REQ.id, strategy, mode, t.coverage_vector, i, action.role)
+            for i, t in enumerate(tests)
+        ]
+        assert [t.id for t in tests] == expected
 
     def test_modifier_action_cannot_generate(self):
         kb = self.build_kb()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -203,6 +204,26 @@ class TestEvaluateCommand:
         assert code == 0
         lines = (eval_dir / "metrics.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 evaluated episodes
+
+    def test_evaluate_writes_only_its_own_learner_rows(self, tmp_path, config_path):
+        out_dir, eval_dir = tmp_path / "out", tmp_path / "eval"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        for name in ("ppo_updates.csv", "dqn_steps.csv"):
+            assert len((out_dir / name).read_text().splitlines()) > 1
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint)]
+        assert cli.main(argv + ["--episodes", "2", "--out", str(eval_dir)]) == 0
+        # PPO and DQN are off in an evaluation, so it has no learner rows.
+        for name in ("ppo_updates.csv", "dqn_steps.csv"):
+            assert len((eval_dir / name).read_text().splitlines()) == 1
+        system = trainer.TrainingSystem.restore(checkpoint)
+        system.config = replace(
+            system.config,
+            ablation=trainer.AblationFlags(disable_ppo=True, disable_dqn=True, no_feedback=True),
+        )
+        system.deterministic_policy = True
+        expected = metrics_csv_text(system.run(episodes=2)[-2:])
+        assert (eval_dir / "metrics.csv").read_text() == expected
 
 
 def write_feedback_file(path, records):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeloop import knowledge
 from qeloop.domain import FeedbackRecord, DefectReport, MalformedRecord, RetrievalMode, Severity
 from qeloop.knowledge import (
     EdgeType,
@@ -415,6 +416,57 @@ class TestSnapshot:
         del payload["vector_records"][0]["usefulness"]
         assert KnowledgeStore.from_snapshot_dict(payload).get_record("a").usefulness == 0.5
 
+    def test_loaded_rows_and_norms_equal_inserted_ones(self):
+        rng = np.random.default_rng(0)
+        store = KnowledgeStore(d_emb=32)
+        for i in rng.permutation(300):
+            tokens = [f"t{j}" for j in rng.integers(0, 50, size=5)]
+            store.insert_vector(f"r{i:03d}", embed(tokens, 32), f"p{i}", usefulness=float(rng.random()))
+        loaded = KnowledgeStore.from_snapshot_dict(store.snapshot_dict())
+        n = store.vector_count
+        rows = [store._row[rid] for rid in loaded._ids]
+        assert np.array_equal(loaded._matrix[:n], store._matrix[rows])
+        assert np.array_equal(loaded._norms[:n], store._norms[rows])
+        for i in range(5):
+            query = embed([f"t{i}", f"t{i + 1}"], 32)
+            assert loaded.vector_query(query) == store.vector_query(query)
+
+    @pytest.mark.parametrize(
+        "embedding, problem",
+        [
+            ([0.5] * 4, "shape"),
+            ([[0.5, 0.5]] + [0.5] * 7, "not a vector of numbers"),
+            ([1.0] * 8, "norm"),
+            ([math.nan] + [0.0] * 7, "norm"),
+        ],
+    )
+    def test_bad_embedding_rejected_naming_its_record(self, embedding, problem):
+        payload = self.small_snapshot()
+        payload["vector_records"].append({"id": "bad-rec", "embedding": embedding, "payload_ref": "x"})
+        with pytest.raises(ValueError, match=f"'bad-rec'.*{problem}"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_duplicate_record_id_rejected(self):
+        payload = self.small_snapshot()
+        payload["vector_records"].append(dict(payload["vector_records"][0], payload_ref="other"))
+        with pytest.raises(ValueError, match="'a'.*duplicate"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    def test_awkward_strings_round_trip_byte_identically(self, tmp_path):
+        store = KnowledgeStore(d_emb=8)
+        names = ["a, b", 'say "hi", then go', "two\nlines\ttab\\", "naïve ☃ 測試 🚀"]
+        for i, name in enumerate(names):
+            store.insert_vector(name, embed([name], 8), names[-1 - i])
+        store.upsert_edge(names[0], names[2], EdgeType.Covers, 0.4)
+        store.upsert_edge(names[3], names[1], EdgeType.DetectedBy, 0.7)
+        p1, p2 = tmp_path / "snap1.json", tmp_path / "snap2.json"
+        store.save_snapshot(p1)
+        assert p1.read_text(encoding="utf-8") == json.dumps(store.snapshot_dict(), sort_keys=True, indent=2) + "\n"
+        loaded = KnowledgeStore.load_snapshot(p1)
+        assert [loaded.get_record(name).payload_ref for name in names] == names[::-1]
+        loaded.save_snapshot(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_malformed_snapshot_is_a_value_error(self):
         # The checkpoint reader maps ValueError to SchemaVersionMismatch and
         # the CLI maps it to exit code 2.
@@ -428,12 +480,12 @@ class TestSnapshot:
         before = path.read_bytes()
         store.upsert_edge("a", "b", EdgeType.Covers, 0.4)
 
-        def dump_half_then_fail(obj, fh, **kwargs):
-            text = json.dumps(obj, **kwargs)
+        def dump_half_then_fail(obj, fh, indent=None):
+            text = json.dumps(obj, sort_keys=True, indent=indent)
             fh.write(text[: len(text) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        monkeypatch.setattr(knowledge, "dump_json", dump_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             store.save_snapshot(path)
         assert path.read_bytes() == before

@@ -1,8 +1,10 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
+from qeloop import trainer
 from qeloop.config import ConfigTypeError
 from qeloop.dqn import DQNConfig
 from qeloop.knowledge import EdgeType
@@ -186,6 +188,13 @@ class TestCheckpoint:
         system.checkpoint(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_checkpoint_bytes_are_json_dump_bytes(self, tmp_path):
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=2)
+        path = tmp_path / "ckpt.json"
+        system.checkpoint(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(system.checkpoint_dict(), sort_keys=True)
+
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{garbage")
@@ -217,7 +226,7 @@ class TestCheckpoint:
         payload = system.checkpoint_dict()
         node = payload
         for part in filter(None, section.split(".")):
-            node = node[part]
+            node = node[int(part)] if isinstance(node, list) else node[part]
         edit(node)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(payload))
@@ -236,6 +245,24 @@ class TestCheckpoint:
     def test_unknown_key_rejected_with_its_name(self, tmp_path, section, key):
         with pytest.raises(SchemaVersionMismatch, match=key):
             self.restore_edited(tmp_path, section, lambda node: node.update({key: {}}))
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ("dqn", "dqn"),
+            ("dqn.qnet", "dqn.qnet"),
+            ("dqn.adam", "dqn.adam"),
+            ("dqn.replay.0", "dqn.replay[0]"),
+            ("agents.LegacyTestAnalysis.params", "agents.LegacyTestAnalysis.params"),
+            ("agents.LegacyTestAnalysis.adam", "agents.LegacyTestAnalysis.adam"),
+            ("agents.LegacyTestAnalysis.rollout.0", "agents.LegacyTestAnalysis.rollout[0]"),
+            ("agents.LegacyTestAnalysis.tracker", "agents.LegacyTestAnalysis.tracker"),
+        ],
+    )
+    def test_unknown_nested_key_rejected_with_its_path(self, tmp_path, section, path):
+        message = re.escape(f"checkpoint {path}: unknown key(s) ['bogus']")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, section, lambda node: node.update(bogus=0))
 
     def test_version_2_checkpoint_rejected(self, tmp_path):
         # Version 2 checkpoints still carry the test catalog; they must fail
@@ -266,17 +293,17 @@ class TestCheckpoint:
         system.checkpoint(path)
         before = path.read_bytes()
         system.run(episodes=1)
-        real_dump = json.dump
+        real_dump = trainer.dump_json
 
-        def dump_half_then_fail(obj, fh, **kwargs):
-            text = json.dumps(obj, **kwargs)
+        def dump_half_then_fail(obj, fh, indent=None):
+            text = json.dumps(obj, sort_keys=True, indent=indent)
             fh.write(text[: len(text) // 2])
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        monkeypatch.setattr(trainer, "dump_json", dump_half_then_fail)
         with pytest.raises(IOFailure):
             system.checkpoint(path)
-        monkeypatch.setattr(json, "dump", real_dump)
+        monkeypatch.setattr(trainer, "dump_json", real_dump)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
         system.checkpoint(path)
