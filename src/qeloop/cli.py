@@ -107,14 +107,13 @@ def _cmd_train(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     out_dir = invocation.output_dir or config.output_dir
     with trainer.EventLog(out_dir) as events:
         system = trainer.TrainingSystem(config, events=events)
-        system.run()
-    result = trainer.RunResult(config, system.metrics_history, events, system.ppo_rows, system.dqn_rows, system)
-    paths = trainer.export_metrics(result, out_dir)
+        metrics = system.run()
+    paths = system.tables.write(out_dir)
     system.checkpoint(os.path.join(out_dir, "checkpoint.json"))
-    final = trainer.final_window_mean(result.metrics, "r_total", 30)
-    blocks = trainer.block_means(result.metrics, "r_total")
+    final = trainer.final_window_mean(metrics, "r_total", 30)
+    blocks = trainer.block_means(metrics, "r_total")
     curve = " -> ".join(f"{b:.3f}" for b in blocks[:: max(1, len(blocks) // 6)])
-    print(f"trained {len(result.metrics)} episodes; final-window mean reward {final:.4f}")
+    print(f"trained {len(metrics)} episodes; final-window mean reward {final:.4f}")
     print(f"reward curve (25-episode blocks): {curve}")
     print(f"metrics: {paths['metrics']}")
     return 0
@@ -143,14 +142,8 @@ def _cmd_evaluate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
         system = trainer.TrainingSystem.restore(invocation.checkpoint, events=events)
         system.config = replace(system.config, ablation=frozen)
         system.deterministic_policy = True
-        # The restored learner rows are the training run's; write only this run's.
-        start, ppo_start, dqn_start = len(system.metrics_history), len(system.ppo_rows), len(system.dqn_rows)
-        system.run(episodes=episodes)
-    evaluated = system.metrics_history[start:]
-    result = trainer.RunResult(
-        system.config, evaluated, events, system.ppo_rows[ppo_start:], system.dqn_rows[dqn_start:], system
-    )
-    paths = trainer.export_metrics(result, out_dir)
+        evaluated = system.run(episodes=episodes)
+    paths = system.tables.write(out_dir)
     mean_reward = sum(m.r_total for m in evaluated) / len(evaluated)
     print(f"evaluated {len(evaluated)} greedy episodes; mean reward {mean_reward:.4f}")
     print(f"metrics: {paths['metrics']}")
@@ -220,16 +213,25 @@ def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     if not invocation.input_path:
         raise ValidationError("input", "export requires an events JSONL path")
     out_dir = invocation.output_dir or config.output_dir
+    tables = trainer.RunTables()
+
+    def events(fh):
+        for event in (json.loads(line) for line in fh if line.strip()):
+            tables.append(event)
+            yield event
+
     with open(invocation.input_path, "r", encoding="utf-8") as fh:
-        metrics = trainer.derive_metrics_from_events(json.loads(line) for line in fh if line.strip())
-    if not metrics:
+        # metrics.csv is recomputed from the feedback and reward tallies, not
+        # copied from the logged episode_end rows.
+        try:
+            tables.metrics = trainer.derive_metrics_from_events(events(fh))
+        except (KeyError, TypeError) as exc:
+            raise ValidationError("input", f"malformed event log: {exc!r}") from exc
+    if not tables.metrics:
         raise ValidationError("input", "event log contains no complete episodes")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "metrics.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trainer.metrics_csv_text(metrics))
-    print(f"derived {len(metrics)} episode rows")
-    print(f"metrics: {path}")
+    paths = tables.write(out_dir)
+    print(f"derived {len(tables.metrics)} episode rows")
+    print(f"metrics: {paths['metrics']}")
     return 0
 
 

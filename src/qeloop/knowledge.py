@@ -331,10 +331,6 @@ class KnowledgeStore:
         return node_id in self._nodes
 
     @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
     def edge_count(self) -> int:
         return len(self._edges)
 

@@ -10,13 +10,11 @@ autodiff framework here; ``backward`` is the analytic reverse pass and
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .atomic import dump_json
 from .config import ConfigCodec
 from .domain import check_keys
 
@@ -152,15 +150,6 @@ class MLPParameters:
             weights.append(w)
             biases.append(b)
         return cls(sizes, weights, biases)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            dump_json(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "MLPParameters":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -347,6 +336,9 @@ class ExperienceBuffer:
         return [self._data[i] for i in self.sample_indices(batch_size)]
 
 
+_RNG_STATE_KEYS = frozenset({"bit_generator", "state", "inc", "has_uint32", "uinteger"})
+
+
 def _stream_key(name: str) -> int:
     return int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big")
 
@@ -383,8 +375,10 @@ class RngStreams:
             }
         return out
 
-    def load_state_dict(self, d: Mapping) -> None:
+    def load_state_dict(self, d: Mapping, what: str = "RNG states") -> None:
+        """``what`` names ``d`` in the error for a missing or unknown key."""
         for name, st in d.items():
+            check_keys(f"{what}.{name}", st, _RNG_STATE_KEYS)
             gen = self.get(name)
             gen.bit_generator.state = {
                 "bit_generator": st["bit_generator"],

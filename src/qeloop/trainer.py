@@ -23,7 +23,7 @@ import os
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -84,18 +84,27 @@ METRICS_CSV_COLUMNS = (
     "r_total",
 )
 
+PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
+DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
+
 # Version 2 dropped the unused rl.seed knob from the checkpointed config;
-# version 3 dropped the catalog of every generated test.
-CHECKPOINT_SCHEMA_VERSION = 3
+# version 3 dropped the catalog of every generated test; version 4 dropped
+# the metrics, PPO and DQN tables, which the run's events record.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
     "schema_version", "config", "episode_index", "global_slot", "agents", "dqn", "kb",
     "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
-    "metrics_history", "ppo_rows", "dqn_rows", "ppo_update_count", "rng_states",
+    "ppo_update_count", "rng_states",
 })
 _AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
 _KB_PENDING_KEYS = frozenset({"state", "action", "totals"})
+# Every RNG stream a run draws from; a checkpoint holds those drawn so far.
+_RNG_STREAMS = frozenset(
+    [f"{use}:{role.name}" for use in ("init", "policy", "ppo") for role in AgentRole]
+    + ["init:dqn", "replay", "dqn", "env"]
+)
 
 # Length of the false-positive and retrieval-hit windows that feed the
 # knowledge controller's state.
@@ -277,21 +286,8 @@ class EpisodeMetrics:
     r_adaptation: float
     r_total: float
 
-    def csv_row(self) -> str:
-        values = [str(self.episode)] + [
-            repr(float(getattr(self, name))) for name in METRICS_CSV_COLUMNS[1:]
-        ]
-        return ",".join(values)
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in METRICS_CSV_COLUMNS}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "EpisodeMetrics":
-        return cls(
-            episode=int(d["episode"]),
-            **{name: float(d[name]) for name in METRICS_CSV_COLUMNS[1:]},
-        )
 
 
 def _metrics_from_tallies(
@@ -318,10 +314,21 @@ def _metrics_from_tallies(
     return EpisodeMetrics(episode, accuracy, detection, fp_rate, req_cov, *means)
 
 
-def metrics_csv_text(metrics: Sequence[EpisodeMetrics]) -> str:
-    lines = [",".join(METRICS_CSV_COLUMNS)]
-    lines.extend(m.csv_row() for m in metrics)
+def _csv_cell(value) -> str:
+    """A float as its repr, None as an empty cell, anything else as str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(row[c]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def metrics_csv_text(metrics: Sequence[EpisodeMetrics]) -> str:
+    return _csv_text(METRICS_CSV_COLUMNS, (m.to_dict() for m in metrics))
 
 
 def final_window_mean(metrics: Sequence[EpisodeMetrics], attr: str, window: int = 30) -> float:
@@ -343,9 +350,55 @@ class EventSink(Protocol):
     def append(self, event: dict) -> None: ...
 
 
+class RunTables:
+    """The run's tables, folded from its events, and the only writer of
+    ``metrics.csv``, ``ppo_updates.csv`` and ``dqn_steps.csv``.
+
+    ``metrics`` holds each ``episode_end`` event's metrics, ``ppo_updates``
+    the ``ppo_update`` events and ``dqn_steps`` the ``kb_action`` events.
+    """
+
+    def __init__(self):
+        self.metrics: list[EpisodeMetrics] = []
+        self.ppo_updates: list[dict] = []
+        self.dqn_steps: list[dict] = []
+
+    def append(self, event: dict) -> None:
+        kind = event.get("type")
+        if kind == "episode_end":
+            self.metrics.append(EpisodeMetrics(**event["metrics"]))
+        elif kind == "ppo_update":
+            self.ppo_updates.append(event)
+        elif kind == "kb_action":
+            self.dqn_steps.append(event)
+
+    def write(self, out_dir) -> dict[str, str]:
+        """Write the three CSVs and return the mapping of table name to path.
+        Raises IOFailure on any filesystem problem and refuses a run with no
+        episodes."""
+        if not self.metrics:
+            raise IOFailure("refusing to export a run with no episodes")
+        texts = {
+            "metrics": metrics_csv_text(self.metrics),
+            "ppo_updates": _csv_text(PPO_CSV_COLUMNS, self.ppo_updates),
+            "dqn_steps": _csv_text(DQN_CSV_COLUMNS, self.dqn_steps),
+        }
+        paths = {name: os.path.join(out_dir, f"{name}.csv") for name in texts}
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, text in texts.items():
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            raise IOFailure(f"export failed: {exc}") from exc
+        return paths
+
+
 class TrainingSystem:
     """Owns every mutable piece of one run; single-threaded by construction.
-    Its events go to ``events``: a new list by default, or an ``EventLog``."""
+    Each event goes to ``tables``, then to ``events``: a new list by default,
+    or an ``EventLog``. A restored system's tables hold only what it ran
+    after the restore."""
 
     def __init__(self, config: RunConfig, deterministic_policy: bool = False, events: EventSink | None = None):
         self.config = config.validate()
@@ -391,12 +444,10 @@ class TrainingSystem:
         self._prev_interval_mean: float | None = None
         self.global_slot = 0
         self.episode_index = 0
-        self.metrics_history: list[EpisodeMetrics] = []
+        self.tables = RunTables()
         self.events: EventSink = [] if events is None else events
-        self.ppo_rows: list[dict] = []
-        self.dqn_rows: list[dict] = []
         self._ppo_update_count = 0
-        self.events.append(
+        self._emit(
             {
                 "type": "run_start",
                 "n_requirements": len(self.requirements),
@@ -404,6 +455,19 @@ class TrainingSystem:
                 "seed": config.seed,
             }
         )
+
+    def _emit(self, event: dict) -> None:
+        self.tables.append(event)
+        self.events.append(event)
+
+    # Views of the tables under the names the benchmark reads.
+    @property
+    def metrics_history(self) -> list[EpisodeMetrics]:
+        return self.tables.metrics
+
+    @property
+    def ppo_rows(self) -> list[dict]:
+        return self.tables.ppo_updates
 
     # -- featurization ---------------------------------------------------
 
@@ -453,10 +517,10 @@ class TrainingSystem:
         report = ppo_update(
             agent.params, agent.adam, processed, config, self.streams.get(f"ppo:{role.name}")
         )
-        row = {"update_index": self._ppo_update_count, "role": role.name, **report.to_dict()}
+        self._emit(
+            {"type": "ppo_update", "update_index": self._ppo_update_count, "role": role.name, **report.to_dict()}
+        )
         self._ppo_update_count += 1
-        self.ppo_rows.append(row)
-        self.events.append({"type": "ppo_update", **row})
 
     def _run_kb_action(self) -> None:
         state = self._kb_state()
@@ -487,15 +551,8 @@ class TrainingSystem:
         if self.dqn.can_train():
             for _ in range(self.config.dqn.train_steps_per_action):
                 loss, mean_q = self.dqn.train_step()
-        row = {
-            "step": step,
-            "epsilon": epsilon,
-            "loss": loss,
-            "mean_q": mean_q,
-            "chosen_action": KBAction(action).name,
-        }
-        self.dqn_rows.append(row)
-        self.events.append({"type": "kb_action", "params": self.kb.params.to_dict(), **row})
+        row = {"step": step, "epsilon": epsilon, "loss": loss, "mean_q": mean_q, "chosen_action": KBAction(action).name}
+        self._emit({"type": "kb_action", "params": self.kb.params.to_dict(), **row})
 
     def _evolve_knowledge(
         self,
@@ -556,7 +613,7 @@ class TrainingSystem:
         episode = self.episode_index
         planned = self._planned_requirements()
         reachable = sum(len(self._defects_by_req[rid]) for rid in sorted(set(planned)))
-        self.events.append(
+        self._emit(
             {
                 "type": "episode_start",
                 "episode": episode,
@@ -581,7 +638,7 @@ class TrainingSystem:
                 )
                 modifier_delta += modifier_vector(role, action.option, config.env.d_cov)
                 acting.append(role)
-                self.events.append(
+                self._emit(
                     {
                         "type": "agent_action",
                         "episode": episode,
@@ -605,7 +662,7 @@ class TrainingSystem:
                 gen_state, self.streams.get(f"policy:{gen_role.name}"), self.deterministic_policy
             )
             acting.append(gen_role)
-            self.events.append(
+            self._emit(
                 {
                     "type": "agent_action",
                     "episode": episode,
@@ -631,13 +688,13 @@ class TrainingSystem:
             slot_records: list[FeedbackRecord] = []
             test_ids = {test.id for test in tests}
             for test in tests:
-                self.events.append({"type": "test_generated", "episode": episode, "slot": slot, "test": test.to_dict()})
+                self._emit({"type": "test_generated", "episode": episode, "slot": slot, "test": test.to_dict()})
                 feedback = execute_test(test, self.project, config.execution, self.streams.get("env"))
                 validate_feedback(feedback, test_ids)
                 slot_records.append(feedback)
                 ep_records.append(feedback)
                 self.fp_window.append(1.0 if feedback.false_positives() else 0.0)
-                self.events.append(
+                self._emit(
                     {"type": "feedback", "episode": episode, "slot": slot, "record": feedback.to_dict()}
                 )
 
@@ -656,7 +713,7 @@ class TrainingSystem:
             self.reward_window.append(breakdown.total)
             if self.kb_pending is not None:
                 self.kb_pending[2].append(breakdown.total)
-            self.events.append(
+            self._emit(
                 {"type": "reward", "episode": episode, "slot": slot, "breakdown": breakdown.to_dict()}
             )
 
@@ -684,17 +741,17 @@ class TrainingSystem:
         metrics = _metrics_from_tallies(
             episode, planned, reachable, ep_records, ep_breakdowns, len(self.requirements)
         )
-        self.metrics_history.append(metrics)
-        self.events.append({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
+        self._emit({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
         self.episode_index += 1
         return metrics
 
     def run(self, episodes: int | None = None) -> list[EpisodeMetrics]:
-        """Run ``episodes`` more episodes (default: the config's count)."""
+        """Run ``episodes`` more episodes (default: the config's count) and
+        return the metrics of every episode since construction or restore."""
         remaining = self.config.episode_count if episodes is None else episodes
         for _ in range(remaining):
             self.run_episode()
-        return self.metrics_history
+        return self.tables.metrics
 
     # -- checkpointing -----------------------------------------------------
 
@@ -731,9 +788,6 @@ class TrainingSystem:
                 }
             ),
             "prev_interval_mean": self._prev_interval_mean,
-            "metrics_history": [m.to_dict() for m in self.metrics_history],
-            "ppo_rows": self.ppo_rows,
-            "dqn_rows": self.dqn_rows,
             "ppo_update_count": self._ppo_update_count,
             "rng_states": self.streams.state_dict(),
         }
@@ -750,8 +804,8 @@ class TrainingSystem:
     def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
         """Rebuild a system from a checkpoint; corrupt files never yield a
         partial system, and a missing or unknown key at the top level, in the
-        agents' sections, the DQN state or ``kb_pending`` is named with its
-        dotted path. ``events`` as in ``__init__``."""
+        agents' sections, the DQN state, ``kb_pending`` or ``rng_states`` is
+        named with its dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -772,6 +826,7 @@ class TrainingSystem:
             check_keys("checkpoint agents", payload["agents"], frozenset(AgentRole.__members__))
             if payload["kb_pending"] is not None:
                 check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
+            check_keys("checkpoint rng_states", payload["rng_states"], frozenset(), _RNG_STREAMS)
             config = RunConfig.from_dict(payload["config"])
             system = cls(config, events=events)
             system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"])
@@ -814,13 +869,8 @@ class TrainingSystem:
             system._prev_interval_mean = None if prev_mean is None else float(prev_mean)
             system.episode_index = int(payload["episode_index"])
             system.global_slot = int(payload["global_slot"])
-            system.metrics_history = [
-                EpisodeMetrics.from_dict(m) for m in payload["metrics_history"]
-            ]
-            system.ppo_rows = list(payload["ppo_rows"])
-            system.dqn_rows = list(payload["dqn_rows"])
             system._ppo_update_count = int(payload["ppo_update_count"])
-            system.streams.load_state_dict(payload["rng_states"])
+            system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaVersionMismatch(f"checkpoint payload incomplete or malformed: {exc}") from exc
         return system
@@ -829,20 +879,10 @@ class TrainingSystem:
 # -- run-level helpers ------------------------------------------------------
 
 
-@dataclass
-class RunResult:
-    config: RunConfig
-    metrics: list[EpisodeMetrics]
-    events: EventSink
-    ppo_rows: list[dict]
-    dqn_rows: list[dict]
-    system: TrainingSystem
-
-
-def run_training(config: RunConfig, deterministic_policy: bool = False) -> RunResult:
+def run_training(config: RunConfig, deterministic_policy: bool = False) -> TrainingSystem:
     system = TrainingSystem(config, deterministic_policy=deterministic_policy)
-    metrics = system.run()
-    return RunResult(config, metrics, system.events, system.ppo_rows, system.dqn_rows, system)
+    system.run()
+    return system
 
 
 class EventLog:
@@ -903,44 +943,6 @@ def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
     return out
 
 
-def export_metrics(run: RunResult, out_dir) -> dict[str, str]:
-    """Write metrics.csv and the learner diagnostic CSVs (events are
-    written as they happen, by ``EventLog``).
-
-    Returns the mapping of artifact name to path. Raises IOFailure on any
-    filesystem problem and refuses to export an empty run.
-    """
-    if not run.metrics:
-        raise IOFailure("refusing to export a run with no episodes")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {}
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            fh.write(metrics_csv_text(run.metrics))
-        paths["metrics"] = metrics_path
-        ppo_path = os.path.join(out_dir, "ppo_updates.csv")
-        with open(ppo_path, "w", encoding="utf-8") as fh:
-            fh.write("update_index,role,mean_ratio,clip_fraction,policy_loss,value_loss,entropy\n")
-            for row in run.ppo_rows:
-                fh.write(
-                    f"{row['update_index']},{row['role']},{row['mean_ratio']!r},"
-                    f"{row['clip_fraction']!r},{row['policy_loss']!r},{row['value_loss']!r},{row['entropy']!r}\n"
-                )
-        paths["ppo_updates"] = ppo_path
-        dqn_path = os.path.join(out_dir, "dqn_steps.csv")
-        with open(dqn_path, "w", encoding="utf-8") as fh:
-            fh.write("step,epsilon,loss,mean_q,chosen_action\n")
-            for row in run.dqn_rows:
-                loss = "" if row["loss"] is None else repr(row["loss"])
-                mean_q = "" if row["mean_q"] is None else repr(row["mean_q"])
-                fh.write(f"{row['step']},{row['epsilon']!r},{loss},{mean_q},{row['chosen_action']}\n")
-        paths["dqn_steps"] = dqn_path
-        return paths
-    except OSError as exc:
-        raise IOFailure(f"export failed: {exc}") from exc
-
-
 # -- ablations ----------------------------------------------------------------
 
 ABLATION_VARIANTS: dict[str, AblationFlags] = {
@@ -990,9 +992,6 @@ class AblationResult:
             )
         return "\n".join(lines) + "\n"
 
-    def by_variant(self) -> dict[str, AblationRow]:
-        return {row.variant: row for row in self.rows}
-
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
@@ -1009,9 +1008,9 @@ def run_ablation_suite(base_config: RunConfig, n_seeds: int = 5, window: int = 3
         detections, totals = [], []
         for offset in range(n_seeds):
             config = replace(base_config, seed=base_config.seed + offset, ablation=flags)
-            result = run_training(config)
-            detections.append(final_window_mean(result.metrics, "defect_detection_rate", window))
-            totals.append(final_window_mean(result.metrics, "r_total", window))
+            metrics = run_training(config).tables.metrics
+            detections.append(final_window_mean(metrics, "defect_detection_rate", window))
+            totals.append(final_window_mean(metrics, "r_total", window))
         det_mean, det_std = _mean_std(detections)
         rew_mean, rew_std = _mean_std(totals)
         rows.append(AblationRow(variant, det_mean, det_std, rew_mean, rew_std, detections, totals))

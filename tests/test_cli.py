@@ -143,7 +143,7 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0
         csv_text = (out_dir / "metrics.csv").read_text()
         expected = run_training(RunConfig.from_dict(TINY))
-        assert csv_text == metrics_csv_text(expected.metrics)
+        assert csv_text == metrics_csv_text(expected.tables.metrics)
         assert (out_dir / "checkpoint.json").exists()
         assert (out_dir / "events.jsonl").exists()
 
@@ -288,16 +288,47 @@ class TestReplayCommand:
         assert feedback_path.read_bytes() == before
 
 
+CSV_NAMES = ("metrics.csv", "ppo_updates.csv", "dqn_steps.csv")
+
+
+def export_run(config_path, run_dir, export_dir):
+    argv = ["export", "--config", config_path, str(run_dir / "events.jsonl"), "--out", str(export_dir)]
+    assert cli.main(argv) == 0
+
+
 class TestExportCommand:
     def test_export_rederives_identical_csv(self, tmp_path, config_path):
-        out_dir = tmp_path / "out"
-        cli.main(["train", "--config", config_path, "--out", str(out_dir)])
-        export_dir = tmp_path / "export"
-        code = cli.main(
-            ["export", "--config", config_path, str(out_dir / "events.jsonl"), "--out", str(export_dir)]
-        )
-        assert code == 0
-        assert (export_dir / "metrics.csv").read_text() == (out_dir / "metrics.csv").read_text()
+        out_dir, export_dir = tmp_path / "out", tmp_path / "export"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0
+        export_run(config_path, out_dir, export_dir)
+        # The run has PPO updates and DQN steps with a loss, so every column is exercised.
+        assert len((out_dir / "ppo_updates.csv").read_text().splitlines()) > 1
+        assert any(row.split(",")[2] for row in (out_dir / "dqn_steps.csv").read_text().splitlines()[1:])
+        for name in CSV_NAMES:
+            assert (export_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "event, problem",
+        [
+            ({"type": "episode_start", "episode": 0}, "planned_requirements"),
+            ({"type": "episode_end", "episode": 0, "metrics": {"bogus": 1.0}}, "bogus"),
+        ],
+    )
+    def test_export_rejects_a_malformed_event_log(self, tmp_path, config_path, capsys, event, problem):
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"type": "run_start", "n_requirements": 6}) + "\n" + json.dumps(event) + "\n")
+        argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
+        assert cli.main(argv) == 1
+        assert problem in capsys.readouterr().err
+
+    def test_export_of_an_evaluation_reproduces_its_csvs(self, tmp_path, config_path):
+        out_dir, eval_dir, export_dir = tmp_path / "out", tmp_path / "eval", tmp_path / "export"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(out_dir / "checkpoint.json")]
+        assert cli.main(argv + ["--episodes", "2", "--out", str(eval_dir)]) == 0
+        export_run(config_path, eval_dir, export_dir)
+        for name in CSV_NAMES:
+            assert (export_dir / name).read_bytes() == (eval_dir / name).read_bytes()
 
 
 class TestAblateCommand:

@@ -65,5 +65,5 @@ def test_metrics_csv_matches_pin(run):
     if key not in PINS:
         pytest.skip(f"no metrics.csv pins for environment {key!r}")
     config = cli.load_config(str(CONFIG), RUNS[run] + (f"episode_count={EPISODES}",))
-    csv_text = metrics_csv_text(run_training(config).metrics)
+    csv_text = metrics_csv_text(run_training(config).tables.metrics)
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == PINS[key][run]

@@ -264,12 +264,6 @@ class TestParameterSerialization:
         clone = MLPParameters.from_dict(params.to_dict())
         assert clone.equals(params)
 
-    def test_file_round_trip(self, tmp_path):
-        params = xavier_init((4, 8, 3), rng(1))
-        path = tmp_path / "params.json"
-        params.save(path)
-        assert MLPParameters.load(path).equals(params)
-
     def test_weights_stored_as_decimal_strings(self):
         payload = xavier_init((2, 2), rng(0)).to_dict()
         assert isinstance(payload["weights"][0][0], str)

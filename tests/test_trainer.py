@@ -19,12 +19,10 @@ from qeloop.trainer import (
     KBConfig,
     LoopConfig,
     RunConfig,
-    RunResult,
     SchemaVersionMismatch,
     TrainingSystem,
     UnknownConfigKey,
     derive_metrics_from_events,
-    export_metrics,
     final_window_mean,
     metrics_csv_text,
     run_ablation_suite,
@@ -108,7 +106,7 @@ class TestEpisodeLoop:
         before = system.kb.params
         system.run()
         assert system.kb.params == before
-        assert system.dqn_rows == []
+        assert system.tables.dqn_steps == []
 
     def test_no_feedback_freezes_knowledge(self):
         config = tiny_config(ablation=AblationFlags(no_feedback=True))
@@ -172,13 +170,37 @@ class TestCheckpoint:
         first.checkpoint(path)
         resumed = TrainingSystem.restore(path)
         resumed.run(episodes=3)
-        assert metrics_csv_text(resumed.metrics_history) == metrics_csv_text(straight.metrics_history)
+        # A restored system's tables hold only the episodes run after the restore.
+        assert metrics_csv_text(resumed.tables.metrics) == metrics_csv_text(straight.tables.metrics[3:])
+        ppo_from, dqn_from = len(first.tables.ppo_updates), len(first.tables.dqn_steps)
+        assert resumed.tables.ppo_updates and resumed.tables.dqn_steps
+        assert resumed.tables.ppo_updates == straight.tables.ppo_updates[ppo_from:]
+        assert resumed.tables.dqn_steps == straight.tables.dqn_steps[dqn_from:]
         third = next(
             i for i, e in enumerate(straight.events)
             if e["type"] == "episode_start" and e["episode"] == 3
         )
         assert resumed.events[0]["type"] == "run_start"
         assert resumed.events[1:] == straight.events[third:]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="KnowledgeStore.mean_edge_weight sums edge weights in dict insertion order, "
+        "and a restored store inserts its edges in sorted order, so the featurized "
+        "states, PPO diagnostics and agent weights of a resumed run differ in their last bits",
+    )
+    def test_resumed_ppo_updates_are_bit_identical(self, tmp_path):
+        config = RunConfig(episode_count=8)
+        straight = TrainingSystem(config)
+        straight.run()
+        first = TrainingSystem(config)
+        first.run(episodes=4)
+        path = tmp_path / "ckpt.json"
+        first.checkpoint(path)
+        resumed = TrainingSystem.restore(path)
+        resumed.run(episodes=4)
+        assert resumed.tables.ppo_updates
+        assert resumed.tables.ppo_updates == straight.tables.ppo_updates[len(first.tables.ppo_updates):]
 
     def test_checkpoint_twice_is_byte_identical(self, tmp_path):
         system = TrainingSystem(tiny_config())
@@ -237,9 +259,11 @@ class TestCheckpoint:
         [
             ("", "bogus_key"),
             ("", "test_catalog"),
+            ("", "metrics_history"),
             ("agents.LegacyTestAnalysis", "bogus_key"),
             ("agents", "NoSuchRole"),
             ("kb_pending", "bogus_key"),
+            ("rng_states", "NoSuchStream"),
         ],
     )
     def test_unknown_key_rejected_with_its_name(self, tmp_path, section, key):
@@ -257,6 +281,7 @@ class TestCheckpoint:
             ("agents.LegacyTestAnalysis.adam", "agents.LegacyTestAnalysis.adam"),
             ("agents.LegacyTestAnalysis.rollout.0", "agents.LegacyTestAnalysis.rollout[0]"),
             ("agents.LegacyTestAnalysis.tracker", "agents.LegacyTestAnalysis.tracker"),
+            ("rng_states.env", "rng_states.env"),
         ],
     )
     def test_unknown_nested_key_rejected_with_its_path(self, tmp_path, section, path):
@@ -270,6 +295,16 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch, match="schema_version 2"):
             self.restore_edited(
                 tmp_path, "", lambda node: node.update(schema_version=2, test_catalog={})
+            )
+
+    def test_version_3_checkpoint_rejected(self, tmp_path):
+        # Version 3 checkpoints still carry the run's tables; they must fail
+        # on their version, not on those keys.
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 3"):
+            self.restore_edited(
+                tmp_path,
+                "",
+                lambda node: node.update(schema_version=3, metrics_history=[], ppo_rows=[], dqn_rows=[]),
             )
 
     def test_missing_file_is_io_failure(self, tmp_path):
@@ -312,27 +347,25 @@ class TestCheckpoint:
 
 
 class TestExport:
-    def run_result(self, config=None) -> RunResult:
+    def run_result(self, config=None) -> TrainingSystem:
         return run_training(config or tiny_config())
 
     def test_csv_row_count_and_header(self, tmp_path):
         result = self.run_result()
-        paths = export_metrics(result, tmp_path / "out")
+        paths = result.tables.write(tmp_path / "out")
         lines = open(paths["metrics"]).read().splitlines()
         assert lines[0].startswith("episode,generation_accuracy,defect_detection_rate")
-        assert len(lines) == 1 + len(result.metrics)
+        assert len(lines) == 1 + len(result.tables.metrics)
 
     def test_metrics_rederived_from_events_match(self, tmp_path):
         result = self.run_result()
         derived = derive_metrics_from_events(result.events)
-        assert metrics_csv_text(derived) == metrics_csv_text(result.metrics)
+        assert metrics_csv_text(derived) == metrics_csv_text(result.tables.metrics)
 
     def test_empty_run_refuses_export(self, tmp_path):
-        config = tiny_config()
-        system = TrainingSystem(config)
-        result = RunResult(config, [], system.events, [], [], system)
+        system = TrainingSystem(tiny_config())
         with pytest.raises(IOFailure):
-            export_metrics(result, tmp_path / "out")
+            system.tables.write(tmp_path / "out")
 
     def event_log(self, result, out_dir) -> dict[str, str]:
         with EventLog(out_dir) as log:
@@ -349,7 +382,7 @@ class TestExport:
 
     def test_learner_csvs_written(self, tmp_path):
         result = self.run_result()
-        paths = export_metrics(result, tmp_path / "out")
+        paths = result.tables.write(tmp_path / "out")
         assert open(paths["ppo_updates"]).readline().startswith("update_index,role,mean_ratio")
         assert open(paths["dqn_steps"]).readline().startswith("step,epsilon,loss,mean_q,chosen_action")
 
