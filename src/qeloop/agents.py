@@ -33,7 +33,7 @@ from .domain import (
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import policy_value_forward
 from .rewards import RewardBreakdown, trend_slope
-from .rl_core import Adam, Transition, sample_action, softmax_policy, xavier_init
+from .rl_core import HIDDEN_WIDTH, Adam, Transition, sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
 SIGNATURE_ACTIVE_DIMS = 4
@@ -243,10 +243,10 @@ def featurize_state(
 class Agent:
     """One role's policy, rollout accumulator, and pending action slot."""
 
-    def __init__(self, role: AgentRole, init_rng: np.random.Generator, learning_rate: float, hidden: int = 64):
+    def __init__(self, role: AgentRole, init_rng: np.random.Generator, learning_rate: float):
         self.role = role
         self.n_actions = action_space_size(role)
-        self.params = xavier_init((STATE_DIM, hidden, hidden, self.n_actions + 1), init_rng)
+        self.params = xavier_init((STATE_DIM, HIDDEN_WIDTH, HIDDEN_WIDTH, self.n_actions + 1), init_rng)
         self.adam = Adam(self.params, learning_rate)
         self.rollout: list[Transition] = []
         self.pending: tuple[np.ndarray, int, float] | None = None

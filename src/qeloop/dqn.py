@@ -18,7 +18,17 @@ import numpy as np
 from .config import ConfigCodec
 from .domain import check_keys
 from .knowledge import KB_ACTION_COUNT, KBAction
-from .rl_core import Adam, ExperienceBuffer, MLPParameters, Transition, backward, forward
+from .rl_core import (
+    HIDDEN_WIDTH,
+    Adam,
+    ExperienceBuffer,
+    MLPParameters,
+    Transition,
+    backward,
+    forward,
+    forward_cached,
+    xavier_init,
+)
 
 KB_STATE_DIM = 10
 
@@ -102,7 +112,7 @@ def dqn_train_step(
 
     q_next = forward(target_net, next_states)
     targets = rewards + gamma * not_done * q_next.max(axis=1)
-    q_all = forward(qnet, states)
+    q_all, activations = forward_cached(qnet, states)
     idx = np.arange(len(batch))
     q_taken = q_all[idx, actions]
     errors = q_taken - targets
@@ -110,7 +120,7 @@ def dqn_train_step(
 
     output_grad = np.zeros_like(q_all)
     output_grad[idx, actions] = 2.0 * errors / len(batch)
-    grads = backward(qnet, states, output_grad)
+    grads = backward(qnet, activations, output_grad)
     adam.step(qnet, grads)
     return loss, float(q_taken.mean())
 
@@ -136,13 +146,10 @@ class DQNController:
         action_rng: np.random.Generator,
         state_dim: int = KB_STATE_DIM,
         n_actions: int = KB_ACTION_COUNT,
-        hidden: int = 64,
     ):
-        from .rl_core import xavier_init
-
         self.config = config.validate()
         self.gamma = gamma
-        self.qnet = xavier_init((state_dim, hidden, hidden, n_actions), init_rng)
+        self.qnet = xavier_init((state_dim, HIDDEN_WIDTH, HIDDEN_WIDTH, n_actions), init_rng)
         self.target_net = self.qnet.copy()
         self.adam = Adam(self.qnet, config.learning_rate)
         self.replay = ExperienceBuffer(config.replay_capacity, replay_rng)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
@@ -368,11 +369,11 @@ class KnowledgeStore:
         ]
 
     def mean_edge_weight(self) -> float:
-        """Mean of all edge weights (0 without edges); cached between edge writes."""
+        """Mean of all edge weights (0 without edges); cached between edge writes.
+        The exactly rounded ``fsum`` does not depend on edge insertion order,
+        so a restored store gives the bits of the store it was saved from."""
         if self._mean_edge_weight is None:
-            self._mean_edge_weight = (
-                float(sum(self._edges.values()) / len(self._edges)) if self._edges else 0.0
-            )
+            self._mean_edge_weight = math.fsum(self._edges.values()) / len(self._edges) if self._edges else 0.0
         return self._mean_edge_weight
 
     def graph_traverse(

@@ -18,15 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ConfigCodec
-from .rl_core import (
-    Adam,
-    MLPGradients,
-    MLPParameters,
-    Transition,
-    _forward_cached,
-    backward,
-    softmax_policy,
-)
+from .rl_core import Adam, MLPParameters, Transition, backward, forward_cached, softmax_policy
 
 LEARNING_RATE_RANGE = (1e-4, 3e-4)
 
@@ -109,7 +101,7 @@ class PPOUpdateReport:
 
 def policy_value_forward(params: MLPParameters, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split the joint network's output into (logits, values)."""
-    out, _ = _forward_cached(params, np.atleast_2d(np.asarray(states, dtype=np.float64)))
+    out, _ = forward_cached(params, np.atleast_2d(np.asarray(states, dtype=np.float64)))
     return out[:, :-1], out[:, -1]
 
 
@@ -167,7 +159,7 @@ def compute_minibatch_gradient(
     advantages: np.ndarray,
     returns: np.ndarray,
     config: PPOConfig,
-) -> tuple[MLPGradients, dict]:
+) -> tuple[MLPParameters, dict]:
     """Gradient of the PPO loss over one minibatch, plus diagnostics.
 
     The loss being minimized is
@@ -175,7 +167,8 @@ def compute_minibatch_gradient(
     """
     n = states.shape[0]
     n_actions = params.n_out - 1
-    logits, values = policy_value_forward(params, states)
+    out, activations = forward_cached(params, states)
+    logits, values = out[:, :-1], out[:, -1]
     probs, log_probs = softmax_policy(logits)
     idx = np.arange(n)
     lp_new = log_probs[idx, actions]
@@ -196,7 +189,7 @@ def compute_minibatch_gradient(
     d_values = config.value_loss_coeff * 2.0 * (values - returns) / n
 
     output_grad = np.concatenate([d_logits, d_values[:, None]], axis=1)
-    grads = backward(params, states, output_grad)
+    grads = backward(params, activations, output_grad)
     stats = {
         "mean_ratio": float(ratio.mean()),
         "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > config.clip_epsilon)),

@@ -2,9 +2,13 @@
 an experience ring buffer, and named deterministic RNG streams.
 
 The network is tanh-hidden / linear-output with a topology fixed at
-construction (the production shape is [n_in, 64, 64, n_out]). There is no
-autodiff framework here; ``backward`` is the analytic reverse pass and
-``gradient_check`` compares it against central finite differences.
+construction (the production shape is [n_in, 64, 64, n_out]). Its
+parameters, its gradients and Adam's moments each live in one flat float64
+buffer laid out W0, b0, W1, b1, ..., with per-layer views into it. There is
+no autodiff framework here: ``forward_cached`` returns the output and the
+layer activations, ``backward`` runs the analytic reverse pass on those
+activations without a second forward pass, and ``gradient_check`` compares
+it against central finite differences.
 """
 
 from __future__ import annotations
@@ -87,17 +91,39 @@ _MLP_KEYS = frozenset({"schema_version", "layer_sizes", "weights", "biases"})
 _ADAM_KEYS = frozenset({"learning_rate", "t", "m_w", "v_w", "m_b", "v_b"})
 
 
+def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(fan_out, fan_in) weight and (fan_out,) bias views into a flat buffer
+    laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        mid = start + fan_out * fan_in
+        weights.append(flat[start:mid].reshape(fan_out, fan_in))
+        biases.append(flat[mid : mid + fan_out])
+        start = mid + fan_out
+    return weights, biases
+
+
 class MLPParameters:
     """Weights and biases for a fixed feedforward topology.
 
-    Weight matrices are (fan_out, fan_in); forward computes
-    tanh(W x + b) per hidden layer and a linear final layer.
+    All parameters live in one float64 buffer, ``flat``, laid out W0, b0,
+    W1, b1, ...; ``weights`` and ``biases`` are views into it, so writing
+    either writes ``flat``. Weight matrices are (fan_out, fan_in); forward
+    computes tanh(W x + b) per hidden layer and a linear final layer.
+    Gradients use the same class and layout. Without ``flat``, all
+    parameters start at zero.
     """
 
-    def __init__(self, layer_sizes: Sequence[int], weights: list[np.ndarray], biases: list[np.ndarray]):
+    def __init__(self, layer_sizes: Sequence[int], flat: np.ndarray | None = None):
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
-        self.weights = weights
-        self.biases = biases
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]))
+        if flat is None:
+            flat = np.zeros(size, dtype=np.float64)
+        elif flat.dtype != np.float64 or flat.shape != (size,):
+            raise DimensionMismatch(f"flat buffer {flat.dtype}{flat.shape} != float64({size},)")
+        self.flat = flat
+        self.weights, self.biases = _layer_views(self.layer_sizes, flat)
 
     @property
     def n_in(self) -> int:
@@ -108,23 +134,10 @@ class MLPParameters:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MLPParameters":
-        return MLPParameters(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
+        return MLPParameters(self.layer_sizes, self.flat.copy())
 
     def equals(self, other: "MLPParameters") -> bool:
-        return (
-            self.layer_sizes == other.layer_sizes
-            and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
-            and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
-        )
+        return self.layer_sizes == other.layer_sizes and np.array_equal(self.flat, other.flat)
 
     def to_dict(self) -> dict:
         # Weights serialize as decimal strings so the checkpoint is exact.
@@ -141,34 +154,21 @@ class MLPParameters:
         check_keys(what, d, _MLP_KEYS)
         if d["schema_version"] != 1:
             raise ValueError(f"unsupported parameter schema_version {d['schema_version']!r}")
-        sizes = tuple(int(n) for n in d["layer_sizes"])
-        weights, biases = [], []
-        for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            w = np.asarray([float(x) for x in d["weights"][i]], dtype=np.float64).reshape(fan_out, fan_in)
-            b = np.asarray([float(x) for x in d["biases"][i]], dtype=np.float64).reshape(fan_out)
-            weights.append(w)
-            biases.append(b)
-        return cls(sizes, weights, biases)
-
-
-@dataclass
-class MLPGradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scaled(self, factor: float) -> "MLPGradients":
-        return MLPGradients([w * factor for w in self.weights], [b * factor for b in self.biases])
+        params = cls(d["layer_sizes"])
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            w[...] = np.asarray([float(x) for x in d["weights"][i]], dtype=np.float64).reshape(w.shape)
+            b[...] = np.asarray([float(x) for x in d["biases"][i]], dtype=np.float64).reshape(b.shape)
+        return params
 
 
 def xavier_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> MLPParameters:
     """Xavier-uniform weights, zero biases, drawn from the given stream."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+    params = MLPParameters(layer_sizes)
+    for w in params.weights:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MLPParameters(layer_sizes, weights, biases)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def _as_batch(x: np.ndarray, n_in: int) -> tuple[np.ndarray, bool]:
@@ -184,7 +184,12 @@ def _as_batch(x: np.ndarray, n_in: int) -> tuple[np.ndarray, bool]:
     raise DimensionMismatch(f"input must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def _forward_cached(params: MLPParameters, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward_cached(params: MLPParameters, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass over a (batch, n_in) float64 matrix.
+
+    Returns the (batch, n_out) output and every layer's activations, the
+    input first and the output last; ``backward`` takes those activations.
+    """
     activations = [batch]
     a = batch
     last = len(params.weights) - 1
@@ -198,35 +203,29 @@ def _forward_cached(params: MLPParameters, batch: np.ndarray) -> tuple[np.ndarra
 def forward(params: MLPParameters, x: np.ndarray) -> np.ndarray:
     """Feedforward pass; accepts a single vector or a (batch, n_in) matrix."""
     batch, squeeze = _as_batch(x, params.n_in)
-    out, _ = _forward_cached(params, batch)
+    out, _ = forward_cached(params, batch)
     return out[0] if squeeze else out
 
 
-def backward(params: MLPParameters, x: np.ndarray, output_gradient: np.ndarray) -> MLPGradients:
+def backward(params: MLPParameters, activations: Sequence[np.ndarray], output_gradient: np.ndarray) -> MLPParameters:
     """Analytic gradient of the forward map, summed over the batch.
 
-    ``output_gradient`` holds dL/d(output) per sample; returns dL/d(params)
-    with the same shapes as the parameters.
+    ``activations`` are what ``forward_cached`` returned for ``params``;
+    no forward pass runs here. ``output_gradient`` holds dL/d(output) per
+    sample, shaped like the output. Returns dL/d(params) in the
+    parameters' own layout.
     """
-    batch, squeeze = _as_batch(x, params.n_in)
-    grad = np.asarray(output_gradient, dtype=np.float64)
-    if squeeze:
-        grad = grad[None, :]
-    if grad.shape != (batch.shape[0], params.n_out):
-        raise DimensionMismatch(
-            f"output_gradient shape {grad.shape} != {(batch.shape[0], params.n_out)}"
-        )
-    _, activations = _forward_cached(params, batch)
-    d_weights = [np.zeros_like(w) for w in params.weights]
-    d_biases = [np.zeros_like(b) for b in params.biases]
-    delta = grad
+    delta = np.asarray(output_gradient, dtype=np.float64)
+    if delta.shape != activations[-1].shape:
+        raise DimensionMismatch(f"output_gradient shape {delta.shape} != {activations[-1].shape}")
+    grads = MLPParameters(params.layer_sizes)
     for i in range(len(params.weights) - 1, -1, -1):
-        d_weights[i] = delta.T @ activations[i]
-        d_biases[i] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[i], out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
             # activations[i] is tanh output of layer i-1: d tanh(z) = 1 - a^2.
             delta = (delta @ params.weights[i]) * (1.0 - activations[i] ** 2)
-    return MLPGradients(d_weights, d_biases)
+    return grads
 
 
 def softmax_policy(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,52 +248,50 @@ def sample_action(probabilities: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class Adam:
-    """Adaptive-moment gradient steps for one MLPParameters instance."""
+    """Adaptive-moment gradient steps for one MLPParameters instance.
+
+    The moments ``m`` and ``v`` share the parameters' flat layout, so a
+    step is five whole-buffer operations.
+    """
 
     def __init__(self, params: MLPParameters, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.layer_sizes = params.layer_sizes
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
-    def step(self, params: MLPParameters, grads: MLPGradients) -> None:
+    def step(self, params: MLPParameters, grads: MLPParameters) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for i in range(len(params.weights)):
-            for p, g, m, v in (
-                (params.weights[i], grads.weights[i], self.m_w[i], self.v_w[i]),
-                (params.biases[i], grads.biases[i], self.m_b[i], self.v_b[i]),
-            ):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not params.all_finite():
+        g = grads.flat
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        params.flat -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        if not np.isfinite(params.flat).all():
             raise RLCoreError("non-finite parameter after Adam step")
 
+    def _moment_views(self) -> dict[str, list[np.ndarray]]:
+        m_w, m_b = _layer_views(self.layer_sizes, self.m)
+        v_w, v_b = _layer_views(self.layer_sizes, self.v)
+        return {"m_w": m_w, "v_w": v_w, "m_b": m_b, "v_b": v_b}
+
     def state_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "t": self.t,
-            "m_w": [[float(x) for x in a.ravel()] for a in self.m_w],
-            "v_w": [[float(x) for x in a.ravel()] for a in self.v_w],
-            "m_b": [[float(x) for x in a.ravel()] for a in self.m_b],
-            "v_b": [[float(x) for x in a.ravel()] for a in self.v_b],
-        }
+        state = {"learning_rate": self.learning_rate, "t": self.t}
+        for name, arrays in self._moment_views().items():
+            state[name] = [[float(x) for x in a.ravel()] for a in arrays]
+        return state
 
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
         """``what`` names ``d`` in the error for a missing or unknown key."""
         check_keys(what, d, _ADAM_KEYS)
         self.learning_rate = float(d["learning_rate"])
         self.t = int(d["t"])
-        for name in ("m_w", "v_w", "m_b", "v_b"):
-            stored = d[name]
-            existing = getattr(self, name)
-            for arr, values in zip(existing, stored):
+        for name, arrays in self._moment_views().items():
+            for arr, values in zip(arrays, d[name]):
                 arr[...] = np.asarray(values, dtype=np.float64).reshape(arr.shape)
 
 
@@ -390,28 +387,24 @@ class RngStreams:
 
 def finite_difference_gradients(
     params: MLPParameters, x: np.ndarray, output_gradient: np.ndarray, h: float = 1e-5
-) -> MLPGradients:
+) -> MLPParameters:
     """Central finite differences of the scalar sum(output * output_gradient)."""
     grad = np.asarray(output_gradient, dtype=np.float64)
 
     def objective() -> float:
         return float(np.sum(forward(params, x) * grad))
 
-    d_weights = [np.zeros_like(w) for w in params.weights]
-    d_biases = [np.zeros_like(b) for b in params.biases]
-    for target, store in ((params.weights, d_weights), (params.biases, d_biases)):
-        for arr, out in zip(target, store):
-            flat = arr.ravel()
-            out_flat = out.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                hi = objective()
-                flat[j] = orig - h
-                lo = objective()
-                flat[j] = orig
-                out_flat[j] = (hi - lo) / (2.0 * h)
-    return MLPGradients(d_weights, d_biases)
+    out = MLPParameters(params.layer_sizes)
+    flat = params.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        hi = objective()
+        flat[j] = orig - h
+        lo = objective()
+        flat[j] = orig
+        out.flat[j] = (hi - lo) / (2.0 * h)
+    return out
 
 
 def _tensor_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -436,7 +429,8 @@ def gradient_check(
             params = xavier_init(tuple(topology), rng)
             x = rng.normal(size=topology[0])
             out_grad = rng.normal(size=topology[-1])
-            analytic = backward(params, x, out_grad)
+            _, activations = forward_cached(params, x[None, :])
+            analytic = backward(params, activations, out_grad[None, :])
             numeric = finite_difference_gradients(params, x, out_grad, h=h)
             for a, n in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
                 worst = max(worst, _tensor_relative_error(a, n))

@@ -7,6 +7,7 @@ fast paths must agree with them exactly, bit for bit, because the metrics,
 events and checkpoints of a run depend on these values.
 """
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -244,9 +245,7 @@ class TestReinforceEdges:
                 expected = 0
             assert touched == expected
             assert {(e.source, e.target, e.edge_type): e.weight for e in store.edges()} == weights
-            assert store.mean_edge_weight() == (
-                float(sum(weights.values()) / len(weights)) if weights else 0.0
-            )
+            assert store.mean_edge_weight() == (math.fsum(weights.values()) / len(weights) if weights else 0.0)
 
     def test_neighbors_lists_both_directions_in_insertion_order(self):
         store = KnowledgeStore(d_emb=D_EMB)
@@ -277,7 +276,7 @@ class TestCacheInvalidation:
     @settings(max_examples=200, deadline=None)
     def test_mean_edge_weight_after_every_write(self, ops):
         store = KnowledgeStore(d_emb=D_EMB)
-        weights: dict = {}  # in insertion order, the order the store sums in
+        weights: dict = {}
         for op in ops:
             if op[0] == "upsert" and op[1] != op[2]:
                 store.upsert_edge(op[1], op[2], EdgeType.Impacts, op[3])
@@ -287,7 +286,7 @@ class TestCacheInvalidation:
                 store.reinforce_edges(feedback(int(true_defect), int(not true_defect)), op[1], op[3])
                 reference_reinforce(weights, op[1], 1.0 if true_defect else 0.0, op[3])
             values = list(weights.values())
-            assert store.mean_edge_weight() == (float(sum(values) / len(values)) if values else 0.0)
+            assert store.mean_edge_weight() == (math.fsum(values) / len(values) if values else 0.0)
 
     @given(
         st.lists(

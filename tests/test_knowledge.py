@@ -343,6 +343,16 @@ class TestReinforceEdges:
             assert after <= weight
         assert 0.0 <= after <= 1.0
 
+    def test_mean_edge_weight_does_not_depend_on_insertion_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+        weights = [0.1, 0.2, 0.3]
+        ascending, descending = KnowledgeStore(d_emb=8), KnowledgeStore(d_emb=8)
+        for i, w in enumerate(weights):
+            ascending.upsert_edge(f"n{i}", f"m{i}", EdgeType.Covers, w)
+        for i, w in reversed(list(enumerate(weights))):
+            descending.upsert_edge(f"n{i}", f"m{i}", EdgeType.Covers, w)
+        assert ascending.mean_edge_weight() == descending.mean_edge_weight() == math.fsum(weights) / 3
+
 
 class TestSnapshot:
     def test_round_trip_is_byte_stable(self, tmp_path):

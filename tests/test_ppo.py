@@ -228,9 +228,10 @@ class TestPpoUpdate:
         one_hot[idx, processed.actions] = 1.0
         d_logits = -(processed.advantages * ratio)[:, None] * (one_hot - probs) / n
         out_grad = np.concatenate([d_logits, np.zeros((n, 1))], axis=1)
-        from qeloop.rl_core import backward
+        from qeloop.rl_core import backward, forward_cached
 
-        vanilla = backward(params, processed.states, out_grad)
+        _, activations = forward_cached(params, processed.states)
+        vanilla = backward(params, activations, out_grad)
         for a, b in zip(grads.weights + grads.biases, vanilla.weights + vanilla.biases):
             assert np.abs(a - b).max() < 1e-8
 

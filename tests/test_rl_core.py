@@ -8,10 +8,12 @@ from qeloop.rl_core import (
     DimensionMismatch,
     ExperienceBuffer,
     MLPParameters,
+    RLCoreError,
     RngStreams,
     Transition,
     backward,
     forward,
+    forward_cached,
     gradient_check,
     sample_action,
     softmax_policy,
@@ -47,7 +49,7 @@ class TestForward:
         assert np.array_equal(forward(params, np.ones(3)), np.zeros(2))
 
     def test_single_affine_unit(self):
-        params = MLPParameters((1, 1), [np.array([[2.5]])], [np.array([0.75])])
+        params = MLPParameters((1, 1), np.array([2.5, 0.75]))
         assert forward(params, np.array([2.0]))[0] == pytest.approx(2.5 * 2.0 + 0.75, abs=1e-15)
 
     def test_matches_naive_reimplementation(self):
@@ -71,6 +73,12 @@ class TestForward:
         params = xavier_init((4, 8, 2), rng(5))
         x = rng(6).normal(size=4)
         assert np.array_equal(forward(params, x), forward(params, x))
+
+
+def backward_at(params, x, out_grad):
+    """``backward`` for one input vector, through ``forward_cached``'s activations."""
+    _, activations = forward_cached(params, np.asarray(x, dtype=np.float64)[None, :])
+    return backward(params, activations, np.asarray(out_grad, dtype=np.float64)[None, :])
 
 
 def finite_difference(params, x, out_grad, h=1e-5):
@@ -97,13 +105,13 @@ def finite_difference(params, x, out_grad, h=1e-5):
 class TestBackward:
     def test_zero_output_gradient_gives_zero_parameter_gradient(self):
         params = xavier_init((3, 6, 2), rng(0))
-        grads = backward(params, rng(1).normal(size=3), np.zeros(2))
+        grads = backward_at(params, rng(1).normal(size=3), np.zeros(2))
         for g in grads.weights + grads.biases:
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_affine_unit_weight_gradient_equals_input(self):
-        params = MLPParameters((1, 1), [np.array([[1.7]])], [np.array([0.2])])
-        grads = backward(params, np.array([3.25]), np.array([1.0]))
+        params = MLPParameters((1, 1), np.array([1.7, 0.2]))
+        grads = backward_at(params, np.array([3.25]), np.array([1.0]))
         assert grads.weights[0][0, 0] == pytest.approx(3.25, abs=1e-15)
         assert grads.biases[0][0] == pytest.approx(1.0, abs=1e-15)
 
@@ -112,7 +120,7 @@ class TestBackward:
             params = xavier_init((4, 8, 6, 3), rng(seed))
             x = rng(seed + 100).normal(size=4)
             out_grad = rng(seed + 200).normal(size=3)
-            analytic = backward(params, x, out_grad)
+            analytic = backward_at(params, x, out_grad)
             numeric = finite_difference(params, x, out_grad)
             for a, n in zip(analytic.weights + analytic.biases, numeric):
                 scale = max(np.abs(a).max(), np.abs(n).max(), 1e-12)
@@ -120,6 +128,49 @@ class TestBackward:
 
     def test_gradient_check_utility_passes(self):
         assert gradient_check(n_seeds=3) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3,)])
+    def test_output_gradient_shape_mismatch_rejected(self, shape):
+        params = xavier_init((4, 5, 2), rng(0))
+        _, activations = forward_cached(params, rng(1).normal(size=(1, 4)))
+        with pytest.raises(DimensionMismatch):
+            backward(params, activations, np.ones(shape))
+
+
+def layer_arrays(params: MLPParameters) -> list[np.ndarray]:
+    return params.weights + params.biases
+
+
+class TestFlatLayout:
+    def test_layers_are_views_into_their_own_flat_buffer(self):
+        params = xavier_init((4, 8, 6, 3), rng(0))
+        grads = backward_at(params, rng(1).normal(size=4), rng(2).normal(size=3))
+        for p in (params, params.copy(), MLPParameters.from_dict(params.to_dict()), grads):
+            assert p.flat.dtype == np.float64
+            assert p.flat.size == sum(a.size for a in layer_arrays(p))
+            for arr in layer_arrays(p):
+                assert np.shares_memory(arr, p.flat)
+
+    def test_layout_is_w0_b0_w1_b1(self):
+        params = MLPParameters((2, 3, 1), np.arange(13, dtype=np.float64))
+        assert np.array_equal(params.weights[0], np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(params.biases[0], np.arange(6.0, 9.0))
+        assert np.array_equal(params.weights[1], np.arange(9.0, 12.0).reshape(1, 3))
+        assert np.array_equal(params.biases[1], np.array([12.0]))
+
+    def test_wrong_flat_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            MLPParameters((2, 3, 1), np.zeros(12))
+
+    def test_copy_from_dict_and_backward_share_no_memory_with_their_source(self):
+        params = xavier_init((4, 8, 3), rng(0))
+        x = rng(1).normal(size=(5, 4))
+        _, activations = forward_cached(params, x)
+        grads = backward(params, activations, rng(2).normal(size=(5, 3)))
+        sources = [params.flat, x] + activations
+        for derived in (params.copy(), MLPParameters.from_dict(params.to_dict()), grads):
+            for arr in [derived.flat] + layer_arrays(derived):
+                assert not any(np.shares_memory(arr, src) for src in sources)
 
 
 class TestSoftmax:
@@ -168,26 +219,35 @@ class TestSampleAction:
 
 class TestAdam:
     def test_descends_a_quadratic(self):
-        params = MLPParameters((1, 1), [np.array([[5.0]])], [np.array([0.0])])
+        params = MLPParameters((1, 1), np.array([5.0, 0.0]))
         adam = Adam(params, learning_rate=0.1)
         for _ in range(500):
             w = params.weights[0][0, 0]
-            grads = backward(params, np.array([1.0]), np.array([2 * (w * 1.0 + params.biases[0][0])]))
+            grads = backward_at(params, np.array([1.0]), np.array([2 * (w * 1.0 + params.biases[0][0])]))
             adam.step(params, grads)
         # minimizing (w + b)^2 drives the output to zero
         assert abs(params.weights[0][0, 0] + params.biases[0][0]) < 1e-3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        params = xavier_init((3, 4, 2), rng(0))
+        adam = Adam(params, 1e-3)
+        grads = backward_at(params, rng(1).normal(size=3), rng(2).normal(size=2))
+        grads.biases[0][1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(RLCoreError):
+            adam.step(params, grads)
+
     def test_state_round_trip(self):
         params = xavier_init((3, 4, 2), rng(0))
         adam = Adam(params, 1e-3)
-        grads = backward(params, rng(1).normal(size=3), rng(2).normal(size=2))
+        grads = backward_at(params, rng(1).normal(size=3), rng(2).normal(size=2))
         adam.step(params, grads)
         snapshot = adam.state_dict()
         restored = Adam(params, 1e-3)
         restored.load_state_dict(snapshot)
         assert restored.t == adam.t
-        for a, b in zip(restored.m_w, adam.m_w):
-            assert np.array_equal(a, b)
+        assert np.array_equal(restored.m, adam.m) and np.array_equal(restored.v, adam.v)
+        assert restored.state_dict() == snapshot
 
 
 class TestExperienceBuffer:
