@@ -32,7 +32,7 @@ from .domain import (
 )
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import policy_value_forward
-from .rewards import RewardBreakdown, trend_slope
+from .rewards import trend_slope
 from .rl_core import HIDDEN_WIDTH, Adam, Transition, sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
@@ -127,11 +127,12 @@ def requirement_query(requirement: Requirement, d_emb: int) -> np.ndarray:
     return _read_only(embed(requirement.text.split() + [requirement.id], d_emb))
 
 
-_TRACKER_KEYS = frozenset({"window", "breakdowns", "records"})
+_TRACKER_KEYS = frozenset({"totals", "records"})
+_AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
 
 
 class PerformanceTracker:
-    """Per-agent rolling windows of rewards, defect counts, and FP counts.
+    """Per-agent rolling windows of reward totals, defect counts, and FP counts.
 
     Append through the ``push_*`` methods only: they drop the cached
     aggregates and reward stats, which are otherwise computed once per push
@@ -139,8 +140,7 @@ class PerformanceTracker:
     """
 
     def __init__(self, window: int = 50):
-        self.window = window
-        self.breakdowns: deque[RewardBreakdown] = deque(maxlen=window)
+        self.totals: deque[float] = deque(maxlen=window)
         self.records: deque[tuple[int, int, int, float]] = deque(maxlen=window)
         self._aggregates: tuple[float, float, float, float] | None = None
         self._reward_stats: tuple[float, float] | None = None
@@ -157,8 +157,8 @@ class PerformanceTracker:
         )
         self._aggregates = None
 
-    def push_breakdown(self, reward: RewardBreakdown) -> None:
-        self.breakdowns.append(reward)
+    def push_reward(self, total: float) -> None:
+        self.totals.append(total)
         self._reward_stats = None
 
     def aggregates(self) -> tuple[float, float, float, float]:
@@ -189,28 +189,25 @@ class PerformanceTracker:
         return self._reward_stats
 
     def _compute_reward_stats(self) -> tuple[float, float]:
-        totals = [b.total for b in self.breakdowns]
+        totals = list(self.totals)
         if not totals:
             return (0.0, 0.0)
         return (sum(totals) / len(totals), trend_slope(totals))
 
     def state_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "breakdowns": [b.to_dict() for b in self.breakdowns],
-            "records": [list(r) for r in self.records],
-        }
+        return {"totals": list(self.totals), "records": [list(r) for r in self.records]}
 
-    @classmethod
-    def from_state_dict(cls, d: Mapping, what: str = "tracker state") -> "PerformanceTracker":
-        """``what`` names ``d`` in the error for a missing or unknown key."""
+    def load_state_dict(self, d: Mapping, what: str = "tracker state") -> None:
+        """Fill an empty tracker from ``state_dict`` output; ``what`` names
+        ``d`` in the error for a missing or unknown key or a window longer
+        than this tracker's."""
         check_keys(what, d, _TRACKER_KEYS)
-        tracker = cls(window=int(d["window"]))
-        for b in d["breakdowns"]:
-            tracker.breakdowns.append(RewardBreakdown.from_dict(b))
-        for r in d["records"]:
-            tracker.records.append((int(r[0]), int(r[1]), int(r[2]), float(r[3])))
-        return tracker
+        for name in ("totals", "records"):
+            if len(d[name]) > self.totals.maxlen:
+                raise ValueError(f"{what}.{name} holds {len(d[name])} entries, the window is {self.totals.maxlen}")
+        self.totals.extend(float(x) for x in d["totals"])
+        self.records.extend((int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in d["records"])
+        self._aggregates = self._reward_stats = None
 
 
 def requirement_summary(requirement: Requirement) -> np.ndarray:
@@ -241,14 +238,18 @@ def featurize_state(
 
 
 class Agent:
-    """One role's policy, rollout accumulator, and pending action slot."""
+    """One role's policy, optimizer, rollout accumulator, feedback tracker,
+    and pending action slot."""
 
-    def __init__(self, role: AgentRole, init_rng: np.random.Generator, learning_rate: float):
+    def __init__(
+        self, role: AgentRole, init_rng: np.random.Generator, learning_rate: float, tracker_window: int = 50
+    ):
         self.role = role
         self.n_actions = action_space_size(role)
         self.params = xavier_init((STATE_DIM, HIDDEN_WIDTH, HIDDEN_WIDTH, self.n_actions + 1), init_rng)
         self.adam = Adam(self.params, learning_rate)
         self.rollout: list[Transition] = []
+        self.tracker = PerformanceTracker(tracker_window)
         self.pending: tuple[np.ndarray, int, float] | None = None
 
     def act(
@@ -265,35 +266,49 @@ class Agent:
         self.pending = (np.asarray(state, dtype=np.float64), index, log_prob)
         return decode_action(self.role, index), log_prob
 
-    def action_probabilities(self, state: np.ndarray) -> np.ndarray:
-        logits, _ = policy_value_forward(self.params, state[None, :])
-        probs, _ = softmax_policy(logits[0])
-        return probs
+    def state_dict(self) -> dict:
+        return {
+            "params": self.params.to_dict(),
+            "adam": self.adam.state_dict(),
+            "rollout": [t.to_dict() for t in self.rollout],
+            "tracker": self.tracker.state_dict(),
+        }
+
+    def load_state_dict(self, d: Mapping, what: str = "agent state") -> None:
+        """Load ``state_dict`` output into a fresh agent's network, optimizer,
+        rollout and tracker, in place. ``what`` names ``d``, and prefixes its
+        sections' paths, in the error for a missing or unknown key or a
+        network of another topology."""
+        check_keys(what, d, _AGENT_KEYS)
+        self.params.load_dict(d["params"], f"{what}.params")
+        self.adam.load_state_dict(d["adam"], f"{what}.adam")
+        self.rollout = [Transition.from_dict(t, f"{what}.rollout[{i}]") for i, t in enumerate(d["rollout"])]
+        self.tracker.load_state_dict(d["tracker"], f"{what}.tracker")
 
 
 def record_feedback(
     agent: Agent,
-    tracker: PerformanceTracker,
     feedbacks: Sequence[FeedbackRecord],
-    reward: RewardBreakdown,
+    reward: float,
     featurize_next: Callable[[], np.ndarray],
 ) -> Transition:
-    """Push feedback into the windows and emit the agent's transition.
+    """Push feedback into the agent's tracker and emit its transition.
 
     ``featurize_next`` runs after the tracker update so the next state
     reflects the newly recorded feedback. The transition reward is the
-    combined total and done is always false (the loop is continuous).
+    slot's combined reward total and done is always false (the loop is
+    continuous).
     """
     if agent.pending is None:
         raise ValueError(f"{agent.role.name} has no pending action to attach feedback to")
     for feedback in feedbacks:
-        tracker.push_record(feedback)
-    tracker.push_breakdown(reward)
+        agent.tracker.push_record(feedback)
+    agent.tracker.push_reward(reward)
     state, action_index, log_prob = agent.pending
     transition = Transition(
         state=state,
         action=action_index,
-        reward=reward.total,
+        reward=reward,
         next_state=featurize_next(),
         done=False,
         log_prob_old=log_prob,

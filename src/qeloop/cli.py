@@ -166,7 +166,8 @@ def _cmd_replay(invocation: CliInvocation, config: trainer.RunConfig) -> int:
         print("no valid feedback records in file")
         return 0 if not issues else 1
     touched = replay_into_store(store, records, config.kb.edge_learning_rate)
-    breakdown = replay_reward(records, config)
+    # Replay has no reward history, so its adaptation term is 0.
+    breakdown = rewards.batch_reward(records, config.rewards.severity, config.rewards.weights, ())
     os.makedirs(out_dir, exist_ok=True)
     snapshot_path = os.path.join(out_dir, "kb_after_replay.json")
     store.save_snapshot(snapshot_path)
@@ -198,35 +199,29 @@ def replay_into_store(
     return touched
 
 
-def replay_reward(records: list[domain.FeedbackRecord], config: trainer.RunConfig):
-    return rewards.combine(
-        rewards.effectiveness_reward(records, config.rewards.severity),
-        rewards.coverage_reward(records),
-        rewards.efficiency_reward(records),
-        rewards.compliance_reward(records),
-        0.0,
-        config.rewards.weights,
-    )
-
-
 def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     if not invocation.input_path:
         raise ValidationError("input", "export requires an events JSONL path")
     out_dir = invocation.output_dir or config.output_dir
     tables = trainer.RunTables()
+    line_number = 0
 
     def events(fh):
-        for event in (json.loads(line) for line in fh if line.strip()):
-            tables.append(event)
-            yield event
+        nonlocal line_number
+        for line_number, line in enumerate(fh, start=1):
+            if line.strip():
+                event = json.loads(line)
+                tables.append(event)
+                yield event
 
     with open(invocation.input_path, "r", encoding="utf-8") as fh:
         # metrics.csv is recomputed from the feedback and reward tallies, not
-        # copied from the logged episode_end rows.
+        # copied from the logged episode_end rows. Events are read lazily, so
+        # the line last read is the one that failed.
         try:
             tables.metrics = trainer.derive_metrics_from_events(events(fh))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError("input", f"malformed event log: {exc!r}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"input line {line_number}", f"malformed event log: {exc!r}") from exc
     if not tables.metrics:
         raise ValidationError("input", "event log contains no complete episodes")
     paths = tables.write(out_dir)

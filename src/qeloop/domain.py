@@ -4,8 +4,9 @@ Everything here is an immutable value object: requirements, test cases,
 defect reports, and the QE feedback records that carry the learning signal.
 No behavior beyond construction, validation, and serialization lives here.
 
-Serialization contract: every type round-trips through ``to_dict`` /
-``from_dict``, and ``FeedbackRecord`` additionally round-trips through a
+Serialization contract: ``TestCase`` writes itself with ``to_dict`` for
+the event log; ``DefectReport`` and ``FeedbackRecord`` round-trip through
+``to_dict`` / ``from_dict``, and ``FeedbackRecord`` also through a
 one-object-per-line JSONL encoding with severity spelled as an upper-camel
 string (``"Critical"``, ``"High"``, ...).
 """
@@ -108,23 +109,6 @@ class Requirement:
     component_tags: frozenset[str] = field(default_factory=frozenset)
     hidden_defect_ids: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "component_tags": sorted(self.component_tags),
-            "hidden_defect_ids": list(self.hidden_defect_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Requirement":
-        return cls(
-            id=d["id"],
-            text=d["text"],
-            component_tags=frozenset(d.get("component_tags", ())),
-            hidden_defect_ids=tuple(d.get("hidden_defect_ids", ())),
-        )
-
 
 @dataclass(frozen=True)
 class TestCase:
@@ -146,39 +130,6 @@ class TestCase:
             "coverage_vector": list(self.coverage_vector),
             "generating_agent": self.generating_agent.name,
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TestCase":
-        return cls(
-            id=d["id"],
-            requirement_refs=tuple(d["requirement_refs"]),
-            strategy=GenerationStrategy[d["strategy"]],
-            retrieval_mode=RetrievalMode[d["retrieval_mode"]],
-            coverage_vector=tuple(float(x) for x in d["coverage_vector"]),
-            generating_agent=AgentRole[d["generating_agent"]],
-        )
-
-
-def validate_test_case(
-    test: TestCase,
-    coverage_dim: int,
-    known_requirements: Iterable[str],
-) -> TestCase:
-    """Check referential and range invariants of a test case."""
-    known = set(known_requirements)
-    if not test.requirement_refs:
-        raise RangeViolation("requirement_refs", (), "non-empty list")
-    for ref in test.requirement_refs:
-        if ref not in known:
-            raise UnknownTestCase(f"test {test.id} references unknown requirement {ref}")
-    if len(test.coverage_vector) != coverage_dim:
-        raise RangeViolation(
-            "coverage_vector", len(test.coverage_vector), f"length {coverage_dim}"
-        )
-    for x in test.coverage_vector:
-        if not (0.0 <= x <= 1.0) or math.isnan(x):
-            raise RangeViolation("coverage_vector", x, "[0, 1]")
-    return test
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,7 @@ def dqn_train_step(
     return loss, float(q_taken.mean())
 
 
-_STATE_KEYS = frozenset(
-    {"qnet", "target_net", "adam", "replay", "replay_inserted", "action_steps", "train_steps"}
-)
+_STATE_KEYS = frozenset({"qnet", "target_net", "adam", "replay", "action_steps", "train_steps"})
 
 
 class DQNController:
@@ -181,7 +179,7 @@ class DQNController:
         loss, mean_q = dqn_train_step(self.qnet, self.target_net, self.adam, batch, self.gamma)
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_interval == 0:
-            self.target_net = self.qnet.copy()
+            self.target_net.flat[...] = self.qnet.flat
         return loss, mean_q
 
     def state_dict(self) -> dict:
@@ -190,21 +188,20 @@ class DQNController:
             "target_net": self.target_net.to_dict(),
             "adam": self.adam.state_dict(),
             "replay": [t.to_dict() for t in self.replay.ordered()],
-            "replay_inserted": self.replay.inserted,
             "action_steps": self.action_steps,
             "train_steps": self.train_steps,
         }
 
     def load_state_dict(self, d: Mapping, what: str = "DQN state") -> None:
-        """``what`` names ``d``, and prefixes its sections' names, in the
-        error for a missing or unknown key."""
+        """Load ``state_dict`` output into a fresh controller's networks,
+        optimizer and empty replay, in place. ``what`` names ``d``, and
+        prefixes its sections' paths, in the error for a missing or unknown
+        key or a network of another topology."""
         check_keys(what, d, _STATE_KEYS)
-        self.qnet = MLPParameters.from_dict(d["qnet"], f"{what}.qnet")
-        self.target_net = MLPParameters.from_dict(d["target_net"], f"{what}.target_net")
-        self.adam = Adam(self.qnet, self.config.learning_rate)
+        self.qnet.load_dict(d["qnet"], f"{what}.qnet")
+        self.target_net.load_dict(d["target_net"], f"{what}.target_net")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
         for i, t in enumerate(d["replay"]):
             self.replay.insert(Transition.from_dict(t, f"{what}.replay[{i}]"))
-        self.replay.inserted = int(d["replay_inserted"])
         self.action_steps = int(d["action_steps"])
         self.train_steps = int(d["train_steps"])

@@ -79,14 +79,6 @@ TOP_K_MIN, TOP_K_MAX = 1, 64
 DEPTH_MIN, DEPTH_MAX = 0, 4
 
 
-def boost_action(edge_type: EdgeType) -> KBAction:
-    return KBAction(KBAction.BoostCovers + int(edge_type))
-
-
-def decay_action(edge_type: EdgeType) -> KBAction:
-    return KBAction(KBAction.DecayCovers + int(edge_type))
-
-
 def action_edge_type(action: KBAction) -> EdgeType | None:
     """The edge type an action adjusts, or None for non-edge actions."""
     if KBAction.BoostCovers <= action <= KBAction.BoostDetectedBy:
@@ -149,7 +141,8 @@ def apply_kb_action(action: KBAction, params: RetrievalParams) -> RetrievalParam
 
 @dataclass(frozen=True)
 class VectorRecord:
-    """One embedded item; usefulness is an EMA of reward attribution.
+    """One embedded item. ``usefulness`` is carried through snapshots as
+    written (0.5 unless given); nothing learns or reads it.
 
     The embedding itself lives only in the store's matrix.
     """
@@ -313,15 +306,6 @@ class KnowledgeStore:
         ids = self._ids
         ranked = sorted(zip(sims[rows].tolist(), rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))
         return [(self._records[ids[row]], sim) for sim, row in ranked[:k]]
-
-    def update_usefulness(self, record_ids: Iterable[str], target: float, eta: float) -> None:
-        """EMA each named record's usefulness toward target (0 or 1)."""
-        for rid in sorted(set(record_ids)):
-            rec = self._records.get(rid)
-            if rec is None:
-                continue
-            u = rec.usefulness + eta * (target - rec.usefulness)
-            self._records[rid] = VectorRecord(rec.id, rec.payload_ref, min(1.0, max(0.0, u)))
 
     # -- graph side ----------------------------------------------------
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -420,15 +420,14 @@ def execute_test(
 
 def replay_feedback(
     path,
-    catalog: Iterable[str] | Mapping[str, TestCase] | None = None,
     on_error: Callable[[QEEnvError], None] | None = None,
 ) -> Iterator[FeedbackRecord]:
     """Yield validated feedback records from a JSONL file in file order.
 
     Malformed lines raise ParseError / ValidationError carrying the 1-based
     line number; passing ``on_error`` reports them there instead and keeps
-    going. When ``catalog`` is None, referential checks are skipped and the
-    record's own test id is treated as known.
+    going. A replayed record's own test id is taken as known, so only its
+    defect reports' references are checked.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
@@ -443,7 +442,7 @@ def replay_feedback(
                 on_error(err)
                 continue
             try:
-                validate_feedback(record, catalog if catalog is not None else {record.test_case_ref})
+                validate_feedback(record, {record.test_case_ref})
             except DomainError as exc:
                 err = ValidationError(line_number, str(exc))
                 if on_error is None:

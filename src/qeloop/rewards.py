@@ -213,3 +213,24 @@ def combine(
     components = (effectiveness, coverage, efficiency, compliance, adaptation)
     total = sum(a * c for a, c in zip(weights.as_tuple(), components))
     return RewardBreakdown(*components, total=total)
+
+
+def batch_reward(
+    batch: Sequence[FeedbackRecord],
+    severity: SeverityWeights,
+    weights: RewardWeights,
+    history: Sequence[float],
+) -> RewardBreakdown:
+    """The five components of one feedback batch, combined under ``weights``.
+
+    ``history`` holds the recent reward totals the adaptation term reads; an
+    empty one gives an adaptation of 0.
+    """
+    return combine(
+        effectiveness_reward(batch, severity),
+        coverage_reward(batch),
+        efficiency_reward(batch),
+        compliance_reward(batch),
+        adaptation_reward(history),
+        weights,
+    )

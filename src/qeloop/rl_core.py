@@ -91,6 +91,18 @@ _MLP_KEYS = frozenset({"schema_version", "layer_sizes", "weights", "biases"})
 _ADAM_KEYS = frozenset({"learning_rate", "t", "m_w", "v_w", "m_b", "v_b"})
 
 
+def _load_layers(views: Sequence[np.ndarray], layers: Sequence, what: str) -> None:
+    """Write one value list per layer into per-layer views of a buffer; a
+    missing or extra list, or a list of the wrong length, is rejected with
+    its dotted path ``what[i]``."""
+    if len(layers) != len(views):
+        raise ValueError(f"{what} has {len(layers)} layer lists, the network has {len(views)}")
+    for i, (view, values) in enumerate(zip(views, layers)):
+        if len(values) != view.size:
+            raise ValueError(f"{what}[{i}] has {len(values)} values, the layer has {view.size}")
+        view[...] = np.asarray([float(x) for x in values], dtype=np.float64).reshape(view.shape)
+
+
 def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(fan_out, fan_in) weight and (fan_out,) bias views into a flat buffer
     laid out W0, b0, W1, b1, ..."""
@@ -148,17 +160,18 @@ class MLPParameters:
             "biases": [[repr(float(x)) for x in b.ravel()] for b in self.biases],
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping, what: str = "MLP parameters") -> "MLPParameters":
-        """``what`` names ``d`` in the error for a missing or unknown key."""
+    def load_dict(self, d: Mapping, what: str = "MLP parameters") -> None:
+        """Write ``to_dict`` output into this network's buffer. A topology
+        other than this network's is rejected: ``what`` names ``d`` in the
+        error for a missing or unknown key, another ``layer_sizes``, or a
+        missing, extra or wrong-length per-layer list."""
         check_keys(what, d, _MLP_KEYS)
         if d["schema_version"] != 1:
             raise ValueError(f"unsupported parameter schema_version {d['schema_version']!r}")
-        params = cls(d["layer_sizes"])
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            w[...] = np.asarray([float(x) for x in d["weights"][i]], dtype=np.float64).reshape(w.shape)
-            b[...] = np.asarray([float(x) for x in d["biases"][i]], dtype=np.float64).reshape(b.shape)
-        return params
+        if list(d["layer_sizes"]) != list(self.layer_sizes):
+            raise ValueError(f"{what}.layer_sizes {d['layer_sizes']!r} != built {list(self.layer_sizes)}")
+        _load_layers(self.weights, d["weights"], f"{what}.weights")
+        _load_layers(self.biases, d["biases"], f"{what}.biases")
 
 
 def xavier_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> MLPParameters:
@@ -286,13 +299,14 @@ class Adam:
         return state
 
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
-        """``what`` names ``d`` in the error for a missing or unknown key."""
+        """Write ``state_dict`` output into this optimizer's moments; ``what``
+        names ``d`` in the error for a missing or unknown key and prefixes
+        the path of a moment list that does not fit the network."""
         check_keys(what, d, _ADAM_KEYS)
         self.learning_rate = float(d["learning_rate"])
         self.t = int(d["t"])
-        for name, arrays in self._moment_views().items():
-            for arr, values in zip(arrays, d[name]):
-                arr[...] = np.asarray(values, dtype=np.float64).reshape(arr.shape)
+        for name, views in self._moment_views().items():
+            _load_layers(views, d[name], f"{what}.{name}")
 
 
 class ExperienceBuffer:
@@ -305,7 +319,6 @@ class ExperienceBuffer:
         self._rng = rng
         self._data: list[Transition] = []
         self._next = 0
-        self.inserted = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -316,7 +329,6 @@ class ExperienceBuffer:
         else:
             self._data[self._next] = transition
         self._next = (self._next + 1) % self.capacity
-        self.inserted += 1
 
     def ordered(self) -> list[Transition]:
         """Contents oldest-first."""

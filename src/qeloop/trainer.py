@@ -30,7 +30,6 @@ import numpy as np
 from .agents import (
     Agent,
     GenerationContext,
-    PerformanceTracker,
     featurize_state,
     generate_test_cases,
     modifier_vector,
@@ -51,18 +50,8 @@ from .knowledge import (
 )
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
-from .rewards import (
-    RewardBreakdown,
-    RewardWeights,
-    SeverityWeights,
-    adaptation_reward,
-    combine,
-    compliance_reward,
-    coverage_reward,
-    effectiveness_reward,
-    efficiency_reward,
-)
-from .rl_core import Adam, MLPParameters, RLCoreConfig, RngStreams, Transition
+from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
+from .rl_core import RLCoreConfig, RngStreams, Transition
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -89,8 +78,10 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 
 # Version 2 dropped the unused rl.seed knob from the checkpointed config;
 # version 3 dropped the catalog of every generated test; version 4 dropped
-# the metrics, PPO and DQN tables, which the run's events record.
-CHECKPOINT_SCHEMA_VERSION = 4
+# the metrics, PPO and DQN tables, which the run's events record; version 5
+# dropped state nothing reads: the usefulness knob, the trackers' reward
+# breakdowns and windows, and the replay-buffer insert count.
+CHECKPOINT_SCHEMA_VERSION = 5
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
@@ -98,7 +89,6 @@ _CHECKPOINT_KEYS = frozenset({
     "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
     "ppo_update_count", "rng_states",
 })
-_AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
 _KB_PENDING_KEYS = frozenset({"state", "action", "totals"})
 # Every RNG stream a run draws from; a checkpoint holds those drawn so far.
 _RNG_STREAMS = frozenset(
@@ -177,17 +167,14 @@ class KBConfig(ConfigCodec):
     d_emb: int = 256
     initial_params: RetrievalParams = field(default_factory=_default_initial_params)
     edge_learning_rate: float = 0.25
-    usefulness_learning_rate: float = 0.25
     max_records: int = 600
 
     def validate(self) -> "KBConfig":
         if self.d_emb < 8:
             raise ValueError(f"d_emb must be >= 8, got {self.d_emb}")
         self.initial_params.validate()
-        for name in ("edge_learning_rate", "usefulness_learning_rate"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} {v} outside (0, 1]")
+        if not 0.0 < self.edge_learning_rate <= 1.0:
+            raise ValueError(f"edge_learning_rate {self.edge_learning_rate} outside (0, 1]")
         if self.max_records < 1:
             raise ValueError("max_records must be >= 1")
         return self
@@ -420,13 +407,12 @@ class TrainingSystem:
         for src, dst, et in self.project.requirement_links:
             self.kb.upsert_edge(src, dst, et, 0.5)
 
-        self.agents: dict[AgentRole, Agent] = {}
-        self.trackers: dict[AgentRole, PerformanceTracker] = {}
-        for role in AgentRole:
-            self.agents[role] = Agent(
-                role, self.streams.get(f"init:{role.name}"), config.ppo.learning_rate
+        self.agents = {
+            role: Agent(
+                role, self.streams.get(f"init:{role.name}"), config.ppo.learning_rate, config.loop.tracker_window
             )
-            self.trackers[role] = PerformanceTracker(config.loop.tracker_window)
+            for role in AgentRole
+        }
 
         self.dqn = DQNController(
             config.dqn,
@@ -474,7 +460,7 @@ class TrainingSystem:
     def _featurize(self, role: AgentRole, requirement_id: str) -> np.ndarray:
         return featurize_state(
             self._req_summaries[requirement_id],
-            self.trackers[role],
+            self.agents[role].tracker,
             self.kb.params,
             self.kb.mean_edge_weight(),
         )
@@ -564,20 +550,8 @@ class TrainingSystem:
         """``records[i]`` is the feedback on ``tests[i]``, the slot's tests."""
         eta = self.config.kb.edge_learning_rate
         context = set(context_ids) | {requirement.id}
-        record_context_ids = [
-            rid for rid in context_ids if self.kb.get_record(rid) is not None
-        ]
         for fb in records:
             self.kb.reinforce_edges(fb, context, eta)
-            if fb.true_defects():
-                target = 1.0
-            elif fb.false_positives():
-                target = 0.0
-            else:
-                continue
-            self.kb.update_usefulness(
-                record_context_ids, target, self.config.kb.usefulness_learning_rate
-            )
         # Every executed test enters the vector store; only defect-verified
         # tests earn graph edges, so edge-type weighting separates verified
         # knowledge from the merely similar. A test id hashes the test's
@@ -701,14 +675,7 @@ class TrainingSystem:
             weights = (
                 RewardWeights.effectiveness_only() if flags.scalar_reward else config.rewards.weights
             )
-            breakdown = combine(
-                effectiveness_reward(slot_records, config.rewards.severity),
-                coverage_reward(slot_records),
-                efficiency_reward(slot_records),
-                compliance_reward(slot_records),
-                adaptation_reward(list(self.reward_window)),
-                weights,
-            )
+            breakdown = batch_reward(slot_records, config.rewards.severity, weights, list(self.reward_window))
             ep_breakdowns.append(breakdown)
             self.reward_window.append(breakdown.total)
             if self.kb_pending is not None:
@@ -720,11 +687,7 @@ class TrainingSystem:
             for role in acting:
                 agent = self.agents[role]
                 record_feedback(
-                    agent,
-                    self.trackers[role],
-                    slot_records,
-                    breakdown,
-                    featurize_next=lambda r=role: self._featurize(r, rid),
+                    agent, slot_records, breakdown.total, featurize_next=lambda r=role: self._featurize(r, rid)
                 )
                 if flags.disable_ppo:
                     agent.rollout.clear()
@@ -761,15 +724,7 @@ class TrainingSystem:
             "config": self.config.to_dict(),
             "episode_index": self.episode_index,
             "global_slot": self.global_slot,
-            "agents": {
-                role.name: {
-                    "params": self.agents[role].params.to_dict(),
-                    "adam": self.agents[role].adam.state_dict(),
-                    "rollout": [t.to_dict() for t in self.agents[role].rollout],
-                    "tracker": self.trackers[role].state_dict(),
-                }
-                for role in AgentRole
-            },
+            "agents": {role.name: agent.state_dict() for role, agent in self.agents.items()},
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
             "content_vectors": {
@@ -802,10 +757,12 @@ class TrainingSystem:
 
     @classmethod
     def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
-        """Rebuild a system from a checkpoint; corrupt files never yield a
-        partial system, and a missing or unknown key at the top level, in the
-        agents' sections, the DQN state, ``kb_pending`` or ``rng_states`` is
-        named with its dotted path. ``events`` as in ``__init__``."""
+        """Build the system the checkpointed config describes and load the
+        checkpoint's state into it in place. Corrupt files never yield a
+        partial system. A missing or unknown key at the top level, in the
+        agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
+        and a network or optimizer state whose topology is not the one built,
+        is named with its dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -834,27 +791,11 @@ class TrainingSystem:
                 key: np.asarray(vec, dtype=np.float64)
                 for key, vec in payload["content_vectors"].items()
             }
-            for role in AgentRole:
-                agent_d = payload["agents"][role.name]
-                where = f"checkpoint agents.{role.name}"
-                check_keys(where, agent_d, _AGENT_KEYS)
-                agent = system.agents[role]
-                agent.params = MLPParameters.from_dict(agent_d["params"], f"{where}.params")
-                agent.adam = Adam(agent.params, config.ppo.learning_rate)
-                agent.adam.load_state_dict(agent_d["adam"], f"{where}.adam")
-                agent.rollout = [
-                    Transition.from_dict(t, f"{where}.rollout[{i}]") for i, t in enumerate(agent_d["rollout"])
-                ]
-                system.trackers[role] = PerformanceTracker.from_state_dict(
-                    agent_d["tracker"], f"{where}.tracker"
-                )
+            for role, agent in system.agents.items():
+                agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
             system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
-            system.reward_window = deque(
-                [float(x) for x in payload["reward_window"]],
-                maxlen=config.rewards.adaptation_window,
-            )
-            system.fp_window = deque([float(x) for x in payload["fp_window"]], maxlen=KB_STATE_WINDOW)
-            system.hit_window = deque([float(x) for x in payload["hit_window"]], maxlen=KB_STATE_WINDOW)
+            for name in ("reward_window", "fp_window", "hit_window"):
+                getattr(system, name).extend(float(x) for x in payload[name])
             pending = payload["kb_pending"]
             system.kb_pending = (
                 None

@@ -27,7 +27,8 @@ from qeloop.domain import (
     Severity,
 )
 from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
-from qeloop.rewards import RewardBreakdown
+from qeloop.ppo import policy_value_forward
+from qeloop.rl_core import softmax_policy
 
 
 def rng(seed):
@@ -41,8 +42,9 @@ def feedback(true_count=0, fp_count=0, quality=1.0, severity=Severity.Medium):
     return FeedbackRecord("tc", defects, 1.0, 1.0, quality, 0.5, 0.5, 1.0, 0.5)
 
 
-def breakdown(total=0.5):
-    return RewardBreakdown(total, 0, 0, 0, 0, total)
+def action_probabilities(agent, state):
+    logits, _ = policy_value_forward(agent.params, state[None, :])
+    return softmax_policy(logits[0])[0]
 
 
 class TestActionSpaces:
@@ -118,8 +120,10 @@ class TestTracker:
     def test_state_round_trip(self):
         tracker = PerformanceTracker(5)
         tracker.push_record(feedback(1, 1, 0.5))
-        tracker.push_breakdown(breakdown(0.7))
-        clone = PerformanceTracker.from_state_dict(tracker.state_dict())
+        tracker.push_reward(0.7)
+        clone = PerformanceTracker(5)
+        clone.load_state_dict(tracker.state_dict())
+        assert list(clone.totals) == list(tracker.totals) == [0.7]
         assert clone.aggregates() == tracker.aggregates()
         assert clone.reward_stats() == tracker.reward_stats()
 
@@ -183,7 +187,7 @@ class TestAct:
     @pytest.mark.slow
     def test_uniform_policy_frequencies(self):
         agent = self.uniform_agent()
-        probs = agent.action_probabilities(np.zeros(STATE_DIM))
+        probs = action_probabilities(agent, np.zeros(STATE_DIM))
         from qeloop.rl_core import sample_action
 
         g = rng(11)
@@ -209,7 +213,7 @@ class TestAct:
         g = rng(99)
         for role in AgentRole:
             agent = Agent(role, rng(int(role) + 10), 3e-4)
-            probs = agent.action_probabilities(g.normal(size=STATE_DIM) * 0.2)
+            probs = action_probabilities(agent, g.normal(size=STATE_DIM) * 0.2)
             size = action_space_size(role)
             draws = 1_000_000 // len(AgentRole)
             for _ in range(draws):
@@ -333,16 +337,14 @@ class TestGenerate:
 
 class TestRecordFeedback:
     def test_transition_fields_and_eviction(self):
-        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
-        tracker = PerformanceTracker(3)
+        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=3)
         state = np.zeros(STATE_DIM)
         next_state = np.ones(STATE_DIM)
         for i in range(4):
             agent.act(state, rng(i))
-            transition = record_feedback(
-                agent, tracker, [feedback(true_count=1)], breakdown(0.25), lambda: next_state
-            )
-        assert len(tracker.records) == 3
+            transition = record_feedback(agent, [feedback(true_count=1)], 0.25, lambda: next_state)
+        assert len(agent.tracker.records) == 3
+        assert list(agent.tracker.totals) == [0.25] * 3
         assert transition.reward == 0.25
         assert transition.done is False
         assert transition.log_prob_old is not None and transition.log_prob_old <= 0.0
@@ -351,26 +353,23 @@ class TestRecordFeedback:
 
     def test_zero_reward_passes_through(self):
         agent = Agent(AgentRole.ComplianceValidation, rng(0), 3e-4)
-        tracker = PerformanceTracker(5)
         agent.act(np.zeros(STATE_DIM), rng(1))
-        transition = record_feedback(agent, tracker, [feedback()], breakdown(0.0), lambda: np.zeros(STATE_DIM))
+        transition = record_feedback(agent, [feedback()], 0.0, lambda: np.zeros(STATE_DIM))
         assert transition.reward == 0.0
 
     def test_requires_pending_action(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
         with pytest.raises(ValueError):
-            record_feedback(agent, PerformanceTracker(5), [feedback()], breakdown(), lambda: np.zeros(STATE_DIM))
+            record_feedback(agent, [feedback()], 0.5, lambda: np.zeros(STATE_DIM))
 
     def test_next_state_reflects_new_feedback(self):
-        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
-        tracker = PerformanceTracker(5)
+        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=5)
         req_vec = requirement_summary(REQ)
         agent.act(np.zeros(STATE_DIM), rng(1))
         transition = record_feedback(
             agent,
-            tracker,
             [feedback(true_count=1)],
-            breakdown(0.5),
-            lambda: featurize_state(req_vec, tracker, RetrievalParams(), 0.0),
+            0.5,
+            lambda: featurize_state(req_vec, agent.tracker, RetrievalParams(), 0.0),
         )
         assert transition.next_state[8] == 1.0  # defect rate slot sees the new record

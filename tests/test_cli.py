@@ -321,6 +321,30 @@ class TestExportCommand:
         assert cli.main(argv) == 1
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("feedback", lambda event: event["record"].update(bogus=1)),
+            ("feedback", lambda event: event["record"].update(quality_rating="abc")),
+            ("reward", lambda event: event["breakdown"].update(bogus=1.0)),
+        ],
+        ids=["record-unknown-key", "record-non-numeric-field", "breakdown-unknown-key"],
+    )
+    def test_export_names_the_line_of_a_malformed_event(self, tmp_path, config_path, capsys, kind, edit):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=2"]) == 0
+        lines = (out_dir / "events.jsonl").read_text().splitlines()
+        index = [json.loads(line)["type"] for line in lines].index(kind)
+        event = json.loads(lines[index])
+        edit(event)
+        lines[index] = json.dumps(event)
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
+        assert cli.main(argv) == 1
+        assert f"qeloop.cli.ValidationError: input line {index + 1}: malformed event log" in capsys.readouterr().err
+
     def test_export_of_an_evaluation_reproduces_its_csvs(self, tmp_path, config_path):
         out_dir, eval_dir, export_dir = tmp_path / "out", tmp_path / "eval", tmp_path / "export"
         assert cli.main(["train", "--config", config_path, "--out", str(out_dir)]) == 0

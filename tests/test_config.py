@@ -75,8 +75,8 @@ def test_shipped_config_spells_out_the_run_defaults():
     assert default_doc() == RunConfig().to_dict()
 
 
-def test_shipped_config_has_72_settable_leaves():
-    assert len(LEAVES) == 72
+def test_shipped_config_has_71_settable_leaves():
+    assert len(LEAVES) == 71
 
 
 @given(typed(RunConfig))

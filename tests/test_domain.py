@@ -10,14 +10,11 @@ from qeloop.domain import (
     FeedbackRecord,
     GenerationStrategy,
     RangeViolation,
-    Requirement,
     RetrievalMode,
     Severity,
-    TestCase as DomainTestCase,
     MalformedRecord,
     UnknownTestCase,
     validate_feedback,
-    validate_test_case,
 )
 
 
@@ -124,21 +121,6 @@ class TestStrictRecordKeys:
 
 
 class TestSerializationRoundTrip:
-    def test_requirement_round_trip(self):
-        req = Requirement("req-1", "checkout flow", frozenset({"billing", "auth"}), ("def-1",))
-        assert Requirement.from_dict(req.to_dict()) == req
-
-    def test_test_case_round_trip(self):
-        tc = DomainTestCase(
-            id="tc-1",
-            requirement_refs=("req-1",),
-            strategy=GenerationStrategy.Boundary,
-            retrieval_mode=RetrievalMode.Hybrid,
-            coverage_vector=(0.0, 0.5, 1.0),
-            generating_agent=AgentRole.TestCaseGeneration,
-        )
-        assert DomainTestCase.from_dict(tc.to_dict()) == tc
-
     def test_defect_report_round_trip(self):
         report = DefectReport("r1", "tc-1", Severity.Critical, False, "def-9")
         assert DefectReport.from_dict(report.to_dict()) == report
@@ -183,29 +165,3 @@ class TestStableEncodings:
 
     def test_role_count(self):
         assert len(AgentRole) == 5
-
-
-class TestValidateTestCase:
-    def test_unknown_requirement_rejected(self):
-        tc = DomainTestCase(
-            "tc-1", ("req-x",), GenerationStrategy.HappyPath, RetrievalMode.VectorOnly,
-            (0.5, 0.5), AgentRole.TestCaseGeneration,
-        )
-        with pytest.raises(UnknownTestCase):
-            validate_test_case(tc, 2, {"req-1"})
-
-    def test_coverage_bounds_checked(self):
-        tc = DomainTestCase(
-            "tc-1", ("req-1",), GenerationStrategy.HappyPath, RetrievalMode.VectorOnly,
-            (0.5, 1.5), AgentRole.TestCaseGeneration,
-        )
-        with pytest.raises(RangeViolation):
-            validate_test_case(tc, 2, {"req-1"})
-
-    def test_wrong_length_rejected(self):
-        tc = DomainTestCase(
-            "tc-1", ("req-1",), GenerationStrategy.HappyPath, RetrievalMode.VectorOnly,
-            (0.5,), AgentRole.TestCaseGeneration,
-        )
-        with pytest.raises(RangeViolation):
-            validate_test_case(tc, 2, {"req-1"})

@@ -33,7 +33,7 @@ from qeloop.domain import (
 )
 from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
 from qeloop.qe_env import EnvConfig, generate_project
-from qeloop.rewards import RewardBreakdown, trend_slope
+from qeloop.rewards import trend_slope
 
 D_EMB = 8
 VOCAB = ("login", "retry", "cart", "audit", "tax")
@@ -92,7 +92,7 @@ def reference_aggregates(tracker: PerformanceTracker) -> tuple:
 
 
 def reference_reward_stats(tracker: PerformanceTracker) -> tuple:
-    totals = [b.total for b in tracker.breakdowns]
+    totals = list(tracker.totals)
     if not totals:
         return (0.0, 0.0)
     n = len(totals)
@@ -310,16 +310,17 @@ class TestCacheInvalidation:
                     FeedbackRecord(base.test_case_ref, base.defects, 1.0, 1.0, quality, 0.5, 0.5, 1.0, 0.5)
                 )
             elif op[0] == "reward":
-                tracker.push_breakdown(RewardBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, total=op[1]))
+                tracker.push_reward(op[1])
             assert tracker.aggregates() == reference_aggregates(tracker)
             assert tracker.reward_stats() == reference_reward_stats(tracker)
 
     def test_restored_tracker_reads_its_own_windows(self):
         tracker = PerformanceTracker(4)
         tracker.push_record(feedback(1, 0))
-        tracker.push_breakdown(RewardBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, total=0.3))
+        tracker.push_reward(0.3)
         tracker.aggregates(), tracker.reward_stats()
-        clone = PerformanceTracker.from_state_dict(tracker.state_dict())
+        clone = PerformanceTracker(4)
+        clone.load_state_dict(tracker.state_dict())
         clone.push_record(feedback(0, 1))
         assert clone.aggregates() == reference_aggregates(clone)
         assert clone.reward_stats() == reference_reward_stats(clone)
@@ -328,7 +329,7 @@ class TestCacheInvalidation:
     def test_trend_slope_matches_recompute(self, history):
         tracker = PerformanceTracker(len(history) + 1)
         for total in history:
-            tracker.push_breakdown(RewardBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, total=total))
+            tracker.push_reward(total)
         assert trend_slope(history) == reference_reward_stats(tracker)[1]
 
 

@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "0fb2e934525b750724663a01dfdfb296ef0bc09e6439bebb13c07184a524710a",
+            "checkpoint.json": "4e16cd3661a0673279a8af8d66e8580e614170524980050c3b6961aa0c46ac0e",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "fc5ebf9f8ceff07230d28672064825d96920ac39e12978aed6c19583657648ed",
+            "checkpoint.json": "4ff8b36c59d0b129974158504b0c565d4bc97dcf07a909024497bce39ea3142e",
         },
     },
 }

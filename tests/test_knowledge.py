@@ -16,8 +16,6 @@ from qeloop.knowledge import (
     RetrievalParams,
     UnknownNode,
     apply_kb_action,
-    boost_action,
-    decay_action,
     embed,
 )
 
@@ -275,12 +273,12 @@ class TestApplyKBAction:
 
     def test_edge_weight_actions_touch_one_type(self):
         params = RetrievalParams(edge_type_weights={et: 0.5 for et in EdgeType})
-        out = apply_kb_action(boost_action(EdgeType.Impacts), params)
+        out = apply_kb_action(KBAction.BoostImpacts, params)
         assert out.edge_type_weights[EdgeType.Impacts] == pytest.approx(0.55)
         for et in EdgeType:
             if et != EdgeType.Impacts:
                 assert out.edge_type_weights[et] == 0.5
-        out2 = apply_kb_action(decay_action(EdgeType.Impacts), out)
+        out2 = apply_kb_action(KBAction.DecayImpacts, out)
         assert out2.edge_type_weights[EdgeType.Impacts] == pytest.approx(0.5)
 
     def test_action_space_is_thirteen(self):

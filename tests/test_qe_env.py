@@ -278,12 +278,6 @@ class TestReplayFeedback:
         assert isinstance(issues[0], ValidationError)
         assert issues[0].line_number == 1
 
-    def test_catalog_checked_when_supplied(self, tmp_path):
-        path = tmp_path / "cat.jsonl"
-        write_lines(path, [sample_record("tc-ghost").to_json_line()])
-        with pytest.raises(ValidationError):
-            list(replay_feedback(path, catalog={"tc-1"}))
-
     def test_unknown_key_is_a_parse_error_with_its_line(self, tmp_path):
         payload = json.loads(sample_record().to_json_line())
         payload["quality"] = 0.5

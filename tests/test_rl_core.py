@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,11 +142,18 @@ def layer_arrays(params: MLPParameters) -> list[np.ndarray]:
     return params.weights + params.biases
 
 
+def reloaded(params: MLPParameters) -> MLPParameters:
+    """A new network of the same topology loaded from ``params.to_dict()``."""
+    out = MLPParameters(params.layer_sizes)
+    out.load_dict(params.to_dict())
+    return out
+
+
 class TestFlatLayout:
     def test_layers_are_views_into_their_own_flat_buffer(self):
         params = xavier_init((4, 8, 6, 3), rng(0))
         grads = backward_at(params, rng(1).normal(size=4), rng(2).normal(size=3))
-        for p in (params, params.copy(), MLPParameters.from_dict(params.to_dict()), grads):
+        for p in (params, params.copy(), reloaded(params), grads):
             assert p.flat.dtype == np.float64
             assert p.flat.size == sum(a.size for a in layer_arrays(p))
             for arr in layer_arrays(p):
@@ -168,7 +176,7 @@ class TestFlatLayout:
         _, activations = forward_cached(params, x)
         grads = backward(params, activations, rng(2).normal(size=(5, 3)))
         sources = [params.flat, x] + activations
-        for derived in (params.copy(), MLPParameters.from_dict(params.to_dict()), grads):
+        for derived in (params.copy(), reloaded(params), grads):
             for arr in [derived.flat] + layer_arrays(derived):
                 assert not any(np.shares_memory(arr, src) for src in sources)
 
@@ -249,6 +257,12 @@ class TestAdam:
         assert np.array_equal(restored.m, adam.m) and np.array_equal(restored.v, adam.v)
         assert restored.state_dict() == snapshot
 
+    def test_moments_of_another_topology_rejected_with_their_path(self):
+        snapshot = Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).state_dict()
+        del snapshot["m_w"][1]
+        with pytest.raises(ValueError, match=re.escape("adam.m_w has 1 layer lists, the network has 2")):
+            Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).load_state_dict(snapshot, "adam")
+
 
 class TestExperienceBuffer:
     def make_transition(self, i: int) -> Transition:
@@ -260,7 +274,6 @@ class TestExperienceBuffer:
             buf.insert(self.make_transition(i))
         assert len(buf) == 5
         assert [t.action for t in buf.ordered()] == [7, 8, 9, 10, 11]
-        assert buf.inserted == 12
 
     def test_under_capacity_order(self):
         buf = ExperienceBuffer(10, rng(0))
@@ -321,7 +334,7 @@ class TestRngStreams:
 class TestParameterSerialization:
     def test_round_trip_is_exact(self):
         params = xavier_init((4, 8, 3), rng(0))
-        clone = MLPParameters.from_dict(params.to_dict())
+        clone = reloaded(params)
         assert clone.equals(params)
 
     def test_weights_stored_as_decimal_strings(self):
@@ -332,4 +345,19 @@ class TestParameterSerialization:
         payload = xavier_init((2, 2), rng(0)).to_dict()
         payload["schema_version"] = 9
         with pytest.raises(ValueError):
-            MLPParameters.from_dict(payload)
+            MLPParameters((2, 2)).load_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda d: d.update(layer_sizes=[3, 8, 2]), "net.layer_sizes"),
+            (lambda d: d["weights"].append(["0.0"] * 8), "net.weights"),
+            (lambda d: d["biases"].pop(), "net.biases"),
+            (lambda d: d["weights"][1].pop(), "net.weights[1]"),
+        ],
+    )
+    def test_other_topology_rejected_with_its_path(self, edit, path):
+        payload = xavier_init((3, 4, 2), rng(0)).to_dict()
+        edit(payload)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            MLPParameters((3, 4, 2)).load_dict(payload, "net")

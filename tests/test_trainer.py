@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qeloop import trainer
@@ -10,6 +11,7 @@ from qeloop.dqn import DQNConfig
 from qeloop.knowledge import EdgeType
 from qeloop.ppo import PPOConfig
 from qeloop.qe_env import EnvConfig
+from qeloop.rl_core import xavier_init
 from qeloop.trainer import (
     ABLATION_VARIANTS,
     AblationFlags,
@@ -283,6 +285,65 @@ class TestCheckpoint:
         message = re.escape(f"checkpoint {path}: unknown key(s) ['bogus']")
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, section, lambda node: node.update(bogus=0))
+
+    @pytest.mark.parametrize(
+        "section, edit, path",
+        [
+            (
+                "agents.LegacyTestAnalysis",
+                lambda node: node.update(params=xavier_init((16, 8, 5), np.random.default_rng(0)).to_dict()),
+                "agents.LegacyTestAnalysis.params.layer_sizes",
+            ),
+            (
+                "agents.LegacyTestAnalysis.params",
+                lambda node: node["weights"].append(node["weights"][-1]),
+                "agents.LegacyTestAnalysis.params.weights",
+            ),
+            ("agents.LegacyTestAnalysis.adam", lambda node: node["m_w"].pop(1), "agents.LegacyTestAnalysis.adam.m_w"),
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["totals"].extend([0.0] * 60),
+                "agents.LegacyTestAnalysis.tracker.totals",
+            ),
+            (
+                "dqn",
+                lambda node: node.update(target_net=xavier_init((10, 8, 13), np.random.default_rng(0)).to_dict()),
+                "dqn.target_net.layer_sizes",
+            ),
+            ("dqn.adam", lambda node: node["m_w"].pop(1), "dqn.adam.m_w"),
+        ],
+        ids=[
+            "agent-params-topology",
+            "agent-extra-weight-list",
+            "agent-adam-missing-layer",
+            "tracker-longer-than-window",
+            "dqn-target-topology",
+            "dqn-adam-missing-layer",
+        ],
+    )
+    def test_state_that_does_not_fit_the_built_system_rejected_with_its_path(self, tmp_path, section, edit, path):
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {path} ")):
+            self.restore_edited(tmp_path, section, edit)
+
+    def test_restored_checkpoint_reserialises_byte_identically(self, tmp_path):
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=2)
+        path, again = tmp_path / "ckpt.json", tmp_path / "again.json"
+        system.checkpoint(path)
+        TrainingSystem.restore(path).checkpoint(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_version_4_checkpoint_rejected(self, tmp_path):
+        # Version 4 checkpoints still carry the trackers' windows and the
+        # replay insert count; they must fail on their version, not on those keys.
+        def to_version_4(node):
+            node["schema_version"] = 4
+            node["dqn"]["replay_inserted"] = len(node["dqn"]["replay"])
+            for agent in node["agents"].values():
+                agent["tracker"]["window"] = 50
+
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 4"):
+            self.restore_edited(tmp_path, "", to_version_4)
 
     def test_version_2_checkpoint_rejected(self, tmp_path):
         # Version 2 checkpoints still carry the test catalog; they must fail
