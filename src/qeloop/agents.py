@@ -277,12 +277,14 @@ class Agent:
     def load_state_dict(self, d: Mapping, what: str = "agent state") -> None:
         """Load ``state_dict`` output into a fresh agent's network, optimizer,
         rollout and tracker, in place. ``what`` names ``d``, and prefixes its
-        sections' paths, in the error for a missing or unknown key or a
-        network of another topology."""
+        sections' paths, in the error for a missing or unknown key, a
+        network of another topology or a rollout state of another width."""
         check_keys(what, d, _AGENT_KEYS)
         self.params.load_dict(d["params"], f"{what}.params")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
-        self.rollout = [Transition.from_dict(t, f"{what}.rollout[{i}]") for i, t in enumerate(d["rollout"])]
+        self.rollout = [
+            Transition.from_dict(t, self.params.n_in, f"{what}.rollout[{i}]") for i, t in enumerate(d["rollout"])
+        ]
         self.tracker.load_state_dict(d["tracker"], f"{what}.tracker")
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 _CONTAINERS = (dict, list, tuple)
 
@@ -51,9 +51,26 @@ def dump_json(obj, fh: IO[str], indent: int | None = None) -> None:
     container (a leaf, such as a list of floats) to the C encoder in one
     call, with the item separator that carries the indentation. The
     document is written one container at a time and never held whole.
+    A leaf object met again at the same depth is written as the text of its
+    first encoding, so a leaf shared by many records is encoded twice at most.
     Values and keys ``json.dump`` cannot write raise the same ``TypeError``.
     """
     _Writer(fh.write, indent).dump(obj, 0)
+
+
+def shared_tolist(rows: Iterable) -> list[list]:
+    """``row.tolist()`` of each array in ``rows``, which share one dtype and
+    shape; arrays with the same bytes share one list. Comparing bytes keeps
+    ``-0.0`` and ``0.0`` apart. Treat the lists as read-only."""
+    lists: dict[bytes, list] = {}
+    out = []
+    for row in rows:
+        key = row.tobytes()
+        values = lists.get(key)
+        if values is None:
+            values = lists[key] = row.tolist()
+        out.append(values)
+    return out
 
 
 class _Writer:
@@ -63,6 +80,12 @@ class _Writer:
         # Per nesting depth: (text after an opening bracket, item separator,
         # text before a closing bracket, leaf encoder).
         self._levels: list[tuple[str, str, str, json.JSONEncoder]] = []
+        # Leaf containers by (id, depth): None once met, their text once met
+        # twice. The caller holds the document for the whole dump, so an id
+        # names one object throughout it.
+        self._leaves: dict[tuple[int, int], str | None] = {}
+        # A str dict key -> its JSON text and the ": " after it.
+        self._keys: dict[str, str] = {}
 
     def _level(self, depth: int) -> tuple[str, str, str, json.JSONEncoder]:
         while len(self._levels) <= depth:
@@ -88,18 +111,25 @@ class _Writer:
             self._write("{}" if isinstance(value, dict) else "[]")
             return
         write = self._write
+        memo = (id(value), depth)
+        text = self._leaves.get(memo)
+        if text is not None:
+            write(text)
+            return
         # A leaf container is one C-encoder call; its items come out
         # separated and indented, so only the brackets need their newlines.
         if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
             text = encoder.encode(value)
-            write(f"{text[0]}{opening}{text[1:-1]}{closing}{text[-1]}")
+            text = f"{text[0]}{opening}{text[1:-1]}{closing}{text[-1]}"
+            self._leaves[memo] = text if memo in self._leaves else None
+            write(text)
             return
         if isinstance(value, dict):
             write("{" + opening)
             for i, (key, child) in enumerate(sorted(value.items())):
                 if i:
                     write(sep)
-                write(encoder.encode(_key_text(key)) + ": ")
+                write(self._key(key, encoder))
                 self.dump(child, depth + 1)
             write(closing + "}")
         else:
@@ -109,6 +139,14 @@ class _Writer:
                     write(sep)
                 self.dump(child, depth + 1)
             write(closing + "]")
+
+    def _key(self, key, encoder: json.JSONEncoder) -> str:
+        if not isinstance(key, str):
+            return encoder.encode(_key_text(key)) + ": "
+        text = self._keys.get(key)
+        if text is None:
+            text = self._keys[key] = encoder.encode(key) + ": "
+        return text
 
 
 def _key_text(key) -> str:

@@ -196,12 +196,13 @@ class DQNController:
         """Load ``state_dict`` output into a fresh controller's networks,
         optimizer and empty replay, in place. ``what`` names ``d``, and
         prefixes its sections' paths, in the error for a missing or unknown
-        key or a network of another topology."""
+        key, a network of another topology or a replay state of another
+        width."""
         check_keys(what, d, _STATE_KEYS)
         self.qnet.load_dict(d["qnet"], f"{what}.qnet")
         self.target_net.load_dict(d["target_net"], f"{what}.target_net")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
         for i, t in enumerate(d["replay"]):
-            self.replay.insert(Transition.from_dict(t, f"{what}.replay[{i}]"))
+            self.replay.insert(Transition.from_dict(t, self.qnet.n_in, f"{what}.replay[{i}]"))
         self.action_steps = int(d["action_steps"])
         self.train_steps = int(d["train_steps"])

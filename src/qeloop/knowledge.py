@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, dump_json
+from .atomic import atomic_open, dump_json, shared_tolist
 from .config import ConfigCodec
 from .domain import FeedbackRecord, RetrievalMode, check_keys
 
@@ -461,22 +461,26 @@ class KnowledgeStore:
     # -- snapshot ------------------------------------------------------
 
     def snapshot_dict(self) -> dict:
+        """The snapshot document. Records whose embeddings have the same bytes
+        share one embedding list, which ``dump_json`` then encodes once; the
+        document's lists are read-only."""
+        records = [self._records[rid] for rid in sorted(self._records)]
+        embeddings = shared_tolist(self._matrix[self._row[record.id]] for record in records)
         return {
             "schema_version": self.SCHEMA_VERSION,
             "d_emb": self.d_emb,
-            "vector_records": [self._record_dict(rid) for rid in sorted(self._records)],
+            "vector_records": [
+                {
+                    "id": record.id,
+                    "embedding": embedding,
+                    "payload_ref": record.payload_ref,
+                    "usefulness": record.usefulness,
+                }
+                for record, embedding in zip(records, embeddings)
+            ],
             "graph_nodes": sorted(self._nodes),
             "graph_edges": [e.to_dict() for e in self.edges()],
             "retrieval_params": self.params.to_dict(),
-        }
-
-    def _record_dict(self, record_id: str) -> dict:
-        record = self._records[record_id]
-        return {
-            "id": record.id,
-            "embedding": self._matrix[self._row[record_id]].tolist(),
-            "payload_ref": record.payload_ref,
-            "usefulness": record.usefulness,
         }
 
     def save_snapshot(self, path) -> None:

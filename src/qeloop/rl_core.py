@@ -72,14 +72,15 @@ class Transition:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping, what: str = "transition") -> "Transition":
-        """``what`` names ``d`` in the error for a missing or unknown key."""
+    def from_dict(cls, d: Mapping, width: int, what: str = "transition") -> "Transition":
+        """``what`` names ``d`` in the error for a missing or unknown key, or
+        for a ``state`` or ``next_state`` that is not ``width`` values."""
         check_keys(what, d, _TRANSITION_KEYS, _TRANSITION_OPTIONAL_KEYS)
         return cls(
-            state=np.asarray(d["state"], dtype=np.float64),
+            state=load_vector(d["state"], width, f"{what}.state"),
             action=int(d["action"]),
             reward=float(d["reward"]),
-            next_state=np.asarray(d["next_state"], dtype=np.float64),
+            next_state=load_vector(d["next_state"], width, f"{what}.next_state"),
             done=bool(d["done"]),
             log_prob_old=None if d.get("log_prob_old") is None else float(d["log_prob_old"]),
         )
@@ -89,6 +90,15 @@ _TRANSITION_KEYS = frozenset({"state", "action", "reward", "next_state", "done"}
 _TRANSITION_OPTIONAL_KEYS = frozenset({"log_prob_old"})
 _MLP_KEYS = frozenset({"schema_version", "layer_sizes", "weights", "biases"})
 _ADAM_KEYS = frozenset({"learning_rate", "t", "m_w", "v_w", "m_b", "v_b"})
+
+
+def load_vector(values, width: int, what: str) -> np.ndarray:
+    """``values`` as a float64 vector; any shape but ``(width,)`` is rejected
+    with its dotted path ``what``."""
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.shape != (width,):
+        raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
+    return vec
 
 
 def _load_layers(views: Sequence[np.ndarray], layers: Sequence, what: str) -> None:

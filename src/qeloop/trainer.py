@@ -36,7 +36,7 @@ from .agents import (
     record_feedback,
     requirement_summary,
 )
-from .atomic import atomic_open, dump_json
+from .atomic import atomic_open, dump_json, shared_tolist
 from .config import ConfigCodec, ConfigRangeError, UnknownConfigKey  # noqa: F401 - re-exported
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
@@ -51,7 +51,7 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition
+from .rl_core import RLCoreConfig, RngStreams, Transition, load_vector
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -719,6 +719,11 @@ class TrainingSystem:
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
+        """The checkpoint document; its lists may be shared and are read-only.
+        The tests of one slot share a coverage vector, so equal
+        ``content_vectors`` entries share one list, which ``dump_json``
+        encodes once."""
+        keys = sorted(self.content_vectors)
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "config": self.config.to_dict(),
@@ -727,9 +732,7 @@ class TrainingSystem:
             "agents": {role.name: agent.state_dict() for role, agent in self.agents.items()},
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
-            "content_vectors": {
-                key: [float(x) for x in vec] for key, vec in sorted(self.content_vectors.items())
-            },
+            "content_vectors": dict(zip(keys, shared_tolist(self.content_vectors[key] for key in keys))),
             "reward_window": list(self.reward_window),
             "fp_window": list(self.fp_window),
             "hit_window": list(self.hit_window),
@@ -761,8 +764,9 @@ class TrainingSystem:
         checkpoint's state into it in place. Corrupt files never yield a
         partial system. A missing or unknown key at the top level, in the
         agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
-        and a network or optimizer state whose topology is not the one built,
-        is named with its dotted path. ``events`` as in ``__init__``."""
+        a network or optimizer state whose topology is not the one built,
+        and a stored state or coverage vector of another width, is named
+        with its dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -788,7 +792,7 @@ class TrainingSystem:
             system = cls(config, events=events)
             system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"])
             system.content_vectors = {
-                key: np.asarray(vec, dtype=np.float64)
+                key: load_vector(vec, config.env.d_cov, f"checkpoint content_vectors.{key}")
                 for key, vec in payload["content_vectors"].items()
             }
             for role, agent in system.agents.items():
@@ -801,7 +805,7 @@ class TrainingSystem:
                 None
                 if pending is None
                 else (
-                    np.asarray(pending["state"], dtype=np.float64),
+                    load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
                     int(pending["action"]),
                     [float(x) for x in pending["totals"]],
                 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeloop.atomic import dump_json
+from qeloop.atomic import _Writer, dump_json
 
 
 class Color(IntEnum):
@@ -54,9 +54,7 @@ def json_dump_text(obj, indent):
     return fh.getvalue()
 
 
-@settings(max_examples=500, deadline=None)
-@given(documents, st.sampled_from([None, 2]))
-def test_output_equals_json_dump(obj, indent):
+def assert_writes_json_dump_bytes(obj, indent):
     try:
         expected = json_dump_text(obj, indent)
     except TypeError:
@@ -67,6 +65,66 @@ def test_output_equals_json_dump(obj, indent):
     out = io.StringIO()
     dump_json(obj, out, indent)
     assert out.getvalue() == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents, st.sampled_from([None, 2]))
+def test_output_equals_json_dump(obj, indent):
+    assert_writes_json_dump_bytes(obj, indent)
+
+
+# Leaf containers: lists, tuples and dicts that hold no container.
+leaf_containers = st.one_of(
+    st.lists(scalars, min_size=1, max_size=4),
+    st.lists(scalars, min_size=1, max_size=4).map(tuple),
+    st.dictionaries(strings, scalars, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def documents_sharing_leaves(draw):
+    """Documents that hold a few leaf objects many times, at one depth and
+    at several."""
+    pool = draw(st.lists(leaf_containers, min_size=1, max_size=2))
+    return draw(st.recursive(st.sampled_from(pool), containers, max_leaves=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_sharing_leaves(), st.sampled_from([None, 2]))
+def test_shared_leaves_output_equals_json_dump(obj, indent):
+    assert_writes_json_dump_bytes(obj, indent)
+
+
+LEAF = [1.5, -0.0, "x"]
+EQUAL_BUT_DISTINCT = [[0.0], [-0.0], [1], [1.0], [True], (1,), {"k": 1}, {"k": 1.0}, {"k": True}]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [LEAF, LEAF, LEAF],
+        {"a": LEAF, "b": LEAF, "c": [LEAF]},
+        {"a": LEAF, "b": [LEAF, {"c": LEAF}], "d": [[LEAF, [LEAF]]], "e": LEAF},
+        [[LEAF], LEAF, {"k": [[LEAF]]}, [LEAF]],
+        EQUAL_BUT_DISTINCT + EQUAL_BUT_DISTINCT + [EQUAL_BUT_DISTINCT, {"k": EQUAL_BUT_DISTINCT}],
+        {"a": EQUAL_BUT_DISTINCT[0], "b": EQUAL_BUT_DISTINCT[1], "c": [EQUAL_BUT_DISTINCT[:2]] * 2},
+    ],
+    ids=["list-one-depth", "dict-one-depth", "dict-several-depths", "list-several-depths", "equal-values", "zeros"],
+)
+def test_repeated_leaf_object_equals_json_dump(doc, indent):
+    assert_writes_json_dump_bytes(doc, indent)
+
+
+def test_leaf_text_is_kept_only_for_leaves_met_again():
+    shared = [0.25] * 10
+    doc = {f"r{i}": {"own": [float(i)] * 10, "shared": shared} for i in range(50)}
+    writer = _Writer(io.StringIO().write, 2)
+    writer.dump(doc, 0)
+    # Each of the 51 leaf objects is recorded; only the shared one keeps text.
+    assert len(writer._leaves) == 51
+    texts = [text for text in writer._leaves.values() if text is not None]
+    assert len(texts) == 1 and json.loads(texts[0]) == shared
 
 
 @pytest.mark.parametrize("indent", [None, 2])

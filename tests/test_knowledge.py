@@ -475,6 +475,30 @@ class TestSnapshot:
         loaded.save_snapshot(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_records_with_equal_rows_share_one_embedding_list(self, tmp_path):
+        store = KnowledgeStore(d_emb=8)
+        for rid in ("a", "b", "c"):
+            store.insert_vector(rid, embed(["alpha"], 8), rid)
+        store.insert_vector("d", embed(["beta"], 8), "d")
+        # Equal in value, not in bytes: -0.0 and 0.0 stay apart.
+        plus = np.eye(8)[0]
+        minus = plus.copy()
+        minus[1] = -0.0
+        store.insert_vector("e", plus, "e")
+        store.insert_vector("f", minus, "f")
+        payload = store.snapshot_dict()
+        embeddings = {r["id"]: r["embedding"] for r in payload["vector_records"]}
+        assert embeddings["a"] is embeddings["b"] is embeddings["c"]
+        assert embeddings["d"] is not embeddings["a"]
+        assert embeddings["e"] == embeddings["f"] and embeddings["e"] is not embeddings["f"]
+        for rid, embedding in embeddings.items():
+            assert embedding == store._matrix[store._row[rid]].tolist()
+        path = tmp_path / "snap.json"
+        store.save_snapshot(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert "-0.0" in text
+
     def test_malformed_snapshot_is_a_value_error(self):
         # The checkpoint reader maps ValueError to SchemaVersionMismatch and
         # the CLI maps it to exit code 2.

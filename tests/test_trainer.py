@@ -214,6 +214,22 @@ class TestCheckpoint:
         system.checkpoint(path)
         assert path.read_text(encoding="utf-8") == json.dumps(system.checkpoint_dict(), sort_keys=True)
 
+    def test_equal_content_vectors_share_one_list(self, tmp_path):
+        system = TrainingSystem(tiny_config(loop=LoopConfig(n_tests=3, kb_action_interval=2)))
+        system.run(episodes=2)
+        payload = system.checkpoint_dict()
+        vectors = payload["content_vectors"]
+        lists_by_bytes: dict[bytes, set[int]] = {}
+        for key, vec in system.content_vectors.items():
+            assert vectors[key] == vec.tolist()
+            lists_by_bytes.setdefault(vec.tobytes(), set()).add(id(vectors[key]))
+        # One list per distinct vector, and fewer distinct vectors than tests.
+        assert all(len(ids) == 1 for ids in lists_by_bytes.values())
+        assert len(lists_by_bytes) < len(vectors)
+        path = tmp_path / "ckpt.json"
+        system.checkpoint(path)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True)
+
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{garbage")
@@ -311,6 +327,20 @@ class TestCheckpoint:
                 "dqn.target_net.layer_sizes",
             ),
             ("dqn.adam", lambda node: node["m_w"].pop(1), "dqn.adam.m_w"),
+            (
+                "agents.LegacyTestAnalysis.rollout.0",
+                lambda node: node.update(state=node["state"][:3]),
+                "agents.LegacyTestAnalysis.rollout[0].state",
+            ),
+            (
+                "agents.LegacyTestAnalysis.rollout.0",
+                lambda node: node.update(next_state=node["next_state"] + [0.0]),
+                "agents.LegacyTestAnalysis.rollout[0].next_state",
+            ),
+            ("dqn.replay.0", lambda node: node.update(state=node["state"][:3]), "dqn.replay[0].state"),
+            ("dqn.replay.0", lambda node: node.update(next_state=[node["next_state"]]), "dqn.replay[0].next_state"),
+            ("kb_pending", lambda node: node.update(state=node["state"] + [0.0]), "kb_pending.state"),
+            ("content_vectors", lambda node: node.update({"tc-x": [0.5] * 3}), "content_vectors.tc-x"),
         ],
         ids=[
             "agent-params-topology",
@@ -319,6 +349,12 @@ class TestCheckpoint:
             "tracker-longer-than-window",
             "dqn-target-topology",
             "dqn-adam-missing-layer",
+            "rollout-state-width",
+            "rollout-next-state-width",
+            "replay-state-width",
+            "replay-next-state-shape",
+            "kb-pending-state-width",
+            "content-vector-width",
         ],
     )
     def test_state_that_does_not_fit_the_built_system_rejected_with_its_path(self, tmp_path, section, edit, path):
