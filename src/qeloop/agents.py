@@ -17,6 +17,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .rewards import trend_slope
 from .rl_core import HIDDEN_WIDTH, Adam, Transition, sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
+SUMMARY_DIM = 8  # the hashed requirement summary leads the state
 SIGNATURE_ACTIVE_DIMS = 4
 CONTEXT_BLEND = 0.4  # coverage = 0.6 * signature + 0.4 * context mean
 
@@ -134,27 +136,32 @@ _AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
 class PerformanceTracker:
     """Per-agent rolling windows of reward totals, defect counts, and FP counts.
 
-    Append through the ``push_*`` methods only: they drop the cached
-    aggregates and reward stats, which are otherwise computed once per push
-    however often they are read.
+    Append through the ``push_*`` methods only. The window's true-defect,
+    false-positive and severity totals are kept as running integers, which
+    are exact; the cached aggregates and reward stats are dropped on each
+    push and computed once however often they are read.
     """
 
     def __init__(self, window: int = 50):
+        if window < 1:
+            raise ValueError(f"tracker window must be >= 1, got {window}")
         self.totals: deque[float] = deque(maxlen=window)
         self.records: deque[tuple[int, int, int, float]] = deque(maxlen=window)
+        # (true defects, false positives, severity ranks) over ``records``.
+        self.counts = (0, 0, 0)
         self._aggregates: tuple[float, float, float, float] | None = None
-        self._reward_stats: tuple[float, float] | None = None
+        self._reward_stats: tuple[float, float, float, float] | None = None
 
     def push_record(self, feedback: FeedbackRecord) -> None:
         true_defects = feedback.true_defects()
-        self.records.append(
-            (
-                len(true_defects),
-                len(feedback.false_positives()),
-                sum(int(d.severity) for d in true_defects),
-                feedback.quality_rating,
-            )
-        )
+        n_true, n_fp = len(true_defects), len(feedback.false_positives())
+        severity = sum(int(d.severity) for d in true_defects)
+        true_total, fp_total, sev_total = self.counts
+        if len(self.records) == self.records.maxlen:
+            old_true, old_fp, old_sev, _ = self.records[0]
+            true_total, fp_total, sev_total = true_total - old_true, fp_total - old_fp, sev_total - old_sev
+        self.records.append((n_true, n_fp, severity, feedback.quality_rating))
+        self.counts = (true_total + n_true, fp_total + n_fp, sev_total + severity)
         self._aggregates = None
 
     def push_reward(self, total: float) -> None:
@@ -171,8 +178,8 @@ class PerformanceTracker:
         if not self.records:
             return (0.0, 0.0, 0.0, 0.0)
         n = len(self.records)
-        true_total, fp_total, sev_total, quality_total = map(sum, zip(*self.records))
-        quality = quality_total / n
+        true_total, fp_total, sev_total = self.counts
+        quality = sum(map(itemgetter(3), self.records)) / n
         # Severity ranks run 0..3; dividing by 3 maps the mean into [0, 1].
         mean_sev = (sev_total / true_total) / 3.0 if true_total else 0.0
         return (
@@ -184,15 +191,21 @@ class PerformanceTracker:
 
     def reward_stats(self) -> tuple[float, float]:
         """(mean, trend slope) of the windowed reward totals, zeros when empty."""
-        if self._reward_stats is None:
-            self._reward_stats = self._compute_reward_stats()
-        return self._reward_stats
+        return self._cached_reward_stats()[:2]
 
-    def _compute_reward_stats(self) -> tuple[float, float]:
-        totals = list(self.totals)
-        if not totals:
-            return (0.0, 0.0)
-        return (sum(totals) / len(totals), trend_slope(totals))
+    def reward_features(self) -> tuple[float, float]:
+        """``np.tanh`` of the reward mean and of the trend slope, the two
+        reward entries of the agent state."""
+        return self._cached_reward_stats()[2:]
+
+    def _cached_reward_stats(self) -> tuple[float, float, float, float]:
+        if self._reward_stats is None:
+            if self.totals:
+                mean, trend = sum(self.totals) / len(self.totals), trend_slope(self.totals)
+            else:
+                mean, trend = 0.0, 0.0
+            self._reward_stats = (mean, trend, np.tanh(mean), np.tanh(trend))
+        return self._reward_stats
 
     def state_dict(self) -> dict:
         return {"totals": list(self.totals), "records": [list(r) for r in self.records]}
@@ -207,13 +220,14 @@ class PerformanceTracker:
                 raise ValueError(f"{what}.{name} holds {len(d[name])} entries, the window is {self.totals.maxlen}")
         self.totals.extend(float(x) for x in d["totals"])
         self.records.extend((int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in d["records"])
+        self.counts = tuple(sum(r[i] for r in self.records) for i in range(3))
         self._aggregates = self._reward_stats = None
 
 
 def requirement_summary(requirement: Requirement) -> np.ndarray:
     """8-dim hashed summary of a requirement's public text and tags."""
     tokens = requirement.text.split() + sorted(requirement.component_tags) + [requirement.id]
-    return embed(tokens, 8)
+    return embed(tokens, SUMMARY_DIM)
 
 
 def featurize_state(
@@ -223,17 +237,16 @@ def featurize_state(
     mean_edge_weight: float,
 ) -> np.ndarray:
     """Deterministic 16-dim agent state; empty-history aggregates are zero."""
-    defect_rate, fp_rate, mean_sev, mean_quality = tracker.aggregates()
-    reward_mean, trend = tracker.reward_stats()
-    state = np.concatenate(
-        [
-            np.asarray(requirement_vec, dtype=np.float64),
-            [defect_rate, fp_rate, mean_sev, mean_quality],
-            [params.similarity_threshold, mean_edge_weight],
-            [np.tanh(reward_mean), np.tanh(trend)],
-        ]
+    if requirement_vec.shape != (SUMMARY_DIM,):
+        raise ValueError(f"requirement summary has shape {requirement_vec.shape}, expected ({SUMMARY_DIM},)")
+    state = np.empty(STATE_DIM, dtype=np.float64)
+    state[:SUMMARY_DIM] = requirement_vec
+    state[SUMMARY_DIM:] = (
+        *tracker.aggregates(),
+        params.similarity_threshold,
+        mean_edge_weight,
+        *tracker.reward_features(),
     )
-    assert state.shape == (STATE_DIM,)
     return state
 
 

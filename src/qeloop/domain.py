@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Set
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
-from typing import Iterable, Mapping
 
 DEFAULT_COVERAGE_DIM = 32
 

@@ -23,6 +23,7 @@ from .rl_core import (
     Adam,
     ExperienceBuffer,
     MLPParameters,
+    ReplayBatch,
     Transition,
     backward,
     forward,
@@ -96,7 +97,7 @@ def dqn_train_step(
     qnet: MLPParameters,
     target_net: MLPParameters,
     adam: Adam,
-    batch: list[Transition],
+    batch: ReplayBatch,
     gamma: float,
 ) -> tuple[float, float]:
     """One Adam step on the Bellman MSE over a sampled minibatch.
@@ -104,22 +105,18 @@ def dqn_train_step(
     Targets are r for terminal transitions, else r + gamma * max Q_target(s').
     Returns (loss, mean online Q over the batch's chosen actions).
     """
-    states = np.vstack([t.state for t in batch])
-    next_states = np.vstack([t.next_state for t in batch])
-    actions = np.asarray([t.action for t in batch], dtype=np.int64)
-    rewards = np.asarray([t.reward for t in batch], dtype=np.float64)
-    not_done = np.asarray([0.0 if t.done else 1.0 for t in batch], dtype=np.float64)
-
-    q_next = forward(target_net, next_states)
-    targets = rewards + gamma * not_done * q_next.max(axis=1)
-    q_all, activations = forward_cached(qnet, states)
-    idx = np.arange(len(batch))
-    q_taken = q_all[idx, actions]
+    n = len(batch.actions)
+    not_done = np.where(batch.dones, 0.0, 1.0)
+    q_next = forward(target_net, batch.next_states)
+    targets = batch.rewards + gamma * not_done * q_next.max(axis=1)
+    q_all, activations = forward_cached(qnet, batch.states)
+    idx = np.arange(n)
+    q_taken = q_all[idx, batch.actions]
     errors = q_taken - targets
     loss = float(np.mean(errors**2))
 
     output_grad = np.zeros_like(q_all)
-    output_grad[idx, actions] = 2.0 * errors / len(batch)
+    output_grad[idx, batch.actions] = 2.0 * errors / n
     grads = backward(qnet, activations, output_grad)
     adam.step(qnet, grads)
     return loss, float(q_taken.mean())
@@ -150,7 +147,7 @@ class DQNController:
         self.qnet = xavier_init((state_dim, HIDDEN_WIDTH, HIDDEN_WIDTH, n_actions), init_rng)
         self.target_net = self.qnet.copy()
         self.adam = Adam(self.qnet, config.learning_rate)
-        self.replay = ExperienceBuffer(config.replay_capacity, replay_rng)
+        self.replay = ExperienceBuffer(config.replay_capacity, state_dim, replay_rng)
         self._action_rng = action_rng
         self.action_steps = 0
         self.train_steps = 0
@@ -197,11 +194,15 @@ class DQNController:
         optimizer and empty replay, in place. ``what`` names ``d``, and
         prefixes its sections' paths, in the error for a missing or unknown
         key, a network of another topology or a replay state of another
-        width."""
+        width, or a replay holding more transitions than its capacity."""
         check_keys(what, d, _STATE_KEYS)
         self.qnet.load_dict(d["qnet"], f"{what}.qnet")
         self.target_net.load_dict(d["target_net"], f"{what}.target_net")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
+        if len(d["replay"]) > self.replay.capacity:
+            raise ValueError(
+                f"{what}.replay holds {len(d['replay'])} transitions, the capacity is {self.replay.capacity}"
+            )
         for i, t in enumerate(d["replay"]):
             self.replay.insert(Transition.from_dict(t, self.qnet.n_in, f"{what}.replay[{i}]"))
         self.action_steps = int(d["action_steps"])

@@ -9,7 +9,8 @@ signed feature hashing (no learned model, no process-salted ``hash()``).
 Embeddings are held once, as rows of one append-only float64 matrix with a
 per-row norm computed at insert; a query is one matrix-vector product plus
 a partial selection of the best ``top_k`` rows, so only the scan itself
-grows with the store.
+grows with the store. The product's result is kept per query until the next
+matrix write, so a query repeated against an unchanged store skips the scan.
 
 Edge weights and retrieval parameters are the knobs the learning loop turns:
 ``apply_kb_action`` moves one retrieval parameter by a fixed step, and
@@ -77,6 +78,9 @@ TOP_K_STEP = 1
 EDGE_WEIGHT_STEP = 0.05
 TOP_K_MIN, TOP_K_MAX = 1, 64
 DEPTH_MIN, DEPTH_MAX = 0, 4
+# Distinct queries whose similarity vectors a store keeps between writes; a
+# run queries once per requirement, so this is far above a run's need.
+SIMILARITY_CACHE_SIZE = 256
 
 
 def action_edge_type(action: KBAction) -> EdgeType | None:
@@ -232,6 +236,9 @@ class KnowledgeStore:
         self._row: dict[str, int] = {}
         self._matrix = np.zeros((0, d_emb), dtype=np.float64)
         self._norms = np.zeros(0, dtype=np.float64)
+        # Similarity vectors of recent queries against the current matrix,
+        # keyed by the query's bytes; every matrix write clears it.
+        self._sims: dict[bytes, np.ndarray] = {}
         self._nodes: set[str] = set()
         self._edges: dict[EdgeKey, float] = {}
         self._incidence: dict[str, list[tuple[str, EdgeKey]]] = {}
@@ -256,6 +263,7 @@ class KnowledgeStore:
             self._ids.append(record_id)
             self._row[record_id] = row
         self._matrix[row] = emb
+        self._sims.clear()
         # The same row-wise call as a norm over the whole matrix, so each
         # row's norm carries the bits a batched computation would give it.
         self._norms[row] = np.linalg.norm(self._matrix[row : row + 1], axis=1)[0]
@@ -293,10 +301,16 @@ class KnowledgeStore:
         if not n:
             return []
         q = np.asarray(query, dtype=np.float64)
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            return []
-        sims = self._matrix[:n] @ q / (self._norms[:n] * qn)
+        key = q.tobytes()
+        sims = self._sims.get(key)
+        if sims is None:
+            qn = float(np.linalg.norm(q))
+            if qn == 0.0:
+                return []
+            if len(self._sims) >= SIMILARITY_CACHE_SIZE:
+                self._sims.clear()
+            sims = self._sims[key] = self._matrix[:n] @ q / (self._norms[:n] * qn)
+            sims.flags.writeable = False
         rows = np.flatnonzero(sims >= params.similarity_threshold)
         k = params.top_k
         if len(rows) > k:
@@ -537,6 +551,7 @@ class KnowledgeStore:
             duplicate = next(rid for row, rid in enumerate(ids) if row_of[rid] != row)
             raise ValueError(f"vector record {duplicate!r}: duplicate id")
         self._ids, self._row, self._matrix, self._norms = ids, row_of, matrix, norms
+        self._sims.clear()
         self._records = {
             rid: VectorRecord(rid, rec_d["payload_ref"], float(rec_d.get("usefulness", 0.5)))
             for rid, rec_d in zip(ids, records)

@@ -101,26 +101,33 @@ class PPOUpdateReport:
 
 def policy_value_forward(params: MLPParameters, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split the joint network's output into (logits, values)."""
-    out, _ = forward_cached(params, np.atleast_2d(np.asarray(states, dtype=np.float64)))
+    batch = np.asarray(states, dtype=np.float64)
+    if batch.ndim != 2:
+        batch = np.atleast_2d(batch)
+    out, _ = forward_cached(params, batch)
     return out[:, :-1], out[:, -1]
 
 
 def compute_gae(
     rollout: Sequence[Transition],
+    states: np.ndarray,
     value_estimates: Sequence[float],
     gamma: float,
     lam: float,
 ) -> ProcessedRollout:
     """Generalized advantage estimation over one rollout.
 
-    ``value_estimates`` holds V(s_t) for every step plus the bootstrap
-    V(s_T) of the final next_state, so its length is len(rollout) + 1.
-    Advantage accumulation resets across episode boundaries (done flags).
+    ``states`` stacks each step's state and then the final next_state, the
+    rows ``value_estimates`` were computed from: V(s_t) for every step plus
+    the bootstrap V(s_T), so both have len(rollout) + 1 rows. Advantage
+    accumulation resets across episode boundaries (done flags).
     """
     n = len(rollout)
     values = np.asarray(value_estimates, dtype=np.float64)
     if values.shape != (n + 1,):
         raise LengthMismatch(f"need {n + 1} value estimates, got {values.shape}")
+    if len(states) != n + 1:
+        raise LengthMismatch(f"need {n + 1} states, got {len(states)}")
     rewards = np.asarray([t.reward for t in rollout], dtype=np.float64)
     not_done = np.asarray([0.0 if t.done else 1.0 for t in rollout], dtype=np.float64)
     advantages = np.zeros(n, dtype=np.float64)
@@ -137,9 +144,9 @@ def compute_gae(
     log_probs_old = np.asarray(
         [np.nan if t.log_prob_old is None else t.log_prob_old for t in rollout], dtype=np.float64
     )
-    states = np.vstack([np.asarray(t.state, dtype=np.float64) for t in rollout])
     actions = np.asarray([t.action for t in rollout], dtype=np.int64)
-    return ProcessedRollout(states, actions, log_probs_old, normalized, advantages, returns)
+    step_states = np.asarray(states[:-1], dtype=np.float64)
+    return ProcessedRollout(step_states, actions, log_probs_old, normalized, advantages, returns)
 
 
 def clipped_surrogate(ratio: float | np.ndarray, advantage: float | np.ndarray, eps: float):

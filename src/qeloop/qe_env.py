@@ -151,6 +151,11 @@ class ExecutionModel(ConfigCodec):
             )
         return self
 
+    @cached_property
+    def detection_bounds(self) -> tuple[float, float]:
+        """The raw detection sigmoid at overlap 0 and at overlap 1."""
+        return _raw_detection(0.0, self), _raw_detection(1.0, self)
+
 
 @dataclass(frozen=True)
 class EnvConfig(ConfigCodec):
@@ -227,6 +232,17 @@ class SyntheticProject:
         for defect in self.defects:
             out[defect.requirement_ref].append(defect)
         return MappingProxyType({rid: tuple(defects) for rid, defects in out.items()})
+
+    @cached_property
+    def signatures_by_requirement(self) -> Mapping[str, tuple[np.ndarray, ...]]:
+        """Each requirement's defect signatures as read-only float64 arrays,
+        in the order of ``defects_by_requirement``; built once per project."""
+        out = {}
+        for rid, defects in self._defects_by_requirement.items():
+            out[rid] = tuple(np.asarray(d.signature) for d in defects)
+            for signature in out[rid]:
+                signature.flags.writeable = False
+        return MappingProxyType(out)
 
     def affinity_of(self, strategy: GenerationStrategy, severity: Severity) -> float:
         return self.affinity[strategy][severity]
@@ -330,15 +346,16 @@ def detection_probability(overlap: float, model: ExecutionModel) -> float:
     makes zero overlap exactly undetectable and full overlap certain
     (before the affinity factor), while keeping sharpness and midpoint.
     """
+    lo, hi = model.detection_bounds
+    scaled = (_raw_detection(min(max(overlap, 0.0), 1.0), model) - lo) / (hi - lo)
+    return min(1.0, max(0.0, scaled))
+
+
+def _raw_detection(x: float, model: ExecutionModel) -> float:
+    """The sigmoid before rescaling, with sharpness beta and midpoint tau."""
     beta = model.detection_sharpness
     tau = model.detection_midpoint
-
-    def raw(x: float) -> float:
-        return 1.0 / (1.0 + math.exp(-beta * (x - tau)))
-
-    lo, hi = raw(0.0), raw(1.0)
-    scaled = (raw(min(max(overlap, 0.0), 1.0)) - lo) / (hi - lo)
-    return min(1.0, max(0.0, scaled))
+    return 1.0 / (1.0 + math.exp(-beta * (x - tau)))
 
 
 def execute_test(
@@ -354,6 +371,7 @@ def execute_test(
     fully determines the outcome.
     """
     by_req = project.defects_by_requirement()
+    signatures = project.signatures_by_requirement
     for ref in test.requirement_refs:
         if ref not in by_req:
             raise UnknownRequirement(f"test {test.id} references unknown requirement {ref!r}")
@@ -363,8 +381,8 @@ def execute_test(
     best_overlap_per_req: dict[str, float] = {}
     for ref in test.requirement_refs:
         best = 0.0
-        for defect in by_req[ref]:
-            overlap = float(coverage @ np.asarray(defect.signature))
+        for defect, signature in zip(by_req[ref], signatures[ref]):
+            overlap = float(coverage @ signature)
             best = max(best, min(1.0, overlap))
             p = detection_probability(overlap, model) * project.affinity_of(
                 test.strategy, defect.severity

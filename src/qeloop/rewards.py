@@ -12,8 +12,10 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .config import ConfigCodec
@@ -181,16 +183,18 @@ def trend_slope(history: Sequence[float]) -> float:
     n = len(history)
     if n < 2:
         return 0.0
-    x_mean = (n - 1) / 2.0
+    steps, denominator = _centred_steps(n)
     y_mean = sum(history) / n
-    num = sum((i - x_mean) * (y - y_mean) for i, y in enumerate(history))
-    return num / _slope_denominator(n)
+    num = sum(map(mul, steps, map(sub, history, repeat(y_mean))))
+    return num / denominator
 
 
 @lru_cache(maxsize=None)
-def _slope_denominator(n: int) -> float:
+def _centred_steps(n: int) -> tuple[tuple[float, ...], float]:
+    """The steps 0..n-1 minus their mean, and the sum of their squares."""
     x_mean = (n - 1) / 2.0
-    return sum((i - x_mean) ** 2 for i in range(n))
+    steps = tuple(i - x_mean for i in range(n))
+    return steps, sum(x**2 for x in steps)
 
 
 def adaptation_reward(history: Sequence[float]) -> float:

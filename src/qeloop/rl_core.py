@@ -14,8 +14,10 @@ it against central finite differences.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,20 +256,23 @@ def backward(params: MLPParameters, activations: Sequence[np.ndarray], output_gr
 def softmax_policy(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerically stable softmax; returns (probabilities, log-probabilities)."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
+    # A single row reduces to scalars; a batch keeps its reduced axis to
+    # broadcast back over the rows. Both run the same reductions.
+    keepdims = z.ndim > 1
+    shifted = z - z.max(axis=-1, keepdims=keepdims)
     exp = np.exp(shifted)
-    total = exp.sum(axis=-1, keepdims=True)
+    total = exp.sum(axis=-1, keepdims=keepdims)
     probs = exp / total
     log_probs = shifted - np.log(total)
     return probs, log_probs
 
 
 def sample_action(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a categorical distribution."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    cum = np.cumsum(p)
+    """Inverse-CDF draw from a categorical distribution. The running sum
+    adds the probabilities in order, as ``np.cumsum`` does."""
+    cum = list(accumulate(np.asarray(probabilities, dtype=np.float64).tolist()))
     r = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, r, side="right"), len(p) - 1))
+    return min(bisect_right(cum, r), len(cum) - 1)
 
 
 class Adam:
@@ -319,40 +324,95 @@ class Adam:
             _load_layers(views, d[name], f"{what}.{name}")
 
 
-class ExperienceBuffer:
-    """Fixed-capacity ring of transitions with seeded uniform sampling."""
+class ReplayBatch(NamedTuple):
+    """Transitions as one array per field; row i of each array belongs to
+    the same transition."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator):
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
+
+
+def _zero_batch(rows: int, state_dim: int) -> ReplayBatch:
+    return ReplayBatch(
+        np.zeros((rows, state_dim), dtype=np.float64),
+        np.zeros(rows, dtype=np.int64),
+        np.zeros(rows, dtype=np.float64),
+        np.zeros((rows, state_dim), dtype=np.float64),
+        np.zeros(rows, dtype=np.bool_),
+    )
+
+
+class ExperienceBuffer:
+    """Fixed-capacity ring of ``(s, a, r, s', done)`` transitions with seeded
+    uniform sampling.
+
+    The ring is a ``ReplayBatch`` indexed by slot. Its arrays start at
+    ``INITIAL_ROWS`` rows and double as the ring fills, up to ``capacity``,
+    so a large capacity costs nothing until it is used. Once full, each
+    insert overwrites the oldest slot.
+    """
+
+    INITIAL_ROWS = 64
+
+    def __init__(self, capacity: int, state_dim: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.state_dim = state_dim
         self._rng = rng
-        self._data: list[Transition] = []
+        self._size = 0
         self._next = 0
+        self._slots = _zero_batch(min(capacity, self.INITIAL_ROWS), state_dim)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
     def insert(self, transition: Transition) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(transition)
-        else:
-            self._data[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+        width = (self.state_dim,)
+        if np.shape(transition.state) != width or np.shape(transition.next_state) != width:
+            raise DimensionMismatch(f"transition states must have shape {width}")
+        slot = self._next
+        if slot == len(self._slots.actions):
+            grown = _zero_batch(min(self.capacity, 2 * slot), self.state_dim)
+            for new, old in zip(grown, self._slots):
+                new[:slot] = old
+            self._slots = grown
+        slots = self._slots
+        slots.states[slot] = transition.state
+        slots.actions[slot] = transition.action
+        slots.rewards[slot] = transition.reward
+        slots.next_states[slot] = transition.next_state
+        slots.dones[slot] = transition.done
+        self._size = min(self._size + 1, self.capacity)
+        self._next = (slot + 1) % self.capacity
 
     def ordered(self) -> list[Transition]:
         """Contents oldest-first."""
-        if len(self._data) < self.capacity:
-            return list(self._data)
-        return self._data[self._next :] + self._data[: self._next]
+        n, slots = self._size, self._slots
+        order = range(n) if n < self.capacity else [*range(self._next, n), *range(self._next)]
+        return [
+            Transition(
+                slots.states[i].copy(),
+                int(slots.actions[i]),
+                float(slots.rewards[i]),
+                slots.next_states[i].copy(),
+                bool(slots.dones[i]),
+            )
+            for i in order
+        ]
 
     def sample_indices(self, batch_size: int) -> np.ndarray:
-        if batch_size > len(self._data):
-            raise ValueError(f"cannot sample {batch_size} from buffer of {len(self._data)}")
-        return self._rng.integers(0, len(self._data), size=batch_size)
+        if batch_size > self._size:
+            raise ValueError(f"cannot sample {batch_size} from buffer of {self._size}")
+        return self._rng.integers(0, self._size, size=batch_size)
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        return [self._data[i] for i in self.sample_indices(batch_size)]
+    def sample(self, batch_size: int) -> ReplayBatch:
+        """One fancy-indexed copy per field of ``batch_size`` uniform draws."""
+        idx = self.sample_indices(batch_size)
+        return ReplayBatch(*(field[idx] for field in self._slots))
 
 
 _RNG_STATE_KEYS = frozenset({"bit_generator", "state", "inc", "has_uint32", "uinteger"})

@@ -498,7 +498,7 @@ class TrainingSystem:
         states = np.vstack([t.state for t in rollout] + [rollout[-1].next_state])
         _, values = policy_value_forward(agent.params, states)
         processed = compute_gae(
-            rollout, values, self.config.rl.discount_factor, self.config.rl.gae_lambda
+            rollout, states, values, self.config.rl.discount_factor, self.config.rl.gae_lambda
         )
         report = ppo_update(
             agent.params, agent.adam, processed, config, self.streams.get(f"ppo:{role.name}")

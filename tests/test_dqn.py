@@ -12,7 +12,7 @@ from qeloop.dqn import (
     select_kb_action,
 )
 from qeloop.knowledge import KB_ACTION_COUNT, KBAction
-from qeloop.rl_core import Adam, Transition, forward, xavier_init
+from qeloop.rl_core import Adam, ReplayBatch, Transition, forward, xavier_init
 
 
 def rng(seed):
@@ -85,6 +85,17 @@ class TestSelectAction:
         assert select_kb_action(np.zeros(10), self.zero_qnet(), 10, rng(0), config) == KBAction(0)
 
 
+def as_batch(transitions):
+    """The replay batch of these transitions, stacked field by field."""
+    return ReplayBatch(
+        np.vstack([t.state for t in transitions]),
+        np.asarray([t.action for t in transitions], dtype=np.int64),
+        np.asarray([t.reward for t in transitions], dtype=np.float64),
+        np.vstack([t.next_state for t in transitions]),
+        np.asarray([t.done for t in transitions], dtype=np.bool_),
+    )
+
+
 def one_hot(i, n=5):
     v = np.zeros(n)
     v[i] = 1.0
@@ -101,7 +112,7 @@ class TestTrainStep:
         qnet, target, adam = self.build()
         t = Transition(one_hot(0), 1, 0.7, one_hot(1), done=True)
         q_before = forward(qnet, one_hot(0))[1]
-        loss, _ = dqn_train_step(qnet, target, adam, [t], gamma=0.9)
+        loss, _ = dqn_train_step(qnet, target, adam, as_batch([t]), gamma=0.9)
         assert loss == pytest.approx((q_before - 0.7) ** 2, abs=1e-12)
 
     def test_gamma_zero_targets_are_rewards(self):
@@ -111,7 +122,7 @@ class TestTrainStep:
             for i in range(4)
         ]
         q_before = [forward(qnet, t.state)[t.action] for t in batch]
-        loss, _ = dqn_train_step(qnet, target, adam, batch, gamma=0.0)
+        loss, _ = dqn_train_step(qnet, target, adam, as_batch(batch), gamma=0.0)
         expected = np.mean([(q - t.reward) ** 2 for q, t in zip(q_before, batch)])
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -122,7 +133,7 @@ class TestTrainStep:
             w[...] = 0.0
         t = Transition(one_hot(0), 0, 0.5, one_hot(1), done=False)
         q_before = forward(qnet, one_hot(0))[0]
-        loss, _ = dqn_train_step(qnet, target, adam, [t], gamma=0.9)
+        loss, _ = dqn_train_step(qnet, target, adam, as_batch([t]), gamma=0.9)
         y = 0.5 + 0.9 * 1.1
         assert loss == pytest.approx((q_before - y) ** 2, abs=1e-12)
 

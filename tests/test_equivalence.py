@@ -2,9 +2,11 @@
 
 Each reference below is the plain algorithm the fast path replaces: a full
 sort for the top-k vector query, a scan of every edge for edge
-reinforcement, and a full recomputation for every cached value. The
-fast paths must agree with them exactly, bit for bit, because the metrics,
-events and checkpoints of a run depend on these values.
+reinforcement, a list of transitions stacked per batch for the replay ring,
+``np.cumsum`` and ``searchsorted`` for the action sampler, and a full
+recomputation for every cached value. The fast paths must agree with them
+exactly, bit for bit, because the metrics, events and checkpoints of a run
+depend on these values.
 """
 
 import math
@@ -34,6 +36,7 @@ from qeloop.domain import (
 from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
 from qeloop.qe_env import EnvConfig, generate_project
 from qeloop.rewards import trend_slope
+from qeloop.rl_core import ExperienceBuffer, Transition, sample_action
 
 D_EMB = 8
 VOCAB = ("login", "retry", "cart", "audit", "tax")
@@ -91,18 +94,62 @@ def reference_aggregates(tracker: PerformanceTracker) -> tuple:
     return (min(1.0, true_total / n), min(1.0, fp_total / n), min(1.0, mean_sev), quality)
 
 
+def reference_counts(tracker: PerformanceTracker) -> tuple:
+    """(true defects, false positives, severity ranks) summed over the window."""
+    return tuple(sum(r[i] for r in tracker.records) for i in range(3))
+
+
+def reference_trend_slope(history: list) -> float:
+    n = len(history)
+    if n < 2:
+        return 0.0
+    x_mean = (n - 1) / 2.0
+    y_mean = sum(history) / n
+    num = sum((i - x_mean) * (y - y_mean) for i, y in enumerate(history))
+    den = sum((i - x_mean) ** 2 for i in range(n))
+    return num / den
+
+
 def reference_reward_stats(tracker: PerformanceTracker) -> tuple:
     totals = list(tracker.totals)
     if not totals:
         return (0.0, 0.0)
-    n = len(totals)
-    x_mean = (n - 1) / 2.0
-    y_mean = sum(totals) / n
-    if n < 2:
-        return (y_mean, 0.0)
-    num = sum((i - x_mean) * (y - y_mean) for i, y in enumerate(totals))
-    den = sum((i - x_mean) ** 2 for i in range(n))
-    return (y_mean, num / den)
+    return (sum(totals) / len(totals), reference_trend_slope(totals))
+
+
+class ReferenceRing:
+    """The replay ring as a list of transitions, each batch stacked anew."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator):
+        self.capacity, self.rng = capacity, rng
+        self.data: list = []
+        self.next = 0
+
+    def insert(self, transition: Transition) -> None:
+        if len(self.data) < self.capacity:
+            self.data.append(transition)
+        else:
+            self.data[self.next] = transition
+        self.next = (self.next + 1) % self.capacity
+
+    def ordered(self) -> list:
+        return self.data[self.next :] + self.data[: self.next]
+
+    def sample(self, batch_size: int) -> tuple:
+        batch = [self.data[i] for i in self.rng.integers(0, len(self.data), size=batch_size)]
+        return (
+            np.vstack([t.state for t in batch]),
+            np.asarray([t.action for t in batch], dtype=np.int64),
+            np.asarray([t.reward for t in batch], dtype=np.float64),
+            np.vstack([t.next_state for t in batch]),
+            np.asarray([t.done for t in batch], dtype=np.bool_),
+        )
+
+
+def reference_sample_action(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    cum = np.cumsum(probabilities)
+    r = rng.random() * cum[-1]
+    return int(min(np.searchsorted(cum, r, side="right"), len(probabilities) - 1))
 
 
 # -- generators ----------------------------------------------------------------
@@ -145,6 +192,20 @@ class TestVectorQuery:
         params = RetrievalParams(similarity_threshold=threshold, top_k=data.draw(st.integers(1, 12)))
         got = [(rec.id, sim) for rec, sim in store.vector_query(query, params)]
         assert got == reference_vector_query(rows, query, params)
+
+    @given(inserts, st.lists(token_lists, min_size=1, max_size=3), st.floats(0.0, 1.0), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_queries_between_inserts_match_a_fresh_store(self, ops, queries, threshold, top_k):
+        store = KnowledgeStore(d_emb=D_EMB)
+        loose, strict = RetrievalParams(0.0, 64), RetrievalParams(threshold, top_k)
+        for n, (rid, tokens) in enumerate(ops, start=1):
+            store.insert_vector(rid, embed(tokens, D_EMB), rid)
+            fresh = KnowledgeStore(d_emb=D_EMB)
+            for fresh_rid, fresh_tokens in ops[:n]:
+                fresh.insert_vector(fresh_rid, embed(fresh_tokens, D_EMB), fresh_rid)
+            for query in [embed(tokens, D_EMB) for tokens in queries] * 2:
+                for params in (loose, strict):
+                    assert store.vector_query(query, params) == fresh.vector_query(query, params)
 
     def test_top_k_cuts_inside_a_tie_group_by_ascending_id(self):
         store = KnowledgeStore(d_emb=D_EMB)
@@ -311,8 +372,11 @@ class TestCacheInvalidation:
                 )
             elif op[0] == "reward":
                 tracker.push_reward(op[1])
+            assert tracker.counts == reference_counts(tracker)
             assert tracker.aggregates() == reference_aggregates(tracker)
             assert tracker.reward_stats() == reference_reward_stats(tracker)
+            mean, trend = reference_reward_stats(tracker)
+            assert tracker.reward_features() == (np.tanh(mean), np.tanh(trend))
 
     def test_restored_tracker_reads_its_own_windows(self):
         tracker = PerformanceTracker(4)
@@ -325,12 +389,69 @@ class TestCacheInvalidation:
         assert clone.aggregates() == reference_aggregates(clone)
         assert clone.reward_stats() == reference_reward_stats(clone)
 
-    @given(st.lists(st.floats(-5, 5), max_size=60))
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=40), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_count_totals_after_the_window_wraps_and_after_restore(self, pushes, window):
+        tracker = PerformanceTracker(window)
+        for true_count, fp_count in pushes:
+            tracker.push_record(feedback(true_count, fp_count))
+            assert tracker.counts == reference_counts(tracker)
+        clone = PerformanceTracker(window)
+        clone.load_state_dict(tracker.state_dict())
+        assert clone.counts == tracker.counts == reference_counts(clone)
+        for true_count, fp_count in pushes:
+            clone.push_record(feedback(fp_count, true_count))
+            assert clone.counts == reference_counts(clone)
+
+    @given(st.lists(st.floats(-5, 5), min_size=0, max_size=60))
     def test_trend_slope_matches_recompute(self, history):
         tracker = PerformanceTracker(len(history) + 1)
         for total in history:
             tracker.push_reward(total)
-        assert trend_slope(history) == reference_reward_stats(tracker)[1]
+        assert trend_slope(history) == reference_trend_slope(history)
+        assert trend_slope(tracker.totals) == reference_reward_stats(tracker)[1]
+
+
+# -- replay ring and action sampler ------------------------------------------------
+
+
+class TestReplayArrays:
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_fields_equal_stacked_transitions(self, capacity, inserts, batch_size, seed):
+        data = np.random.default_rng(seed)
+        ring = ExperienceBuffer(capacity, 3, np.random.default_rng(seed + 1))
+        reference = ReferenceRing(capacity, np.random.default_rng(seed + 1))
+        for i in range(inserts):
+            state, next_state = data.normal(size=3), data.normal(size=3)
+            t = Transition(state, int(data.integers(0, 13)), float(data.normal()), next_state, i % 3 == 0)
+            ring.insert(t)
+            reference.insert(t)
+            if len(ring) < batch_size:
+                continue
+            for got, want in zip(ring.sample(batch_size), reference.sample(batch_size)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+        assert [t.to_dict() for t in ring.ordered()] == [t.to_dict() for t in reference.ordered()]
+
+    def test_arrays_grow_with_the_ring_not_with_its_capacity(self):
+        ring = ExperienceBuffer(50_000, 10, np.random.default_rng(0))
+        for i in range(100):
+            ring.insert(Transition(np.full(10, float(i)), 0, 0.0, np.zeros(10), False))
+        assert len(ring) == 100
+        assert ring.sample(100).states.shape == (100, 10)
+        assert len(ring._slots.states) == 128
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda p: sum(p) > 0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sample_action_matches_cumsum_searchsorted(self, weights, seed):
+        probs = np.asarray(weights) / sum(weights)
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert sample_action(probs, fast) == reference_sample_action(probs, reference)
 
 
 class TestCachedValuesAreShared:

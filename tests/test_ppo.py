@@ -31,6 +31,11 @@ def make_transition(state, action, reward, next_state, done=False, log_prob=-0.5
     )
 
 
+def stacked(rollout):
+    """Each step's state, then the final next_state: the rows V is computed on."""
+    return np.vstack([t.state for t in rollout] + [rollout[-1].next_state])
+
+
 class TestClippedSurrogate:
     def test_unit_ratio_returns_advantage(self):
         for eps in (0.1, 0.2, 0.4):
@@ -62,14 +67,14 @@ class TestComputeGae:
         ]
         values = [0.3, 0.6, 0.1, 0.9]
         gamma = 0.9
-        out = compute_gae(rollout, values, gamma, lam=0.0)
+        out = compute_gae(rollout, stacked(rollout), values, gamma, lam=0.0)
         for t in range(3):
             delta = rollout[t].reward + gamma * values[t + 1] - values[t]
             assert out.raw_advantages[t] == pytest.approx(delta, abs=1e-12)
 
     def test_zero_rewards_zero_values_gives_zero_advantages(self):
         rollout = [make_transition([0.0], 0, 0.0, [0.0]) for _ in range(4)]
-        out = compute_gae(rollout, [0.0] * 5, 0.9, 0.95)
+        out = compute_gae(rollout, stacked(rollout), [0.0] * 5, 0.9, 0.95)
         assert np.allclose(out.raw_advantages, 0.0)
         assert np.allclose(out.returns, 0.0)
 
@@ -78,7 +83,7 @@ class TestComputeGae:
         values = [0.2, 0.7, -0.1, 0.4]
         gamma, lam = 0.9, 0.95
         rollout = [make_transition([float(t)], 0, rewards[t], [float(t + 1)]) for t in range(3)]
-        out = compute_gae(rollout, values, gamma, lam)
+        out = compute_gae(rollout, stacked(rollout), values, gamma, lam)
         deltas = [rewards[t] + gamma * values[t + 1] - values[t] for t in range(3)]
         for t in range(3):
             oracle = sum((gamma * lam) ** (k - t) * deltas[k] for k in range(t, 3))
@@ -94,7 +99,7 @@ class TestComputeGae:
             make_transition([float(t)], 0, rewards[t], [float(t + 1)], done=dones[t])
             for t in range(3)
         ]
-        out = compute_gae(rollout, values, gamma, lam)
+        out = compute_gae(rollout, stacked(rollout), values, gamma, lam)
         # Episode boundary at t=1: advantage at t=1 sees no bootstrap and no tail.
         assert out.raw_advantages[1] == pytest.approx(2.0, abs=1e-12)
         assert out.raw_advantages[2] == pytest.approx(3.0 + gamma * 5.0, abs=1e-12)
@@ -103,14 +108,14 @@ class TestComputeGae:
 
     def test_normalized_advantages_standardized(self):
         rollout = [make_transition([float(t)], 0, float(t), [float(t + 1)]) for t in range(8)]
-        out = compute_gae(rollout, [0.0] * 9, 0.9, 0.95)
+        out = compute_gae(rollout, stacked(rollout), [0.0] * 9, 0.9, 0.95)
         assert out.advantages.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.advantages.std() == pytest.approx(1.0, abs=1e-12)
 
     def test_value_length_mismatch_rejected(self):
         rollout = [make_transition([0.0], 0, 1.0, [1.0])]
         with pytest.raises(LengthMismatch):
-            compute_gae(rollout, [0.0], 0.9, 0.95)
+            compute_gae(rollout, stacked(rollout), [0.0], 0.9, 0.95)
 
 
 def bandit_rollout(params, n, seed, reward_for_action0=1.0):
@@ -130,9 +135,9 @@ def bandit_rollout(params, n, seed, reward_for_action0=1.0):
 
 
 def process(params, rollout, gamma=0.5, lam=0.95):
-    states = np.vstack([t.state for t in rollout] + [rollout[-1].next_state])
+    states = stacked(rollout)
     _, values = policy_value_forward(params, states)
-    return compute_gae(rollout, values, gamma, lam)
+    return compute_gae(rollout, states, values, gamma, lam)
 
 
 class TestPpoUpdate:

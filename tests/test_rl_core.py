@@ -269,21 +269,21 @@ class TestExperienceBuffer:
         return Transition(np.array([float(i)]), i, float(i), np.array([float(i + 1)]), False)
 
     def test_ring_keeps_last_capacity_in_order(self):
-        buf = ExperienceBuffer(5, rng(0))
+        buf = ExperienceBuffer(5, 1, rng(0))
         for i in range(12):
             buf.insert(self.make_transition(i))
         assert len(buf) == 5
         assert [t.action for t in buf.ordered()] == [7, 8, 9, 10, 11]
 
     def test_under_capacity_order(self):
-        buf = ExperienceBuffer(10, rng(0))
+        buf = ExperienceBuffer(10, 1, rng(0))
         for i in range(3):
             buf.insert(self.make_transition(i))
         assert [t.action for t in buf.ordered()] == [0, 1, 2]
 
     def test_seeded_sampling_reproducible(self):
         def build(seed):
-            buf = ExperienceBuffer(8, rng(seed))
+            buf = ExperienceBuffer(8, 1, rng(seed))
             for i in range(8):
                 buf.insert(self.make_transition(i))
             return buf
@@ -293,7 +293,7 @@ class TestExperienceBuffer:
         assert np.array_equal(a.sample_indices(4), b.sample_indices(4))
 
     def test_oversized_sample_rejected(self):
-        buf = ExperienceBuffer(8, rng(0))
+        buf = ExperienceBuffer(8, 1, rng(0))
         buf.insert(self.make_transition(0))
         with pytest.raises(ValueError):
             buf.sample(2)

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qeloop import trainer
+import qeloop
+from qeloop import cli, trainer
 from qeloop.config import ConfigTypeError
 from qeloop.dqn import DQNConfig
 from qeloop.knowledge import EdgeType
@@ -159,6 +164,38 @@ class TestDeterminism:
         b = TrainingSystem(tiny_config(seed=1))
         b.run()
         assert metrics_csv_text(a.metrics_history) != metrics_csv_text(b.metrics_history)
+
+
+class TestCacheIsolation:
+    """Every cache lives on the object whose state it summarises. Seeds reuse
+    ids (``def-000``, ``req-000``) for other content, so a cache shared
+    between runs would hand one run the other's values."""
+
+    CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    EPISODES = 35
+
+    def run_alone(self, seed: int, out_dir: Path) -> None:
+        """``qeloop train`` in a fresh interpreter, so no cache outlives it."""
+        env = dict(os.environ, PYTHONPATH=str(Path(qeloop.__file__).resolve().parent.parent))
+        argv = ["train", "--config", str(self.CONFIG), "--set", f"seed={seed}"]
+        argv += ["--set", f"episode_count={self.EPISODES}", "--out", str(out_dir)]
+        subprocess.run([sys.executable, "-m", "qeloop.cli", *argv], env=env, check=True, capture_output=True)
+
+    def test_interleaved_runs_write_the_bytes_of_runs_made_alone(self, tmp_path):
+        systems = {
+            seed: TrainingSystem(cli.load_config(str(self.CONFIG), (f"seed={seed}", f"episode_count={self.EPISODES}")))
+            for seed in (0, 1)
+        }
+        for _ in range(self.EPISODES):
+            for system in systems.values():
+                system.run_episode()
+        for seed, system in systems.items():
+            alone, interleaved = tmp_path / f"alone-{seed}", tmp_path / f"interleaved-{seed}"
+            self.run_alone(seed, alone)
+            system.tables.write(interleaved)
+            system.checkpoint(interleaved / "checkpoint.json")
+            for name in ("metrics.csv", "checkpoint.json"):
+                assert (interleaved / name).read_bytes() == (alone / name).read_bytes(), (seed, name)
 
 
 class TestCheckpoint:
@@ -360,6 +397,15 @@ class TestCheckpoint:
     def test_state_that_does_not_fit_the_built_system_rejected_with_its_path(self, tmp_path, section, edit, path):
         with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {path} ")):
             self.restore_edited(tmp_path, section, edit)
+
+    def test_replay_over_its_capacity_rejected(self, tmp_path):
+        def overfill(node):
+            node["config"]["dqn"]["replay_capacity"] = 4
+            node["dqn"]["replay"] *= 6
+
+        message = re.escape("checkpoint dqn.replay holds 6 transitions, the capacity is 4")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, "", overfill)
 
     def test_restored_checkpoint_reserialises_byte_identically(self, tmp_path):
         system = TrainingSystem(tiny_config())
