@@ -361,8 +361,7 @@ class GenerationContext:
     n_tests: int
     d_cov: int
     content_vectors: Mapping[str, np.ndarray]
-    modifier_delta: np.ndarray | None = None
-    params: RetrievalParams | None = None
+    modifier_delta: np.ndarray
 
 
 def generate_test_cases(
@@ -384,20 +383,17 @@ def generate_test_cases(
         raise ValueError(f"{action.role.name} action does not generate test cases")
     query = requirement_query(requirement, kb.d_emb)
     seeds = [requirement.id] if kb.has_node(requirement.id) else []
-    params = context.params or kb.params
     if action.retrieval_mode == RetrievalMode.GraphOnly and not seeds:
         retrieved: list[tuple[str, float]] = []
     else:
-        retrieved = kb.hybrid_retrieve(query, seeds, action.retrieval_mode, params)
+        retrieved = kb.hybrid_retrieve(query, seeds, action.retrieval_mode, kb.params)
     context_ids = [rid for rid, _ in retrieved]
     context_vecs = [
         np.asarray(context.content_vectors[rid], dtype=np.float64)
         for rid in context_ids
         if rid in context.content_vectors
     ]
-    signature = strategy_signature(action.strategy, context.d_cov)
-    if context.modifier_delta is not None:
-        signature = _clamp01(signature + context.modifier_delta)
+    signature = _clamp01(strategy_signature(action.strategy, context.d_cov) + context.modifier_delta)
     if context_vecs:
         ctx_mean = np.mean(context_vecs, axis=0)
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature + CONTEXT_BLEND * ctx_mean)

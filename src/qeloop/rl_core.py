@@ -90,8 +90,8 @@ class Transition:
 
 _TRANSITION_KEYS = frozenset({"state", "action", "reward", "next_state", "done"})
 _TRANSITION_OPTIONAL_KEYS = frozenset({"log_prob_old"})
-_MLP_KEYS = frozenset({"schema_version", "layer_sizes", "weights", "biases"})
-_ADAM_KEYS = frozenset({"learning_rate", "t", "m_w", "v_w", "m_b", "v_b"})
+_MLP_KEYS = frozenset({"layer_sizes", "flat"})
+_ADAM_KEYS = frozenset({"learning_rate", "t", "m", "v"})
 
 
 def load_vector(values, width: int, what: str) -> np.ndarray:
@@ -101,18 +101,6 @@ def load_vector(values, width: int, what: str) -> np.ndarray:
     if vec.shape != (width,):
         raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
     return vec
-
-
-def _load_layers(views: Sequence[np.ndarray], layers: Sequence, what: str) -> None:
-    """Write one value list per layer into per-layer views of a buffer; a
-    missing or extra list, or a list of the wrong length, is rejected with
-    its dotted path ``what[i]``."""
-    if len(layers) != len(views):
-        raise ValueError(f"{what} has {len(layers)} layer lists, the network has {len(views)}")
-    for i, (view, values) in enumerate(zip(views, layers)):
-        if len(values) != view.size:
-            raise ValueError(f"{what}[{i}] has {len(values)} values, the layer has {view.size}")
-        view[...] = np.asarray([float(x) for x in values], dtype=np.float64).reshape(view.shape)
 
 
 def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -164,26 +152,18 @@ class MLPParameters:
         return self.layer_sizes == other.layer_sizes and np.array_equal(self.flat, other.flat)
 
     def to_dict(self) -> dict:
-        # Weights serialize as decimal strings so the checkpoint is exact.
-        return {
-            "schema_version": 1,
-            "layer_sizes": list(self.layer_sizes),
-            "weights": [[repr(float(x)) for x in w.ravel()] for w in self.weights],
-            "biases": [[repr(float(x)) for x in b.ravel()] for b in self.biases],
-        }
+        # JSON writes a float as its repr, which reads back exactly.
+        return {"layer_sizes": list(self.layer_sizes), "flat": self.flat.tolist()}
 
     def load_dict(self, d: Mapping, what: str = "MLP parameters") -> None:
         """Write ``to_dict`` output into this network's buffer. A topology
         other than this network's is rejected: ``what`` names ``d`` in the
         error for a missing or unknown key, another ``layer_sizes``, or a
-        missing, extra or wrong-length per-layer list."""
+        ``flat`` buffer of another length."""
         check_keys(what, d, _MLP_KEYS)
-        if d["schema_version"] != 1:
-            raise ValueError(f"unsupported parameter schema_version {d['schema_version']!r}")
         if list(d["layer_sizes"]) != list(self.layer_sizes):
             raise ValueError(f"{what}.layer_sizes {d['layer_sizes']!r} != built {list(self.layer_sizes)}")
-        _load_layers(self.weights, d["weights"], f"{what}.weights")
-        _load_layers(self.biases, d["biases"], f"{what}.biases")
+        self.flat[...] = load_vector(d["flat"], self.flat.size, f"{what}.flat")
 
 
 def xavier_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> MLPParameters:
@@ -285,7 +265,6 @@ class Adam:
     def __init__(self, params: MLPParameters, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self.layer_sizes = params.layer_sizes
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
 
@@ -302,26 +281,18 @@ class Adam:
         if not np.isfinite(params.flat).all():
             raise RLCoreError("non-finite parameter after Adam step")
 
-    def _moment_views(self) -> dict[str, list[np.ndarray]]:
-        m_w, m_b = _layer_views(self.layer_sizes, self.m)
-        v_w, v_b = _layer_views(self.layer_sizes, self.v)
-        return {"m_w": m_w, "v_w": v_w, "m_b": m_b, "v_b": v_b}
-
     def state_dict(self) -> dict:
-        state = {"learning_rate": self.learning_rate, "t": self.t}
-        for name, arrays in self._moment_views().items():
-            state[name] = [[float(x) for x in a.ravel()] for a in arrays]
-        return state
+        return {"learning_rate": self.learning_rate, "t": self.t, "m": self.m.tolist(), "v": self.v.tolist()}
 
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
         """Write ``state_dict`` output into this optimizer's moments; ``what``
         names ``d`` in the error for a missing or unknown key and prefixes
-        the path of a moment list that does not fit the network."""
+        the path of a moment buffer that does not fit the network."""
         check_keys(what, d, _ADAM_KEYS)
         self.learning_rate = float(d["learning_rate"])
         self.t = int(d["t"])
-        for name, views in self._moment_views().items():
-            _load_layers(views, d[name], f"{what}.{name}")
+        self.m[...] = load_vector(d["m"], self.m.size, f"{what}.m")
+        self.v[...] = load_vector(d["v"], self.v.size, f"{what}.v")
 
 
 class ReplayBatch(NamedTuple):

@@ -80,8 +80,9 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 # version 3 dropped the catalog of every generated test; version 4 dropped
 # the metrics, PPO and DQN tables, which the run's events record; version 5
 # dropped state nothing reads: the usefulness knob, the trackers' reward
-# breakdowns and windows, and the replay-buffer insert count.
-CHECKPOINT_SCHEMA_VERSION = 5
+# breakdowns and windows, and the replay-buffer insert count; version 6
+# stores each network and its Adam moments as one flat list of floats.
+CHECKPOINT_SCHEMA_VERSION = 6
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
@@ -95,6 +96,10 @@ _RNG_STREAMS = frozenset(
     [f"{use}:{role.name}" for use in ("init", "policy", "ppo") for role in AgentRole]
     + ["init:dqn", "replay", "dqn", "env"]
 )
+
+# Version 2 of the event log writes one ``slot`` event per generation slot
+# in place of the per-action, per-test, per-feedback and reward events.
+EVENT_SCHEMA_VERSION = 2
 
 # Length of the false-positive and retrieval-hit windows that feed the
 # knowledge controller's state.
@@ -436,6 +441,7 @@ class TrainingSystem:
         self._emit(
             {
                 "type": "run_start",
+                "event_schema": EVENT_SCHEMA_VERSION,
                 "n_requirements": len(self.requirements),
                 "n_defects": len(self.project.defects),
                 "seed": config.seed,
@@ -604,6 +610,7 @@ class TrainingSystem:
 
             modifier_delta = np.zeros(config.env.d_cov, dtype=np.float64)
             acting: list[AgentRole] = []
+            actions: list[dict] = []
             for role in MODIFIER_ROLES:
                 agent = self.agents[role]
                 state = self._featurize(role, rid)
@@ -612,16 +619,7 @@ class TrainingSystem:
                 )
                 modifier_delta += modifier_vector(role, action.option, config.env.d_cov)
                 acting.append(role)
-                self._emit(
-                    {
-                        "type": "agent_action",
-                        "episode": episode,
-                        "slot": slot,
-                        "role": role.name,
-                        "action_index": action.index,
-                        "log_prob": log_prob,
-                    }
-                )
+                actions.append({"role": role.name, "action_index": action.index, "log_prob": log_prob})
             modifier_delta *= config.loop.modifier_scale
 
             interval = config.loop.integration_slot_interval
@@ -636,41 +634,25 @@ class TrainingSystem:
                 gen_state, self.streams.get(f"policy:{gen_role.name}"), self.deterministic_policy
             )
             acting.append(gen_role)
-            self._emit(
-                {
-                    "type": "agent_action",
-                    "episode": episode,
-                    "slot": slot,
-                    "role": gen_role.name,
-                    "action_index": gen_action.index,
-                    "strategy": gen_action.strategy.name,
-                    "retrieval_mode": gen_action.retrieval_mode.name,
-                    "log_prob": gen_log_prob,
-                }
-            )
+            actions.append({"role": gen_role.name, "action_index": gen_action.index, "log_prob": gen_log_prob})
 
             context = GenerationContext(
                 n_tests=config.loop.n_tests,
                 d_cov=config.env.d_cov,
                 content_vectors=self.content_vectors,
                 modifier_delta=modifier_delta,
-                params=self.kb.params,
             )
             tests, context_ids = generate_test_cases(gen_action, requirement, self.kb, context)
             self.hit_window.append(1.0 if context_ids else 0.0)
 
             slot_records: list[FeedbackRecord] = []
-            test_ids = {test.id for test in tests}
+            test_ids = [test.id for test in tests]
             for test in tests:
-                self._emit({"type": "test_generated", "episode": episode, "slot": slot, "test": test.to_dict()})
                 feedback = execute_test(test, self.project, config.execution, self.streams.get("env"))
                 validate_feedback(feedback, test_ids)
                 slot_records.append(feedback)
-                ep_records.append(feedback)
                 self.fp_window.append(1.0 if feedback.false_positives() else 0.0)
-                self._emit(
-                    {"type": "feedback", "episode": episode, "slot": slot, "record": feedback.to_dict()}
-                )
+            ep_records.extend(slot_records)
 
             weights = (
                 RewardWeights.effectiveness_only() if flags.scalar_reward else config.rewards.weights
@@ -680,8 +662,21 @@ class TrainingSystem:
             self.reward_window.append(breakdown.total)
             if self.kb_pending is not None:
                 self.kb_pending[2].append(breakdown.total)
+            # A slot's tests differ only by id, so the event carries their
+            # shared fields once.
+            shared = tests[0].to_dict()
+            del shared["id"]
             self._emit(
-                {"type": "reward", "episode": episode, "slot": slot, "breakdown": breakdown.to_dict()}
+                {
+                    "type": "slot",
+                    "episode": episode,
+                    "slot": slot,
+                    "actions": actions,
+                    "test": shared,
+                    "test_ids": test_ids,
+                    "records": [record.to_dict() for record in slot_records],
+                    "reward": breakdown.to_dict(),
+                }
             )
 
             for role in acting:
@@ -765,8 +760,9 @@ class TrainingSystem:
         partial system. A missing or unknown key at the top level, in the
         agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
         a network or optimizer state whose topology is not the one built,
-        and a stored state or coverage vector of another width, is named
-        with its dotted path. ``events`` as in ``__init__``."""
+        a stored state or coverage vector of another width, and a reward,
+        false-positive or hit window longer than its length, is named with
+        its dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -799,7 +795,10 @@ class TrainingSystem:
                 agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
             system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
             for name in ("reward_window", "fp_window", "hit_window"):
-                getattr(system, name).extend(float(x) for x in payload[name])
+                window, values = getattr(system, name), payload[name]
+                if len(values) > window.maxlen:
+                    raise ValueError(f"checkpoint {name} holds {len(values)} entries, the window is {window.maxlen}")
+                window.extend(float(x) for x in values)
             pending = payload["kb_pending"]
             system.kb_pending = (
                 None
@@ -832,9 +831,10 @@ def run_training(config: RunConfig, deterministic_policy: bool = False) -> Train
 
 class EventLog:
     """Writes each appended event as a sorted-key JSON line of ``events.jsonl``
-    and each ``feedback`` event's record as its ``to_json_line`` in
+    and each record of a ``slot`` event as a sorted-key JSON line of
     ``feedback.jsonl``. Its files close on any exit from its ``with`` block,
-    so a failed run leaves every event before the failure."""
+    so a failed run leaves every event of the slots completed before the
+    failure."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -850,15 +850,17 @@ class EventLog:
 
     def append(self, event: dict) -> None:
         self._events.write(json.dumps(event, sort_keys=True) + "\n")
-        if event.get("type") == "feedback":
-            self._feedback.write(json.dumps(event["record"], sort_keys=True) + "\n")
+        if event.get("type") == "slot":
+            for record in event["records"]:
+                self._feedback.write(json.dumps(record, sort_keys=True) + "\n")
 
     def __exit__(self, *exc_info) -> None:
         self._files.close()
 
 
 def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
-    """Recompute per-episode metrics purely from the event log, read once."""
+    """Recompute per-episode metrics purely from the event log, read once.
+    A ``run_start`` of another ``event_schema``, or none, is rejected."""
     n_requirements = None
     out: list[EpisodeMetrics] = []
     episode = None
@@ -869,16 +871,19 @@ def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
     for event in events:
         kind = event.get("type")
         if kind == "run_start":
+            if event.get("event_schema") != EVENT_SCHEMA_VERSION:
+                raise ValueError(
+                    f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}"
+                )
             n_requirements = int(event["n_requirements"])
         elif kind == "episode_start":
             episode = int(event["episode"])
             planned = list(event["planned_requirements"])
             reachable = int(event["reachable_defects"])
             records, breakdowns = [], []
-        elif kind == "feedback":
-            records.append(FeedbackRecord.from_dict(event["record"]))
-        elif kind == "reward":
-            breakdowns.append(RewardBreakdown.from_dict(event["breakdown"]))
+        elif kind == "slot":
+            records.extend(FeedbackRecord.from_dict(record) for record in event["records"])
+            breakdowns.append(RewardBreakdown.from_dict(event["reward"]))
         elif kind == "episode_end":
             if n_requirements is None or episode is None:
                 raise ValueError("event log missing run_start/episode_start context")

@@ -232,8 +232,7 @@ class TestGenerate:
             n_tests=n_tests,
             d_cov=16,
             content_vectors=content or {},
-            modifier_delta=modifier,
-            params=kb.params,
+            modifier_delta=np.zeros(16) if modifier is None else modifier,
         )
 
     def gen_action(self, strategy=GenerationStrategy.Boundary, mode=RetrievalMode.VectorOnly):

@@ -156,11 +156,13 @@ class TestTrainCommand:
         for name in ("events.jsonl", "feedback.jsonl"):
             assert (out_dir / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
 
-    def test_failed_run_leaves_every_event_before_the_failure(self, tmp_path, config_path, monkeypatch):
+    def test_failed_run_leaves_every_event_of_the_slots_completed_before_the_failure(
+        self, tmp_path, config_path, monkeypatch
+    ):
         events = run_training(RunConfig.from_dict(TINY)).events
-        fail_on = 6
-        generated = [i for i, e in enumerate(events) if e["type"] == "test_generated"]
-        expected = events[: generated[fail_on - 1] + 1]
+        fail_on = 6  # one test per slot, so the sixth slot fails
+        slots = [i for i, e in enumerate(events) if e["type"] == "slot"]
+        expected = events[: slots[fail_on - 1]]
         real_execute = trainer.execute_test
         calls = []
 
@@ -316,7 +318,8 @@ class TestExportCommand:
     )
     def test_export_rejects_a_malformed_event_log(self, tmp_path, config_path, capsys, event, problem):
         events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps({"type": "run_start", "n_requirements": 6}) + "\n" + json.dumps(event) + "\n")
+        run_start = {"type": "run_start", "event_schema": trainer.EVENT_SCHEMA_VERSION, "n_requirements": 6}
+        events.write_text(json.dumps(run_start) + "\n" + json.dumps(event) + "\n")
         argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
         assert cli.main(argv) == 1
         assert problem in capsys.readouterr().err
@@ -324,9 +327,9 @@ class TestExportCommand:
     @pytest.mark.parametrize(
         "kind, edit",
         [
-            ("feedback", lambda event: event["record"].update(bogus=1)),
-            ("feedback", lambda event: event["record"].update(quality_rating="abc")),
-            ("reward", lambda event: event["breakdown"].update(bogus=1.0)),
+            ("slot", lambda event: event["records"][0].update(bogus=1)),
+            ("slot", lambda event: event["records"][0].update(quality_rating="abc")),
+            ("slot", lambda event: event["reward"].update(bogus=1.0)),
         ],
         ids=["record-unknown-key", "record-non-numeric-field", "breakdown-unknown-key"],
     )
@@ -344,6 +347,25 @@ class TestExportCommand:
         argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
         assert cli.main(argv) == 1
         assert f"qeloop.cli.ValidationError: input line {index + 1}: malformed event log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit", [lambda event: event.update(event_schema=1), lambda event: event.pop("event_schema")],
+        ids=["other-schema", "no-schema"],
+    )
+    def test_export_rejects_a_log_of_another_event_schema(self, tmp_path, config_path, capsys, edit):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        lines = (out_dir / "events.jsonl").read_text().splitlines()
+        run_start = json.loads(lines[0])
+        edit(run_start)
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join([json.dumps(run_start)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "input line 1: malformed event log" in err and "event_schema" in err
+        assert not (tmp_path / "export").exists()
 
     def test_export_of_an_evaluation_reproduces_its_csvs(self, tmp_path, config_path):
         out_dir, eval_dir, export_dir = tmp_path / "out", tmp_path / "eval", tmp_path / "export"

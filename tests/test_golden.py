@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "4e16cd3661a0673279a8af8d66e8580e614170524980050c3b6961aa0c46ac0e",
+            "checkpoint.json": "ee87793a88fafb20795c5f2741a34523b9a0eafaf9252f1a7917e25efd3f4977",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "4ff8b36c59d0b129974158504b0c565d4bc97dcf07a909024497bce39ea3142e",
+            "checkpoint.json": "5a44d8628e9cc51c7cbb7ae45d72e2c275359a41fdf773a7d0bbfc09d50d0f69",
         },
     },
 }

@@ -259,8 +259,8 @@ class TestAdam:
 
     def test_moments_of_another_topology_rejected_with_their_path(self):
         snapshot = Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).state_dict()
-        del snapshot["m_w"][1]
-        with pytest.raises(ValueError, match=re.escape("adam.m_w has 1 layer lists, the network has 2")):
+        snapshot["m"].pop()
+        with pytest.raises(ValueError, match=re.escape("adam.m has shape (25,), expected (26,)")):
             Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).load_state_dict(snapshot, "adam")
 
 
@@ -337,23 +337,24 @@ class TestParameterSerialization:
         clone = reloaded(params)
         assert clone.equals(params)
 
-    def test_weights_stored_as_decimal_strings(self):
-        payload = xavier_init((2, 2), rng(0)).to_dict()
-        assert isinstance(payload["weights"][0][0], str)
+    def test_weights_stored_as_one_flat_list_of_floats(self):
+        params = xavier_init((2, 2), rng(0))
+        payload = params.to_dict()
+        assert payload == {"layer_sizes": [2, 2], "flat": params.flat.tolist()}
+        assert all(type(x) is float for x in payload["flat"])
 
-    def test_unsupported_version_rejected(self):
-        payload = xavier_init((2, 2), rng(0)).to_dict()
-        payload["schema_version"] = 9
-        with pytest.raises(ValueError):
+    def test_per_layer_payload_rejected(self):
+        payload = {"schema_version": 1, "layer_sizes": [2, 2], "weights": [["0.0"] * 4], "biases": [["0.0"] * 2]}
+        with pytest.raises(ValueError, match="unknown key"):
             MLPParameters((2, 2)).load_dict(payload)
 
     @pytest.mark.parametrize(
         "edit, path",
         [
             (lambda d: d.update(layer_sizes=[3, 8, 2]), "net.layer_sizes"),
-            (lambda d: d["weights"].append(["0.0"] * 8), "net.weights"),
-            (lambda d: d["biases"].pop(), "net.biases"),
-            (lambda d: d["weights"][1].pop(), "net.weights[1]"),
+            (lambda d: d["flat"].append(0.0), "net.flat has shape (27,)"),
+            (lambda d: d["flat"].pop(), "net.flat has shape (25,)"),
+            (lambda d: d.update(flat=[d["flat"]]), "net.flat has shape (1, 26)"),
         ],
     )
     def test_other_topology_rejected_with_its_path(self, edit, path):

@@ -54,23 +54,31 @@ def tiny_config(**overrides) -> RunConfig:
     return replace(base, **overrides)
 
 
+def slot_events(system: TrainingSystem) -> list[dict]:
+    return [e for e in system.events if e["type"] == "slot"]
+
+
 class TestEpisodeLoop:
     def test_four_slots_one_test_each_gives_four_feedback_records(self):
         system = TrainingSystem(tiny_config(episode_count=1))
         system.run_episode()
-        feedback_events = [e for e in system.events if e["type"] == "feedback"]
-        assert len(feedback_events) == 4
+        records = [r for e in slot_events(system) for r in e["records"]]
+        assert len(records) == 4
 
     def test_three_tests_per_slot_triples_records(self):
         config = tiny_config(episode_count=1, loop=LoopConfig(n_tests=3, kb_action_interval=2))
         system = TrainingSystem(config)
         system.run_episode()
-        assert len([e for e in system.events if e["type"] == "feedback"]) == 12
+        slots = slot_events(system)
+        assert len([r for e in slots for r in e["records"]]) == 12
+        for e in slots:
+            assert [r["test_case_ref"] for r in e["records"]] == e["test_ids"]
+            assert len(set(e["test_ids"])) == 3 and "id" not in e["test"]
 
     def test_all_five_roles_act_every_slot(self):
         system = TrainingSystem(tiny_config(episode_count=1))
         system.run_episode()
-        actions = [e for e in system.events if e["type"] == "agent_action"]
+        actions = [a for e in slot_events(system) for a in e["actions"]]
         assert len(actions) == 4 * 4  # three modifiers + one generator per slot
         roles = {e["role"] for e in actions}
         assert "TestCaseGeneration" in roles and len(roles) >= 4
@@ -83,9 +91,9 @@ class TestEpisodeLoop:
         )
         system = TrainingSystem(config)
         system.run_episode()
-        gen_events = [e for e in system.events if e["type"] == "agent_action" and "strategy" in e]
-        assert gen_events[4]["role"] == "IntegrationPoint"
-        assert all(e["role"] == "TestCaseGeneration" for e in gen_events[:4])
+        gen_actions = [e["actions"][-1] for e in slot_events(system)]
+        assert gen_actions[4]["role"] == "IntegrationPoint"
+        assert all(a["role"] == "TestCaseGeneration" for a in gen_actions[:4])
 
     def test_metrics_rates_within_bounds(self):
         system = TrainingSystem(tiny_config())
@@ -102,7 +110,7 @@ class TestEpisodeLoop:
         config = tiny_config(ablation=AblationFlags(scalar_reward=True))
         system = TrainingSystem(config)
         system.run()
-        rewards = [e["breakdown"] for e in system.events if e["type"] == "reward"]
+        rewards = [e["reward"] for e in slot_events(system)]
         assert any(r["coverage"] != 0.0 for r in rewards)
         for r in rewards:
             assert r["total"] == pytest.approx(r["effectiveness"], abs=1e-12)
@@ -349,10 +357,10 @@ class TestCheckpoint:
             ),
             (
                 "agents.LegacyTestAnalysis.params",
-                lambda node: node["weights"].append(node["weights"][-1]),
-                "agents.LegacyTestAnalysis.params.weights",
+                lambda node: node["flat"].append(0.0),
+                "agents.LegacyTestAnalysis.params.flat",
             ),
-            ("agents.LegacyTestAnalysis.adam", lambda node: node["m_w"].pop(1), "agents.LegacyTestAnalysis.adam.m_w"),
+            ("agents.LegacyTestAnalysis.adam", lambda node: node["m"].pop(), "agents.LegacyTestAnalysis.adam.m"),
             (
                 "agents.LegacyTestAnalysis.tracker",
                 lambda node: node["totals"].extend([0.0] * 60),
@@ -363,7 +371,7 @@ class TestCheckpoint:
                 lambda node: node.update(target_net=xavier_init((10, 8, 13), np.random.default_rng(0)).to_dict()),
                 "dqn.target_net.layer_sizes",
             ),
-            ("dqn.adam", lambda node: node["m_w"].pop(1), "dqn.adam.m_w"),
+            ("dqn.adam", lambda node: node.update(v=[node["v"]]), "dqn.adam.v"),
             (
                 "agents.LegacyTestAnalysis.rollout.0",
                 lambda node: node.update(state=node["state"][:3]),
@@ -381,11 +389,11 @@ class TestCheckpoint:
         ],
         ids=[
             "agent-params-topology",
-            "agent-extra-weight-list",
-            "agent-adam-missing-layer",
+            "agent-params-flat-too-long",
+            "agent-adam-m-too-short",
             "tracker-longer-than-window",
             "dqn-target-topology",
-            "dqn-adam-missing-layer",
+            "dqn-adam-v-nested",
             "rollout-state-width",
             "rollout-next-state-width",
             "replay-state-width",
@@ -407,6 +415,15 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, "", overfill)
 
+    @pytest.mark.parametrize("name", ["reward_window", "fp_window", "hit_window"])
+    def test_window_over_its_length_rejected(self, tmp_path, name):
+        def overfill(node):
+            node[name] = [0.5] * 51
+
+        message = re.escape(f"checkpoint {name} holds 51 entries, the window is 50")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, "", overfill)
+
     def test_restored_checkpoint_reserialises_byte_identically(self, tmp_path):
         system = TrainingSystem(tiny_config())
         system.run(episodes=2)
@@ -414,6 +431,18 @@ class TestCheckpoint:
         system.checkpoint(path)
         TrainingSystem.restore(path).checkpoint(again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_version_5_checkpoint_rejected(self, tmp_path):
+        # Version 5 checkpoints store each network as per-layer lists of
+        # decimal strings; they must fail on their version, not on those keys.
+        def to_version_5(node):
+            node["schema_version"] = 5
+            for agent in node["agents"].values():
+                flat = agent["params"].pop("flat")
+                agent["params"].update(schema_version=1, weights=[[repr(x) for x in flat]], biases=[])
+
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 5"):
+            self.restore_edited(tmp_path, "", to_version_5)
 
     def test_version_4_checkpoint_rejected(self, tmp_path):
         # Version 4 checkpoints still carry the trackers' windows and the
@@ -530,9 +559,7 @@ class TestExport:
 
         result = self.run_result()
         paths = self.event_log(result, tmp_path / "out")
-        original = [
-            FeedbackRecord.from_dict(e["record"]) for e in result.events if e["type"] == "feedback"
-        ]
+        original = [FeedbackRecord.from_dict(r) for e in slot_events(result) for r in e["records"]]
         replayed = list(replay_feedback(paths["feedback"]))
         assert replayed == original
 
