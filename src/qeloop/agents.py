@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .domain import (
     check_keys,
 )
 from .knowledge import KnowledgeStore, RetrievalParams, embed
-from .ppo import policy_value_forward
+from .ppo import PPOConfig, Rollout, policy_value_forward
 from .rewards import trend_slope
-from .rl_core import HIDDEN_WIDTH, Adam, Transition, sample_action, softmax_policy, xavier_init
+from .rl_core import HIDDEN_WIDTH, Adam, columns_dict, load_columns, sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
 SUMMARY_DIM = 8  # the hashed requirement summary leads the state
@@ -251,17 +251,27 @@ def featurize_state(
 
 
 class Agent:
-    """One role's policy, optimizer, rollout accumulator, feedback tracker,
-    and pending action slot."""
+    """One role's policy, optimizer, rollout, feedback tracker, and pending
+    action slot. ``rollout`` has room for ``rollout_length`` steps; its first
+    ``rollout_steps`` rows hold the steps recorded since the last update."""
 
     def __init__(
-        self, role: AgentRole, init_rng: np.random.Generator, learning_rate: float, tracker_window: int = 50
+        self,
+        role: AgentRole,
+        init_rng: np.random.Generator,
+        learning_rate: float,
+        tracker_window: int = 50,
+        rollout_length: int = PPOConfig.rollout_length,
     ):
         self.role = role
         self.n_actions = action_space_size(role)
         self.params = xavier_init((STATE_DIM, HIDDEN_WIDTH, HIDDEN_WIDTH, self.n_actions + 1), init_rng)
         self.adam = Adam(self.params, learning_rate)
-        self.rollout: list[Transition] = []
+        steps = rollout_length
+        self.rollout = Rollout(
+            np.zeros((steps + 1, STATE_DIM)), np.zeros(steps, np.int64), np.zeros(steps), np.zeros(steps)
+        )
+        self.rollout_steps = 0
         self.tracker = PerformanceTracker(tracker_window)
         self.pending: tuple[np.ndarray, int, float] | None = None
 
@@ -280,10 +290,11 @@ class Agent:
         return decode_action(self.role, index), log_prob
 
     def state_dict(self) -> dict:
+        n = self.rollout_steps
         return {
             "params": self.params.to_dict(),
             "adam": self.adam.state_dict(),
-            "rollout": [t.to_dict() for t in self.rollout],
+            "rollout": columns_dict(Rollout(*(column[:n] for column in self.rollout))),
             "tracker": self.tracker.state_dict(),
         }
 
@@ -291,46 +302,36 @@ class Agent:
         """Load ``state_dict`` output into a fresh agent's network, optimizer,
         rollout and tracker, in place. ``what`` names ``d``, and prefixes its
         sections' paths, in the error for a missing or unknown key, a
-        network of another topology or a rollout state of another width."""
+        network of another topology, or a rollout that is not one column
+        per field of equal lengths, whose states are of another width, or
+        that holds as many steps as trigger an update."""
         check_keys(what, d, _AGENT_KEYS)
         self.params.load_dict(d["params"], f"{what}.params")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
-        self.rollout = [
-            Transition.from_dict(t, self.params.n_in, f"{what}.rollout[{i}]") for i, t in enumerate(d["rollout"])
-        ]
+        columns = load_columns(self.rollout, d["rollout"], len(self.rollout.actions) - 1, f"{what}.rollout")
+        self.rollout_steps = len(columns.actions)
+        for column, loaded in zip(self.rollout, columns):
+            column[: self.rollout_steps] = loaded
         self.tracker.load_state_dict(d["tracker"], f"{what}.tracker")
 
 
-def record_feedback(
-    agent: Agent,
-    feedbacks: Sequence[FeedbackRecord],
-    reward: float,
-    featurize_next: Callable[[], np.ndarray],
-) -> Transition:
-    """Push feedback into the agent's tracker and emit its transition.
-
-    ``featurize_next`` runs after the tracker update so the next state
-    reflects the newly recorded feedback. The transition reward is the
-    slot's combined reward total and done is always false (the loop is
-    continuous).
-    """
+def record_feedback(agent: Agent, feedbacks: Sequence[FeedbackRecord], reward: float) -> None:
+    """Push feedback into the agent's tracker and write its pending action
+    as the rollout's next step, rewarded with the slot's combined reward
+    total."""
     if agent.pending is None:
         raise ValueError(f"{agent.role.name} has no pending action to attach feedback to")
+    step = agent.rollout_steps
+    if step == len(agent.rollout.actions):
+        raise ValueError(f"{agent.role.name} rollout is full; run its PPO update first")
     for feedback in feedbacks:
         agent.tracker.push_record(feedback)
     agent.tracker.push_reward(reward)
-    state, action_index, log_prob = agent.pending
-    transition = Transition(
-        state=state,
-        action=action_index,
-        reward=reward,
-        next_state=featurize_next(),
-        done=False,
-        log_prob_old=log_prob,
-    )
-    agent.rollout.append(transition)
+    states, actions, rewards, log_probs = agent.rollout
+    states[step], actions[step], log_probs[step] = agent.pending
+    rewards[step] = reward
+    agent.rollout_steps = step + 1
     agent.pending = None
-    return transition
 
 
 def _clamp01(vec: np.ndarray) -> np.ndarray:
@@ -354,28 +355,23 @@ def _test_case_ids(
     ]
 
 
-@dataclass
-class GenerationContext:
-    """Everything generation needs beyond the action and the requirement."""
-
-    n_tests: int
-    d_cov: int
-    content_vectors: Mapping[str, np.ndarray]
-    modifier_delta: np.ndarray
-
-
 def generate_test_cases(
     action: AgentAction,
     requirement: Requirement,
     kb: KnowledgeStore,
-    context: GenerationContext,
+    content_vectors: Mapping[str, np.ndarray],
+    modifier_delta: np.ndarray,
+    n_tests: int,
 ) -> tuple[list[TestCase], list[str]]:
-    """Emit test cases whose coverage blends strategy signature and context.
+    """Emit ``n_tests`` test cases whose coverage blends strategy signature
+    and context.
 
     Retrieval runs under the action's mode; retrieved ids that have a known
     content vector contribute to the blend 0.6 * signature + 0.4 * context
-    mean (a missing context side contributes nothing). Returns the test
-    cases plus the retrieved context ids for edge reinforcement.
+    mean (a missing context side contributes nothing). The signature is
+    nudged by ``modifier_delta``, whose length is the coverage width.
+    Returns the test cases plus the retrieved context ids for edge
+    reinforcement.
 
     Ids are content hashes, so identical inputs yield identical test cases.
     """
@@ -389,11 +385,9 @@ def generate_test_cases(
         retrieved = kb.hybrid_retrieve(query, seeds, action.retrieval_mode, kb.params)
     context_ids = [rid for rid, _ in retrieved]
     context_vecs = [
-        np.asarray(context.content_vectors[rid], dtype=np.float64)
-        for rid in context_ids
-        if rid in context.content_vectors
+        np.asarray(content_vectors[rid], dtype=np.float64) for rid in context_ids if rid in content_vectors
     ]
-    signature = _clamp01(strategy_signature(action.strategy, context.d_cov) + context.modifier_delta)
+    signature = _clamp01(strategy_signature(action.strategy, len(modifier_delta)) + modifier_delta)
     if context_vecs:
         ctx_mean = np.mean(context_vecs, axis=0)
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature + CONTEXT_BLEND * ctx_mean)
@@ -401,7 +395,7 @@ def generate_test_cases(
         coverage = _clamp01((1.0 - CONTEXT_BLEND) * signature)
     coverage_vector = tuple(coverage.tolist())
     test_ids = _test_case_ids(
-        requirement.id, action.strategy, action.retrieval_mode, coverage_vector, context.n_tests, action.role
+        requirement.id, action.strategy, action.retrieval_mode, coverage_vector, n_tests, action.role
     )
     tests = [
         TestCase(

@@ -185,11 +185,17 @@ class FeedbackRecord:
     workflow_integration_factor: float
     compliance_score: float
 
+    def __post_init__(self):
+        # The split is asked for several times per record, so it is made
+        # once; plain attributes stay out of the fields, equality and to_dict.
+        object.__setattr__(self, "_true_defects", tuple(d for d in self.defects if not d.is_false_positive))
+        object.__setattr__(self, "_false_positives", tuple(d for d in self.defects if d.is_false_positive))
+
     def true_defects(self) -> tuple[DefectReport, ...]:
-        return tuple(d for d in self.defects if not d.is_false_positive)
+        return self._true_defects
 
     def false_positives(self) -> tuple[DefectReport, ...]:
-        return tuple(d for d in self.defects if d.is_false_positive)
+        return self._false_positives
 
     def to_dict(self) -> dict:
         return {

@@ -28,6 +28,7 @@ from .rl_core import (
     backward,
     forward,
     forward_cached,
+    load_count,
     xavier_init,
 )
 
@@ -184,7 +185,7 @@ class DQNController:
             "qnet": self.qnet.to_dict(),
             "target_net": self.target_net.to_dict(),
             "adam": self.adam.state_dict(),
-            "replay": [t.to_dict() for t in self.replay.ordered()],
+            "replay": self.replay.state_dict(),
             "action_steps": self.action_steps,
             "train_steps": self.train_steps,
         }
@@ -193,17 +194,14 @@ class DQNController:
         """Load ``state_dict`` output into a fresh controller's networks,
         optimizer and empty replay, in place. ``what`` names ``d``, and
         prefixes its sections' paths, in the error for a missing or unknown
-        key, a network of another topology or a replay state of another
-        width, or a replay holding more transitions than its capacity."""
+        key, a network of another topology, a negative step count, or a
+        replay that is not one column per field of equal lengths, whose
+        states are of another width, or that holds more transitions than
+        its capacity."""
         check_keys(what, d, _STATE_KEYS)
         self.qnet.load_dict(d["qnet"], f"{what}.qnet")
         self.target_net.load_dict(d["target_net"], f"{what}.target_net")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
-        if len(d["replay"]) > self.replay.capacity:
-            raise ValueError(
-                f"{what}.replay holds {len(d['replay'])} transitions, the capacity is {self.replay.capacity}"
-            )
-        for i, t in enumerate(d["replay"]):
-            self.replay.insert(Transition.from_dict(t, self.qnet.n_in, f"{what}.replay[{i}]"))
-        self.action_steps = int(d["action_steps"])
-        self.train_steps = int(d["train_steps"])
+        self.replay.load_state_dict(d["replay"], f"{what}.replay")
+        self.action_steps = load_count(d["action_steps"], f"{what}.action_steps")
+        self.train_steps = load_count(d["train_steps"], f"{what}.train_steps")

@@ -13,12 +13,12 @@ with advantages from GAE, normalized per update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ConfigCodec
-from .rl_core import Adam, MLPParameters, Transition, backward, forward_cached, softmax_policy
+from .rl_core import Adam, MLPParameters, backward, forward_cached, softmax_policy
 
 LEARNING_RATE_RANGE = (1e-4, 3e-4)
 
@@ -32,7 +32,7 @@ class LengthMismatch(PPOError):
 
 
 class StaleRollout(PPOError):
-    """A transition is missing the old policy's log-probability."""
+    """A step is missing the old policy's log-probability."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,17 @@ class PPOConfig(ConfigCodec):
         if self.value_loss_coeff < 0 or self.entropy_coeff < 0:
             raise ValueError("loss coefficients must be non-negative")
         return self
+
+
+class Rollout(NamedTuple):
+    """One agent's steps as one array per field; row t of each belongs to
+    step t. ``states`` holds one more row than the steps: the state after
+    the last step, which the update bootstraps from."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    log_probs: np.ndarray
 
 
 @dataclass
@@ -109,44 +120,35 @@ def policy_value_forward(params: MLPParameters, states: np.ndarray) -> tuple[np.
 
 
 def compute_gae(
-    rollout: Sequence[Transition],
-    states: np.ndarray,
+    rollout: Rollout,
     value_estimates: Sequence[float],
     gamma: float,
     lam: float,
 ) -> ProcessedRollout:
     """Generalized advantage estimation over one rollout.
 
-    ``states`` stacks each step's state and then the final next_state, the
-    rows ``value_estimates`` were computed from: V(s_t) for every step plus
-    the bootstrap V(s_T), so both have len(rollout) + 1 rows. Advantage
-    accumulation resets across episode boundaries (done flags).
+    ``value_estimates`` are V of each row of ``rollout.states``: V(s_t) for
+    every step, then the bootstrap V(s_T). The loop is continuous, so no
+    step is terminal and every step bootstraps from the next.
     """
-    n = len(rollout)
+    n = len(rollout.actions)
     values = np.asarray(value_estimates, dtype=np.float64)
     if values.shape != (n + 1,):
         raise LengthMismatch(f"need {n + 1} value estimates, got {values.shape}")
-    if len(states) != n + 1:
-        raise LengthMismatch(f"need {n + 1} states, got {len(states)}")
-    rewards = np.asarray([t.reward for t in rollout], dtype=np.float64)
-    not_done = np.asarray([0.0 if t.done else 1.0 for t in rollout], dtype=np.float64)
+    if len(rollout.states) != n + 1:
+        raise LengthMismatch(f"need {n + 1} states, got {len(rollout.states)}")
     advantages = np.zeros(n, dtype=np.float64)
     gae = 0.0
     for t in range(n - 1, -1, -1):
-        delta = rewards[t] + gamma * values[t + 1] * not_done[t] - values[t]
-        gae = delta + gamma * lam * not_done[t] * gae
+        delta = rollout.rewards[t] + gamma * values[t + 1] - values[t]
+        gae = delta + gamma * lam * gae
         advantages[t] = gae
     returns = advantages + values[:-1]
     if n > 1 and advantages.std() > 0:
         normalized = (advantages - advantages.mean()) / advantages.std()
     else:
         normalized = advantages.copy()
-    log_probs_old = np.asarray(
-        [np.nan if t.log_prob_old is None else t.log_prob_old for t in rollout], dtype=np.float64
-    )
-    actions = np.asarray([t.action for t in rollout], dtype=np.int64)
-    step_states = np.asarray(states[:-1], dtype=np.float64)
-    return ProcessedRollout(step_states, actions, log_probs_old, normalized, advantages, returns)
+    return ProcessedRollout(rollout.states[:-1], rollout.actions, rollout.log_probs, normalized, advantages, returns)
 
 
 def clipped_surrogate(ratio: float | np.ndarray, advantage: float | np.ndarray, eps: float):
@@ -220,7 +222,7 @@ def ppo_update(
     probability ratio is undefined without the collecting policy's snapshot.
     """
     if np.isnan(rollout.log_probs_old).any():
-        raise StaleRollout("rollout contains transitions without log_prob_old")
+        raise StaleRollout("rollout contains steps without an old log-probability")
     n = len(rollout)
     totals = {"mean_ratio": 0.0, "clip_fraction": 0.0, "policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     batches = 0

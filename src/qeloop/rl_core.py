@@ -52,44 +52,17 @@ class RLCoreConfig(ConfigCodec):
         return self
 
 
-@dataclass
-class Transition:
-    """One (s, a, r, s', done) step; log_prob_old is set on policy rollouts."""
+class Transition(NamedTuple):
+    """One (s, a, r, s', done) step of the knowledge controller, its fields
+    in the order of ``ReplayBatch``'s."""
 
     state: np.ndarray
     action: int
     reward: float
     next_state: np.ndarray
     done: bool
-    log_prob_old: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "state": [float(x) for x in np.asarray(self.state).ravel()],
-            "action": int(self.action),
-            "reward": float(self.reward),
-            "next_state": [float(x) for x in np.asarray(self.next_state).ravel()],
-            "done": bool(self.done),
-            "log_prob_old": None if self.log_prob_old is None else float(self.log_prob_old),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping, width: int, what: str = "transition") -> "Transition":
-        """``what`` names ``d`` in the error for a missing or unknown key, or
-        for a ``state`` or ``next_state`` that is not ``width`` values."""
-        check_keys(what, d, _TRANSITION_KEYS, _TRANSITION_OPTIONAL_KEYS)
-        return cls(
-            state=load_vector(d["state"], width, f"{what}.state"),
-            action=int(d["action"]),
-            reward=float(d["reward"]),
-            next_state=load_vector(d["next_state"], width, f"{what}.next_state"),
-            done=bool(d["done"]),
-            log_prob_old=None if d.get("log_prob_old") is None else float(d["log_prob_old"]),
-        )
 
 
-_TRANSITION_KEYS = frozenset({"state", "action", "reward", "next_state", "done"})
-_TRANSITION_OPTIONAL_KEYS = frozenset({"log_prob_old"})
 _MLP_KEYS = frozenset({"layer_sizes", "flat"})
 _ADAM_KEYS = frozenset({"learning_rate", "t", "m", "v"})
 
@@ -101,6 +74,45 @@ def load_vector(values, width: int, what: str) -> np.ndarray:
     if vec.shape != (width,):
         raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
     return vec
+
+
+def load_count(value, what: str) -> int:
+    """``value`` as a counter; anything but a non-negative integer is
+    rejected with its dotted path ``what``."""
+    count = int(value)
+    if count != value or count < 0:
+        raise ValueError(f"{what} is {value!r}, expected a non-negative integer")
+    return count
+
+
+def columns_dict(columns: NamedTuple) -> dict:
+    """Each column of ``columns`` as a JSON list under its field name."""
+    return {name: column.tolist() for name, column in zip(columns._fields, columns)}
+
+
+def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> NamedTuple:
+    """``columns_dict`` output as arrays of ``template``'s dtypes and row
+    shapes. ``what`` names ``d`` in the error for a missing or unknown
+    field, a column that is not a stack of such rows or is not as long as
+    the first, and more than ``max_rows`` rows."""
+    check_keys(what, d, frozenset(template._fields))
+    columns = []
+    for name, like in zip(template._fields, template):
+        path = f"{what}.{name}"
+        try:
+            column = np.asarray(d[name], dtype=like.dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} is not a column of {like.dtype} rows: {exc}") from None
+        if column.shape == (0,):
+            column = column.reshape(0, *like.shape[1:])
+        if column.shape[1:] != like.shape[1:]:
+            raise ValueError(f"{path} has rows of shape {column.shape[1:]}, expected {like.shape[1:]}")
+        if columns and len(column) != len(columns[0]):
+            raise ValueError(f"{path} has {len(column)} rows, {template._fields[0]} has {len(columns[0])}")
+        columns.append(column)
+    if len(columns[0]) > max_rows:
+        raise ValueError(f"{what} holds {len(columns[0])} rows, at most {max_rows} fit")
+    return type(template)(*columns)
 
 
 def _layer_views(layer_sizes: Sequence[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -287,10 +299,11 @@ class Adam:
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
         """Write ``state_dict`` output into this optimizer's moments; ``what``
         names ``d`` in the error for a missing or unknown key and prefixes
-        the path of a moment buffer that does not fit the network."""
+        the path of a negative step count or of a moment buffer that does
+        not fit the network."""
         check_keys(what, d, _ADAM_KEYS)
         self.learning_rate = float(d["learning_rate"])
-        self.t = int(d["t"])
+        self.t = load_count(d["t"], f"{what}.t")
         self.m[...] = load_vector(d["m"], self.m.size, f"{what}.m")
         self.v[...] = load_vector(d["v"], self.v.size, f"{what}.v")
 
@@ -323,7 +336,9 @@ class ExperienceBuffer:
     The ring is a ``ReplayBatch`` indexed by slot. Its arrays start at
     ``INITIAL_ROWS`` rows and double as the ring fills, up to ``capacity``,
     so a large capacity costs nothing until it is used. Once full, each
-    insert overwrites the oldest slot.
+    insert overwrites the oldest slot. Draws name transitions by age, not
+    by slot, so a ring loaded from ``state_dict`` output samples exactly
+    as the saved one would.
     """
 
     INITIAL_ROWS = 64
@@ -351,29 +366,26 @@ class ExperienceBuffer:
             for new, old in zip(grown, self._slots):
                 new[:slot] = old
             self._slots = grown
-        slots = self._slots
-        slots.states[slot] = transition.state
-        slots.actions[slot] = transition.action
-        slots.rewards[slot] = transition.reward
-        slots.next_states[slot] = transition.next_state
-        slots.dones[slot] = transition.done
+        for field, value in zip(self._slots, transition):
+            field[slot] = value
         self._size = min(self._size + 1, self.capacity)
         self._next = (slot + 1) % self.capacity
 
-    def ordered(self) -> list[Transition]:
-        """Contents oldest-first."""
-        n, slots = self._size, self._slots
-        order = range(n) if n < self.capacity else [*range(self._next, n), *range(self._next)]
-        return [
-            Transition(
-                slots.states[i].copy(),
-                int(slots.actions[i]),
-                float(slots.rewards[i]),
-                slots.next_states[i].copy(),
-                bool(slots.dones[i]),
-            )
-            for i in order
-        ]
+    def state_dict(self) -> dict:
+        """The ring's columns, oldest transition first."""
+        n = self._size
+        return columns_dict(ReplayBatch(*(np.roll(field[:n], -self._next, axis=0) for field in self._slots)))
+
+    def load_state_dict(self, d: Mapping, what: str = "replay state") -> None:
+        """Fill an empty ring from ``state_dict`` output; ``what`` names ``d``
+        as ``load_columns`` does, with the capacity as its row limit."""
+        columns = load_columns(_zero_batch(0, self.state_dim), d, self.capacity, what)
+        n = len(columns.actions)
+        self._slots = _zero_batch(min(self.capacity, max(n, self.INITIAL_ROWS)), self.state_dim)
+        for field, column in zip(self._slots, columns):
+            field[:n] = column
+        self._size = n
+        self._next = n % self.capacity
 
     def sample_indices(self, batch_size: int) -> np.ndarray:
         if batch_size > self._size:
@@ -381,8 +393,11 @@ class ExperienceBuffer:
         return self._rng.integers(0, self._size, size=batch_size)
 
     def sample(self, batch_size: int) -> ReplayBatch:
-        """One fancy-indexed copy per field of ``batch_size`` uniform draws."""
+        """One fancy-indexed copy per field of ``batch_size`` uniform draws;
+        draw i picks the i-th oldest transition."""
         idx = self.sample_indices(batch_size)
+        if self._size == self.capacity:
+            idx = (idx + self._next) % self.capacity
         return ReplayBatch(*(field[idx] for field in self._slots))
 
 

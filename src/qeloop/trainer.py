@@ -5,7 +5,7 @@ One episode runs ``tests_per_episode`` generation slots. Per slot the three
 modifier agents pick signature nudges, a generator agent picks a
 (strategy, retrieval mode) action, generated tests execute against the
 simulated QE channel, the five-component reward is computed over the slot's
-feedback batch, every acting agent records a transition, contributing
+feedback batch, every acting agent records a rollout step, contributing
 knowledge-graph edges get reinforced, defect-finding tests enter the
 knowledge store, and every ``kb_action_interval`` slots the DQN adjusts one
 retrieval parameter.
@@ -29,7 +29,6 @@ import numpy as np
 
 from .agents import (
     Agent,
-    GenerationContext,
     featurize_state,
     generate_test_cases,
     modifier_vector,
@@ -51,7 +50,7 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition, load_vector
+from .rl_core import RLCoreConfig, RngStreams, Transition, load_count, load_vector
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -81,12 +80,14 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 # the metrics, PPO and DQN tables, which the run's events record; version 5
 # dropped state nothing reads: the usefulness knob, the trackers' reward
 # breakdowns and windows, and the replay-buffer insert count; version 6
-# stores each network and its Adam moments as one flat list of floats.
-CHECKPOINT_SCHEMA_VERSION = 6
+# stores each network and its Adam moments as one flat list of floats;
+# version 7 stores rollouts and the replay as one list per field, without
+# the rollouts' next states or the slot count the episode index gives.
+CHECKPOINT_SCHEMA_VERSION = 7
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
-    "schema_version", "config", "episode_index", "global_slot", "agents", "dqn", "kb",
+    "schema_version", "config", "episode_index", "agents", "dqn", "kb",
     "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
     "ppo_update_count", "rng_states",
 })
@@ -412,10 +413,9 @@ class TrainingSystem:
         for src, dst, et in self.project.requirement_links:
             self.kb.upsert_edge(src, dst, et, 0.5)
 
+        ppo, window = config.ppo, config.loop.tracker_window
         self.agents = {
-            role: Agent(
-                role, self.streams.get(f"init:{role.name}"), config.ppo.learning_rate, config.loop.tracker_window
-            )
+            role: Agent(role, self.streams.get(f"init:{role.name}"), ppo.learning_rate, window, ppo.rollout_length)
             for role in AgentRole
         }
 
@@ -433,7 +433,6 @@ class TrainingSystem:
         self.hit_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
         self.kb_pending: tuple[np.ndarray, int, list[float]] | None = None
         self._prev_interval_mean: float | None = None
-        self.global_slot = 0
         self.episode_index = 0
         self.tables = RunTables()
         self.events: EventSink = [] if events is None else events
@@ -496,19 +495,18 @@ class TrainingSystem:
 
     # -- learning steps ---------------------------------------------------
 
-    def _run_ppo_update(self, role: AgentRole) -> None:
+    def _run_ppo_update(self, role: AgentRole, requirement_id: str) -> None:
+        """Update ``role`` on its full rollout, bootstrapping from its state
+        on ``requirement_id`` after the last step."""
         agent = self.agents[role]
-        config = self.config.ppo
-        rollout = agent.rollout[: config.rollout_length]
-        agent.rollout = agent.rollout[config.rollout_length :]
-        states = np.vstack([t.state for t in rollout] + [rollout[-1].next_state])
-        _, values = policy_value_forward(agent.params, states)
-        processed = compute_gae(
-            rollout, states, values, self.config.rl.discount_factor, self.config.rl.gae_lambda
-        )
+        rollout = agent.rollout
+        rollout.states[-1] = self._featurize(role, requirement_id)
+        _, values = policy_value_forward(agent.params, rollout.states)
+        processed = compute_gae(rollout, values, self.config.rl.discount_factor, self.config.rl.gae_lambda)
         report = ppo_update(
-            agent.params, agent.adam, processed, config, self.streams.get(f"ppo:{role.name}")
+            agent.params, agent.adam, processed, self.config.ppo, self.streams.get(f"ppo:{role.name}")
         )
+        agent.rollout_steps = 0
         self._emit(
             {"type": "ppo_update", "update_index": self._ppo_update_count, "role": role.name, **report.to_dict()}
         )
@@ -525,15 +523,7 @@ class TrainingSystem:
             baseline = self._prev_interval_mean
             reward = 0.0 if baseline is None else interval_mean - baseline
             self._prev_interval_mean = interval_mean
-            self.dqn.record(
-                Transition(
-                    state=prev_state,
-                    action=prev_action,
-                    reward=reward,
-                    next_state=state,
-                    done=False,
-                )
-            )
+            self.dqn.record(Transition(prev_state, prev_action, reward, state, False))
         step = self.dqn.action_steps
         epsilon = self.dqn.epsilon
         action = self.dqn.select_action(state)
@@ -580,18 +570,15 @@ class TrainingSystem:
 
     # -- episode loop ------------------------------------------------------
 
-    def _planned_requirements(self) -> list[str]:
-        n = len(self.requirements)
-        return [
-            self.requirements[(self.global_slot + s) % n].id
-            for s in range(self.config.tests_per_episode)
-        ]
-
     def run_episode(self) -> EpisodeMetrics:
         config = self.config
         flags = config.ablation
         episode = self.episode_index
-        planned = self._planned_requirements()
+        # Every episode runs the same number of slots, so the episode index
+        # counts the slots run before this one.
+        first_slot = episode * config.tests_per_episode
+        n = len(self.requirements)
+        planned = [self.requirements[(first_slot + s) % n].id for s in range(config.tests_per_episode)]
         reachable = sum(len(self._defects_by_req[rid]) for rid in sorted(set(planned)))
         self._emit(
             {
@@ -636,13 +623,9 @@ class TrainingSystem:
             acting.append(gen_role)
             actions.append({"role": gen_role.name, "action_index": gen_action.index, "log_prob": gen_log_prob})
 
-            context = GenerationContext(
-                n_tests=config.loop.n_tests,
-                d_cov=config.env.d_cov,
-                content_vectors=self.content_vectors,
-                modifier_delta=modifier_delta,
+            tests, context_ids = generate_test_cases(
+                gen_action, requirement, self.kb, self.content_vectors, modifier_delta, config.loop.n_tests
             )
-            tests, context_ids = generate_test_cases(gen_action, requirement, self.kb, context)
             self.hit_window.append(1.0 if context_ids else 0.0)
 
             slot_records: list[FeedbackRecord] = []
@@ -681,19 +664,16 @@ class TrainingSystem:
 
             for role in acting:
                 agent = self.agents[role]
-                record_feedback(
-                    agent, slot_records, breakdown.total, featurize_next=lambda r=role: self._featurize(r, rid)
-                )
+                record_feedback(agent, slot_records, breakdown.total)
                 if flags.disable_ppo:
-                    agent.rollout.clear()
-                elif len(agent.rollout) >= config.ppo.rollout_length:
-                    self._run_ppo_update(role)
+                    agent.rollout_steps = 0
+                elif agent.rollout_steps == config.ppo.rollout_length:
+                    self._run_ppo_update(role, rid)
 
             if not flags.no_feedback:
                 self._evolve_knowledge(requirement, tests, slot_records, context_ids)
 
-            self.global_slot += 1
-            if not flags.disable_dqn and self.global_slot % config.loop.kb_action_interval == 0:
+            if not flags.disable_dqn and (first_slot + slot + 1) % config.loop.kb_action_interval == 0:
                 self._run_kb_action()
 
         metrics = _metrics_from_tallies(
@@ -723,7 +703,6 @@ class TrainingSystem:
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "episode_index": self.episode_index,
-            "global_slot": self.global_slot,
             "agents": {role.name: agent.state_dict() for role, agent in self.agents.items()},
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
@@ -760,9 +739,12 @@ class TrainingSystem:
         partial system. A missing or unknown key at the top level, in the
         agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
         a network or optimizer state whose topology is not the one built,
-        a stored state or coverage vector of another width, and a reward,
-        false-positive or hit window longer than its length, is named with
-        its dotted path. ``events`` as in ``__init__``."""
+        a stored state or coverage vector of another width, a rollout or
+        replay column whose length differs from its fellows', a rollout of
+        ``ppo.rollout_length`` steps or more, a replay over its capacity, a
+        reward, false-positive or hit window longer than its length, and a
+        negative counter, is named with its dotted path. ``events`` as in
+        ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -811,9 +793,8 @@ class TrainingSystem:
             )
             prev_mean = payload["prev_interval_mean"]
             system._prev_interval_mean = None if prev_mean is None else float(prev_mean)
-            system.episode_index = int(payload["episode_index"])
-            system.global_slot = int(payload["global_slot"])
-            system._ppo_update_count = int(payload["ppo_update_count"])
+            system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
+            system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
             system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaVersionMismatch(f"checkpoint payload incomplete or malformed: {exc}") from exc

@@ -5,7 +5,6 @@ import pytest
 
 from qeloop.agents import (
     Agent,
-    GenerationContext,
     PerformanceTracker,
     STATE_DIM,
     action_space_size,
@@ -228,12 +227,8 @@ class TestGenerate:
         return kb
 
     def context(self, kb, content=None, n_tests=3, modifier=None):
-        return GenerationContext(
-            n_tests=n_tests,
-            d_cov=16,
-            content_vectors=content or {},
-            modifier_delta=np.zeros(16) if modifier is None else modifier,
-        )
+        """The arguments after the knowledge store, at a coverage width of 16."""
+        return (content or {}, np.zeros(16) if modifier is None else modifier, n_tests)
 
     def gen_action(self, strategy=GenerationStrategy.Boundary, mode=RetrievalMode.VectorOnly):
         index = int(strategy) * 3 + int(mode)
@@ -241,7 +236,7 @@ class TestGenerate:
 
     def test_emits_exactly_n_tests_with_valid_coverage(self):
         kb = self.build_kb()
-        tests, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb, n_tests=4))
+        tests, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb, n_tests=4))
         assert len(tests) == 4
         for t in tests:
             vec = np.asarray(t.coverage_vector)
@@ -251,7 +246,7 @@ class TestGenerate:
     def test_empty_context_uses_anchored_signature_only(self):
         kb = KnowledgeStore(d_emb=64, params=RetrievalParams(similarity_threshold=0.2, top_k=4))
         action = self.gen_action(mode=RetrievalMode.VectorOnly)
-        tests, context_ids = generate_test_cases(action, REQ, kb, self.context(kb, n_tests=1))
+        tests, context_ids = generate_test_cases(action, REQ, kb, *self.context(kb, n_tests=1))
         assert context_ids == []
         expected = 0.6 * strategy_signature(GenerationStrategy.Boundary, 16)
         assert np.allclose(np.asarray(tests[0].coverage_vector), expected, atol=1e-12)
@@ -264,7 +259,7 @@ class TestGenerate:
         vec_b = np.full(16, 0.2)
         content = {"tc-a": vec_a, "tc-b": vec_b, "req-1": np.zeros(16)}
         action = self.gen_action(mode=RetrievalMode.VectorOnly)
-        tests, context_ids = generate_test_cases(action, REQ, kb, self.context(kb, content, n_tests=1))
+        tests, context_ids = generate_test_cases(action, REQ, kb, *self.context(kb, content, n_tests=1))
         retrieved_vecs = [content[i] for i in context_ids if i in content]
         ctx_mean = np.mean(retrieved_vecs, axis=0)
         expected = np.clip(
@@ -274,17 +269,17 @@ class TestGenerate:
 
     def test_same_inputs_identical_tests_including_ids(self):
         kb = self.build_kb()
-        a, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb))
-        b, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb))
+        a, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb))
+        b, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb))
         assert a == b
         assert len({t.id for t in a}) == len(a)  # ids distinct across the batch
 
     def test_modifier_delta_shifts_signature(self):
         kb = self.build_kb()
         delta = 0.15 * modifier_vector(AgentRole.LegacyTestAnalysis, 1, 16)
-        plain, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb, n_tests=1))
+        plain, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb, n_tests=1))
         nudged, _ = generate_test_cases(
-            self.gen_action(), REQ, kb, self.context(kb, n_tests=1, modifier=delta)
+            self.gen_action(), REQ, kb, *self.context(kb, n_tests=1, modifier=delta)
         )
         assert not np.array_equal(
             np.asarray(plain[0].coverage_vector), np.asarray(nudged[0].coverage_vector)
@@ -293,8 +288,8 @@ class TestGenerate:
     def test_hidden_defects_do_not_change_generation(self):
         kb = self.build_kb()
         twin = Requirement(REQ.id, REQ.text, REQ.component_tags, ("other-def",))
-        a, _ = generate_test_cases(self.gen_action(), REQ, kb, self.context(kb))
-        b, _ = generate_test_cases(self.gen_action(), twin, kb, self.context(kb))
+        a, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb))
+        b, _ = generate_test_cases(self.gen_action(), twin, kb, *self.context(kb))
         assert a == b
 
     @staticmethod
@@ -320,7 +315,7 @@ class TestGenerate:
         kb.upsert_edge("tc-a", "req-1", EdgeType.Covers, 0.5)
         content = {"tc-a": np.full(16, 1 / 3), "req-1": np.linspace(0.0, 1.0, 16)}
         action = self.gen_action(strategy, mode)
-        tests, _ = generate_test_cases(action, REQ, kb, self.context(kb, content, n_tests=12))
+        tests, _ = generate_test_cases(action, REQ, kb, *self.context(kb, content, n_tests=12))
         expected = [
             self.reference_test_case_id(REQ.id, strategy, mode, t.coverage_vector, i, action.role)
             for i, t in enumerate(tests)
@@ -331,44 +326,50 @@ class TestGenerate:
         kb = self.build_kb()
         action = decode_action(AgentRole.ComplianceValidation, 0)
         with pytest.raises(ValueError):
-            generate_test_cases(action, REQ, kb, self.context(kb))
+            generate_test_cases(action, REQ, kb, *self.context(kb))
 
 
 class TestRecordFeedback:
     def test_transition_fields_and_eviction(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=3)
         state = np.zeros(STATE_DIM)
-        next_state = np.ones(STATE_DIM)
         for i in range(4):
             agent.act(state, rng(i))
-            transition = record_feedback(agent, [feedback(true_count=1)], 0.25, lambda: next_state)
+            record_feedback(agent, [feedback(true_count=1)], 0.25)
         assert len(agent.tracker.records) == 3
         assert list(agent.tracker.totals) == [0.25] * 3
-        assert transition.reward == 0.25
-        assert transition.done is False
-        assert transition.log_prob_old is not None and transition.log_prob_old <= 0.0
-        assert np.array_equal(transition.next_state, next_state)
-        assert len(agent.rollout) == 4
+        last = agent.rollout_steps - 1
+        assert agent.rollout.rewards[last] == 0.25
+        assert agent.rollout.log_probs[last] <= 0.0
+        assert np.array_equal(agent.rollout.states[last], state)
+        assert agent.rollout_steps == 4
 
     def test_zero_reward_passes_through(self):
         agent = Agent(AgentRole.ComplianceValidation, rng(0), 3e-4)
+        agent.rollout.rewards[0] = 1.0
         agent.act(np.zeros(STATE_DIM), rng(1))
-        transition = record_feedback(agent, [feedback()], 0.0, lambda: np.zeros(STATE_DIM))
-        assert transition.reward == 0.0
+        record_feedback(agent, [feedback()], 0.0)
+        assert agent.rollout.rewards[0] == 0.0
 
     def test_requires_pending_action(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
         with pytest.raises(ValueError):
-            record_feedback(agent, [feedback()], 0.5, lambda: np.zeros(STATE_DIM))
+            record_feedback(agent, [feedback()], 0.5)
+
+    def test_full_rollout_rejected(self):
+        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, rollout_length=2)
+        for i in range(2):
+            agent.act(np.zeros(STATE_DIM), rng(i))
+            record_feedback(agent, [feedback()], 0.5)
+        agent.act(np.zeros(STATE_DIM), rng(2))
+        with pytest.raises(ValueError, match="rollout is full"):
+            record_feedback(agent, [feedback()], 0.5)
+        assert agent.rollout_steps == 2 and len(agent.tracker.totals) == 2
 
     def test_next_state_reflects_new_feedback(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=5)
         req_vec = requirement_summary(REQ)
         agent.act(np.zeros(STATE_DIM), rng(1))
-        transition = record_feedback(
-            agent,
-            [feedback(true_count=1)],
-            0.5,
-            lambda: featurize_state(req_vec, agent.tracker, RetrievalParams(), 0.0),
-        )
-        assert transition.next_state[8] == 1.0  # defect rate slot sees the new record
+        record_feedback(agent, [feedback(true_count=1)], 0.5)
+        next_state = featurize_state(req_vec, agent.tracker, RetrievalParams(), 0.0)
+        assert next_state[8] == 1.0  # defect rate slot sees the new record

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -139,6 +140,30 @@ class TestSerializationRoundTrip:
         record = make_record(defects=(DefectReport("r1", "tc-1", Severity.Critical, False, "d"),))
         payload = json.loads(record.to_json_line())
         assert payload["defects"][0]["severity"] == "Critical"
+
+
+class TestDefectSplit:
+    DEFECTS = (
+        DefectReport("r1", "tc-1", Severity.High, False, "def-2"),
+        DefectReport("r2", "tc-1", Severity.Low, True, None),
+        DefectReport("r3", "tc-1", Severity.Medium, False, "def-5"),
+    )
+
+    def test_split_keeps_report_order(self):
+        record = make_record(defects=self.DEFECTS)
+        assert record.true_defects() == (self.DEFECTS[0], self.DEFECTS[2])
+        assert record.false_positives() == (self.DEFECTS[1],)
+
+    def test_split_is_not_a_field(self):
+        record = make_record(defects=self.DEFECTS)
+        assert [f.name for f in fields(FeedbackRecord)] == [
+            "test_case_ref", "defects", "execution_time", "baseline_time", "quality_rating",
+            "requirement_coverage_assessment", "functional_coverage_validation",
+            "workflow_integration_factor", "compliance_score",
+        ]
+        assert record == FeedbackRecord.from_dict(record.to_dict())
+        assert record != make_record(defects=self.DEFECTS[:1])
+        assert replace(record, defects=()).true_defects() == ()
 
 
 class TestSeverityOrder:

@@ -118,7 +118,8 @@ def reference_reward_stats(tracker: PerformanceTracker) -> tuple:
 
 
 class ReferenceRing:
-    """The replay ring as a list of transitions, each batch stacked anew."""
+    """The replay ring as a list of transitions, each batch stacked anew;
+    a draw indexes the transitions oldest-first."""
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         self.capacity, self.rng = capacity, rng
@@ -136,7 +137,8 @@ class ReferenceRing:
         return self.data[self.next :] + self.data[: self.next]
 
     def sample(self, batch_size: int) -> tuple:
-        batch = [self.data[i] for i in self.rng.integers(0, len(self.data), size=batch_size)]
+        oldest_first = self.ordered()
+        batch = [oldest_first[i] for i in self.rng.integers(0, len(self.data), size=batch_size)]
         return (
             np.vstack([t.state for t in batch]),
             np.asarray([t.action for t in batch], dtype=np.int64),
@@ -432,7 +434,14 @@ class TestReplayArrays:
             for got, want in zip(ring.sample(batch_size), reference.sample(batch_size)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
-        assert [t.to_dict() for t in ring.ordered()] == [t.to_dict() for t in reference.ordered()]
+        oldest_first = reference.ordered()
+        assert ring.state_dict() == {
+            "states": [t.state.tolist() for t in oldest_first],
+            "actions": [t.action for t in oldest_first],
+            "rewards": [t.reward for t in oldest_first],
+            "next_states": [t.next_state.tolist() for t in oldest_first],
+            "dones": [t.done for t in oldest_first],
+        }
 
     def test_arrays_grow_with_the_ring_not_with_its_capacity(self):
         ring = ExperienceBuffer(50_000, 10, np.random.default_rng(0))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qeloop.ppo import (
     LengthMismatch,
     PPOConfig,
+    Rollout,
     StaleRollout,
     clipped_surrogate,
     compute_gae,
@@ -13,27 +14,28 @@ from qeloop.ppo import (
     policy_value_forward,
     ppo_update,
 )
-from qeloop.rl_core import Adam, Transition, softmax_policy, xavier_init
+from qeloop.rl_core import Adam, softmax_policy, xavier_init
 
 
 def rng(seed):
     return np.random.default_rng(seed)
 
 
-def make_transition(state, action, reward, next_state, done=False, log_prob=-0.5):
-    return Transition(
-        np.asarray(state, dtype=np.float64),
-        action,
-        reward,
-        np.asarray(next_state, dtype=np.float64),
-        done,
-        log_prob_old=log_prob,
+def make_rollout(states, actions, rewards, log_probs=None):
+    """Columns of a rollout; ``states`` ends with the bootstrap state."""
+    n = len(actions)
+    return Rollout(
+        np.asarray(states, dtype=np.float64).reshape(n + 1, -1),
+        np.asarray(actions, dtype=np.int64),
+        np.asarray(rewards, dtype=np.float64),
+        np.full(n, -0.5) if log_probs is None else np.asarray(log_probs, dtype=np.float64),
     )
 
 
-def stacked(rollout):
-    """Each step's state, then the final next_state: the rows V is computed on."""
-    return np.vstack([t.state for t in rollout] + [rollout[-1].next_state])
+def chain_rollout(rewards):
+    """One-dimensional states 0, 1, ..., len(rewards), action 0 every step."""
+    n = len(rewards)
+    return make_rollout([[float(t)] for t in range(n + 1)], [0] * n, rewards)
 
 
 class TestClippedSurrogate:
@@ -60,21 +62,17 @@ class TestClippedSurrogate:
 
 class TestComputeGae:
     def test_lambda_zero_reduces_to_one_step_delta(self):
-        rollout = [
-            make_transition([0.0], 0, 1.0, [1.0]),
-            make_transition([1.0], 1, 2.0, [2.0]),
-            make_transition([2.0], 0, 0.5, [3.0]),
-        ]
+        rollout = make_rollout([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0], [1.0, 2.0, 0.5])
         values = [0.3, 0.6, 0.1, 0.9]
         gamma = 0.9
-        out = compute_gae(rollout, stacked(rollout), values, gamma, lam=0.0)
+        out = compute_gae(rollout, values, gamma, lam=0.0)
         for t in range(3):
-            delta = rollout[t].reward + gamma * values[t + 1] - values[t]
+            delta = rollout.rewards[t] + gamma * values[t + 1] - values[t]
             assert out.raw_advantages[t] == pytest.approx(delta, abs=1e-12)
 
     def test_zero_rewards_zero_values_gives_zero_advantages(self):
-        rollout = [make_transition([0.0], 0, 0.0, [0.0]) for _ in range(4)]
-        out = compute_gae(rollout, stacked(rollout), [0.0] * 5, 0.9, 0.95)
+        rollout = make_rollout([[0.0]] * 5, [0] * 4, [0.0] * 4)
+        out = compute_gae(rollout, [0.0] * 5, 0.9, 0.95)
         assert np.allclose(out.raw_advantages, 0.0)
         assert np.allclose(out.returns, 0.0)
 
@@ -82,40 +80,21 @@ class TestComputeGae:
         rewards = [1.0, -0.5, 2.0]
         values = [0.2, 0.7, -0.1, 0.4]
         gamma, lam = 0.9, 0.95
-        rollout = [make_transition([float(t)], 0, rewards[t], [float(t + 1)]) for t in range(3)]
-        out = compute_gae(rollout, stacked(rollout), values, gamma, lam)
+        out = compute_gae(chain_rollout(rewards), values, gamma, lam)
         deltas = [rewards[t] + gamma * values[t + 1] - values[t] for t in range(3)]
         for t in range(3):
             oracle = sum((gamma * lam) ** (k - t) * deltas[k] for k in range(t, 3))
             assert out.raw_advantages[t] == pytest.approx(oracle, abs=1e-12)
             assert out.returns[t] == pytest.approx(oracle + values[t], abs=1e-12)
 
-    def test_done_resets_accumulation(self):
-        rewards = [1.0, 2.0, 3.0]
-        dones = [False, True, False]
-        values = [0.0, 0.0, 0.0, 5.0]
-        gamma, lam = 0.9, 0.95
-        rollout = [
-            make_transition([float(t)], 0, rewards[t], [float(t + 1)], done=dones[t])
-            for t in range(3)
-        ]
-        out = compute_gae(rollout, stacked(rollout), values, gamma, lam)
-        # Episode boundary at t=1: advantage at t=1 sees no bootstrap and no tail.
-        assert out.raw_advantages[1] == pytest.approx(2.0, abs=1e-12)
-        assert out.raw_advantages[2] == pytest.approx(3.0 + gamma * 5.0, abs=1e-12)
-        a1 = (1.0 + gamma * 0.0) + gamma * lam * 2.0
-        assert out.raw_advantages[0] == pytest.approx(a1, abs=1e-12)
-
     def test_normalized_advantages_standardized(self):
-        rollout = [make_transition([float(t)], 0, float(t), [float(t + 1)]) for t in range(8)]
-        out = compute_gae(rollout, stacked(rollout), [0.0] * 9, 0.9, 0.95)
+        out = compute_gae(chain_rollout([float(t) for t in range(8)]), [0.0] * 9, 0.9, 0.95)
         assert out.advantages.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.advantages.std() == pytest.approx(1.0, abs=1e-12)
 
     def test_value_length_mismatch_rejected(self):
-        rollout = [make_transition([0.0], 0, 1.0, [1.0])]
         with pytest.raises(LengthMismatch):
-            compute_gae(rollout, stacked(rollout), [0.0], 0.9, 0.95)
+            compute_gae(chain_rollout([1.0]), [0.0], 0.9, 0.95)
 
 
 def bandit_rollout(params, n, seed, reward_for_action0=1.0):
@@ -124,20 +103,14 @@ def bandit_rollout(params, n, seed, reward_for_action0=1.0):
     state = np.array([1.0, 0.0])
     logits, _ = policy_value_forward(params, state[None, :])
     probs, log_probs = softmax_policy(logits[0])
-    rollout = []
-    for _ in range(n):
-        action = int(g.random() < probs[1])
-        reward = reward_for_action0 if action == 0 else 0.0
-        rollout.append(
-            Transition(state, action, reward, state, False, log_prob_old=float(log_probs[action]))
-        )
-    return rollout
+    actions = [int(g.random() < probs[1]) for _ in range(n)]
+    rewards = [reward_for_action0 if action == 0 else 0.0 for action in actions]
+    return make_rollout([state] * (n + 1), actions, rewards, [log_probs[action] for action in actions])
 
 
 def process(params, rollout, gamma=0.5, lam=0.95):
-    states = stacked(rollout)
-    _, values = policy_value_forward(params, states)
-    return compute_gae(rollout, states, values, gamma, lam)
+    _, values = policy_value_forward(params, rollout.states)
+    return compute_gae(rollout, values, gamma, lam)
 
 
 class TestPpoUpdate:
@@ -146,7 +119,7 @@ class TestPpoUpdate:
 
     def test_stale_rollout_rejected(self):
         params = self.make_params()
-        rollout = [Transition(np.array([1.0, 0.0]), 0, 1.0, np.array([1.0, 0.0]), False, None)]
+        rollout = make_rollout([[1.0, 0.0]] * 2, [0], [1.0], [np.nan])
         processed = process(params, rollout)
         with pytest.raises(StaleRollout):
             ppo_update(params, Adam(params, 3e-4), processed, PPOConfig(), rng(0))

@@ -9,13 +9,17 @@ from qeloop.rl_core import (
     DimensionMismatch,
     ExperienceBuffer,
     MLPParameters,
+    ReplayBatch,
     RLCoreError,
     RngStreams,
     Transition,
     backward,
+    columns_dict,
     forward,
     forward_cached,
     gradient_check,
+    load_columns,
+    load_count,
     sample_action,
     softmax_policy,
     xavier_init,
@@ -273,13 +277,13 @@ class TestExperienceBuffer:
         for i in range(12):
             buf.insert(self.make_transition(i))
         assert len(buf) == 5
-        assert [t.action for t in buf.ordered()] == [7, 8, 9, 10, 11]
+        assert buf.state_dict()["actions"] == [7, 8, 9, 10, 11]
 
     def test_under_capacity_order(self):
         buf = ExperienceBuffer(10, 1, rng(0))
         for i in range(3):
             buf.insert(self.make_transition(i))
-        assert [t.action for t in buf.ordered()] == [0, 1, 2]
+        assert buf.state_dict()["actions"] == [0, 1, 2]
 
     def test_seeded_sampling_reproducible(self):
         def build(seed):
@@ -297,6 +301,86 @@ class TestExperienceBuffer:
         buf.insert(self.make_transition(0))
         with pytest.raises(ValueError):
             buf.sample(2)
+
+
+    @pytest.mark.parametrize("inserts", [0, 3, 5, 12])
+    def test_state_round_trip_continues_the_ring(self, inserts):
+        def build():
+            buf = ExperienceBuffer(5, 1, rng(0))
+            for i in range(inserts):
+                buf.insert(self.make_transition(i))
+            return buf
+
+        straight, saved = build(), build().state_dict()
+        loaded = ExperienceBuffer(5, 1, rng(0))
+        loaded.load_state_dict(saved)
+        assert len(loaded) == len(straight) and loaded.state_dict() == saved
+        for i in range(inserts, inserts + 7):
+            straight.insert(self.make_transition(i))
+            loaded.insert(self.make_transition(i))
+        assert loaded.state_dict() == straight.state_dict()
+        for got, want in zip(loaded.sample(4), straight.sample(4)):
+            assert np.array_equal(got, want)
+
+
+def replay_columns(rows: int = 3) -> dict:
+    return {
+        "states": [[float(i), 0.0] for i in range(rows)],
+        "actions": list(range(rows)),
+        "rewards": [0.5] * rows,
+        "next_states": [[0.0, float(i)] for i in range(rows)],
+        "dones": [False] * rows,
+    }
+
+
+class TestColumns:
+    TEMPLATE = ReplayBatch(
+        np.zeros((0, 2)), np.zeros(0, np.int64), np.zeros(0), np.zeros((0, 2)), np.zeros(0, np.bool_)
+    )
+
+    def test_round_trip_keeps_dtypes_and_shapes(self):
+        loaded = load_columns(self.TEMPLATE, replay_columns(), 3, "replay")
+        assert [c.dtype for c in loaded] == [c.dtype for c in self.TEMPLATE]
+        assert loaded.states.shape == (3, 2) and loaded.dones.shape == (3,)
+        assert columns_dict(loaded) == replay_columns()
+
+    def test_empty_columns_have_the_template_row_shape(self):
+        assert load_columns(self.TEMPLATE, replay_columns(0), 3, "replay").states.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("dones"), "replay: missing key(s) ['dones']"),
+            (lambda d: d.update(bogus=[]), "replay: unknown key(s) ['bogus']"),
+            (lambda d: d["rewards"].pop(), "replay.rewards has 2 rows, states has 3"),
+            (lambda d: d["next_states"][1].append(0.0), "replay.next_states is not a column of float64 rows"),
+            (lambda d: d.update(states=[[0.0, 0.0, 0.0]] * 3), "replay.states has rows of shape (3,), expected (2,)"),
+            (lambda d: d.update(actions=[[0]] * 3), "replay.actions has rows of shape (1,), expected ()"),
+            (lambda d: d.update(replay_columns(4)), "replay holds 4 rows, at most 3 fit"),
+        ],
+        ids=["missing", "unknown", "unequal-length", "ragged", "wrong-width", "nested-scalars", "too-many-rows"],
+    )
+    def test_bad_columns_rejected_with_their_path(self, edit, message):
+        d = replay_columns()
+        edit(d)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_columns(self.TEMPLATE, d, 3, "replay")
+
+
+class TestLoadCount:
+    def test_counts_pass_through(self):
+        assert load_count(0, "n") == 0 and load_count(7, "n") == 7
+
+    @pytest.mark.parametrize("value", [-1, 2.5, "3"])
+    def test_negative_or_fractional_rejected_with_its_path(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"dqn.train_steps is {value!r}")):
+            load_count(value, "dqn.train_steps")
+
+    def test_negative_adam_step_rejected(self):
+        snapshot = Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).state_dict()
+        snapshot["t"] = -1
+        with pytest.raises(ValueError, match=re.escape("adam.t is -1")):
+            Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).load_state_dict(snapshot, "adam")
 
 
 class TestRngStreams:

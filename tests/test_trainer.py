@@ -154,9 +154,9 @@ class TestDeterminism:
         def streams(system):
             out = {}
             for role, agent in system.agents.items():
+                states, actions, rewards, log_probs = agent.rollout
                 out[role] = [
-                    (t.action, t.reward, tuple(t.state), tuple(t.next_state), t.log_prob_old)
-                    for t in agent.rollout
+                    (actions[t], rewards[t], tuple(states[t]), log_probs[t]) for t in range(agent.rollout_steps)
                 ]
             return out
 
@@ -204,6 +204,34 @@ class TestCacheIsolation:
             system.checkpoint(interleaved / "checkpoint.json")
             for name in ("metrics.csv", "checkpoint.json"):
                 assert (interleaved / name).read_bytes() == (alone / name).read_bytes(), (seed, name)
+
+
+def to_version_4(node):
+    node["dqn"]["replay_inserted"] = len(node["dqn"]["replay"]["actions"])
+    for agent in node["agents"].values():
+        agent["tracker"]["window"] = 50
+
+
+def to_version_5(node):
+    for agent in node["agents"].values():
+        flat = agent["params"].pop("flat")
+        agent["params"].update(schema_version=1, weights=[[repr(x) for x in flat]], biases=[])
+
+
+def to_version_6(node):
+    # Lists of row dicts in place of columns, rollout steps with a next state.
+    node["global_slot"] = node["episode_index"] * node["config"]["tests_per_episode"]
+    for agent in node["agents"].values():
+        r = agent["rollout"]
+        agent["rollout"] = [
+            {"state": s, "action": a, "reward": rw, "next_state": s, "done": False, "log_prob_old": lp}
+            for s, a, rw, lp in zip(r["states"], r["actions"], r["rewards"], r["log_probs"])
+        ]
+    r = node["dqn"]["replay"]
+    node["dqn"]["replay"] = [
+        {"state": s, "action": a, "reward": rw, "next_state": ns, "done": d, "log_prob_old": None}
+        for s, a, rw, ns, d in zip(r["states"], r["actions"], r["rewards"], r["next_states"], r["dones"])
+    ]
 
 
 class TestCheckpoint:
@@ -287,19 +315,6 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch):
             TrainingSystem.restore(path)
 
-    def test_version_1_checkpoint_rejected(self, tmp_path):
-        # Version 1 checkpoints still carry the removed rl.seed knob; they
-        # must fail on their version, not on that key.
-        system = TrainingSystem(tiny_config())
-        system.run(episodes=1)
-        payload = system.checkpoint_dict()
-        payload["schema_version"] = 1
-        payload["config"]["rl"]["seed"] = 0
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 1"):
-            TrainingSystem.restore(path)
-
     def restore_edited(self, tmp_path, section: str, edit):
         system = TrainingSystem(tiny_config())
         system.run(episodes=1)
@@ -311,6 +326,35 @@ class TestCheckpoint:
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(payload))
         return TrainingSystem.restore(path)
+
+    @pytest.mark.parametrize(
+        "version, edit",
+        [
+            # Version 1 still carries the removed rl.seed knob.
+            (1, lambda node: node["config"]["rl"].update(seed=0)),
+            # Version 2 still carries the test catalog.
+            (2, lambda node: node.update(test_catalog={})),
+            # Version 3 still carries the run's tables.
+            (3, lambda node: node.update(metrics_history=[], ppo_rows=[], dqn_rows=[])),
+            # Version 4 still carries the trackers' windows and the replay
+            # insert count.
+            (4, to_version_4),
+            # Version 5 stores each network as per-layer lists of decimal strings.
+            (5, to_version_5),
+            # Version 6 stores rollouts and the replay as lists of row dicts,
+            # the rollouts' with next states, and the global slot.
+            (6, to_version_6),
+        ],
+    )
+    def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
+        # An old checkpoint must fail on its version, not on the keys it
+        # carries that this version does not read.
+        def to_old_version(node):
+            edit(node)
+            node["schema_version"] = version
+
+        with pytest.raises(SchemaVersionMismatch, match=f"schema_version {version}"):
+            self.restore_edited(tmp_path, "", to_old_version)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -334,10 +378,10 @@ class TestCheckpoint:
             ("dqn", "dqn"),
             ("dqn.qnet", "dqn.qnet"),
             ("dqn.adam", "dqn.adam"),
-            ("dqn.replay.0", "dqn.replay[0]"),
+            ("dqn.replay", "dqn.replay"),
             ("agents.LegacyTestAnalysis.params", "agents.LegacyTestAnalysis.params"),
             ("agents.LegacyTestAnalysis.adam", "agents.LegacyTestAnalysis.adam"),
-            ("agents.LegacyTestAnalysis.rollout.0", "agents.LegacyTestAnalysis.rollout[0]"),
+            ("agents.LegacyTestAnalysis.rollout", "agents.LegacyTestAnalysis.rollout"),
             ("agents.LegacyTestAnalysis.tracker", "agents.LegacyTestAnalysis.tracker"),
             ("rng_states.env", "rng_states.env"),
         ],
@@ -373,17 +417,28 @@ class TestCheckpoint:
             ),
             ("dqn.adam", lambda node: node.update(v=[node["v"]]), "dqn.adam.v"),
             (
-                "agents.LegacyTestAnalysis.rollout.0",
-                lambda node: node.update(state=node["state"][:3]),
-                "agents.LegacyTestAnalysis.rollout[0].state",
+                "agents.LegacyTestAnalysis.rollout",
+                lambda node: node.update(states=[row[:3] for row in node["states"]]),
+                "agents.LegacyTestAnalysis.rollout.states",
             ),
             (
-                "agents.LegacyTestAnalysis.rollout.0",
-                lambda node: node.update(next_state=node["next_state"] + [0.0]),
-                "agents.LegacyTestAnalysis.rollout[0].next_state",
+                "agents.LegacyTestAnalysis.rollout",
+                lambda node: node["states"][0].append(0.0),
+                "agents.LegacyTestAnalysis.rollout.states",
             ),
-            ("dqn.replay.0", lambda node: node.update(state=node["state"][:3]), "dqn.replay[0].state"),
-            ("dqn.replay.0", lambda node: node.update(next_state=[node["next_state"]]), "dqn.replay[0].next_state"),
+            (
+                "agents.LegacyTestAnalysis.rollout",
+                lambda node: node["log_probs"].pop(),
+                "agents.LegacyTestAnalysis.rollout.log_probs",
+            ),
+            (
+                "agents.LegacyTestAnalysis.rollout",
+                lambda node: node.update({name: column * 2 for name, column in node.items()}),
+                "agents.LegacyTestAnalysis.rollout",
+            ),
+            ("dqn.replay", lambda node: node.update(states=[row[:3] for row in node["states"]]), "dqn.replay.states"),
+            ("dqn.replay", lambda node: node.update(next_states=[node["next_states"]]), "dqn.replay.next_states"),
+            ("dqn.replay", lambda node: node["dones"].append(False), "dqn.replay.dones"),
             ("kb_pending", lambda node: node.update(state=node["state"] + [0.0]), "kb_pending.state"),
             ("content_vectors", lambda node: node.update({"tc-x": [0.5] * 3}), "content_vectors.tc-x"),
         ],
@@ -395,9 +450,12 @@ class TestCheckpoint:
             "dqn-target-topology",
             "dqn-adam-v-nested",
             "rollout-state-width",
-            "rollout-next-state-width",
+            "rollout-state-ragged",
+            "rollout-unequal-lengths",
+            "rollout-as-long-as-an-update",
             "replay-state-width",
             "replay-next-state-shape",
+            "replay-unequal-lengths",
             "kb-pending-state-width",
             "content-vector-width",
         ],
@@ -409,11 +467,63 @@ class TestCheckpoint:
     def test_replay_over_its_capacity_rejected(self, tmp_path):
         def overfill(node):
             node["config"]["dqn"]["replay_capacity"] = 4
-            node["dqn"]["replay"] *= 6
+            replay = node["dqn"]["replay"]
+            replay.update({name: (column * 6)[:6] for name, column in replay.items()})
 
-        message = re.escape("checkpoint dqn.replay holds 6 transitions, the capacity is 4")
+        message = re.escape("checkpoint dqn.replay holds 6 rows, at most 4 fit")
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, "", overfill)
+
+    def test_rollout_of_an_update_or_more_rejected(self, tmp_path):
+        # Each update consumes the whole rollout as it fills, so a checkpoint
+        # never holds ppo.rollout_length steps.
+        def overfill(node):
+            rollout = node["agents"]["LegacyTestAnalysis"]["rollout"]
+            rollout.update({name: (column * 20)[:80] for name, column in rollout.items()})
+            node["config"]["ppo"]["rollout_length"] = 64
+
+        message = re.escape("checkpoint agents.LegacyTestAnalysis.rollout holds 80 rows, at most 63 fit")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, "", overfill)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("", "episode_index"),
+            ("", "ppo_update_count"),
+            ("dqn", "action_steps"),
+            ("dqn", "train_steps"),
+            ("dqn.adam", "t"),
+            ("agents.LegacyTestAnalysis.adam", "t"),
+        ],
+    )
+    def test_negative_counter_rejected_with_its_path(self, tmp_path, section, key):
+        path = ".".join(filter(None, [section, key]))
+        message = re.escape(f"checkpoint {path} is -3, expected a non-negative integer")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, section, lambda node: node.update({key: -3}))
+
+    def test_slot_count_is_not_stored(self, tmp_path):
+        # The episode index gives the slots run so far; a stored count could
+        # only disagree with it.
+        with pytest.raises(SchemaVersionMismatch, match=re.escape("unknown key(s) ['global_slot']")):
+            self.restore_edited(tmp_path, "", lambda node: node.update(global_slot=7))
+
+    def test_split_run_with_a_full_replay_equals_uninterrupted(self, tmp_path):
+        # Two KB actions per episode fill a ring of 6 in the first three
+        # episodes, so the split resumes a ring that has wrapped.
+        dqn = replace(tiny_config().dqn, replay_capacity=6)
+        straight = TrainingSystem(tiny_config(episode_count=10, dqn=dqn))
+        straight.run()
+        first = TrainingSystem(tiny_config(episode_count=10, dqn=dqn))
+        first.run(episodes=5)
+        assert len(first.dqn.replay) == 6
+        path = tmp_path / "ckpt.json"
+        first.checkpoint(path)
+        resumed = TrainingSystem.restore(path)
+        resumed.run(episodes=5)
+        assert resumed.tables.dqn_steps == straight.tables.dqn_steps[len(first.tables.dqn_steps):]
+        assert resumed.checkpoint_dict() == straight.checkpoint_dict()
 
     @pytest.mark.parametrize("name", ["reward_window", "fp_window", "hit_window"])
     def test_window_over_its_length_rejected(self, tmp_path, name):
@@ -431,48 +541,6 @@ class TestCheckpoint:
         system.checkpoint(path)
         TrainingSystem.restore(path).checkpoint(again)
         assert again.read_bytes() == path.read_bytes()
-
-    def test_version_5_checkpoint_rejected(self, tmp_path):
-        # Version 5 checkpoints store each network as per-layer lists of
-        # decimal strings; they must fail on their version, not on those keys.
-        def to_version_5(node):
-            node["schema_version"] = 5
-            for agent in node["agents"].values():
-                flat = agent["params"].pop("flat")
-                agent["params"].update(schema_version=1, weights=[[repr(x) for x in flat]], biases=[])
-
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 5"):
-            self.restore_edited(tmp_path, "", to_version_5)
-
-    def test_version_4_checkpoint_rejected(self, tmp_path):
-        # Version 4 checkpoints still carry the trackers' windows and the
-        # replay insert count; they must fail on their version, not on those keys.
-        def to_version_4(node):
-            node["schema_version"] = 4
-            node["dqn"]["replay_inserted"] = len(node["dqn"]["replay"])
-            for agent in node["agents"].values():
-                agent["tracker"]["window"] = 50
-
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 4"):
-            self.restore_edited(tmp_path, "", to_version_4)
-
-    def test_version_2_checkpoint_rejected(self, tmp_path):
-        # Version 2 checkpoints still carry the test catalog; they must fail
-        # on their version, not on that key.
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 2"):
-            self.restore_edited(
-                tmp_path, "", lambda node: node.update(schema_version=2, test_catalog={})
-            )
-
-    def test_version_3_checkpoint_rejected(self, tmp_path):
-        # Version 3 checkpoints still carry the run's tables; they must fail
-        # on their version, not on those keys.
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 3"):
-            self.restore_edited(
-                tmp_path,
-                "",
-                lambda node: node.update(schema_version=3, metrics_history=[], ppo_rows=[], dqn_rows=[]),
-            )
 
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
