@@ -13,7 +13,6 @@ rolling reward mean and trend, every entry in [-1, 1].
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,11 +29,13 @@ from .domain import (
     RetrievalMode,
     TestCase,
     check_keys,
+    stable_hash,
 )
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import PPOConfig, Rollout, policy_value_forward
 from .rewards import trend_slope
-from .rl_core import HIDDEN_WIDTH, Adam, columns_dict, load_columns, sample_action, softmax_policy, xavier_init
+from .rl_core import HIDDEN_WIDTH, Adam, check_actions, columns_dict, load_columns, sample_action, softmax_policy
+from .rl_core import xavier_init
 
 STATE_DIM = 16
 SUMMARY_DIM = 8  # the hashed requirement summary leads the state
@@ -91,8 +92,7 @@ def _hashed_dims(label: str, count: int, dim: int) -> list[int]:
     dims: list[int] = []
     salt = 0
     while len(dims) < count:
-        digest = hashlib.blake2b(f"{label}#{salt}".encode("utf-8"), digest_size=8).digest()
-        bucket = int.from_bytes(digest, "big") % dim
+        bucket = stable_hash(f"{label}#{salt}") % dim
         if bucket not in dims:
             dims.append(bucket)
         salt += 1
@@ -303,12 +303,14 @@ class Agent:
         rollout and tracker, in place. ``what`` names ``d``, and prefixes its
         sections' paths, in the error for a missing or unknown key, a
         network of another topology, or a rollout that is not one column
-        per field of equal lengths, whose states are of another width, or
-        that holds as many steps as trigger an update."""
+        per field of equal lengths, whose states are of another width, whose
+        actions are outside this role's action space, or that holds as many
+        steps as trigger an update."""
         check_keys(what, d, _AGENT_KEYS)
         self.params.load_dict(d["params"], f"{what}.params")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
         columns = load_columns(self.rollout, d["rollout"], len(self.rollout.actions) - 1, f"{what}.rollout")
+        check_actions(columns.actions, self.n_actions, f"{what}.rollout.actions")
         self.rollout_steps = len(columns.actions)
         for column, loaded in zip(self.rollout, columns):
             column[: self.rollout_steps] = loaded
@@ -349,10 +351,7 @@ def _test_case_ids(
     """Content-hash ids of a slot's tests; they differ only by index, so the
     payload around it (the coverage text above all) is built once."""
     prefix = "|".join([requirement_id, strategy.name, mode.name, ",".join(map(repr, coverage))])
-    return [
-        "tc-" + hashlib.blake2b(f"{prefix}|{i}|{role.name}".encode("utf-8"), digest_size=8).hexdigest()
-        for i in range(n_tests)
-    ]
+    return [f"tc-{stable_hash(f'{prefix}|{i}|{role.name}'):016x}" for i in range(n_tests)]
 
 
 def generate_test_cases(

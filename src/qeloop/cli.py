@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,19 +42,6 @@ class UnknownKey(CliError):
     def __init__(self, key: str):
         self.key = key
         super().__init__(f"unknown config key {key!r}")
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    config_path: str
-    overrides: tuple[str, ...] = ()
-    output_dir: str | None = None
-    seeds: int | None = None
-    checkpoint: str | None = None
-    episodes: int | None = None
-    input_path: str | None = None
-    kb_path: str | None = None
 
 
 def _parse_override(item: str) -> tuple[list[str], object]:
@@ -103,8 +90,8 @@ def _provenance(exc: BaseException) -> str:
     return f"{type(exc).__module__}.{type(exc).__name__}"
 
 
-def _cmd_train(invocation: CliInvocation, config: trainer.RunConfig) -> int:
-    out_dir = invocation.output_dir or config.output_dir
+def _cmd_train(args: argparse.Namespace, config: trainer.RunConfig) -> int:
+    out_dir = args.out or config.output_dir
     with trainer.EventLog(out_dir) as events:
         system = trainer.TrainingSystem(config, events=events)
         metrics = system.run()
@@ -119,10 +106,9 @@ def _cmd_train(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     return 0
 
 
-def _cmd_ablate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
-    out_dir = invocation.output_dir or config.output_dir
-    n_seeds = invocation.seeds or 5
-    result = trainer.run_ablation_suite(config, n_seeds=n_seeds)
+def _cmd_ablate(args: argparse.Namespace, config: trainer.RunConfig) -> int:
+    out_dir = args.out or config.output_dir
+    result = trainer.run_ablation_suite(config, n_seeds=args.seeds)
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "ablation.csv")
     with open(table_path, "w", encoding="utf-8") as fh:
@@ -132,14 +118,14 @@ def _cmd_ablate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     return 0
 
 
-def _cmd_evaluate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
-    if not invocation.checkpoint:
+def _cmd_evaluate(args: argparse.Namespace, config: trainer.RunConfig) -> int:
+    if not args.checkpoint:
         raise ValidationError("checkpoint", "evaluate requires --checkpoint PATH")
-    out_dir = invocation.output_dir or config.output_dir
-    episodes = invocation.episodes or config.episode_count
+    out_dir = args.out or config.output_dir
+    episodes = args.episodes or config.episode_count
     frozen = trainer.AblationFlags(disable_ppo=True, disable_dqn=True, no_feedback=True)
     with trainer.EventLog(out_dir) as events:
-        system = trainer.TrainingSystem.restore(invocation.checkpoint, events=events)
+        system = trainer.TrainingSystem.restore(args.checkpoint, events=events)
         system.config = replace(system.config, ablation=frozen)
         system.deterministic_policy = True
         evaluated = system.run(episodes=episodes)
@@ -150,16 +136,16 @@ def _cmd_evaluate(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     return 0
 
 
-def _cmd_replay(invocation: CliInvocation, config: trainer.RunConfig) -> int:
-    if not invocation.input_path:
+def _cmd_replay(args: argparse.Namespace, config: trainer.RunConfig) -> int:
+    if not args.input_path:
         raise ValidationError("input", "replay requires a feedback JSONL path")
-    out_dir = invocation.output_dir or config.output_dir
-    if invocation.kb_path:
-        store = KnowledgeStore.load_snapshot(invocation.kb_path)
+    out_dir = args.out or config.output_dir
+    if args.kb_path:
+        store = KnowledgeStore.load_snapshot(args.kb_path)
     else:
         store = KnowledgeStore(config.kb.d_emb, config.kb.initial_params)
     issues: list[qe_env.QEEnvError] = []
-    records = list(qe_env.replay_feedback(invocation.input_path, on_error=issues.append))
+    records = list(qe_env.replay_feedback(args.input_path, on_error=issues.append))
     for issue in issues:
         print(f"skipped {_provenance(issue)}: {issue}", file=sys.stderr)
     if not records:
@@ -199,10 +185,10 @@ def replay_into_store(
     return touched
 
 
-def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
-    if not invocation.input_path:
+def _cmd_export(args: argparse.Namespace, config: trainer.RunConfig) -> int:
+    if not args.input_path:
         raise ValidationError("input", "export requires an events JSONL path")
-    out_dir = invocation.output_dir or config.output_dir
+    out_dir = args.out or config.output_dir
     tables = trainer.RunTables()
     line_number = 0
 
@@ -214,7 +200,7 @@ def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
                 tables.append(event)
                 yield event
 
-    with open(invocation.input_path, "r", encoding="utf-8") as fh:
+    with open(args.input_path, "r", encoding="utf-8") as fh:
         # metrics.csv is recomputed from the feedback and reward tallies, not
         # copied from the logged episode_end rows. Events are read lazily, so
         # the line last read is the one that failed.
@@ -230,7 +216,7 @@ def _cmd_export(invocation: CliInvocation, config: trainer.RunConfig) -> int:
     return 0
 
 
-def _cmd_gradcheck(invocation: CliInvocation, config: trainer.RunConfig) -> int:
+def _cmd_gradcheck(args: argparse.Namespace, config: trainer.RunConfig) -> int:
     worst = gradient_check()
     print(f"gradient check: max relative error {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
     if worst < GRADCHECK_TOLERANCE:
@@ -250,6 +236,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qeloop")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -266,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="dotted-key config override, repeatable",
         )
         if name == "ablate":
-            p.add_argument("--seeds", type=int, default=5)
+            p.add_argument("--seeds", type=_positive_int, default=5)
         if name == "evaluate":
             p.add_argument("--checkpoint", required=True)
-            p.add_argument("--episodes", type=int, default=None)
+            p.add_argument("--episodes", type=_positive_int, default=None)
         if name == "replay":
             p.add_argument("input_path", help="feedback JSONL file")
             p.add_argument("--kb", dest="kb_path", default=None, help="knowledge snapshot to evolve")
@@ -278,33 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def invocation_from_args(args: argparse.Namespace) -> CliInvocation:
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        overrides=tuple(args.overrides),
-        output_dir=args.out,
-        seeds=getattr(args, "seeds", None),
-        checkpoint=getattr(args, "checkpoint", None),
-        episodes=getattr(args, "episodes", None),
-        input_path=getattr(args, "input_path", None),
-        kb_path=getattr(args, "kb_path", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    invocation = invocation_from_args(args)
     try:
-        config = load_config(invocation.config_path, invocation.overrides)
+        config = load_config(args.config, tuple(args.overrides))
     except CliError as exc:
         print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[invocation.subcommand](invocation, config)
+        return _COMMANDS[args.subcommand](args, config)
     except (CliError, UnknownConfigKey) as exc:
         print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,8 @@ from enum import Enum
 
 
 class UnknownConfigKey(Exception):
+    problem = "unknown key"
+
     def __init__(self, key: str):
         self.key = key
         super().__init__(f"unknown config key {key!r}")

@@ -13,6 +13,7 @@ string (``"Critical"``, ``"High"``, ...).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections.abc import Iterable, Mapping, Set
@@ -20,6 +21,12 @@ from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 DEFAULT_COVERAGE_DIM = 32
+
+
+def stable_hash(text: str) -> int:
+    """The 64-bit blake2b digest of ``text``'s UTF-8 bytes as a big-endian
+    integer: the same on every run, process and platform, unlike ``hash``."""
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
 class DomainError(Exception):

@@ -26,6 +26,7 @@ from .rl_core import (
     ReplayBatch,
     Transition,
     backward,
+    check_actions,
     forward,
     forward_cached,
     load_count,
@@ -196,12 +197,13 @@ class DQNController:
         prefixes its sections' paths, in the error for a missing or unknown
         key, a network of another topology, a negative step count, or a
         replay that is not one column per field of equal lengths, whose
-        states are of another width, or that holds more transitions than
-        its capacity."""
+        states are of another width, whose actions are outside the action
+        set, or that holds more transitions than its capacity."""
         check_keys(what, d, _STATE_KEYS)
         self.qnet.load_dict(d["qnet"], f"{what}.qnet")
         self.target_net.load_dict(d["target_net"], f"{what}.target_net")
         self.adam.load_state_dict(d["adam"], f"{what}.adam")
         self.replay.load_state_dict(d["replay"], f"{what}.replay")
+        check_actions(np.asarray(d["replay"]["actions"]), self.qnet.n_out, f"{what}.replay.actions")
         self.action_steps = load_count(d["action_steps"], f"{what}.action_steps")
         self.train_steps = load_count(d["train_steps"], f"{what}.train_steps")

@@ -20,7 +20,6 @@ found) or 0 (false positives only) with an exponential moving average.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ import numpy as np
 
 from .atomic import atomic_open, dump_json, shared_tolist
 from .config import ConfigCodec
-from .domain import FeedbackRecord, RetrievalMode, check_keys
+from .domain import FeedbackRecord, RetrievalMode, check_keys, stable_hash
 
 
 class KnowledgeError(Exception):
@@ -187,14 +186,10 @@ _SNAPSHOT_KEYS = frozenset(
 )
 
 
-def _feature_hash(feature: str) -> int:
-    return int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "big")
-
-
 def embed(tokens: Sequence[str], d_emb: int) -> np.ndarray:
     """Signed feature hashing of token unigrams and bigrams, L2-normalized.
 
-    Uses blake2b so the mapping is identical across runs and platforms.
+    Uses ``stable_hash`` so the mapping is identical across runs and platforms.
     """
     if d_emb < 8:
         raise ValueError(f"d_emb must be >= 8, got {d_emb}")
@@ -205,14 +200,14 @@ def embed(tokens: Sequence[str], d_emb: int) -> np.ndarray:
     features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
     vec = np.zeros(d_emb, dtype=np.float64)
     for feat in features:
-        h = _feature_hash(feat)
+        h = stable_hash(feat)
         bucket = h % d_emb
         sign = 1.0 if (h >> 63) & 1 else -1.0
         vec[bucket] += sign
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # All signs cancelled; fall back to a deterministic single bucket.
-        vec[_feature_hash(features[0] + "#") % d_emb] = 1.0
+        vec[stable_hash(features[0] + "#") % d_emb] = 1.0
         norm = 1.0
     return vec / norm
 

@@ -182,11 +182,9 @@ def compute_minibatch_gradient(
     idx = np.arange(n)
     lp_new = log_probs[idx, actions]
     ratio = np.exp(lp_new - log_probs_old)
-    surr_unclipped = ratio * advantages
-    surr_clipped = np.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * advantages
-    objective = np.minimum(surr_unclipped, surr_clipped)
+    objective = clipped_surrogate(ratio, advantages, config.clip_epsilon)
     # Gradient flows through the unclipped branch exactly when it attains the min.
-    active = (surr_unclipped <= surr_clipped).astype(np.float64)
+    active = (ratio * advantages == objective).astype(np.float64)
     entropy = -np.sum(probs * log_probs, axis=1)
 
     one_hot = np.zeros((n, n_actions), dtype=np.float64)

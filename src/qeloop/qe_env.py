@@ -9,8 +9,8 @@ where x = dot(coverage, signature) in [0, 1] and S is a sigmoid in x with
 sharpness beta and midpoint tau, rescaled so S(0) = 0 and S(1) = 1 exactly
 (zero overlap can never fire a defect, full overlap at affinity 1 always
 does). False positives fire with a flat per-test probability. Timing,
-quality, and coverage assessments are derived deterministically; with
-noise_scale 0 the whole model is a pure function of (inputs, rng state).
+quality, and coverage assessments are derived deterministically, so the
+whole model is a pure function of (inputs, rng state).
 
 The module also replays externally supplied JSONL feedback files.
 """
@@ -133,7 +133,6 @@ class ExecutionModel(ConfigCodec):
     base_time: float = 4.0
     per_step_time: float = 0.25
     baseline_time: float = 1.5
-    noise_scale: float = 0.0
     workflow_integration_factor: float = 1.0
 
     def validate(self) -> "ExecutionModel":
@@ -143,8 +142,6 @@ class ExecutionModel(ConfigCodec):
             raise BadConfig(f"false_positive_rate {self.false_positive_rate} outside [0, 1)")
         if self.base_time <= 0 or self.per_step_time <= 0 or self.baseline_time <= 0:
             raise BadConfig("times must be positive")
-        if self.noise_scale < 0:
-            raise BadConfig(f"noise_scale {self.noise_scale} negative")
         if not 0.0 < self.workflow_integration_factor <= 2.0:
             raise BadConfig(
                 f"workflow_integration_factor {self.workflow_integration_factor} outside (0, 2]"
@@ -367,8 +364,7 @@ def execute_test(
     """Simulate one QE execution of one test case.
 
     Draw order is fixed (defects in catalog order, then the false-positive
-    draw, then timing noise only when noise_scale > 0), so a fixed rng state
-    fully determines the outcome.
+    draw), so a fixed rng state fully determines the outcome.
     """
     by_req = project.defects_by_requirement()
     signatures = project.signatures_by_requirement
@@ -412,8 +408,6 @@ def execute_test(
         )
 
     execution_time = model.base_time + model.per_step_time * STRATEGY_STEPS[test.strategy]
-    if model.noise_scale > 0:
-        execution_time += model.noise_scale * float(rng.random())
 
     true_count = sum(1 for r in reports if not r.is_false_positive)
     fp_count = len(reports) - true_count

@@ -13,7 +13,6 @@ it against central finite differences.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import ConfigCodec
-from .domain import check_keys
+from .domain import check_keys, stable_hash
 
 HIDDEN_WIDTH = 64
 
@@ -83,6 +82,15 @@ def load_count(value, what: str) -> int:
     if count != value or count < 0:
         raise ValueError(f"{what} is {value!r}, expected a non-negative integer")
     return count
+
+
+def check_actions(actions: np.ndarray, n_actions: int, what: str) -> None:
+    """Reject a column of action indices holding one outside
+    ``[0, n_actions)``, naming the column ``what`` and the first such row."""
+    outside = np.flatnonzero((actions < 0) | (actions >= n_actions))
+    if len(outside):
+        row = int(outside[0])
+        raise ValueError(f"{what} holds action {actions[row]} at row {row}, outside [0, {n_actions})")
 
 
 def columns_dict(columns: NamedTuple) -> dict:
@@ -404,10 +412,6 @@ class ExperienceBuffer:
 _RNG_STATE_KEYS = frozenset({"bit_generator", "state", "inc", "has_uint32", "uinteger"})
 
 
-def _stream_key(name: str) -> int:
-    return int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big")
-
-
 class RngStreams:
     """Named, independently seeded RNG streams derived from one master seed.
 
@@ -423,7 +427,7 @@ class RngStreams:
 
     def get(self, name: str) -> np.random.Generator:
         if name not in self._streams:
-            seq = np.random.SeedSequence([self.master_seed, _stream_key(name)])
+            seq = np.random.SeedSequence([self.master_seed, stable_hash(name)])
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]
 
@@ -493,7 +497,7 @@ def gradient_check(
     worst = 0.0
     for topology in topologies:
         for seed in range(n_seeds):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _stream_key("gradcheck")])))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stable_hash("gradcheck")])))
             params = xavier_init(tuple(topology), rng)
             x = rng.normal(size=topology[0])
             out_grad = rng.normal(size=topology[-1])

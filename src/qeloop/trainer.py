@@ -33,10 +33,11 @@ from .agents import (
     generate_test_cases,
     modifier_vector,
     record_feedback,
+    requirement_query,
     requirement_summary,
 )
 from .atomic import atomic_open, dump_json, shared_tolist
-from .config import ConfigCodec, ConfigRangeError, UnknownConfigKey  # noqa: F401 - re-exported
+from .config import ConfigCodec, ConfigRangeError, ConfigTypeError, UnknownConfigKey  # noqa: F401 - re-exported
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
@@ -82,8 +83,9 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 # breakdowns and windows, and the replay-buffer insert count; version 6
 # stores each network and its Adam moments as one flat list of floats;
 # version 7 stores rollouts and the replay as one list per field, without
-# the rollouts' next states or the slot count the episode index gives.
-CHECKPOINT_SCHEMA_VERSION = 7
+# the rollouts' next states or the slot count the episode index gives;
+# version 8 dropped the execution.noise_scale knob from the config.
+CHECKPOINT_SCHEMA_VERSION = 8
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
@@ -393,9 +395,10 @@ class TrainingSystem:
     or an ``EventLog``. A restored system's tables hold only what it ran
     after the restore."""
 
-    def __init__(self, config: RunConfig, deterministic_policy: bool = False, events: EventSink | None = None):
+    def __init__(self, config: RunConfig, events: EventSink | None = None):
         self.config = config.validate()
-        self.deterministic_policy = deterministic_policy
+        # Argmax actions in place of sampled ones; ``qeloop evaluate`` sets it.
+        self.deterministic_policy = False
         self.streams = RngStreams(config.seed)
         self.project: SyntheticProject = generate_project(config.env, config.seed)
         self.requirements = list(self.project.requirements)
@@ -406,8 +409,7 @@ class TrainingSystem:
         self.content_vectors: dict[str, np.ndarray] = {}
         self._req_summaries: dict[str, np.ndarray] = {}
         for req in self.requirements:
-            tokens = req.text.split() + [req.id]
-            self.kb.insert_vector(req.id, embed(tokens, config.kb.d_emb), req.id)
+            self.kb.insert_vector(req.id, requirement_query(req, config.kb.d_emb), req.id)
             self.kb.add_node(req.id)
             self._req_summaries[req.id] = requirement_summary(req)
         for src, dst, et in self.project.requirement_links:
@@ -738,13 +740,14 @@ class TrainingSystem:
         checkpoint's state into it in place. Corrupt files never yield a
         partial system. A missing or unknown key at the top level, in the
         agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
-        a network or optimizer state whose topology is not the one built,
-        a stored state or coverage vector of another width, a rollout or
-        replay column whose length differs from its fellows', a rollout of
-        ``ppo.rollout_length`` steps or more, a replay over its capacity, a
-        reward, false-positive or hit window longer than its length, and a
-        negative counter, is named with its dotted path. ``events`` as in
-        ``__init__``."""
+        an unknown, mistyped or out-of-range config value, a network or
+        optimizer state whose topology is not the one built, a stored state
+        or coverage vector of another width, a rollout or replay column
+        whose length differs from its fellows', a stored action outside its
+        action space, a rollout of ``ppo.rollout_length`` steps or more, a
+        replay over its capacity, a reward, false-positive or hit window
+        longer than its length, and a negative counter, is named with its
+        dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -766,7 +769,11 @@ class TrainingSystem:
             if payload["kb_pending"] is not None:
                 check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
             check_keys("checkpoint rng_states", payload["rng_states"], frozenset(), _RNG_STREAMS)
-            config = RunConfig.from_dict(payload["config"])
+            try:
+                config = RunConfig.from_dict(payload["config"]).validate()
+            except (UnknownConfigKey, ConfigTypeError, ConfigRangeError) as exc:
+                path = ".".join(filter(None, ("checkpoint config", exc.key)))
+                raise SchemaVersionMismatch(f"{path}: {exc.problem}") from exc
             system = cls(config, events=events)
             system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"])
             system.content_vectors = {
@@ -796,7 +803,7 @@ class TrainingSystem:
             system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
             system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
             system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, UnknownConfigKey) as exc:
             raise SchemaVersionMismatch(f"checkpoint payload incomplete or malformed: {exc}") from exc
         return system
 
@@ -804,8 +811,8 @@ class TrainingSystem:
 # -- run-level helpers ------------------------------------------------------
 
 
-def run_training(config: RunConfig, deterministic_policy: bool = False) -> TrainingSystem:
-    system = TrainingSystem(config, deterministic_policy=deterministic_policy)
+def run_training(config: RunConfig) -> TrainingSystem:
+    system = TrainingSystem(config)
     system.run()
     return system
 

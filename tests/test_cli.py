@@ -227,6 +227,23 @@ class TestEvaluateCommand:
         expected = metrics_csv_text(system.run(episodes=2)[-2:])
         assert (eval_dir / "metrics.csv").read_text() == expected
 
+    def test_evaluate_names_a_bad_key_in_the_checkpoint_config(self, tmp_path, config_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["config"]["execution"]["bogus"] = 1
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "qeloop.trainer.SchemaVersionMismatch: checkpoint config.execution.bogus: unknown key" in err
+
+    def test_evaluate_rejects_a_non_positive_episode_count(self, tmp_path, config_path):
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(tmp_path / "none.json")]
+        assert cli.main(argv + ["--episodes", "0"]) == 1
+
 
 def write_feedback_file(path, records):
     path.write_text("".join(r.to_json_line() + "\n" for r in records))
@@ -397,3 +414,9 @@ class TestAblateCommand:
         table = (out_dir / "ablation.csv").read_text().splitlines()
         assert table[0] == "variant,detection_mean,detection_std,reward_mean,reward_std"
         assert len(table) == 6
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_ablate_rejects_a_non_positive_seed_count(self, tmp_path, config_path, seeds):
+        argv = ["ablate", "--config", config_path, "--out", str(tmp_path / "out"), "--seeds", seeds]
+        assert cli.main(argv) == 1
+        assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qeloop import cli
 from qeloop.config import ConfigTypeError, UnknownConfigKey
 from qeloop.trainer import RunConfig
 
@@ -75,8 +76,19 @@ def test_shipped_config_spells_out_the_run_defaults():
     assert default_doc() == RunConfig().to_dict()
 
 
-def test_shipped_config_has_71_settable_leaves():
-    assert len(LEAVES) == 71
+def test_shipped_config_has_70_settable_leaves():
+    assert len(LEAVES) == 70
+
+
+def test_removed_timing_noise_knob_is_an_unknown_key():
+    doc = default_doc()
+    doc["execution"]["noise_scale"] = 0.0
+    with pytest.raises(UnknownConfigKey) as exc:
+        RunConfig.from_dict(doc)
+    assert exc.value.key == "execution.noise_scale"
+    with pytest.raises(cli.UnknownKey) as exc:
+        cli.load_config(str(DEFAULT_JSON), ("execution.noise_scale=0.0",))
+    assert exc.value.key == "execution.noise_scale"
 
 
 @given(typed(RunConfig))

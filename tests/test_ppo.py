@@ -213,6 +213,39 @@ class TestPpoUpdate:
         for a, b in zip(grads.weights + grads.biases, vanilla.weights + vanilla.biases):
             assert np.abs(a - b).max() < 1e-8
 
+    def test_objective_is_the_clipped_surrogate_and_the_unclipped_branch_carries_ties(self):
+        params = self.make_params(51)
+        n = 8
+        states = rng(52).normal(size=(n, 2))
+        actions = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        logits, _ = policy_value_forward(params, states)
+        probs, log_probs = softmax_policy(logits)
+        idx = np.arange(n)
+        # Ratio exactly 1 (both branches tie) on the first four rows, about
+        # 0.5 and 2 (outside the clip range) on the rest.
+        log_probs_old = log_probs[idx, actions] - np.log([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 0.5, 0.5])
+        advantages = np.array([1.0, -1.0, 0.0, -0.0, 1.0, -1.0, 1.0, -1.0])
+        config = PPOConfig(entropy_coeff=0.0, value_loss_coeff=0.0)
+        grads, stats = compute_minibatch_gradient(
+            params, states, actions, log_probs_old, advantages, np.zeros(n), config
+        )
+        ratio = np.exp(log_probs[idx, actions] - log_probs_old)
+        assert stats["policy_loss"] == -clipped_surrogate(ratio, advantages, config.clip_epsilon).mean()
+        # The policy gradient flows on ties and where the unclipped term is
+        # the smaller: rows 4 (A > 0, ratio above 1.2) and 7 (A < 0, ratio
+        # below 0.8) are clipped.
+        active = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        one_hot = np.zeros_like(probs)
+        one_hot[idx, actions] = 1.0
+        d_logits = -((advantages * ratio * active)[:, None] * (one_hot - probs)) / n
+        out_grad = np.concatenate([d_logits, np.zeros((n, 1))], axis=1)
+        from qeloop.rl_core import backward, forward_cached
+
+        _, activations = forward_cached(params, states)
+        expected = backward(params, activations, out_grad)
+        for a, b in zip(grads.weights + grads.biases, expected.weights + expected.biases):
+            assert np.abs(a - b).max() < 1e-15
+
     @pytest.mark.slow
     def test_bandit_converges_above_ninety_percent(self):
         params = self.make_params(41)

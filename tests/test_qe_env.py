@@ -174,9 +174,9 @@ class TestExecuteTest:
         assert ("def-0" in detected_ids) == expected_hits[0]
         assert ("def-1" in detected_ids) == expected_hits[1]
 
-    def test_pure_function_with_zero_noise(self):
+    def test_pure_function_of_inputs_and_rng_state(self):
         project = manual_project([sparse_unit([0, 1, 2, 3])])
-        model = ExecutionModel(noise_scale=0.0)
+        model = ExecutionModel()
         test = make_test(sparse_unit([0, 1, 4, 5]))
         assert execute_test(test, project, model, rng(9)) == execute_test(test, project, model, rng(9))
 

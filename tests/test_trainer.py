@@ -13,7 +13,7 @@ import qeloop
 from qeloop import cli, trainer
 from qeloop.config import ConfigTypeError
 from qeloop.dqn import DQNConfig
-from qeloop.knowledge import EdgeType
+from qeloop.knowledge import KB_ACTION_COUNT, EdgeType
 from qeloop.ppo import PPOConfig
 from qeloop.qe_env import EnvConfig
 from qeloop.rl_core import xavier_init
@@ -344,6 +344,8 @@ class TestCheckpoint:
             # Version 6 stores rollouts and the replay as lists of row dicts,
             # the rollouts' with next states, and the global slot.
             (6, to_version_6),
+            # Version 7 still carries the timing-noise knob.
+            (7, lambda node: node["config"]["execution"].update(noise_scale=0.0)),
         ],
     )
     def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
@@ -366,6 +368,7 @@ class TestCheckpoint:
             ("agents", "NoSuchRole"),
             ("kb_pending", "bogus_key"),
             ("rng_states", "NoSuchStream"),
+            ("kb.retrieval_params", "bogus_key"),
         ],
     )
     def test_unknown_key_rejected_with_its_name(self, tmp_path, section, key):
@@ -463,6 +466,34 @@ class TestCheckpoint:
     def test_state_that_does_not_fit_the_built_system_rejected_with_its_path(self, tmp_path, section, edit, path):
         with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {path} ")):
             self.restore_edited(tmp_path, section, edit)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda node: node["execution"].update(bogus=1), "checkpoint config.execution.bogus: unknown key"),
+            (
+                lambda node: node["execution"].update(base_time="x"),
+                "checkpoint config.execution.base_time: expected float, got 'x'",
+            ),
+            (
+                lambda node: node["execution"].update(base_time=-1.0),
+                "checkpoint config.execution: times must be positive",
+            ),
+        ],
+        ids=["unknown-key", "wrong-type", "out-of-range"],
+    )
+    def test_bad_config_rejected_with_its_path(self, tmp_path, edit, message):
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
+            self.restore_edited(tmp_path, "config", edit)
+
+    @pytest.mark.parametrize("action", [-1, 99])
+    @pytest.mark.parametrize(
+        "section, n_actions", [("agents.LegacyTestAnalysis.rollout", 4), ("dqn.replay", KB_ACTION_COUNT)]
+    )
+    def test_action_outside_the_action_space_rejected_with_its_path(self, tmp_path, section, n_actions, action):
+        message = re.escape(f"checkpoint {section}.actions holds action {action} at row 0, outside [0, {n_actions})")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, section, lambda node: node["actions"].__setitem__(0, action))
 
     def test_replay_over_its_capacity_rejected(self, tmp_path):
         def overfill(node):
