@@ -129,6 +129,13 @@ def requirement_query(requirement: Requirement, d_emb: int) -> np.ndarray:
     return _read_only(embed(requirement.text.split() + [requirement.id], d_emb))
 
 
+@lru_cache(maxsize=4096)
+def requirement_summary(requirement: Requirement) -> np.ndarray:
+    """8-dim hashed summary of a requirement's text and tags."""
+    tokens = requirement.text.split() + sorted(requirement.component_tags) + [requirement.id]
+    return _read_only(embed(tokens, SUMMARY_DIM))
+
+
 _TRACKER_KEYS = frozenset({"totals", "records"})
 _AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
 
@@ -138,8 +145,8 @@ class PerformanceTracker:
 
     Append through the ``push_*`` methods only. The window's true-defect,
     false-positive and severity totals are kept as running integers, which
-    are exact; the cached aggregates and reward stats are dropped on each
-    push and computed once however often they are read.
+    are exact; the aggregates and reward features are computed from the
+    windows each time they are read.
     """
 
     def __init__(self, window: int = 50):
@@ -149,8 +156,6 @@ class PerformanceTracker:
         self.records: deque[tuple[int, int, int, float]] = deque(maxlen=window)
         # (true defects, false positives, severity ranks) over ``records``.
         self.counts = (0, 0, 0)
-        self._aggregates: tuple[float, float, float, float] | None = None
-        self._reward_stats: tuple[float, float, float, float] | None = None
 
     def push_record(self, feedback: FeedbackRecord) -> None:
         true_defects = feedback.true_defects()
@@ -162,19 +167,12 @@ class PerformanceTracker:
             true_total, fp_total, sev_total = true_total - old_true, fp_total - old_fp, sev_total - old_sev
         self.records.append((n_true, n_fp, severity, feedback.quality_rating))
         self.counts = (true_total + n_true, fp_total + n_fp, sev_total + severity)
-        self._aggregates = None
 
     def push_reward(self, total: float) -> None:
         self.totals.append(total)
-        self._reward_stats = None
 
     def aggregates(self) -> tuple[float, float, float, float]:
         """(defect rate, FP rate, mean severity, mean quality), zeros when empty."""
-        if self._aggregates is None:
-            self._aggregates = self._compute_aggregates()
-        return self._aggregates
-
-    def _compute_aggregates(self) -> tuple[float, float, float, float]:
         if not self.records:
             return (0.0, 0.0, 0.0, 0.0)
         n = len(self.records)
@@ -189,23 +187,14 @@ class PerformanceTracker:
             quality,
         )
 
-    def reward_stats(self) -> tuple[float, float]:
-        """(mean, trend slope) of the windowed reward totals, zeros when empty."""
-        return self._cached_reward_stats()[:2]
-
     def reward_features(self) -> tuple[float, float]:
-        """``np.tanh`` of the reward mean and of the trend slope, the two
-        reward entries of the agent state."""
-        return self._cached_reward_stats()[2:]
-
-    def _cached_reward_stats(self) -> tuple[float, float, float, float]:
-        if self._reward_stats is None:
-            if self.totals:
-                mean, trend = sum(self.totals) / len(self.totals), trend_slope(self.totals)
-            else:
-                mean, trend = 0.0, 0.0
-            self._reward_stats = (mean, trend, np.tanh(mean), np.tanh(trend))
-        return self._reward_stats
+        """``np.tanh`` of the windowed reward totals' mean and trend slope,
+        the two reward entries of the agent state; zeros when empty."""
+        if self.totals:
+            mean, trend = sum(self.totals) / len(self.totals), trend_slope(self.totals)
+        else:
+            mean, trend = 0.0, 0.0
+        return np.tanh(mean), np.tanh(trend)
 
     def state_dict(self) -> dict:
         return {"totals": list(self.totals), "records": [list(r) for r in self.records]}
@@ -221,13 +210,6 @@ class PerformanceTracker:
         self.totals.extend(float(x) for x in d["totals"])
         self.records.extend((int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in d["records"])
         self.counts = tuple(sum(r[i] for r in self.records) for i in range(3))
-        self._aggregates = self._reward_stats = None
-
-
-def requirement_summary(requirement: Requirement) -> np.ndarray:
-    """8-dim hashed summary of a requirement's public text and tags."""
-    tokens = requirement.text.split() + sorted(requirement.component_tags) + [requirement.id]
-    return embed(tokens, SUMMARY_DIM)
 
 
 def featurize_state(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
@@ -65,6 +66,20 @@ def check_keys(
         raise MalformedRecord(f"{what}: {'; '.join(problems)}")
 
 
+def _typed(what: str, d: Mapping, name: str, kind: type):
+    """``d[name]`` if it has the JSON type ``kind``: ``str``, ``bool``, or
+    ``float``, which takes a JSON integer too and returns it as a float.
+    Anything else, a boolean for a number included, is rejected, named
+    ``what.name``."""
+    value = d[name]
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    expected = {str: "a string", bool: "a boolean", float: "a number"}[kind]
+    raise MalformedRecord(f"{what}.{name} must be {expected}, got {value!r}")
+
+
 class GenerationStrategy(IntEnum):
     """Closed set of test-generation strategies; values are action indices."""
 
@@ -104,16 +119,11 @@ class AgentRole(IntEnum):
 
 @dataclass(frozen=True)
 class Requirement:
-    """One unit of workflow context that test cases are generated against.
-
-    ``hidden_defect_ids`` is simulation ground truth: it is only ever read by
-    the QE environment, never by agents or the knowledge store.
-    """
+    """One unit of workflow context that test cases are generated against."""
 
     id: str
     text: str
     component_tags: frozenset[str] = field(default_factory=frozenset)
-    hidden_defect_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -166,11 +176,11 @@ class DefectReport:
     def from_dict(cls, d: Mapping) -> "DefectReport":
         check_keys("DefectReport", d, _DEFECT_REPORT_REQUIRED, _DEFECT_REPORT_OPTIONAL)
         return cls(
-            id=d["id"],
-            test_case_ref=d["test_case_ref"],
+            id=_typed("DefectReport", d, "id", str),
+            test_case_ref=_typed("DefectReport", d, "test_case_ref", str),
             severity=Severity[d["severity"]],
-            is_false_positive=bool(d["is_false_positive"]),
-            defect_ref=d.get("defect_ref"),
+            is_false_positive=_typed("DefectReport", d, "is_false_positive", bool),
+            defect_ref=None if d.get("defect_ref") is None else _typed("DefectReport", d, "defect_ref", str),
         )
 
 
@@ -221,15 +231,9 @@ class FeedbackRecord:
     def from_dict(cls, d: Mapping) -> "FeedbackRecord":
         check_keys("FeedbackRecord", d, _FEEDBACK_RECORD_REQUIRED, _FEEDBACK_RECORD_OPTIONAL)
         return cls(
-            test_case_ref=d["test_case_ref"],
+            test_case_ref=_typed("FeedbackRecord", d, "test_case_ref", str),
             defects=tuple(DefectReport.from_dict(x) for x in d.get("defects", ())),
-            execution_time=float(d["execution_time"]),
-            baseline_time=float(d["baseline_time"]),
-            quality_rating=float(d["quality_rating"]),
-            requirement_coverage_assessment=float(d["requirement_coverage_assessment"]),
-            functional_coverage_validation=float(d["functional_coverage_validation"]),
-            workflow_integration_factor=float(d["workflow_integration_factor"]),
-            compliance_score=float(d["compliance_score"]),
+            **{name: _typed("FeedbackRecord", d, name, float) for name in _FEEDBACK_NUMBERS},
         )
 
     def to_json_line(self) -> str:
@@ -254,6 +258,8 @@ _FEEDBACK_BOUNDS = (
     ("workflow_integration_factor", 0.0, 2.0, False, True),
     ("compliance_score", 0.0, 1.0, True, True),
 )
+# The numeric fields of a FeedbackRecord.
+_FEEDBACK_NUMBERS = tuple(bound[0] for bound in _FEEDBACK_BOUNDS)
 
 
 def validate_feedback(
@@ -268,7 +274,7 @@ def validate_feedback(
     """
     for name, lo, hi, lo_inc, hi_inc in _FEEDBACK_BOUNDS:
         value = getattr(record, name)
-        if not isinstance(value, (int, float)) or math.isnan(value):
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise RangeViolation(name, value, "finite real")
         if (lo is not None and (value < lo or (not lo_inc and value == lo))) or (
             hi is not None and (value > hi or (not hi_inc and value == hi))

@@ -92,24 +92,6 @@ class ProcessedRollout:
         return self.states.shape[0]
 
 
-@dataclass
-class PPOUpdateReport:
-    mean_ratio: float
-    clip_fraction: float
-    policy_loss: float
-    value_loss: float
-    entropy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_ratio": self.mean_ratio,
-            "clip_fraction": self.clip_fraction,
-            "policy_loss": self.policy_loss,
-            "value_loss": self.value_loss,
-            "entropy": self.entropy,
-        }
-
-
 def policy_value_forward(params: MLPParameters, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split the joint network's output into (logits, values)."""
     batch = np.asarray(states, dtype=np.float64)
@@ -213,8 +195,10 @@ def ppo_update(
     rollout: ProcessedRollout,
     config: PPOConfig,
     rng: np.random.Generator,
-) -> PPOUpdateReport:
-    """Run epochs of shuffled-minibatch updates in place; returns diagnostics.
+) -> dict[str, float]:
+    """Run epochs of shuffled-minibatch updates in place. Returns the
+    minibatch diagnostics of ``compute_minibatch_gradient``, each averaged
+    over the update's minibatches.
 
     Raises StaleRollout when any old log-probability is missing, since the
     probability ratio is undefined without the collecting policy's snapshot.
@@ -241,4 +225,4 @@ def ppo_update(
             for key in totals:
                 totals[key] += stats[key]
             batches += 1
-    return PPOUpdateReport(**{key: value / batches for key, value in totals.items()})
+    return {key: value / batches for key, value in totals.items()}

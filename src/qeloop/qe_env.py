@@ -214,10 +214,6 @@ class SyntheticProject:
     defects: tuple[DefectSpec, ...]
     affinity: Mapping[GenerationStrategy, Mapping[Severity, float]]
     requirement_links: tuple[tuple[str, str, EdgeType], ...]
-    seed: int
-
-    def requirement_by_id(self) -> dict[str, Requirement]:
-        return {r.id: r for r in self.requirements}
 
     def defects_by_requirement(self) -> Mapping[str, tuple[DefectSpec, ...]]:
         """Each requirement's defects in catalog order; built once, read-only."""
@@ -280,7 +276,6 @@ def generate_project(config: EnvConfig, seed: int) -> SyntheticProject:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0x70726F6A])))
     requirements: list[Requirement] = []
     base_patterns: dict[str, np.ndarray] = {}
-    hidden: dict[str, list[str]] = {}
     for i in range(config.n_requirements):
         rid = f"req-{i:03d}"
         tags = frozenset(
@@ -289,7 +284,6 @@ def generate_project(config: EnvConfig, seed: int) -> SyntheticProject:
         text = f"requirement {i} covering " + " and ".join(sorted(tags))
         requirements.append(Requirement(id=rid, text=text, component_tags=tags))
         base_patterns[rid] = _sparse_pattern(rng, config.d_cov)
-        hidden[rid] = []
 
     severities = _severity_allocation(config.n_defects, config.severity_proportions)
     sev_order = rng.permutation(len(severities))
@@ -305,20 +299,14 @@ def generate_project(config: EnvConfig, seed: int) -> SyntheticProject:
             + config.signature_noise_weight * _sparse_pattern(rng, config.d_cov)
         )
         signature = raw / np.linalg.norm(raw)
-        defect_id = f"def-{k:03d}"
         defects.append(
             DefectSpec(
-                id=defect_id,
+                id=f"def-{k:03d}",
                 severity=severity,
                 signature=tuple(float(x) for x in signature),
                 requirement_ref=rid,
             )
         )
-        hidden[rid].append(defect_id)
-
-    requirements = [
-        Requirement(r.id, r.text, r.component_tags, tuple(hidden[r.id])) for r in requirements
-    ]
 
     links: list[tuple[str, str, EdgeType]] = []
     for i in range(config.n_requirements):
@@ -332,7 +320,6 @@ def generate_project(config: EnvConfig, seed: int) -> SyntheticProject:
         defects=tuple(defects),
         affinity={s: dict(row) for s, row in DEFAULT_AFFINITY.items()},
         requirement_links=tuple(links),
-        seed=int(seed),
     )
 
 

@@ -63,7 +63,7 @@ class Transition(NamedTuple):
 
 
 _MLP_KEYS = frozenset({"layer_sizes", "flat"})
-_ADAM_KEYS = frozenset({"learning_rate", "t", "m", "v"})
+_ADAM_KEYS = frozenset({"t", "m", "v"})
 
 
 def load_vector(values, width: int, what: str) -> np.ndarray:
@@ -102,15 +102,29 @@ def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> 
     """``columns_dict`` output as arrays of ``template``'s dtypes and row
     shapes. ``what`` names ``d`` in the error for a missing or unknown
     field, a column that is not a stack of such rows or is not as long as
-    the first, and more than ``max_rows`` rows."""
+    the first, a value that the cast to the column's dtype would change
+    (an action of 1.5, a ``dones`` flag of 0.3), and more than
+    ``max_rows`` rows."""
     check_keys(what, d, frozenset(template._fields))
     columns = []
     for name, like in zip(template._fields, template):
         path = f"{what}.{name}"
         try:
-            column = np.asarray(d[name], dtype=like.dtype)
+            raw = np.asarray(d[name])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} is not a column of {like.dtype} rows: {exc}") from None
+        if raw.ndim == 0 or raw.dtype.kind not in "biuf":
+            raise ValueError(f"{path} is not a column of {like.dtype} rows: got {raw.dtype} of shape {raw.shape}")
+        with np.errstate(invalid="ignore"):
+            column = raw.astype(like.dtype, copy=False)
+        # A same-dtype cast changes nothing, NaN included.
+        changed = np.argwhere(column != raw) if raw.dtype != like.dtype else ()
+        if len(changed):
+            index = tuple(changed[0])
+            raise ValueError(
+                f"{path} holds {raw[index].item()!r} at row {index[0]}, "
+                f"which the cast to {like.dtype} changes to {column[index].item()!r}"
+            )
         if column.shape == (0,):
             column = column.reshape(0, *like.shape[1:])
         if column.shape[1:] != like.shape[1:]:
@@ -279,7 +293,9 @@ class Adam:
     """Adaptive-moment gradient steps for one MLPParameters instance.
 
     The moments ``m`` and ``v`` share the parameters' flat layout, so a
-    step is five whole-buffer operations.
+    step is five whole-buffer operations. The state is the step count and
+    the two moments; the learning rate is a hyperparameter, given at
+    construction from the run's config and never checkpointed.
     """
 
     def __init__(self, params: MLPParameters, learning_rate: float):
@@ -302,7 +318,7 @@ class Adam:
             raise RLCoreError("non-finite parameter after Adam step")
 
     def state_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "t": self.t, "m": self.m.tolist(), "v": self.v.tolist()}
+        return {"t": self.t, "m": self.m.tolist(), "v": self.v.tolist()}
 
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
         """Write ``state_dict`` output into this optimizer's moments; ``what``
@@ -310,7 +326,6 @@ class Adam:
         the path of a negative step count or of a moment buffer that does
         not fit the network."""
         check_keys(what, d, _ADAM_KEYS)
-        self.learning_rate = float(d["learning_rate"])
         self.t = load_count(d["t"], f"{what}.t")
         self.m[...] = load_vector(d["m"], self.m.size, f"{what}.m")
         self.v[...] = load_vector(d["v"], self.v.size, f"{what}.v")

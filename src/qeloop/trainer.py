@@ -22,7 +22,7 @@ import json
 import os
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -59,20 +59,6 @@ MODIFIER_ROLES = (
     AgentRole.ComplianceValidation,
 )
 
-METRICS_CSV_COLUMNS = (
-    "episode",
-    "generation_accuracy",
-    "defect_detection_rate",
-    "false_positive_rate",
-    "requirement_coverage",
-    "r_effectiveness",
-    "r_coverage",
-    "r_efficiency",
-    "r_compliance",
-    "r_adaptation",
-    "r_total",
-)
-
 PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
 DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 
@@ -84,8 +70,9 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 # stores each network and its Adam moments as one flat list of floats;
 # version 7 stores rollouts and the replay as one list per field, without
 # the rollouts' next states or the slot count the episode index gives;
-# version 8 dropped the execution.noise_scale knob from the config.
-CHECKPOINT_SCHEMA_VERSION = 8
+# version 8 dropped the execution.noise_scale knob from the config; version 9
+# dropped each Adam state's learning rate, which the config holds.
+CHECKPOINT_SCHEMA_VERSION = 9
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
@@ -285,6 +272,9 @@ class EpisodeMetrics:
         return {name: getattr(self, name) for name in METRICS_CSV_COLUMNS}
 
 
+METRICS_CSV_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
+
+
 def _metrics_from_tallies(
     episode: int,
     planned_requirements: Sequence[str],
@@ -401,17 +391,12 @@ class TrainingSystem:
         self.deterministic_policy = False
         self.streams = RngStreams(config.seed)
         self.project: SyntheticProject = generate_project(config.env, config.seed)
-        self.requirements = list(self.project.requirements)
-        self.req_by_id = self.project.requirement_by_id()
-        self._defects_by_req = self.project.defects_by_requirement()
 
         self.kb = KnowledgeStore(config.kb.d_emb, config.kb.initial_params)
         self.content_vectors: dict[str, np.ndarray] = {}
-        self._req_summaries: dict[str, np.ndarray] = {}
-        for req in self.requirements:
+        for req in self.project.requirements:
             self.kb.insert_vector(req.id, requirement_query(req, config.kb.d_emb), req.id)
             self.kb.add_node(req.id)
-            self._req_summaries[req.id] = requirement_summary(req)
         for src, dst, et in self.project.requirement_links:
             self.kb.upsert_edge(src, dst, et, 0.5)
 
@@ -443,7 +428,7 @@ class TrainingSystem:
             {
                 "type": "run_start",
                 "event_schema": EVENT_SCHEMA_VERSION,
-                "n_requirements": len(self.requirements),
+                "n_requirements": len(self.project.requirements),
                 "n_defects": len(self.project.defects),
                 "seed": config.seed,
             }
@@ -464,9 +449,9 @@ class TrainingSystem:
 
     # -- featurization ---------------------------------------------------
 
-    def _featurize(self, role: AgentRole, requirement_id: str) -> np.ndarray:
+    def _featurize(self, role: AgentRole, requirement: Requirement) -> np.ndarray:
         return featurize_state(
-            self._req_summaries[requirement_id],
+            requirement_summary(requirement),
             self.agents[role].tracker,
             self.kb.params,
             self.kb.mean_edge_weight(),
@@ -497,21 +482,19 @@ class TrainingSystem:
 
     # -- learning steps ---------------------------------------------------
 
-    def _run_ppo_update(self, role: AgentRole, requirement_id: str) -> None:
+    def _run_ppo_update(self, role: AgentRole, requirement: Requirement) -> None:
         """Update ``role`` on its full rollout, bootstrapping from its state
-        on ``requirement_id`` after the last step."""
+        on ``requirement`` after the last step."""
         agent = self.agents[role]
         rollout = agent.rollout
-        rollout.states[-1] = self._featurize(role, requirement_id)
+        rollout.states[-1] = self._featurize(role, requirement)
         _, values = policy_value_forward(agent.params, rollout.states)
         processed = compute_gae(rollout, values, self.config.rl.discount_factor, self.config.rl.gae_lambda)
         report = ppo_update(
             agent.params, agent.adam, processed, self.config.ppo, self.streams.get(f"ppo:{role.name}")
         )
         agent.rollout_steps = 0
-        self._emit(
-            {"type": "ppo_update", "update_index": self._ppo_update_count, "role": role.name, **report.to_dict()}
-        )
+        self._emit({"type": "ppo_update", "update_index": self._ppo_update_count, "role": role.name, **report})
         self._ppo_update_count += 1
 
     def _run_kb_action(self) -> None:
@@ -579,30 +562,29 @@ class TrainingSystem:
         # Every episode runs the same number of slots, so the episode index
         # counts the slots run before this one.
         first_slot = episode * config.tests_per_episode
-        n = len(self.requirements)
-        planned = [self.requirements[(first_slot + s) % n].id for s in range(config.tests_per_episode)]
-        reachable = sum(len(self._defects_by_req[rid]) for rid in sorted(set(planned)))
+        requirements = self.project.requirements
+        planned = [requirements[(first_slot + s) % len(requirements)] for s in range(config.tests_per_episode)]
+        planned_ids = [requirement.id for requirement in planned]
+        defects_by_req = self.project.defects_by_requirement()
+        reachable = sum(len(defects_by_req[rid]) for rid in set(planned_ids))
         self._emit(
             {
                 "type": "episode_start",
                 "episode": episode,
-                "planned_requirements": planned,
+                "planned_requirements": planned_ids,
                 "reachable_defects": reachable,
             }
         )
         ep_records: list[FeedbackRecord] = []
         ep_breakdowns: list[RewardBreakdown] = []
 
-        for slot in range(config.tests_per_episode):
-            rid = planned[slot]
-            requirement = self.req_by_id[rid]
-
+        for slot, requirement in enumerate(planned):
             modifier_delta = np.zeros(config.env.d_cov, dtype=np.float64)
             acting: list[AgentRole] = []
             actions: list[dict] = []
             for role in MODIFIER_ROLES:
                 agent = self.agents[role]
-                state = self._featurize(role, rid)
+                state = self._featurize(role, requirement)
                 action, log_prob = agent.act(
                     state, self.streams.get(f"policy:{role.name}"), self.deterministic_policy
                 )
@@ -618,7 +600,7 @@ class TrainingSystem:
                 else AgentRole.TestCaseGeneration
             )
             gen_agent = self.agents[gen_role]
-            gen_state = self._featurize(gen_role, rid)
+            gen_state = self._featurize(gen_role, requirement)
             gen_action, gen_log_prob = gen_agent.act(
                 gen_state, self.streams.get(f"policy:{gen_role.name}"), self.deterministic_policy
             )
@@ -645,7 +627,8 @@ class TrainingSystem:
             breakdown = batch_reward(slot_records, config.rewards.severity, weights, list(self.reward_window))
             ep_breakdowns.append(breakdown)
             self.reward_window.append(breakdown.total)
-            if self.kb_pending is not None:
+            # Only a running controller reads the rewards of its pending action.
+            if self.kb_pending is not None and not flags.disable_dqn:
                 self.kb_pending[2].append(breakdown.total)
             # A slot's tests differ only by id, so the event carries their
             # shared fields once.
@@ -670,7 +653,7 @@ class TrainingSystem:
                 if flags.disable_ppo:
                     agent.rollout_steps = 0
                 elif agent.rollout_steps == config.ppo.rollout_length:
-                    self._run_ppo_update(role, rid)
+                    self._run_ppo_update(role, requirement)
 
             if not flags.no_feedback:
                 self._evolve_knowledge(requirement, tests, slot_records, context_ids)
@@ -679,7 +662,7 @@ class TrainingSystem:
                 self._run_kb_action()
 
         metrics = _metrics_from_tallies(
-            episode, planned, reachable, ep_records, ep_breakdowns, len(self.requirements)
+            episode, planned_ids, reachable, ep_records, ep_breakdowns, len(requirements)
         )
         self._emit({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
         self.episode_index += 1
@@ -746,7 +729,8 @@ class TrainingSystem:
         whose length differs from its fellows', a stored action outside its
         action space, a rollout of ``ppo.rollout_length`` steps or more, a
         replay over its capacity, a reward, false-positive or hit window
-        longer than its length, and a negative counter, is named with its
+        longer than its length, a negative counter, and a stored value that
+        the cast to its column's type would change, is named with its
         dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -80,7 +80,7 @@ class TestTracker:
     def test_empty_aggregates_are_zero(self):
         tracker = PerformanceTracker(10)
         assert tracker.aggregates() == (0.0, 0.0, 0.0, 0.0)
-        assert tracker.reward_stats() == (0.0, 0.0)
+        assert tracker.reward_features() == (0.0, 0.0)
 
     def test_defect_rate_hand_value(self):
         tracker = PerformanceTracker(10)
@@ -124,10 +124,10 @@ class TestTracker:
         clone.load_state_dict(tracker.state_dict())
         assert list(clone.totals) == list(tracker.totals) == [0.7]
         assert clone.aggregates() == tracker.aggregates()
-        assert clone.reward_stats() == tracker.reward_stats()
+        assert clone.reward_features() == tracker.reward_features() == (np.tanh(0.7), np.tanh(0.0))
 
 
-REQ = Requirement("req-1", "checkout applies volume discount", frozenset({"billing"}), ("def-1",))
+REQ = Requirement("req-1", "checkout applies volume discount", frozenset({"billing"}))
 
 
 class TestFeaturize:
@@ -146,12 +146,6 @@ class TestFeaturize:
         tracker.push_record(feedback(1))
         a = featurize_state(requirement_summary(REQ), tracker, RetrievalParams(), 0.3)
         b = featurize_state(requirement_summary(REQ), tracker, RetrievalParams(), 0.3)
-        assert np.array_equal(a, b)
-
-    def test_hidden_defect_ids_do_not_leak(self):
-        twin = Requirement(REQ.id, REQ.text, REQ.component_tags, ("def-999", "def-1000"))
-        a = featurize_state(requirement_summary(REQ), PerformanceTracker(5), RetrievalParams(), 0.2)
-        b = featurize_state(requirement_summary(twin), PerformanceTracker(5), RetrievalParams(), 0.2)
         assert np.array_equal(a, b)
 
 
@@ -284,13 +278,6 @@ class TestGenerate:
         assert not np.array_equal(
             np.asarray(plain[0].coverage_vector), np.asarray(nudged[0].coverage_vector)
         )
-
-    def test_hidden_defects_do_not_change_generation(self):
-        kb = self.build_kb()
-        twin = Requirement(REQ.id, REQ.text, REQ.component_tags, ("other-def",))
-        a, _ = generate_test_cases(self.gen_action(), REQ, kb, *self.context(kb))
-        b, _ = generate_test_cases(self.gen_action(), twin, kb, *self.context(kb))
-        assert a == b
 
     @staticmethod
     def reference_test_case_id(requirement_id, strategy, mode, coverage, index, role):

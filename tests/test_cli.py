@@ -299,6 +299,25 @@ class TestReplayCommand:
         assert code == 0
         assert "line 1" in capsys.readouterr().err
 
+    def test_replay_reports_each_line_of_the_wrong_json_type_with_its_number(self, tmp_path, config_path, capsys):
+        good = self.feedback_records()[0].to_dict()
+        flag_as_text = json.loads(json.dumps(good))
+        flag_as_text["defects"][0]["is_false_positive"] = "false"
+        time_as_text = dict(good, execution_time="4.5")
+        infinite_time = dict(good, execution_time=float("inf"))
+        feedback_path = tmp_path / "feedback.jsonl"
+        lines = [json.dumps(d) for d in (good, flag_as_text, time_as_text, infinite_time)]
+        feedback_path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["replay", "--config", config_path, str(feedback_path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr()
+        assert "replayed 1 records" in out.out
+        skipped = out.err.splitlines()
+        assert len(skipped) == 3
+        assert "line 2: DefectReport.is_false_positive must be a boolean" in skipped[0]
+        assert "line 3: FeedbackRecord.execution_time must be a number" in skipped[1]
+        assert "line 4: execution_time=inf outside finite real" in skipped[2]
+
     def test_replay_input_not_modified(self, tmp_path, config_path):
         feedback_path = tmp_path / "feedback.jsonl"
         write_feedback_file(feedback_path, self.feedback_records())

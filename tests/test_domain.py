@@ -63,6 +63,12 @@ class TestValidateFeedback:
         with pytest.raises(RangeViolation):
             validate_feedback(make_record(workflow_integration_factor=2.1), {"tc-1"})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(RangeViolation, match="finite real") as exc:
+            validate_feedback(make_record(baseline_time=value), {"tc-1"})
+        assert exc.value.field_name == "baseline_time"
+
     def test_false_positive_must_not_carry_defect_ref(self):
         bad = DefectReport("r1", "tc-1", Severity.Low, True, defect_ref="def-1")
         with pytest.raises(RangeViolation):
@@ -107,6 +113,45 @@ class TestStrictRecordKeys:
         del payload["compliance_score"]
         with pytest.raises(MalformedRecord, match="compliance_score"):
             FeedbackRecord.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field_name, value, expected",
+        [
+            ("id", 7, "a string"),
+            ("test_case_ref", None, "a string"),
+            ("defect_ref", 3, "a string"),
+            ("is_false_positive", 0, "a boolean"),
+            ("is_false_positive", "false", "a boolean"),
+        ],
+    )
+    def test_defect_report_value_of_the_wrong_json_type_rejected(self, field_name, value, expected):
+        payload = DefectReport("r1", "tc-1", Severity.High, False, "def-1").to_dict()
+        payload[field_name] = value
+        with pytest.raises(MalformedRecord, match=f"DefectReport.{field_name} must be {expected}, got {value!r}"):
+            DefectReport.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field_name, value, expected",
+        [
+            ("test_case_ref", 5, "a string"),
+            ("execution_time", "4.5", "a number"),
+            ("compliance_score", True, "a number"),
+            ("quality_rating", None, "a number"),
+            ("baseline_time", 10**400, "a number"),
+        ],
+        ids=["numeric-id", "string-number", "boolean-number", "null-number", "overflowing-number"],
+    )
+    def test_feedback_record_value_of_the_wrong_json_type_rejected(self, field_name, value, expected):
+        payload = make_record().to_dict()
+        payload[field_name] = value
+        with pytest.raises(MalformedRecord, match=f"FeedbackRecord.{field_name} must be {expected}"):
+            FeedbackRecord.from_dict(payload)
+
+    def test_integral_numbers_read_as_floats(self):
+        payload = make_record().to_dict()
+        payload["execution_time"] = 2
+        record = FeedbackRecord.from_dict(payload)
+        assert type(record.execution_time) is float and record.execution_time == 2.0
 
     def test_malformed_record_is_a_value_error(self):
         # Readers that treat ValueError as malformed input keep doing so.

@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "2206ca8f3e9bf5c50bb9785ae356b155b5c9a49559d3bf6be96666683a36c9c7",
+            "checkpoint.json": "efd4667abf07dfd231eb0272fcd325087ed9b757ec705111bef318aaa7c693f1",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "6cb4f14c8fb8a3b8b92dc760d9b8cefad2b397c151cfe2f54177078c682d1835",
+            "checkpoint.json": "85c98a80f640baef72b94e5076f4c8e4ad7feba5753ffa680d1edb5635d3b0e2",
         },
     },
 }

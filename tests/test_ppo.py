@@ -169,8 +169,9 @@ class TestPpoUpdate:
         params = self.make_params(11)
         rollout = bandit_rollout(params, 32, seed=12)
         report = ppo_update(params, Adam(params, 3e-4), process(params, rollout), PPOConfig(), rng(13))
-        assert 0.0 <= report.clip_fraction <= 1.0
-        assert report.entropy >= 0.0
+        assert set(report) == {"mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy"}
+        assert 0.0 <= report["clip_fraction"] <= 1.0
+        assert report["entropy"] >= 0.0
 
     def test_determinism_same_seed_same_parameters(self):
         def run():

@@ -6,6 +6,7 @@ import pytest
 
 from qeloop.domain import (
     AgentRole,
+    DefectReport,
     FeedbackRecord,
     GenerationStrategy,
     Requirement,
@@ -46,11 +47,9 @@ def manual_project(signatures, severities=None, affinity_value=1.0, d_cov=16):
         DefectSpec(f"def-{i}", severities[i], tuple(float(x) for x in signatures[i]), "req-0")
         for i in range(len(signatures))
     )
-    requirement = Requirement(
-        "req-0", "single requirement", frozenset(), tuple(d.id for d in defects)
-    )
+    requirement = Requirement("req-0", "single requirement", frozenset())
     affinity = {s: {sev: affinity_value for sev in Severity} for s in GenerationStrategy}
-    return SyntheticProject((requirement,), defects, affinity, (), seed=0)
+    return SyntheticProject((requirement,), defects, affinity, ())
 
 
 def make_test(coverage, strategy=GenerationStrategy.Boundary) -> DomainTestCase:
@@ -76,7 +75,7 @@ class TestGenerateProject:
     def test_zero_defects_leaves_catalog_empty(self):
         project = generate_project(EnvConfig(n_defects=0), 3)
         assert project.defects == ()
-        assert all(r.hidden_defect_ids == () for r in project.requirements)
+        assert all(defects == () for defects in project.defects_by_requirement().values())
 
     def test_hundred_defects_follow_proportions(self):
         project = generate_project(EnvConfig(n_defects=100), 5)
@@ -88,12 +87,13 @@ class TestGenerateProject:
             assert abs(counts[sev] - expected[sev]) <= 5
         assert sum(counts.values()) == 100
 
-    def test_hidden_ids_resolve_to_catalog(self):
+    def test_defects_by_requirement_partition_the_catalog(self):
         project = generate_project(EnvConfig(), 7)
-        catalog = {d.id for d in project.defects}
-        for req in project.requirements:
-            for did in req.hidden_defect_ids:
-                assert did in catalog
+        by_req = project.defects_by_requirement()
+        assert list(by_req) == [req.id for req in project.requirements]
+        for rid, defects in by_req.items():
+            assert all(defect.requirement_ref == rid for defect in defects)
+        assert sorted(d.id for defects in by_req.values() for d in defects) == sorted(d.id for d in project.defects)
 
     def test_signatures_are_unit_vectors(self):
         project = generate_project(EnvConfig(), 11)
@@ -289,6 +289,33 @@ class TestReplayFeedback:
         assert isinstance(issues[0], ParseError)
         assert issues[0].line_number == 2
         assert "quality" in str(issues[0])
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (
+                lambda d: d["defects"][0].update(is_false_positive="false"),
+                ParseError,
+                "DefectReport.is_false_positive must be a boolean, got 'false'",
+            ),
+            (lambda d: d.update(execution_time="4.5"), ParseError, "FeedbackRecord.execution_time must be a number"),
+            (lambda d: d.update(compliance_score=True), ParseError, "FeedbackRecord.compliance_score must be a number"),
+            (lambda d: d.update(test_case_ref=5), ParseError, "FeedbackRecord.test_case_ref must be a string, got 5"),
+            (lambda d: d.update(execution_time=float("inf")), ValidationError, "execution_time=inf outside finite real"),
+        ],
+        ids=["string-flag", "string-number", "boolean-number", "numeric-id", "infinite-number"],
+    )
+    def test_value_of_the_wrong_json_type_reported_with_its_line(self, tmp_path, edit, error, message):
+        report = DefectReport("rep-1", "tc-1", Severity.High, True)
+        payload = FeedbackRecord("tc-1", (report,), 1.0, 2.0, 0.0, 0.4, 0.6, 1.0, 0.8).to_dict()
+        edit(payload)
+        path = tmp_path / "typed.jsonl"
+        write_lines(path, [sample_record().to_json_line(), json.dumps(payload)])
+        issues = []
+        assert list(replay_feedback(path, on_error=issues.append)) == [sample_record()]
+        assert [type(issue) for issue in issues] == [error]
+        assert issues[0].line_number == 2
+        assert message in str(issues[0])
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"

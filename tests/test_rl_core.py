@@ -255,8 +255,10 @@ class TestAdam:
         grads = backward_at(params, rng(1).normal(size=3), rng(2).normal(size=2))
         adam.step(params, grads)
         snapshot = adam.state_dict()
-        restored = Adam(params, 1e-3)
+        assert set(snapshot) == {"t", "m", "v"}
+        restored = Adam(params, 5e-4)
         restored.load_state_dict(snapshot)
+        assert restored.learning_rate == 5e-4
         assert restored.t == adam.t
         assert np.array_equal(restored.m, adam.m) and np.array_equal(restored.v, adam.v)
         assert restored.state_dict() == snapshot
@@ -347,6 +349,14 @@ class TestColumns:
     def test_empty_columns_have_the_template_row_shape(self):
         assert load_columns(self.TEMPLATE, replay_columns(0), 3, "replay").states.shape == (0, 2)
 
+    def test_values_the_cast_keeps_load(self):
+        d = replay_columns()
+        d.update(actions=[0.0, 1.0, 2.0], dones=[0, 1, 0])
+        d["rewards"][0] = float("nan")
+        loaded = load_columns(self.TEMPLATE, d, 3, "replay")
+        assert loaded.actions.tolist() == [0, 1, 2] and loaded.dones.tolist() == [False, True, False]
+        assert np.isnan(loaded.rewards[0])
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -357,8 +367,21 @@ class TestColumns:
             (lambda d: d.update(states=[[0.0, 0.0, 0.0]] * 3), "replay.states has rows of shape (3,), expected (2,)"),
             (lambda d: d.update(actions=[[0]] * 3), "replay.actions has rows of shape (1,), expected ()"),
             (lambda d: d.update(replay_columns(4)), "replay holds 4 rows, at most 3 fit"),
+            (
+                lambda d: d["actions"].__setitem__(1, 1.5),
+                "replay.actions holds 1.5 at row 1, which the cast to int64 changes to 1",
+            ),
+            (
+                lambda d: d["dones"].__setitem__(2, 0.3),
+                "replay.dones holds 0.3 at row 2, which the cast to bool changes to True",
+            ),
+            (lambda d: d.update(rewards=["0.5"] * 3), "replay.rewards is not a column of float64 rows"),
+            (lambda d: d.update(dones=None), "replay.dones is not a column of bool rows"),
         ],
-        ids=["missing", "unknown", "unequal-length", "ragged", "wrong-width", "nested-scalars", "too-many-rows"],
+        ids=[
+            "missing", "unknown", "unequal-length", "ragged", "wrong-width", "nested-scalars", "too-many-rows",
+            "fractional-action", "numeric-done", "string-reward", "not-a-list",
+        ],
     )
     def test_bad_columns_rejected_with_their_path(self, edit, message):
         d = replay_columns()

@@ -123,6 +123,17 @@ class TestEpisodeLoop:
         assert system.kb.params == before
         assert system.tables.dqn_steps == []
 
+    def test_disabled_dqn_leaves_the_pending_action_as_it_was(self):
+        # ``qeloop evaluate`` disables the DQN after a restore; its pending
+        # action must not gather every evaluated slot's reward.
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=2)
+        pending = (system.kb_pending[0].copy(), system.kb_pending[1], list(system.kb_pending[2]))
+        system.config = replace(system.config, ablation=AblationFlags(disable_dqn=True))
+        system.run(episodes=3)
+        assert np.array_equal(system.kb_pending[0], pending[0])
+        assert system.kb_pending[1:] == pending[1:]
+
     def test_no_feedback_freezes_knowledge(self):
         config = tiny_config(ablation=AblationFlags(no_feedback=True))
         system = TrainingSystem(config)
@@ -232,6 +243,13 @@ def to_version_6(node):
         {"state": s, "action": a, "reward": rw, "next_state": ns, "done": d, "log_prob_old": None}
         for s, a, rw, ns, d in zip(r["states"], r["actions"], r["rewards"], r["next_states"], r["dones"])
     ]
+
+
+def to_version_8(node):
+    # Each Adam state carries its learning rate.
+    for agent in node["agents"].values():
+        agent["adam"]["learning_rate"] = node["config"]["ppo"]["learning_rate"]
+    node["dqn"]["adam"]["learning_rate"] = node["config"]["dqn"]["learning_rate"]
 
 
 class TestCheckpoint:
@@ -346,6 +364,8 @@ class TestCheckpoint:
             (6, to_version_6),
             # Version 7 still carries the timing-noise knob.
             (7, lambda node: node["config"]["execution"].update(noise_scale=0.0)),
+            # Version 8 stores each Adam state's learning rate.
+            (8, to_version_8),
         ],
     )
     def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
@@ -393,6 +413,18 @@ class TestCheckpoint:
         message = re.escape(f"checkpoint {path}: unknown key(s) ['bogus']")
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, section, lambda node: node.update(bogus=0))
+
+    @pytest.mark.parametrize("section", ["agents.LegacyTestAnalysis.adam", "dqn.adam"])
+    def test_stored_learning_rate_rejected_with_its_path(self, tmp_path, section):
+        # The rate is the config's; a checkpoint cannot set another one.
+        message = re.escape(f"checkpoint {section}: unknown key(s) ['learning_rate']")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, section, lambda node: node.update(learning_rate=10.0))
+
+    def test_restored_optimizers_step_at_the_config_rates(self, tmp_path):
+        system = self.restore_edited(tmp_path, "", lambda node: None)
+        assert {agent.adam.learning_rate for agent in system.agents.values()} == {system.config.ppo.learning_rate}
+        assert system.dqn.adam.learning_rate == system.config.dqn.learning_rate
 
     @pytest.mark.parametrize(
         "section, edit, path",
@@ -494,6 +526,24 @@ class TestCheckpoint:
         message = re.escape(f"checkpoint {section}.actions holds action {action} at row 0, outside [0, {n_actions})")
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, section, lambda node: node["actions"].__setitem__(0, action))
+
+    @pytest.mark.parametrize(
+        "section, column, value, message",
+        [
+            (
+                "agents.LegacyTestAnalysis.rollout",
+                "actions",
+                1.5,
+                "holds 1.5 at row 0, which the cast to int64 changes to 1",
+            ),
+            ("dqn.replay", "dones", 0.3, "holds 0.3 at row 0, which the cast to bool changes to True"),
+        ],
+        ids=["fractional-rollout-action", "numeric-replay-done"],
+    )
+    def test_value_the_cast_would_change_rejected_with_its_path(self, tmp_path, section, column, value, message):
+        message = re.escape(f"checkpoint {section}.{column} {message}")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, section, lambda node: node[column].__setitem__(0, value))
 
     def test_replay_over_its_capacity_rejected(self, tmp_path):
         def overfill(node):
