@@ -34,8 +34,8 @@ from .domain import (
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import PPOConfig, Rollout, policy_value_forward
 from .rewards import trend_slope
-from .rl_core import HIDDEN_WIDTH, Adam, check_actions, columns_dict, load_columns, sample_action, softmax_policy
-from .rl_core import xavier_init
+from .rl_core import HIDDEN_WIDTH, Adam, check_actions, columns_dict, load_columns, load_number, load_window
+from .rl_core import sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
 SUMMARY_DIM = 8  # the hashed requirement summary leads the state
@@ -66,13 +66,12 @@ def action_space_size(role: AgentRole) -> int:
 
 @dataclass(frozen=True)
 class AgentAction:
-    """A decoded action: (strategy, mode) for generators, an option otherwise."""
+    """A decoded action: (strategy, mode) for a generator; a modifier's option is its index."""
 
     role: AgentRole
     index: int
     strategy: GenerationStrategy | None = None
     retrieval_mode: RetrievalMode | None = None
-    option: int | None = None
 
 
 def decode_action(role: AgentRole, index: int) -> AgentAction:
@@ -84,7 +83,7 @@ def decode_action(role: AgentRole, index: int) -> AgentAction:
         strategy = strategies[index // len(RetrievalMode)]
         mode = RetrievalMode(index % len(RetrievalMode))
         return AgentAction(role, index, strategy=strategy, retrieval_mode=mode)
-    return AgentAction(role, index, option=index)
+    return AgentAction(role, index)
 
 
 def _hashed_dims(label: str, count: int, dim: int) -> list[int]:
@@ -201,15 +200,22 @@ class PerformanceTracker:
 
     def load_state_dict(self, d: Mapping, what: str = "tracker state") -> None:
         """Fill an empty tracker from ``state_dict`` output; ``what`` names
-        ``d`` in the error for a missing or unknown key or a window longer
-        than this tracker's."""
+        ``d`` in the error for a missing or unknown key, a window longer
+        than this tracker's, a total that is not a number and a record that
+        is not three non-negative integers and a number."""
         check_keys(what, d, _TRACKER_KEYS)
-        for name in ("totals", "records"):
-            if len(d[name]) > self.totals.maxlen:
-                raise ValueError(f"{what}.{name} holds {len(d[name])} entries, the window is {self.totals.maxlen}")
-        self.totals.extend(float(x) for x in d["totals"])
-        self.records.extend((int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in d["records"])
+        window = self.totals.maxlen
+        self.totals.extend(load_window(d["totals"], window, f"{what}.totals"))
+        self.records.extend(load_window(d["records"], window, f"{what}.records", _load_tracker_record))
         self.counts = tuple(sum(r[i] for r in self.records) for i in range(3))
+
+
+def _load_tracker_record(row, what: str) -> tuple[int, int, int, float]:
+    """A ``records`` row: true defects, false positives and severity ranks,
+    then the quality rating; anything else is rejected, named ``what``."""
+    if isinstance(row, list) and len(row) == 4 and all(type(n) is int and n >= 0 for n in row[:3]):
+        return (*row[:3], load_number(row[3], f"{what}[3]"))
+    raise ValueError(f"{what} is {row!r}, expected three non-negative integers and a number")
 
 
 def featurize_state(
@@ -261,8 +267,8 @@ class Agent:
         self, state: np.ndarray, rng: np.random.Generator, deterministic: bool = False
     ) -> tuple[AgentAction, float]:
         """Sample (or argmax) an action and remember it for the feedback step."""
-        logits, _ = policy_value_forward(self.params, state[None, :])
-        probs, log_probs = softmax_policy(logits[0])
+        logits, _ = policy_value_forward(self.params, state)
+        probs, log_probs = softmax_policy(logits)
         if deterministic:
             index = int(np.argmax(probs))
         else:
@@ -360,10 +366,7 @@ def generate_test_cases(
         raise ValueError(f"{action.role.name} action does not generate test cases")
     query = requirement_query(requirement, kb.d_emb)
     seeds = [requirement.id] if kb.has_node(requirement.id) else []
-    if action.retrieval_mode == RetrievalMode.GraphOnly and not seeds:
-        retrieved: list[tuple[str, float]] = []
-    else:
-        retrieved = kb.hybrid_retrieve(query, seeds, action.retrieval_mode, kb.params)
+    retrieved = kb.hybrid_retrieve(query, seeds, action.retrieval_mode, kb.params)
     context_ids = [rid for rid, _ in retrieved]
     context_vecs = [
         np.asarray(content_vectors[rid], dtype=np.float64) for rid in context_ids if rid in content_vectors

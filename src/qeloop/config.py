@@ -10,8 +10,9 @@ base instance, driven by the dataclass fields and their type hints:
   ``UnknownConfigKey`` with its full dotted path;
 - values are type-checked, never coerced into shape: ints reject bools,
   strings and non-integral numbers, bools accept only booleans, floats
-  accept ints and floats, strings accept only strings, and a section must
-  be an object. A mismatch raises ``ConfigTypeError`` with its path.
+  accept floats and the ints a float holds, strings accept only strings,
+  and a section must be an object. A mismatch raises ``ConfigTypeError``
+  with its path.
 
 Decoding checks shape only; ranges are each section's ``validate()``, which
 ``RunConfig.validate`` reports as ``ConfigRangeError`` with the section.
@@ -20,6 +21,7 @@ Decoding checks shape only; ranges are each section's ``validate()``, which
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 from collections.abc import Mapping
 from enum import Enum
@@ -52,7 +54,8 @@ class ConfigRangeError(ValueError):
 _SCALARS = {
     bool: lambda v: isinstance(v, bool),
     int: lambda v: isinstance(v, int) or (isinstance(v, float) and v.is_integer()),
-    float: lambda v: isinstance(v, (int, float)),
+    # A JSON integer too large for a float is rejected, not overflowed.
+    float: lambda v: isinstance(v, float) or isinstance(v, int) and abs(v) <= sys.float_info.max,
     str: lambda v: isinstance(v, str),
 }
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Container, Mapping
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
@@ -264,13 +264,13 @@ _FEEDBACK_NUMBERS = tuple(bound[0] for bound in _FEEDBACK_BOUNDS)
 
 def validate_feedback(
     record: FeedbackRecord,
-    catalog: Iterable[str] | Mapping[str, TestCase],
+    catalog: Container[str],
 ) -> FeedbackRecord:
     """Check all range and referential invariants of a feedback record.
 
-    ``catalog`` is the set (or mapping keyed by id) of known test cases.
-    A mapping or set is asked for membership directly; any other iterable
-    is copied into a set first. Returns the record unchanged on success.
+    ``catalog`` holds the ids of the known test cases: a set, a mapping
+    keyed by id or a list, asked for membership as given. Returns the
+    record unchanged on success.
     """
     for name, lo, hi, lo_inc, hi_inc in _FEEDBACK_BOUNDS:
         value = getattr(record, name)
@@ -282,8 +282,7 @@ def validate_feedback(
             bounds = f"{'[' if lo_inc else '('}{lo}, {hi if hi is not None else 'inf'}{']' if hi_inc else ')'}"
             raise RangeViolation(name, value, bounds)
 
-    known = catalog if isinstance(catalog, (Mapping, Set)) else set(catalog)
-    if record.test_case_ref not in known:
+    if record.test_case_ref not in catalog:
         raise UnknownTestCase(f"feedback references unknown test case {record.test_case_ref!r}")
     for report in record.defects:
         if report.test_case_ref != record.test_case_ref:

@@ -77,6 +77,9 @@ TOP_K_STEP = 1
 EDGE_WEIGHT_STEP = 0.05
 TOP_K_MIN, TOP_K_MAX = 1, 64
 DEPTH_MIN, DEPTH_MAX = 0, 4
+# The fewest dimensions ``embed`` hashes into; every embedded width
+# (``kb.d_emb``, and ``env.d_cov`` for the modifiers' nudges) is at least this.
+EMBED_DIM_MIN = 8
 # Distinct queries whose similarity vectors a store keeps between writes; a
 # run queries once per requirement, so this is far above a run's need.
 SIMILARITY_CACHE_SIZE = 256
@@ -191,8 +194,8 @@ def embed(tokens: Sequence[str], d_emb: int) -> np.ndarray:
 
     Uses ``stable_hash`` so the mapping is identical across runs and platforms.
     """
-    if d_emb < 8:
-        raise ValueError(f"d_emb must be >= 8, got {d_emb}")
+    if d_emb < EMBED_DIM_MIN:
+        raise ValueError(f"d_emb must be >= {EMBED_DIM_MIN}, got {d_emb}")
     tokens = [str(t) for t in tokens]
     if not tokens:
         raise EmptyInput("cannot embed an empty token list")
@@ -243,49 +246,68 @@ class KnowledgeStore:
 
     def insert_vector(
         self, record_id: str, embedding: np.ndarray, payload_ref: str, usefulness: float = 0.5
-    ) -> VectorRecord:
-        emb = np.asarray(embedding, dtype=np.float64)
-        if emb.shape != (self.d_emb,):
-            raise ValueError(f"embedding shape {emb.shape} != ({self.d_emb},)")
-        norm = float(np.linalg.norm(emb))
-        if not abs(norm - 1.0) <= 1e-6:
-            raise ValueError(f"embedding norm {norm} not within 1e-6 of 1")
-        row = self._row.get(record_id)
-        if row is None:
-            row = len(self._ids)
-            if row == len(self._matrix):
-                self._grow()
-            self._ids.append(record_id)
-            self._row[record_id] = row
-        self._matrix[row] = emb
-        self._sims.clear()
-        # The same row-wise call as a norm over the whole matrix, so each
-        # row's norm carries the bits a batched computation would give it.
-        self._norms[row] = np.linalg.norm(self._matrix[row : row + 1], axis=1)[0]
-        record = VectorRecord(record_id, payload_ref, usefulness)
-        self._records[record_id] = record
-        return record
+    ) -> None:
+        """Add one record; rejects what ``_add_rows`` rejects."""
+        self._add_rows([VectorRecord(record_id, payload_ref, usefulness)], [embedding])
 
-    def _grow(self) -> None:
-        capacity = max(16, 2 * len(self._matrix))
-        matrix = np.zeros((capacity, self.d_emb), dtype=np.float64)
-        norms = np.zeros(capacity, dtype=np.float64)
+    def _add_rows(self, records: Sequence[VectorRecord], embeddings: Sequence) -> None:
+        """Append ``embeddings[i]`` as the row of ``records[i]``, with one matrix
+        build and one row-norm call; an empty store takes the built rows as
+        its matrix. Rejects, naming the record, an embedding that is not
+        ``d_emb`` numbers of unit norm (within 1e-6) and an id that is
+        stored or repeated; a rejected call adds nothing."""
+        ids = [record.id for record in records]
+        try:
+            rows = np.array(embeddings, dtype=np.float64)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.shape != (len(ids), self.d_emb):
+            # Ragged, non-numeric or wrong-length: find the record to name.
+            for rid, embedding in zip(ids, embeddings):
+                try:
+                    shape = np.asarray(embedding, dtype=np.float64).shape
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"vector record {rid!r}: embedding is not a vector of numbers: {exc}") from exc
+                if shape != (self.d_emb,):
+                    raise ValueError(f"vector record {rid!r}: embedding shape {shape} != ({self.d_emb},)")
+            rows = np.zeros((0, self.d_emb), dtype=np.float64)
+        # A row's norm from the row-wise call has the same bits whatever the
+        # number of rows, so rows added one at a time or all at once agree.
+        row_norms = np.linalg.norm(rows, axis=1)
+        unit = np.abs(row_norms - 1.0) <= 1e-6
+        if not unit.all():
+            row = int(np.argmin(unit))
+            raise ValueError(f"vector record {ids[row]!r}: embedding norm {row_norms[row]} not within 1e-6 of 1")
         n = len(self._ids)
-        matrix[:n] = self._matrix[:n]
-        norms[:n] = self._norms[:n]
-        self._matrix, self._norms = matrix, norms
+        row_of = {rid: row for row, rid in enumerate(ids, n)}
+        if len(row_of) != len(ids) or not self._row.keys().isdisjoint(row_of):
+            duplicate = next(rid for row, rid in enumerate(ids, n) if rid in self._row or row_of[rid] != row)
+            raise ValueError(f"vector record {duplicate!r}: duplicate id")
+        if not n:
+            self._matrix, self._norms = rows, row_norms
+        else:
+            end = n + len(ids)
+            if end > len(self._matrix):
+                capacity = max(16, 2 * len(self._matrix), end)
+                matrix, norms = np.zeros((capacity, self.d_emb)), np.zeros(capacity)
+                matrix[:n], norms[:n] = self._matrix[:n], self._norms[:n]
+                self._matrix, self._norms = matrix, norms
+            self._matrix[n:end] = rows
+            self._norms[n:end] = row_norms
+        self._ids.extend(ids)
+        self._row.update(row_of)
+        self._records.update(zip(ids, records))
+        self._sims.clear()
 
     @property
     def vector_count(self) -> int:
         return len(self._ids)
 
-    def get_record(self, record_id: str) -> VectorRecord | None:
-        return self._records.get(record_id)
-
     def vector_query(
         self, query: np.ndarray, params: RetrievalParams | None = None
-    ) -> list[tuple[VectorRecord, float]]:
-        """Records with cosine similarity >= threshold, best first, top_k kept.
+    ) -> list[tuple[str, float]]:
+        """(id, similarity) of the records with cosine similarity >=
+        threshold, best first, top_k kept.
 
         Ties break by ascending id so repeated calls are identical. Only the
         records at or above the k-th best similarity are sorted, ties at
@@ -314,7 +336,7 @@ class KnowledgeStore:
             rows = rows[cand >= kth_best]
         ids = self._ids
         ranked = sorted(zip(sims[rows].tolist(), rows.tolist()), key=lambda p: (-p[0], ids[p[1]]))
-        return [(self._records[ids[row]], sim) for sim, row in ranked[:k]]
+        return [(ids[row], sim) for sim, row in ranked[:k]]
 
     # -- graph side ----------------------------------------------------
 
@@ -391,8 +413,7 @@ class KnowledgeStore:
             level[seed] = 1.0
         for _ in range(params.traversal_depth):
             nxt: dict[str, float] = {}
-            for node in sorted(level):
-                score = level[node]
+            for node, score in level.items():
                 for neighbor, key in self.neighbors(node):
                     factor = self._edges[key] * params.edge_type_weights[key[2]]
                     cand = score * factor
@@ -424,10 +445,10 @@ class KnowledgeStore:
         params = params or self.params
         mode = RetrievalMode(mode)
         if mode == RetrievalMode.VectorOnly:
-            return [(rec.id, sim) for rec, sim in self.vector_query(query, params)]
+            return self.vector_query(query, params)
         if mode == RetrievalMode.GraphOnly:
             return self.graph_traverse(seeds, params)
-        vec_scores = {rec.id: sim for rec, sim in self.vector_query(query, params)}
+        vec_scores = dict(self.vector_query(query, params))
         graph_scores = dict(self.graph_traverse(seeds, params))
         combined = {
             node_id: 0.5 * vec_scores.get(node_id, 0.0) + 0.5 * graph_scores.get(node_id, 0.0)
@@ -509,48 +530,19 @@ class KnowledgeStore:
         store = cls(d_emb=int(d["d_emb"]), params=params)
         for rec_d in d["vector_records"]:
             check_keys("vector record", rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
-        store._load_records(d["vector_records"])
+        store._add_rows(
+            [
+                VectorRecord(rec_d["id"], rec_d["payload_ref"], float(rec_d.get("usefulness", 0.5)))
+                for rec_d in d["vector_records"]
+            ],
+            [rec_d["embedding"] for rec_d in d["vector_records"]],
+        )
         for node in d["graph_nodes"]:
             store.add_node(node)
         for edge_d in d["graph_edges"]:
             e = GraphEdge.from_dict(edge_d)
             store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
         return store
-
-    def _load_records(self, records: Sequence[Mapping]) -> None:
-        """Fill an empty store from snapshot records: one matrix build and one
-        norm call for all of them. Rejects what ``insert_vector`` rejects and
-        a repeated id, naming the record."""
-        ids = [rec_d["id"] for rec_d in records]
-        try:
-            matrix = np.array([rec_d["embedding"] for rec_d in records], dtype=np.float64)
-        except (TypeError, ValueError):
-            matrix = None
-        if matrix is None or matrix.shape != (len(ids), self.d_emb):
-            # Ragged, non-numeric or wrong-length: find the record to name.
-            for rid, rec_d in zip(ids, records):
-                try:
-                    shape = np.asarray(rec_d["embedding"], dtype=np.float64).shape
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"vector record {rid!r}: embedding is not a vector of numbers: {exc}") from exc
-                if shape != (self.d_emb,):
-                    raise ValueError(f"vector record {rid!r}: embedding shape {shape} != ({self.d_emb},)")
-            matrix = np.zeros((0, self.d_emb), dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
-        off_unit = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))
-        if len(off_unit):
-            row = int(off_unit[0])
-            raise ValueError(f"vector record {ids[row]!r}: embedding norm {norms[row]} not within 1e-6 of 1")
-        row_of = {rid: row for row, rid in enumerate(ids)}
-        if len(row_of) != len(ids):
-            duplicate = next(rid for row, rid in enumerate(ids) if row_of[rid] != row)
-            raise ValueError(f"vector record {duplicate!r}: duplicate id")
-        self._ids, self._row, self._matrix, self._norms = ids, row_of, matrix, norms
-        self._sims.clear()
-        self._records = {
-            rid: VectorRecord(rid, rec_d["payload_ref"], float(rec_d.get("usefulness", 0.5)))
-            for rid, rec_d in zip(ids, records)
-        }
 
     @classmethod
     def load_snapshot(cls, path) -> "KnowledgeStore":

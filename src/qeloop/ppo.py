@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import ConfigCodec
-from .rl_core import Adam, MLPParameters, backward, forward_cached, softmax_policy
+from .rl_core import Adam, MLPParameters, backward, forward, forward_cached, softmax_policy
 
 LEARNING_RATE_RANGE = (1e-4, 3e-4)
 
@@ -93,12 +93,10 @@ class ProcessedRollout:
 
 
 def policy_value_forward(params: MLPParameters, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the joint network's output into (logits, values)."""
-    batch = np.asarray(states, dtype=np.float64)
-    if batch.ndim != 2:
-        batch = np.atleast_2d(batch)
-    out, _ = forward_cached(params, batch)
-    return out[:, :-1], out[:, -1]
+    """Split the joint network's output on one state or a (batch, n_in)
+    matrix into (logits, values)."""
+    out = forward(params, states)
+    return out[..., :-1], out[..., -1]
 
 
 def compute_gae(

@@ -39,7 +39,7 @@ from .domain import (
     TestCase,
     validate_feedback,
 )
-from .knowledge import EdgeType
+from .knowledge import EMBED_DIM_MIN, EdgeType
 
 
 class QEEnvError(Exception):
@@ -179,8 +179,8 @@ class EnvConfig(ConfigCodec):
             raise BadConfig(f"n_requirements must be >= 1, got {self.n_requirements}")
         if self.n_defects < 0:
             raise BadConfig(f"n_defects must be >= 0, got {self.n_defects}")
-        if self.d_cov < SIGNATURE_ACTIVE_DIMS:
-            raise BadConfig(f"d_cov must be >= {SIGNATURE_ACTIVE_DIMS}, got {self.d_cov}")
+        if self.d_cov < EMBED_DIM_MIN:
+            raise BadConfig(f"d_cov must be >= {EMBED_DIM_MIN}, got {self.d_cov}")
         total = sum(self.severity_proportions.values())
         if abs(total - 1.0) > 1e-9 or any(p < 0 for p in self.severity_proportions.values()):
             raise BadConfig(f"severity proportions must be non-negative and sum to 1, got {total}")

@@ -12,7 +12,7 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, sub
@@ -109,18 +109,8 @@ class RewardBreakdown:
     adaptation: float
     total: float
 
-    def components(self) -> tuple[float, float, float, float, float]:
-        return (self.effectiveness, self.coverage, self.efficiency, self.compliance, self.adaptation)
-
     def to_dict(self) -> dict:
-        return {
-            "effectiveness": self.effectiveness,
-            "coverage": self.coverage,
-            "efficiency": self.efficiency,
-            "compliance": self.compliance,
-            "adaptation": self.adaptation,
-            "total": self.total,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RewardBreakdown":

@@ -13,6 +13,7 @@ it against central finite differences.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -66,22 +67,63 @@ _MLP_KEYS = frozenset({"layer_sizes", "flat"})
 _ADAM_KEYS = frozenset({"t", "m", "v"})
 
 
+def _load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``; anything but numbers, and a
+    value that the cast to ``dtype`` would change (an action of 1.5, a
+    ``dones`` flag of 0.3), is rejected with its dotted path ``what``."""
+    try:
+        raw = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} is not a {kind}: {exc}") from None
+    if raw.ndim == 0 or raw.dtype.kind not in "biuf":
+        raise ValueError(f"{what} is not a {kind}: got {raw.dtype} of shape {raw.shape}")
+    with np.errstate(invalid="ignore"):
+        cast = raw.astype(dtype, copy=False)
+    # A same-dtype cast changes nothing, NaN included.
+    changed = np.argwhere(cast != raw) if raw.dtype != dtype else ()
+    if len(changed):
+        index = tuple(changed[0])
+        raise ValueError(
+            f"{what} holds {raw[index].item()!r} at row {index[0]}, "
+            f"which the cast to {np.dtype(dtype)} changes to {cast[index].item()!r}"
+        )
+    return cast
+
+
 def load_vector(values, width: int, what: str) -> np.ndarray:
-    """``values`` as a float64 vector; any shape but ``(width,)`` is rejected
-    with its dotted path ``what``."""
-    vec = np.asarray(values, dtype=np.float64)
+    """``values`` as a float64 vector; anything but ``width`` numbers is
+    rejected with its dotted path ``what``."""
+    vec = _load_numbers(values, np.float64, what, "vector of numbers")
     if vec.shape != (width,):
         raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
     return vec
 
 
-def load_count(value, what: str) -> int:
-    """``value`` as a counter; anything but a non-negative integer is
+def load_number(value, what: str) -> float:
+    """``value`` as a float; anything but a JSON number a float holds is
     rejected with its dotted path ``what``."""
-    count = int(value)
-    if count != value or count < 0:
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{what} is {value!r}, expected a number")
+
+
+def load_window(values, length: int, what: str, read=load_number) -> list:
+    """The entries of ``values``, a list of at most ``length`` entries, each
+    read by ``read(entry, path)``; anything else is rejected with its dotted
+    path ``what``, a bad entry with its index."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} is {values!r}, expected a list")
+    if len(values) > length:
+        raise ValueError(f"{what} holds {len(values)} entries, the window is {length}")
+    return [read(value, f"{what}[{i}]") for i, value in enumerate(values)]
+
+
+def load_count(value, what: str) -> int:
+    """``value`` as a counter; anything but a non-negative JSON integer (a
+    boolean or a float included) is rejected with its dotted path ``what``."""
+    if type(value) is not int or value < 0:
         raise ValueError(f"{what} is {value!r}, expected a non-negative integer")
-    return count
+    return value
 
 
 def check_actions(actions: np.ndarray, n_actions: int, what: str) -> None:
@@ -109,22 +151,7 @@ def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> 
     columns = []
     for name, like in zip(template._fields, template):
         path = f"{what}.{name}"
-        try:
-            raw = np.asarray(d[name])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path} is not a column of {like.dtype} rows: {exc}") from None
-        if raw.ndim == 0 or raw.dtype.kind not in "biuf":
-            raise ValueError(f"{path} is not a column of {like.dtype} rows: got {raw.dtype} of shape {raw.shape}")
-        with np.errstate(invalid="ignore"):
-            column = raw.astype(like.dtype, copy=False)
-        # A same-dtype cast changes nothing, NaN included.
-        changed = np.argwhere(column != raw) if raw.dtype != like.dtype else ()
-        if len(changed):
-            index = tuple(changed[0])
-            raise ValueError(
-                f"{path} holds {raw[index].item()!r} at row {index[0]}, "
-                f"which the cast to {like.dtype} changes to {column[index].item()!r}"
-            )
+        column = _load_numbers(d[name], like.dtype, path, f"column of {like.dtype} rows")
         if column.shape == (0,):
             column = column.reshape(0, *like.shape[1:])
         if column.shape[1:] != like.shape[1:]:

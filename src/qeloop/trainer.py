@@ -41,6 +41,8 @@ from .config import ConfigCodec, ConfigRangeError, ConfigTypeError, UnknownConfi
 from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
+    EMBED_DIM_MIN,
+    KB_ACTION_COUNT,
     EdgeType,
     KBAction,
     KnowledgeStore,
@@ -51,7 +53,7 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition, load_count, load_vector
+from .rl_core import RLCoreConfig, RngStreams, Transition, load_count, load_number, load_vector, load_window
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -62,16 +64,10 @@ MODIFIER_ROLES = (
 PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
 DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 
-# Version 2 dropped the unused rl.seed knob from the checkpointed config;
-# version 3 dropped the catalog of every generated test; version 4 dropped
-# the metrics, PPO and DQN tables, which the run's events record; version 5
-# dropped state nothing reads: the usefulness knob, the trackers' reward
-# breakdowns and windows, and the replay-buffer insert count; version 6
-# stores each network and its Adam moments as one flat list of floats;
-# version 7 stores rollouts and the replay as one list per field, without
-# the rollouts' next states or the slot count the episode index gives;
-# version 8 dropped the execution.noise_scale knob from the config; version 9
-# dropped each Adam state's learning rate, which the config holds.
+# Version 9 holds the state the loop reads and no run history: each network
+# and its Adam moments (``t``, ``m``, ``v``; the rate is the config's) as one
+# flat list of floats, rollouts and the replay as one list per field, the
+# knowledge snapshot, the windows and the RNG stream positions.
 CHECKPOINT_SCHEMA_VERSION = 9
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
@@ -165,8 +161,8 @@ class KBConfig(ConfigCodec):
     max_records: int = 600
 
     def validate(self) -> "KBConfig":
-        if self.d_emb < 8:
-            raise ValueError(f"d_emb must be >= 8, got {self.d_emb}")
+        if self.d_emb < EMBED_DIM_MIN:
+            raise ValueError(f"d_emb must be >= {EMBED_DIM_MIN}, got {self.d_emb}")
         self.initial_params.validate()
         if not 0.0 < self.edge_learning_rate <= 1.0:
             raise ValueError(f"edge_learning_rate {self.edge_learning_rate} outside (0, 1]")
@@ -536,21 +532,20 @@ class TrainingSystem:
         # Every executed test enters the vector store; only defect-verified
         # tests earn graph edges, so edge-type weighting separates verified
         # knowledge from the merely similar. A test id hashes the test's
-        # content, so a stored record with that id describes this test.
+        # content, so a stored test with that id describes this test; the
+        # stored tests are the keys of ``content_vectors``.
         for test, fb in zip(tests, records):
             if self.kb.vector_count >= self.config.kb.max_records:
                 break
-            if self.kb.get_record(test.id) is None:
+            if test.id not in self.content_vectors:
                 tokens = requirement.text.split() + [
                     requirement.id, test.strategy.name, test.retrieval_mode.name,
                 ]
                 self.kb.insert_vector(test.id, embed(tokens, self.config.kb.d_emb), test.id)
                 self.content_vectors[test.id] = np.asarray(test.coverage_vector, dtype=np.float64)
             if fb.true_defects():
-                self.kb.add_node(test.id)
                 self.kb.upsert_edge(test.id, requirement.id, EdgeType.Covers, 0.5)
                 for report in fb.true_defects():
-                    self.kb.add_node(report.defect_ref)
                     self.kb.upsert_edge(report.defect_ref, test.id, EdgeType.DetectedBy, 0.5)
 
     # -- episode loop ------------------------------------------------------
@@ -578,37 +573,30 @@ class TrainingSystem:
         ep_records: list[FeedbackRecord] = []
         ep_breakdowns: list[RewardBreakdown] = []
 
+        interval = config.loop.integration_slot_interval
         for slot, requirement in enumerate(planned):
-            modifier_delta = np.zeros(config.env.d_cov, dtype=np.float64)
-            acting: list[AgentRole] = []
-            actions: list[dict] = []
-            for role in MODIFIER_ROLES:
-                agent = self.agents[role]
-                state = self._featurize(role, requirement)
-                action, log_prob = agent.act(
-                    state, self.streams.get(f"policy:{role.name}"), self.deterministic_policy
-                )
-                modifier_delta += modifier_vector(role, action.option, config.env.d_cov)
-                acting.append(role)
-                actions.append({"role": role.name, "action_index": action.index, "log_prob": log_prob})
-            modifier_delta *= config.loop.modifier_scale
-
-            interval = config.loop.integration_slot_interval
             gen_role = (
                 AgentRole.IntegrationPoint
                 if slot % interval == interval - 1
                 else AgentRole.TestCaseGeneration
             )
-            gen_agent = self.agents[gen_role]
-            gen_state = self._featurize(gen_role, requirement)
-            gen_action, gen_log_prob = gen_agent.act(
-                gen_state, self.streams.get(f"policy:{gen_role.name}"), self.deterministic_policy
-            )
-            acting.append(gen_role)
-            actions.append({"role": gen_role.name, "action_index": gen_action.index, "log_prob": gen_log_prob})
+            # The modifiers act first and the generator last, so ``action``
+            # is the generator's once the loop ends.
+            slot_roles = (*MODIFIER_ROLES, gen_role)
+            modifier_delta = np.zeros(config.env.d_cov, dtype=np.float64)
+            actions: list[dict] = []
+            for role in slot_roles:
+                state = self._featurize(role, requirement)
+                action, log_prob = self.agents[role].act(
+                    state, self.streams.get(f"policy:{role.name}"), self.deterministic_policy
+                )
+                actions.append({"role": role.name, "action_index": action.index, "log_prob": log_prob})
+                if role is not gen_role:
+                    modifier_delta += modifier_vector(role, action.index, config.env.d_cov)
+            modifier_delta *= config.loop.modifier_scale
 
             tests, context_ids = generate_test_cases(
-                gen_action, requirement, self.kb, self.content_vectors, modifier_delta, config.loop.n_tests
+                action, requirement, self.kb, self.content_vectors, modifier_delta, config.loop.n_tests
             )
             self.hit_window.append(1.0 if context_ids else 0.0)
 
@@ -647,7 +635,7 @@ class TrainingSystem:
                 }
             )
 
-            for role in acting:
+            for role in slot_roles:
                 agent = self.agents[role]
                 record_feedback(agent, slot_records, breakdown.total)
                 if flags.disable_ppo:
@@ -721,17 +709,14 @@ class TrainingSystem:
     def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
         """Build the system the checkpointed config describes and load the
         checkpoint's state into it in place. Corrupt files never yield a
-        partial system. A missing or unknown key at the top level, in the
-        agents' sections, the DQN state, ``kb_pending`` or ``rng_states``,
-        an unknown, mistyped or out-of-range config value, a network or
-        optimizer state whose topology is not the one built, a stored state
-        or coverage vector of another width, a rollout or replay column
-        whose length differs from its fellows', a stored action outside its
-        action space, a rollout of ``ppo.rollout_length`` steps or more, a
-        replay over its capacity, a reward, false-positive or hit window
-        longer than its length, a negative counter, and a stored value that
-        the cast to its column's type would change, is named with its
-        dotted path. ``events`` as in ``__init__``."""
+        partial system. A missing or unknown key, an unknown, mistyped or
+        out-of-range config value, a network or optimizer state of another
+        topology, a vector, column or window of another width or length, a
+        stored number that is not a number or that the cast to its type
+        would change, a stored action outside its action space, a negative
+        counter and a tracker record that is not three non-negative
+        integers and a number are named with their dotted path. ``events``
+        as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -768,22 +753,21 @@ class TrainingSystem:
                 agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
             system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
             for name in ("reward_window", "fp_window", "hit_window"):
-                window, values = getattr(system, name), payload[name]
-                if len(values) > window.maxlen:
-                    raise ValueError(f"checkpoint {name} holds {len(values)} entries, the window is {window.maxlen}")
-                window.extend(float(x) for x in values)
+                window = getattr(system, name)
+                window.extend(load_window(payload[name], window.maxlen, f"checkpoint {name}"))
             pending = payload["kb_pending"]
-            system.kb_pending = (
-                None
-                if pending is None
-                else (
+            if pending is not None:
+                action = load_count(pending["action"], "checkpoint kb_pending.action")
+                if action >= KB_ACTION_COUNT:
+                    raise ValueError(f"checkpoint kb_pending.action is {action}, outside [0, {KB_ACTION_COUNT})")
+                system.kb_pending = (
                     load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
-                    int(pending["action"]),
-                    [float(x) for x in pending["totals"]],
+                    action,
+                    load_window(pending["totals"], config.loop.kb_action_interval, "checkpoint kb_pending.totals"),
                 )
-            )
             prev_mean = payload["prev_interval_mean"]
-            system._prev_interval_mean = None if prev_mean is None else float(prev_mean)
+            if prev_mean is not None:
+                system._prev_interval_mean = load_number(prev_mean, "checkpoint prev_interval_mean")
             system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
             system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
             system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")

@@ -272,7 +272,7 @@ def task_query() -> np.ndarray:
 
 def task_reward(store: KnowledgeStore, params: RetrievalParams) -> float:
     got = store.vector_query(task_query(), params)
-    useful = sum(1 for rec, _ in got if rec.id.startswith("useful"))
+    useful = sum(1 for rid, _ in got if rid.startswith("useful"))
     return (useful - (len(got) - useful)) / 30.0
 
 

@@ -67,9 +67,9 @@ class TestActionSpaces:
         }
         assert strategies == {GenerationStrategy.Integration, GenerationStrategy.RegressionDerived}
 
-    def test_modifier_actions_have_option_only(self):
+    def test_modifier_action_is_its_index(self):
         a = decode_action(AgentRole.ComplianceValidation, 2)
-        assert a.option == 2 and a.strategy is None
+        assert a.index == 2 and a.strategy is None and a.retrieval_mode is None
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -244,6 +244,14 @@ class TestGenerate:
         assert context_ids == []
         expected = 0.6 * strategy_signature(GenerationStrategy.Boundary, 16)
         assert np.allclose(np.asarray(tests[0].coverage_vector), expected, atol=1e-12)
+
+    def test_graph_only_without_a_requirement_node_retrieves_nothing(self):
+        kb = KnowledgeStore(d_emb=64, params=RetrievalParams(similarity_threshold=0.0, top_k=4))
+        kb.insert_vector("tc-a", embed(REQ.text.split() + ["tc-a"], 64), "tc-a")
+        kb.upsert_edge("tc-a", "req-2", EdgeType.Covers, 0.9)
+        action = self.gen_action(mode=RetrievalMode.GraphOnly)
+        _, context_ids = generate_test_cases(action, REQ, kb, *self.context(kb, n_tests=1))
+        assert context_ids == []
 
     def test_two_record_context_blend_matches_hand_computation(self):
         kb = self.build_kb()

@@ -91,6 +91,14 @@ class TestLoadConfig:
             ("ppo=x", cli.ValidationError, "ppo"),
             ("rl.seed=0", cli.UnknownKey, "rl.seed"),
             ("kb.d_emb=4", cli.ValidationError, "kb"),
+            # embed hashes the modifiers' nudges into d_cov dimensions.
+            ("env.d_cov=6", cli.ValidationError, "env"),
+            pytest.param(
+                "kb.edge_learning_rate=" + "9" * 401,
+                cli.ValidationError,
+                "kb.edge_learning_rate",
+                id="integer-too-large-for-a-float",
+            ),
             ("loop.n_tests=0", cli.ValidationError, "loop"),
             ("kb.initial_params.top_k=100", cli.ValidationError, "kb"),
             ("dqn.epsilon_end=0.95", cli.ValidationError, "dqn"),

@@ -76,7 +76,7 @@ class TestVectorQuery:
     def test_exact_match_ranks_first_with_similarity_one(self):
         store = self.build_store()
         out = store.vector_query(two_d(1.0, 0.0), RetrievalParams(similarity_threshold=0.99, top_k=8))
-        assert out[0][0].id == "a"
+        assert out[0][0] == "a"
         assert out[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_one_with_no_exact_match_is_empty(self):
@@ -93,10 +93,9 @@ class TestVectorQuery:
             key=lambda kv: (-kv[1], kv[0]),
         )
         got = store.vector_query(query, RetrievalParams(similarity_threshold=0.0, top_k=8))
-        got_pairs = [(rec.id, sim) for rec, sim in got]
         kept = [(n, s) for n, s in expected if s >= 0.0]
-        assert [n for n, _ in got_pairs] == [n for n, _ in kept]
-        for (_, got_sim), (_, want_sim) in zip(got_pairs, kept):
+        assert [n for n, _ in got] == [n for n, _ in kept]
+        for (_, got_sim), (_, want_sim) in zip(got, kept):
             assert got_sim == pytest.approx(want_sim, abs=1e-12)
 
     def test_top_k_truncates(self):
@@ -109,7 +108,7 @@ class TestVectorQuery:
         q = two_d(0.6, 0.8)
         first = store.vector_query(q)
         second = store.vector_query(q)
-        assert [(r.id, s) for r, s in first] == [(r.id, s) for r, s in second]
+        assert first == second
 
 
 def enumerate_paths(edges: dict, seeds, type_weights, max_depth):
@@ -216,8 +215,7 @@ class TestHybridRetrieve:
     def test_vector_only_delegates(self):
         store = self.build()
         q = two_d(1.0, 0.0)
-        direct = [(rec.id, sim) for rec, sim in store.vector_query(q)]
-        assert store.hybrid_retrieve(q, [], RetrievalMode.VectorOnly) == direct
+        assert store.hybrid_retrieve(q, [], RetrievalMode.VectorOnly) == store.vector_query(q)
 
     def test_graph_only_delegates(self):
         store = self.build()
@@ -239,7 +237,7 @@ class TestHybridRetrieve:
         store = self.build()
         q = two_d(0.6, 0.8)
         params = store.params
-        vec = {rec.id: sim for rec, sim in store.vector_query(q, params)}
+        vec = dict(store.vector_query(q, params))
         graph = dict(store.graph_traverse(["g1"], params))
         combined = {
             n: 0.5 * vec.get(n, 0.0) + 0.5 * graph.get(n, 0.0) for n in set(vec) | set(graph)
@@ -422,7 +420,8 @@ class TestSnapshot:
     def test_usefulness_may_be_left_out(self):
         payload = self.small_snapshot()
         del payload["vector_records"][0]["usefulness"]
-        assert KnowledgeStore.from_snapshot_dict(payload).get_record("a").usefulness == 0.5
+        (record,) = KnowledgeStore.from_snapshot_dict(payload).snapshot_dict()["vector_records"]
+        assert record["usefulness"] == 0.5
 
     def test_loaded_rows_and_norms_equal_inserted_ones(self):
         rng = np.random.default_rng(0)
@@ -438,6 +437,27 @@ class TestSnapshot:
         for i in range(5):
             query = embed([f"t{i}", f"t{i + 1}"], 32)
             assert loaded.vector_query(query) == store.vector_query(query)
+
+    def test_an_empty_store_takes_the_loaded_rows_as_its_matrix(self):
+        store = KnowledgeStore(d_emb=8)
+        for i in range(20):
+            store.insert_vector(f"r{i:02d}", embed([f"t{i}"], 8), f"r{i:02d}")
+        assert len(store._matrix) > store.vector_count
+        loaded = KnowledgeStore.from_snapshot_dict(store.snapshot_dict())
+        # No spare capacity: the rows built from the snapshot are the matrix.
+        assert loaded._matrix.shape == (20, 8) and loaded._norms.shape == (20,)
+        loaded.insert_vector("new", embed(["new"], 8), "new")
+        assert loaded.vector_count == 21
+        assert [rid for rid, _ in loaded.vector_query(embed(["new"], 8), RetrievalParams(0.99, 4))] == ["new"]
+
+    def test_a_rejected_insert_adds_nothing(self):
+        store = KnowledgeStore(d_emb=8)
+        store.insert_vector("a", embed(["alpha"], 8), "a")
+        with pytest.raises(ValueError, match="'b'.*norm"):
+            store.insert_vector("b", [1.0] * 8, "b")
+        assert store.vector_count == 1
+        store.insert_vector("b", embed(["beta"], 8), "b")
+        assert [rid for rid, _ in store.vector_query(embed(["beta"], 8), RetrievalParams(0.99, 4))] == ["b"]
 
     @pytest.mark.parametrize(
         "embedding, problem",
@@ -471,7 +491,8 @@ class TestSnapshot:
         store.save_snapshot(p1)
         assert p1.read_text(encoding="utf-8") == json.dumps(store.snapshot_dict(), sort_keys=True, indent=2) + "\n"
         loaded = KnowledgeStore.load_snapshot(p1)
-        assert [loaded.get_record(name).payload_ref for name in names] == names[::-1]
+        payload_refs = {r["id"]: r["payload_ref"] for r in loaded.snapshot_dict()["vector_records"]}
+        assert [payload_refs[name] for name in names] == names[::-1]
         loaded.save_snapshot(p2)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -60,6 +60,17 @@ class TestClippedSurrogate:
         assert clipped_surrogate(ratio, advantage, eps) <= ratio * advantage + 1e-12
 
 
+class TestPolicyValueForward:
+    def test_one_state_gives_the_row_of_a_batch_of_one(self):
+        params = xavier_init((4, 8, 3), rng(0))
+        state = rng(1).normal(size=4)
+        logits, values = policy_value_forward(params, state[None, :])
+        one_logits, one_value = policy_value_forward(params, state)
+        assert logits.shape == (1, 2) and values.shape == (1,)
+        assert one_logits.shape == (2,) and np.ndim(one_value) == 0
+        assert np.array_equal(one_logits, logits[0]) and one_value == values[0]
+
+
 class TestComputeGae:
     def test_lambda_zero_reduces_to_one_step_delta(self):
         rollout = make_rollout([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0], [1.0, 2.0, 0.5])

@@ -205,7 +205,8 @@ class TestCombine:
     def test_total_matches_dot_product_invariant(self):
         weights = RewardWeights()
         out = combine(1.2, 0.4, 2.2, 0.9, -0.3, weights)
-        expected = sum(a * c for a, c in zip(weights.as_tuple(), out.components()))
+        components = (out.effectiveness, out.coverage, out.efficiency, out.compliance, out.adaptation)
+        expected = sum(a * c for a, c in zip(weights.as_tuple(), components))
         assert out.total == pytest.approx(expected, abs=1e-9)
 
     @given(

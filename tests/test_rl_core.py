@@ -394,7 +394,7 @@ class TestLoadCount:
     def test_counts_pass_through(self):
         assert load_count(0, "n") == 0 and load_count(7, "n") == 7
 
-    @pytest.mark.parametrize("value", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("value", [-1, 2.5, "3", True, 2.0])
     def test_negative_or_fractional_rejected_with_its_path(self, value):
         with pytest.raises(ValueError, match=re.escape(f"dqn.train_steps is {value!r}")):
             load_count(value, "dqn.train_steps")

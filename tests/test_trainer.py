@@ -615,6 +615,71 @@ class TestCheckpoint:
         with pytest.raises(SchemaVersionMismatch, match=message):
             self.restore_edited(tmp_path, "", overfill)
 
+    @pytest.mark.parametrize(
+        "section, edit, message",
+        [
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["records"].__setitem__(0, node["records"][0][:3]),
+                "agents.LegacyTestAnalysis.tracker.records[0] is [",
+            ),
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["records"][0].__setitem__(0, 1.5),
+                "agents.LegacyTestAnalysis.tracker.records[0] is [1.5,",
+            ),
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["records"][0].__setitem__(0, -4),
+                "agents.LegacyTestAnalysis.tracker.records[0] is [-4,",
+            ),
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["records"][0].__setitem__(3, "0.5"),
+                "agents.LegacyTestAnalysis.tracker.records[0][3] is '0.5', expected a number",
+            ),
+            (
+                "agents.LegacyTestAnalysis.tracker",
+                lambda node: node["totals"].__setitem__(0, "0.5"),
+                "agents.LegacyTestAnalysis.tracker.totals[0] is '0.5', expected a number",
+            ),
+            ("", lambda node: node["reward_window"].__setitem__(0, "0.5"), "reward_window[0] is '0.5', expected a number"),
+            (
+                "content_vectors",
+                lambda node: node.update({"tc-x": ["0.5"] * len(next(iter(node.values())))}),
+                "content_vectors.tc-x is not a vector of numbers",
+            ),
+            ("kb_pending", lambda node: node.update(action=99), "kb_pending.action is 99, outside [0, 13)"),
+            (
+                "kb_pending",
+                lambda node: node.update(action=1.5),
+                "kb_pending.action is 1.5, expected a non-negative integer",
+            ),
+            (
+                "kb_pending",
+                lambda node: node.update(totals=[0.5] * 3),
+                "kb_pending.totals holds 3 entries, the window is 2",
+            ),
+            ("", lambda node: node.update(prev_interval_mean="0.5"), "prev_interval_mean is '0.5', expected a number"),
+        ],
+        ids=[
+            "tracker-record-of-three-entries",
+            "tracker-record-fractional-count",
+            "tracker-record-negative-count",
+            "tracker-record-string-quality",
+            "tracker-total-string",
+            "reward-window-string",
+            "content-vector-of-strings",
+            "kb-pending-action-outside",
+            "kb-pending-action-fractional",
+            "kb-pending-totals-over-the-interval",
+            "prev-interval-mean-string",
+        ],
+    )
+    def test_number_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+            self.restore_edited(tmp_path, section, edit)
+
     def test_restored_checkpoint_reserialises_byte_identically(self, tmp_path):
         system = TrainingSystem(tiny_config())
         system.run(episodes=2)
