@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# Compare a change's training outputs with its base commit's, byte for byte.
+#
+#     .github/compare_bytes.sh BASE [HEAD]
+#
+# Run from the root of a git checkout. BASE (and HEAD, when given) are
+# checked out with `git worktree`; without HEAD the checkout's own tree is
+# the change. Each tree trains the two 35-episode runs of
+# tests/test_golden.py (seed 0, and seed 1 with scalar_reward) with its own
+# code and its own configs/default.json, and the six output files of each
+# run are compared with `cmp`. The files that moved are listed on standard
+# output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY.
+#
+# It fails when metrics.csv or checkpoint.json moved but the change leaves
+# tests/test_golden.py as it was: a change that moves pinned bytes on
+# purpose re-pins them in the same change.
+set -euo pipefail
+
+base=$(git rev-parse --verify "$1^{commit}")
+head=${2:+$(git rev-parse --verify "$2^{commit}")}
+work=$(mktemp -d)
+cleanup() {
+    git worktree remove --force "$work/base" 2>/dev/null || true
+    git worktree remove --force "$work/head" 2>/dev/null || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+git worktree add --quiet --detach "$work/base" "$base"
+if [ -n "$head" ]; then
+    git worktree add --quiet --detach "$work/head" "$head"
+    head_tree=$work/head
+else
+    head_tree=$(pwd)
+fi
+
+# The runs of tests/test_golden.py's RUNS, at its EPISODES.
+runs=("seed0-full:seed=0" "seed1-scalar_reward:seed=1 ablation.scalar_reward=true")
+files=(metrics.csv ppo_updates.csv dqn_steps.csv events.jsonl feedback.jsonl checkpoint.json)
+
+for side in base head; do
+    tree=$work/base
+    [ "$side" = head ] && tree=$head_tree
+    for run in "${runs[@]}"; do
+        sets=()
+        for assignment in ${run#*:} episode_count=35; do
+            sets+=(--set "$assignment")
+        done
+        (cd "$tree" && PYTHONPATH="$tree/src" python -m qeloop.cli train \
+            --config configs/default.json "${sets[@]}" --out "$work/out/$side/${run%%:*}" > /dev/null)
+    done
+done
+
+moved=()
+for run in "${runs[@]}"; do
+    for name in "${files[@]}"; do
+        if ! cmp --silent "$work/out/base/${run%%:*}/$name" "$work/out/head/${run%%:*}/$name"; then
+            moved+=("${run%%:*}/$name")
+        fi
+    done
+done
+
+if [ -n "$head" ]; then
+    git diff --quiet "$base" "$head" -- tests/test_golden.py && repinned=no || repinned=yes
+else
+    git diff --quiet "$base" -- tests/test_golden.py && repinned=no || repinned=yes
+fi
+
+{
+    echo "### Output bytes against ${base:0:12}"
+    if [ ${#moved[@]} -eq 0 ]; then
+        echo "No output file moved."
+    else
+        echo "Moved:"
+        printf -- '- `%s`\n' "${moved[@]}"
+    fi
+    echo "tests/test_golden.py changed: $repinned"
+} | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
+
+for path in "${moved[@]}"; do
+    case $path in
+        */metrics.csv | */checkpoint.json)
+            if [ "$repinned" = no ]; then
+                echo "$path moved, but tests/test_golden.py is unchanged: re-pin it and say why" >&2
+                exit 1
+            fi
+            ;;
+    esac
+done

@@ -136,11 +136,12 @@ def requirement_summary(requirement: Requirement) -> np.ndarray:
 
 
 _TRACKER_KEYS = frozenset({"totals", "records"})
-_AGENT_KEYS = frozenset({"params", "adam", "rollout", "tracker"})
+_AGENT_KEYS = frozenset({"params", "adam", "rollout"})
 
 
 class PerformanceTracker:
-    """Per-agent rolling windows of reward totals, defect counts, and FP counts.
+    """Rolling windows of the reward totals and feedback counts that the
+    agents learning from them read.
 
     Append through the ``push_*`` methods only. The window's true-defect,
     false-positive and severity totals are kept as running integers, which
@@ -239,8 +240,8 @@ def featurize_state(
 
 
 class Agent:
-    """One role's policy, optimizer, rollout, feedback tracker, and pending
-    action slot. ``rollout`` has room for ``rollout_length`` steps; its first
+    """One role's policy, optimizer, rollout and pending action slot.
+    ``rollout`` has room for ``rollout_length`` steps; its first
     ``rollout_steps`` rows hold the steps recorded since the last update."""
 
     def __init__(
@@ -248,7 +249,6 @@ class Agent:
         role: AgentRole,
         init_rng: np.random.Generator,
         learning_rate: float,
-        tracker_window: int = 50,
         rollout_length: int = PPOConfig.rollout_length,
     ):
         self.role = role
@@ -260,7 +260,6 @@ class Agent:
             np.zeros((steps + 1, STATE_DIM)), np.zeros(steps, np.int64), np.zeros(steps), np.zeros(steps)
         )
         self.rollout_steps = 0
-        self.tracker = PerformanceTracker(tracker_window)
         self.pending: tuple[np.ndarray, int, float] | None = None
 
     def act(
@@ -283,12 +282,11 @@ class Agent:
             "params": self.params.to_dict(),
             "adam": self.adam.state_dict(),
             "rollout": columns_dict(Rollout(*(column[:n] for column in self.rollout))),
-            "tracker": self.tracker.state_dict(),
         }
 
     def load_state_dict(self, d: Mapping, what: str = "agent state") -> None:
-        """Load ``state_dict`` output into a fresh agent's network, optimizer,
-        rollout and tracker, in place. ``what`` names ``d``, and prefixes its
+        """Load ``state_dict`` output into a fresh agent's network, optimizer
+        and rollout, in place. ``what`` names ``d``, and prefixes its
         sections' paths, in the error for a missing or unknown key, a
         network of another topology, or a rollout that is not one column
         per field of equal lengths, whose states are of another width, whose
@@ -302,21 +300,16 @@ class Agent:
         self.rollout_steps = len(columns.actions)
         for column, loaded in zip(self.rollout, columns):
             column[: self.rollout_steps] = loaded
-        self.tracker.load_state_dict(d["tracker"], f"{what}.tracker")
 
 
-def record_feedback(agent: Agent, feedbacks: Sequence[FeedbackRecord], reward: float) -> None:
-    """Push feedback into the agent's tracker and write its pending action
-    as the rollout's next step, rewarded with the slot's combined reward
-    total."""
+def record_feedback(agent: Agent, reward: float) -> None:
+    """Write the agent's pending action as the rollout's next step, rewarded
+    with the slot's combined reward total."""
     if agent.pending is None:
         raise ValueError(f"{agent.role.name} has no pending action to attach feedback to")
     step = agent.rollout_steps
     if step == len(agent.rollout.actions):
         raise ValueError(f"{agent.role.name} rollout is full; run its PPO update first")
-    for feedback in feedbacks:
-        agent.tracker.push_record(feedback)
-    agent.tracker.push_reward(reward)
     states, actions, rewards, log_probs = agent.rollout
     states[step], actions[step], log_probs[step] = agent.pending
     rewards[step] = reward

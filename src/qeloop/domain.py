@@ -66,7 +66,7 @@ def check_keys(
         raise MalformedRecord(f"{what}: {'; '.join(problems)}")
 
 
-def _typed(what: str, d: Mapping, name: str, kind: type):
+def typed_field(what: str, d: Mapping, name: str, kind: type):
     """``d[name]`` if it has the JSON type ``kind``: ``str``, ``bool``, or
     ``float``, which takes a JSON integer too and returns it as a float.
     Anything else, a boolean for a number included, is rejected, named
@@ -176,11 +176,11 @@ class DefectReport:
     def from_dict(cls, d: Mapping) -> "DefectReport":
         check_keys("DefectReport", d, _DEFECT_REPORT_REQUIRED, _DEFECT_REPORT_OPTIONAL)
         return cls(
-            id=_typed("DefectReport", d, "id", str),
-            test_case_ref=_typed("DefectReport", d, "test_case_ref", str),
+            id=typed_field("DefectReport", d, "id", str),
+            test_case_ref=typed_field("DefectReport", d, "test_case_ref", str),
             severity=Severity[d["severity"]],
-            is_false_positive=_typed("DefectReport", d, "is_false_positive", bool),
-            defect_ref=None if d.get("defect_ref") is None else _typed("DefectReport", d, "defect_ref", str),
+            is_false_positive=typed_field("DefectReport", d, "is_false_positive", bool),
+            defect_ref=None if d.get("defect_ref") is None else typed_field("DefectReport", d, "defect_ref", str),
         )
 
 
@@ -231,9 +231,9 @@ class FeedbackRecord:
     def from_dict(cls, d: Mapping) -> "FeedbackRecord":
         check_keys("FeedbackRecord", d, _FEEDBACK_RECORD_REQUIRED, _FEEDBACK_RECORD_OPTIONAL)
         return cls(
-            test_case_ref=_typed("FeedbackRecord", d, "test_case_ref", str),
+            test_case_ref=typed_field("FeedbackRecord", d, "test_case_ref", str),
             defects=tuple(DefectReport.from_dict(x) for x in d.get("defects", ())),
-            **{name: _typed("FeedbackRecord", d, name, float) for name in _FEEDBACK_NUMBERS},
+            **{name: typed_field("FeedbackRecord", d, name, float) for name in _FEEDBACK_NUMBERS},
         )
 
     def to_json_line(self) -> str:

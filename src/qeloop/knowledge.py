@@ -29,8 +29,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open, dump_json, shared_tolist
-from .config import ConfigCodec
-from .domain import FeedbackRecord, RetrievalMode, check_keys, stable_hash
+from .config import ConfigCodec, UnknownConfigKey
+from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, stable_hash, typed_field
+from .rl_core import load_numbers
 
 
 class KnowledgeError(Exception):
@@ -174,9 +175,21 @@ class GraphEdge:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "GraphEdge":
-        check_keys("graph edge", d, _EDGE_KEYS)
-        return cls(d["source"], d["target"], EdgeType[d["edge_type"]], float(d["weight"]))
+    def from_dict(cls, d: Mapping, what: str = "graph edge") -> "GraphEdge":
+        """``to_dict`` output; a missing or unknown key, an end that is not a
+        string, an unknown edge type and a weight that is not a JSON number
+        are rejected, named with their path under ``what``."""
+        check_keys(what, d, _EDGE_KEYS)
+        edge_type = EdgeType.__members__.get(typed_field(what, d, "edge_type", str))
+        if edge_type is None:
+            names = list(EdgeType.__members__)
+            raise MalformedRecord(f"{what}.edge_type must be one of {names}, got {d['edge_type']!r}")
+        return cls(
+            typed_field(what, d, "source", str),
+            typed_field(what, d, "target", str),
+            edge_type,
+            typed_field(what, d, "weight", float),
+        )
 
 
 EdgeKey = tuple[str, str, EdgeType]
@@ -258,18 +271,16 @@ class KnowledgeStore:
         stored or repeated; a rejected call adds nothing."""
         ids = [record.id for record in records]
         try:
-            rows = np.array(embeddings, dtype=np.float64)
-        except (TypeError, ValueError):
+            rows = load_numbers(embeddings, np.float64, "embeddings", "matrix of numbers")
+        except ValueError:
             rows = None
         if rows is None or rows.shape != (len(ids), self.d_emb):
             # Ragged, non-numeric or wrong-length: find the record to name.
             for rid, embedding in zip(ids, embeddings):
-                try:
-                    shape = np.asarray(embedding, dtype=np.float64).shape
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"vector record {rid!r}: embedding is not a vector of numbers: {exc}") from exc
+                what = f"vector record {rid!r}: embedding"
+                shape = load_numbers(embedding, np.float64, what, "vector of numbers").shape
                 if shape != (self.d_emb,):
-                    raise ValueError(f"vector record {rid!r}: embedding shape {shape} != ({self.d_emb},)")
+                    raise ValueError(f"{what} shape {shape} != ({self.d_emb},)")
             rows = np.zeros((0, self.d_emb), dtype=np.float64)
         # A row's norm from the row-wise call has the same bits whatever the
         # number of rows, so rows added one at a time or all at once agree.
@@ -520,28 +531,54 @@ class KnowledgeStore:
             fh.write("\n")
 
     @classmethod
-    def from_snapshot_dict(cls, d: Mapping) -> "KnowledgeStore":
-        """Rebuild a store; a missing or unknown key anywhere is rejected."""
-        version = d.get("schema_version")
+    def from_snapshot_dict(cls, d: Mapping, what: str = "knowledge snapshot") -> "KnowledgeStore":
+        """Rebuild a store. A missing or unknown key anywhere, a section that
+        is not a list, a ``d_emb`` that is not an integer of at least
+        ``EMBED_DIM_MIN``, an id, payload reference or graph node that is not
+        a string, a weight or usefulness that is not a JSON number, and what
+        the retrieval parameters' codec, ``_add_rows`` and ``upsert_edge``
+        reject are named with their dotted path under ``what``."""
+        version = d.get("schema_version") if isinstance(d, Mapping) else None
         if version != cls.SCHEMA_VERSION:
-            raise ValueError(f"unsupported knowledge snapshot schema_version {version!r}")
-        check_keys("knowledge snapshot", d, _SNAPSHOT_KEYS)
-        params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
-        store = cls(d_emb=int(d["d_emb"]), params=params)
-        for rec_d in d["vector_records"]:
-            check_keys("vector record", rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
-        store._add_rows(
-            [
-                VectorRecord(rec_d["id"], rec_d["payload_ref"], float(rec_d.get("usefulness", 0.5)))
-                for rec_d in d["vector_records"]
-            ],
-            [rec_d["embedding"] for rec_d in d["vector_records"]],
-        )
-        for node in d["graph_nodes"]:
+            raise ValueError(f"unsupported {what} schema_version {version!r}")
+        check_keys(what, d, _SNAPSHOT_KEYS)
+        for name in ("vector_records", "graph_nodes", "graph_edges"):
+            if not isinstance(d[name], list):
+                raise MalformedRecord(f"{what}.{name} must be a list, got {type(d[name]).__name__}")
+        try:
+            params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
+        except (ValueError, UnknownConfigKey) as exc:
+            raise ValueError(f"{what}.retrieval_params: {exc}") from None
+        d_emb = d["d_emb"]
+        if type(d_emb) is not int or d_emb < EMBED_DIM_MIN:
+            raise MalformedRecord(f"{what}.d_emb must be an integer >= {EMBED_DIM_MIN}, got {d_emb!r}")
+        store = cls(d_emb=d_emb, params=params)
+        records = []
+        for i, rec_d in enumerate(d["vector_records"]):
+            where = f"{what}.vector_records[{i}]"
+            check_keys(where, rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
+            records.append(
+                VectorRecord(
+                    typed_field(where, rec_d, "id", str),
+                    typed_field(where, rec_d, "payload_ref", str),
+                    typed_field(where, rec_d, "usefulness", float) if "usefulness" in rec_d else 0.5,
+                )
+            )
+        try:
+            store._add_rows(records, [rec_d["embedding"] for rec_d in d["vector_records"]])
+        except ValueError as exc:
+            raise ValueError(f"{what}.vector_records: {exc}") from None
+        for i, node in enumerate(d["graph_nodes"]):
+            if type(node) is not str:
+                raise MalformedRecord(f"{what}.graph_nodes[{i}] must be a string, got {node!r}")
             store.add_node(node)
-        for edge_d in d["graph_edges"]:
-            e = GraphEdge.from_dict(edge_d)
-            store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
+        for i, edge_d in enumerate(d["graph_edges"]):
+            where = f"{what}.graph_edges[{i}]"
+            e = GraphEdge.from_dict(edge_d, where)
+            try:
+                store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         return store
 
     @classmethod

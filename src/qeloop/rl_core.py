@@ -67,7 +67,7 @@ _MLP_KEYS = frozenset({"layer_sizes", "flat"})
 _ADAM_KEYS = frozenset({"t", "m", "v"})
 
 
-def _load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
+def load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
     """``values`` as an array of ``dtype``; anything but numbers, and a
     value that the cast to ``dtype`` would change (an action of 1.5, a
     ``dones`` flag of 0.3), is rejected with its dotted path ``what``."""
@@ -93,7 +93,7 @@ def _load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
 def load_vector(values, width: int, what: str) -> np.ndarray:
     """``values`` as a float64 vector; anything but ``width`` numbers is
     rejected with its dotted path ``what``."""
-    vec = _load_numbers(values, np.float64, what, "vector of numbers")
+    vec = load_numbers(values, np.float64, what, "vector of numbers")
     if vec.shape != (width,):
         raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
     return vec
@@ -151,7 +151,7 @@ def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> 
     columns = []
     for name, like in zip(template._fields, template):
         path = f"{what}.{name}"
-        column = _load_numbers(d[name], like.dtype, path, f"column of {like.dtype} rows")
+        column = load_numbers(d[name], like.dtype, path, f"column of {like.dtype} rows")
         if column.shape == (0,):
             column = column.reshape(0, *like.shape[1:])
         if column.shape[1:] != like.shape[1:]:
@@ -487,16 +487,47 @@ class RngStreams:
         return out
 
     def load_state_dict(self, d: Mapping, what: str = "RNG states") -> None:
-        """``what`` names ``d`` in the error for a missing or unknown key."""
+        """Set each named stream to its ``state_dict`` entry. ``what``
+        prefixes the dotted path of a stream, or of its value, in the error
+        for a missing or unknown key and a value that is not what
+        ``state_dict`` writes: the bit generator ``"PCG64"``, ``state`` and
+        ``inc`` as the decimal text of an integer in [0, 2**128),
+        ``has_uint32`` as the JSON integer 0 or 1 and ``uinteger`` as a JSON
+        integer in [0, 2**32) (``load_count`` rejects a boolean or a
+        float)."""
         for name, st in d.items():
-            check_keys(f"{what}.{name}", st, _RNG_STATE_KEYS)
-            gen = self.get(name)
-            gen.bit_generator.state = {
-                "bit_generator": st["bit_generator"],
-                "state": {"state": int(st["state"]), "inc": int(st["inc"])},
-                "has_uint32": int(st["has_uint32"]),
-                "uinteger": int(st["uinteger"]),
+            where = f"{what}.{name}"
+            check_keys(where, st, _RNG_STATE_KEYS)
+            if st["bit_generator"] != "PCG64":
+                raise ValueError(f"{where}.bit_generator is {st['bit_generator']!r}, expected 'PCG64'")
+            state = {key: _load_pcg64_word(st[key], f"{where}.{key}") for key in ("state", "inc")}
+            self.get(name).bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": state,
+                "has_uint32": _load_below(st["has_uint32"], 2, f"{where}.has_uint32"),
+                "uinteger": _load_below(st["uinteger"], 1 << 32, f"{where}.uinteger"),
             }
+
+
+def _load_below(value, bound: int, what: str) -> int:
+    """``value`` as a counter below ``bound``; anything else is rejected with
+    its dotted path ``what``."""
+    count = load_count(value, what)
+    if count >= bound:
+        raise ValueError(f"{what} is {count}, outside [0, {bound})")
+    return count
+
+
+def _load_pcg64_word(text, what: str) -> int:
+    """The integer whose decimal text ``text`` is, if it is in [0, 2**128):
+    ``str(n)`` exactly, with no sign, space or leading zero; anything else
+    is rejected with its dotted path ``what``."""
+    # 2**128 has 39 digits, so a longer text is out of range unparsed.
+    if type(text) is str and len(text) <= 39 and text.isascii() and text.isdigit():
+        n = int(text)
+        if str(n) == text and n < 1 << 128:
+            return n
+    raise ValueError(f"{what} is {text!r}, expected the decimal text of an integer in [0, 2**128)")
 
 
 def finite_difference_gradients(

@@ -23,12 +23,14 @@ import os
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .agents import (
     Agent,
+    PerformanceTracker,
     featurize_state,
     generate_test_cases,
     modifier_vector,
@@ -64,15 +66,20 @@ MODIFIER_ROLES = (
 PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
 DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 
-# Version 9 holds the state the loop reads and no run history: each network
+# The modifiers act in every slot on the same records and reward, so they
+# learn from one tracker; each generator role has its own.
+TRACKER_KEYS = ("modifiers", AgentRole.IntegrationPoint.name, AgentRole.TestCaseGeneration.name)
+
+# Version 10 holds the state the loop reads and no run history: each network
 # and its Adam moments (``t``, ``m``, ``v``; the rate is the config's) as one
 # flat list of floats, rollouts and the replay as one list per field, the
-# knowledge snapshot, the windows and the RNG stream positions.
-CHECKPOINT_SCHEMA_VERSION = 9
+# three trackers under ``TRACKER_KEYS``, the knowledge snapshot, the windows
+# and the RNG stream positions.
+CHECKPOINT_SCHEMA_VERSION = 10
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
-    "schema_version", "config", "episode_index", "agents", "dqn", "kb",
+    "schema_version", "config", "episode_index", "agents", "trackers", "dqn", "kb",
     "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
     "ppo_update_count", "rng_states",
 })
@@ -396,11 +403,12 @@ class TrainingSystem:
         for src, dst, et in self.project.requirement_links:
             self.kb.upsert_edge(src, dst, et, 0.5)
 
-        ppo, window = config.ppo, config.loop.tracker_window
+        ppo = config.ppo
         self.agents = {
-            role: Agent(role, self.streams.get(f"init:{role.name}"), ppo.learning_rate, window, ppo.rollout_length)
+            role: Agent(role, self.streams.get(f"init:{role.name}"), ppo.learning_rate, ppo.rollout_length)
             for role in AgentRole
         }
+        self.trackers = {key: PerformanceTracker(config.loop.tracker_window) for key in TRACKER_KEYS}
 
         self.dqn = DQNController(
             config.dqn,
@@ -445,10 +453,10 @@ class TrainingSystem:
 
     # -- featurization ---------------------------------------------------
 
-    def _featurize(self, role: AgentRole, requirement: Requirement) -> np.ndarray:
+    def _featurize(self, key: str, requirement: Requirement) -> np.ndarray:
         return featurize_state(
             requirement_summary(requirement),
-            self.agents[role].tracker,
+            self.trackers[key],
             self.kb.params,
             self.kb.mean_edge_weight(),
         )
@@ -478,12 +486,12 @@ class TrainingSystem:
 
     # -- learning steps ---------------------------------------------------
 
-    def _run_ppo_update(self, role: AgentRole, requirement: Requirement) -> None:
+    def _run_ppo_update(self, role: AgentRole, bootstrap: np.ndarray) -> None:
         """Update ``role`` on its full rollout, bootstrapping from its state
-        on ``requirement`` after the last step."""
+        ``bootstrap`` after the last step."""
         agent = self.agents[role]
         rollout = agent.rollout
-        rollout.states[-1] = self._featurize(role, requirement)
+        rollout.states[-1] = bootstrap
         _, values = policy_value_forward(agent.params, rollout.states)
         processed = compute_gae(rollout, values, self.config.rl.discount_factor, self.config.rl.gae_lambda)
         report = ppo_update(
@@ -583,10 +591,12 @@ class TrainingSystem:
             # The modifiers act first and the generator last, so ``action``
             # is the generator's once the loop ends.
             slot_roles = (*MODIFIER_ROLES, gen_role)
+            slot_trackers = ("modifiers", gen_role.name)
+            states = {key: self._featurize(key, requirement) for key in slot_trackers}
             modifier_delta = np.zeros(config.env.d_cov, dtype=np.float64)
             actions: list[dict] = []
             for role in slot_roles:
-                state = self._featurize(role, requirement)
+                state = states[gen_role.name if role is gen_role else "modifiers"]
                 action, log_prob = self.agents[role].act(
                     state, self.streams.get(f"policy:{role.name}"), self.deterministic_policy
                 )
@@ -635,13 +645,21 @@ class TrainingSystem:
                 }
             )
 
+            for key in slot_trackers:
+                tracker = self.trackers[key]
+                for record in slot_records:
+                    tracker.push_record(record)
+                tracker.push_reward(breakdown.total)
+            # The modifiers fill their rollouts in the same slot, and share
+            # the bootstrap state of their tracker.
+            bootstrap = cache(lambda key: self._featurize(key, requirement))
             for role in slot_roles:
                 agent = self.agents[role]
-                record_feedback(agent, slot_records, breakdown.total)
+                record_feedback(agent, breakdown.total)
                 if flags.disable_ppo:
                     agent.rollout_steps = 0
                 elif agent.rollout_steps == config.ppo.rollout_length:
-                    self._run_ppo_update(role, requirement)
+                    self._run_ppo_update(role, bootstrap(gen_role.name if role is gen_role else "modifiers"))
 
             if not flags.no_feedback:
                 self._evolve_knowledge(requirement, tests, slot_records, context_ids)
@@ -677,6 +695,7 @@ class TrainingSystem:
             "config": self.config.to_dict(),
             "episode_index": self.episode_index,
             "agents": {role.name: agent.state_dict() for role, agent in self.agents.items()},
+            "trackers": {key: tracker.state_dict() for key, tracker in self.trackers.items()},
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
             "content_vectors": dict(zip(keys, shared_tolist(self.content_vectors[key] for key in keys))),
@@ -714,9 +733,11 @@ class TrainingSystem:
         topology, a vector, column or window of another width or length, a
         stored number that is not a number or that the cast to its type
         would change, a stored action outside its action space, a negative
-        counter and a tracker record that is not three non-negative
-        integers and a number are named with their dotted path. ``events``
-        as in ``__init__``."""
+        counter, a tracker record that is not three non-negative integers
+        and a number, an RNG state value ``RngStreams.state_dict`` cannot
+        write, a ``kb`` section ``KnowledgeStore.from_snapshot_dict``
+        rejects and a ``kb.d_emb`` other than the config's are named with
+        their dotted path. ``events`` as in ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -735,6 +756,7 @@ class TrainingSystem:
         try:
             check_keys("checkpoint", payload, _CHECKPOINT_KEYS)
             check_keys("checkpoint agents", payload["agents"], frozenset(AgentRole.__members__))
+            check_keys("checkpoint trackers", payload["trackers"], frozenset(TRACKER_KEYS))
             if payload["kb_pending"] is not None:
                 check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
             check_keys("checkpoint rng_states", payload["rng_states"], frozenset(), _RNG_STREAMS)
@@ -744,13 +766,17 @@ class TrainingSystem:
                 path = ".".join(filter(None, ("checkpoint config", exc.key)))
                 raise SchemaVersionMismatch(f"{path}: {exc.problem}") from exc
             system = cls(config, events=events)
-            system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"])
+            system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"], "checkpoint kb")
+            if system.kb.d_emb != config.kb.d_emb:
+                raise ValueError(f"checkpoint kb.d_emb is {system.kb.d_emb}, the config's kb.d_emb is {config.kb.d_emb}")
             system.content_vectors = {
                 key: load_vector(vec, config.env.d_cov, f"checkpoint content_vectors.{key}")
                 for key, vec in payload["content_vectors"].items()
             }
             for role, agent in system.agents.items():
                 agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
+            for key, tracker in system.trackers.items():
+                tracker.load_state_dict(payload["trackers"][key], f"checkpoint trackers.{key}")
             system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
             for name in ("reward_window", "fp_window", "hit_window"):
                 window = getattr(system, name)

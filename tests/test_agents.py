@@ -148,6 +148,14 @@ class TestFeaturize:
         b = featurize_state(requirement_summary(REQ), tracker, RetrievalParams(), 0.3)
         assert np.array_equal(a, b)
 
+    def test_state_reflects_a_pushed_record(self):
+        tracker = PerformanceTracker(5)
+        tracker.push_record(feedback(true_count=1))
+        tracker.push_reward(0.5)
+        state = featurize_state(requirement_summary(REQ), tracker, RetrievalParams(), 0.0)
+        assert state[8] == 1.0  # the defect rate slot sees the record
+        assert state[14] == np.tanh(0.5)  # the reward mean slot sees the total
+
 
 class TestAct:
     def uniform_agent(self, role=AgentRole.TestCaseGeneration):
@@ -325,14 +333,13 @@ class TestGenerate:
 
 
 class TestRecordFeedback:
-    def test_transition_fields_and_eviction(self):
-        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=3)
+    def test_transition_fields(self):
+        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
         state = np.zeros(STATE_DIM)
         for i in range(4):
             agent.act(state, rng(i))
-            record_feedback(agent, [feedback(true_count=1)], 0.25)
-        assert len(agent.tracker.records) == 3
-        assert list(agent.tracker.totals) == [0.25] * 3
+            record_feedback(agent, 0.25)
+        assert agent.pending is None
         last = agent.rollout_steps - 1
         assert agent.rollout.rewards[last] == 0.25
         assert agent.rollout.log_probs[last] <= 0.0
@@ -343,28 +350,20 @@ class TestRecordFeedback:
         agent = Agent(AgentRole.ComplianceValidation, rng(0), 3e-4)
         agent.rollout.rewards[0] = 1.0
         agent.act(np.zeros(STATE_DIM), rng(1))
-        record_feedback(agent, [feedback()], 0.0)
+        record_feedback(agent, 0.0)
         assert agent.rollout.rewards[0] == 0.0
 
     def test_requires_pending_action(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4)
         with pytest.raises(ValueError):
-            record_feedback(agent, [feedback()], 0.5)
+            record_feedback(agent, 0.5)
 
     def test_full_rollout_rejected(self):
         agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, rollout_length=2)
         for i in range(2):
             agent.act(np.zeros(STATE_DIM), rng(i))
-            record_feedback(agent, [feedback()], 0.5)
+            record_feedback(agent, 0.5)
         agent.act(np.zeros(STATE_DIM), rng(2))
         with pytest.raises(ValueError, match="rollout is full"):
-            record_feedback(agent, [feedback()], 0.5)
-        assert agent.rollout_steps == 2 and len(agent.tracker.totals) == 2
-
-    def test_next_state_reflects_new_feedback(self):
-        agent = Agent(AgentRole.TestCaseGeneration, rng(0), 3e-4, tracker_window=5)
-        req_vec = requirement_summary(REQ)
-        agent.act(np.zeros(STATE_DIM), rng(1))
-        record_feedback(agent, [feedback(true_count=1)], 0.5)
-        next_state = featurize_state(req_vec, agent.tracker, RetrievalParams(), 0.0)
-        assert next_state[8] == 1.0  # defect rate slot sees the new record
+            record_feedback(agent, 0.5)
+        assert agent.rollout_steps == 2 and agent.pending is not None

@@ -248,6 +248,18 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "qeloop.trainer.SchemaVersionMismatch: checkpoint config.execution.bogus: unknown key" in err
 
+    def test_evaluate_names_an_rng_state_out_of_range(self, tmp_path, config_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["rng_states"]["env"]["uinteger"] = -1
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 2
+        assert "checkpoint rng_states.env.uinteger is -1, expected a non-negative integer" in capsys.readouterr().err
+
     def test_evaluate_rejects_a_non_positive_episode_count(self, tmp_path, config_path):
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(tmp_path / "none.json")]
         assert cli.main(argv + ["--episodes", "0"]) == 1
@@ -295,6 +307,17 @@ class TestReplayCommand:
         # The touched edge moved toward 1; the unrelated edge did not.
         assert evolved.edge_weight("tc-1", "req-0", EdgeType.Covers) > 0.5
         assert evolved.edge_weight("req-0", "req-1", EdgeType.DependsOn) == 0.5
+
+    def test_replay_names_a_snapshot_weight_too_large_for_a_float(self, tmp_path, config_path, capsys):
+        snap = self.build_snapshot(tmp_path)
+        payload = json.loads(snap.read_text())
+        payload["graph_edges"][0]["weight"] = 10**400
+        snap.write_text(json.dumps(payload))
+        feedback_path = tmp_path / "feedback.jsonl"
+        write_feedback_file(feedback_path, self.feedback_records())
+        argv = ["replay", "--config", config_path, str(feedback_path), "--kb", str(snap), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "knowledge snapshot.graph_edges[0].weight must be a number, got 1000" in capsys.readouterr().err
 
     def test_replay_reports_bad_lines_and_continues(self, tmp_path, config_path, capsys):
         feedback_path = tmp_path / "feedback.jsonl"

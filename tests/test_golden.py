@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "efd4667abf07dfd231eb0272fcd325087ed9b757ec705111bef318aaa7c693f1",
+            "checkpoint.json": "20d058bf0ff58e42952014feef02e7e03e62f149f1b5df6c26072994393c6547",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "85c98a80f640baef72b94e5076f4c8e4ad7feba5753ffa680d1edb5635d3b0e2",
+            "checkpoint.json": "a0b680f9de2f50668d6c46216f47497838de1776a3ae091e64eb4ee8cc5d3377",
         },
     },
 }

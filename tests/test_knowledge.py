@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -472,6 +473,51 @@ class TestSnapshot:
         payload = self.small_snapshot()
         payload["vector_records"].append({"id": "bad-rec", "embedding": embedding, "payload_ref": "x"})
         with pytest.raises(ValueError, match=f"'bad-rec'.*{problem}"):
+            KnowledgeStore.from_snapshot_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(d_emb="8"), "d_emb must be an integer >= 8, got '8'"),
+            (lambda p: p.update(d_emb=8.0), "d_emb must be an integer >= 8, got 8.0"),
+            (lambda p: p["graph_edges"][0].update(weight="0.4"), "graph_edges[0].weight must be a number, got '0.4'"),
+            (lambda p: p["graph_edges"][0].update(weight=True), "graph_edges[0].weight must be a number, got True"),
+            (lambda p: p["graph_edges"][0].update(weight=10**400), "graph_edges[0].weight must be a number, got 1000"),
+            (lambda p: p["graph_edges"][0].update(source=5), "graph_edges[0].source must be a string, got 5"),
+            (lambda p: p["graph_edges"][0].update(edge_type=0), "graph_edges[0].edge_type must be a string, got 0"),
+            (lambda p: p["graph_edges"][0].update(edge_type="Bogus"), "graph_edges[0].edge_type must be one of"),
+            (
+                lambda p: p["vector_records"][0].update(usefulness="0.9"),
+                "vector_records[0].usefulness must be a number, got '0.9'",
+            ),
+            (
+                lambda p: p["vector_records"][0].update(embedding=[str(x) for x in p["vector_records"][0]["embedding"]]),
+                "vector_records: vector record 'a': embedding is not a vector of numbers",
+            ),
+            (lambda p: p["vector_records"][0].update(id=5), "vector_records[0].id must be a string, got 5"),
+            (lambda p: p["graph_nodes"].__setitem__(0, 5), "graph_nodes[0] must be a string, got 5"),
+            (lambda p: p.update(graph_nodes="ab"), "graph_nodes must be a list, got str"),
+        ],
+        ids=[
+            "d-emb-string",
+            "d-emb-float",
+            "edge-weight-string",
+            "edge-weight-bool",
+            "edge-weight-too-large",
+            "edge-source-number",
+            "edge-type-number",
+            "edge-type-unknown",
+            "usefulness-string",
+            "embedding-of-strings",
+            "record-id-number",
+            "graph-node-number",
+            "graph-nodes-string",
+        ],
+    )
+    def test_value_of_another_type_rejected_with_its_path(self, edit, message):
+        payload = self.small_snapshot()
+        edit(payload)
+        with pytest.raises(ValueError, match=re.escape(f"knowledge snapshot.{message}")):
             KnowledgeStore.from_snapshot_dict(payload)
 
     def test_duplicate_record_id_rejected(self):

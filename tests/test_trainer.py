@@ -11,6 +11,7 @@ import pytest
 
 import qeloop
 from qeloop import cli, trainer
+from qeloop.agents import PerformanceTracker, featurize_state
 from qeloop.config import ConfigTypeError
 from qeloop.dqn import DQNConfig
 from qeloop.knowledge import KB_ACTION_COUNT, EdgeType
@@ -82,6 +83,37 @@ class TestEpisodeLoop:
         assert len(actions) == 4 * 4  # three modifiers + one generator per slot
         roles = {e["role"] for e in actions}
         assert "TestCaseGeneration" in roles and len(roles) >= 4
+
+    def test_a_slot_featurizes_and_pushes_once_per_tracker(self, monkeypatch):
+        featurized, pushed = [], []
+        monkeypatch.setattr(
+            trainer, "featurize_state", lambda *args: featurized.append(args[1]) or featurize_state(*args)
+        )
+        push_record = PerformanceTracker.push_record
+        monkeypatch.setattr(
+            PerformanceTracker, "push_record", lambda self, fb: pushed.append((self, fb)) or push_record(self, fb)
+        )
+        system = TrainingSystem(RunConfig(episode_count=1, tests_per_episode=1))
+        system.run_episode()
+        trackers = [system.trackers["modifiers"], system.trackers["TestCaseGeneration"]]
+        assert featurized == trackers
+        (slot,) = slot_events(system)
+        assert len(slot["records"]) == 3
+        assert [tracker for tracker, _ in pushed] == [trackers[0]] * 3 + [trackers[1]] * 3
+        assert [fb.to_dict() for _, fb in pushed] == slot["records"] * 2
+
+    def test_modifiers_share_one_bootstrap_state(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "featurize_state", lambda *args: calls.append(1) or featurize_state(*args))
+        # Every slot of the tiny config is a TestCaseGeneration slot, so all
+        # four acting rollouts fill in the eighth slot.
+        system = TrainingSystem(tiny_config(episode_count=2))
+        system.run()
+        assert len(system.tables.ppo_updates) == 4
+        # Two states per slot, and one bootstrap state per tracker.
+        assert len(calls) == 8 * 2 + 2
+        bootstraps = [system.agents[role].rollout.states[-1] for role in trainer.MODIFIER_ROLES]
+        assert all(np.array_equal(state, bootstraps[0]) for state in bootstraps)
 
     def test_integration_agent_takes_its_slots(self):
         config = tiny_config(
@@ -219,8 +251,8 @@ class TestCacheIsolation:
 
 def to_version_4(node):
     node["dqn"]["replay_inserted"] = len(node["dqn"]["replay"]["actions"])
-    for agent in node["agents"].values():
-        agent["tracker"]["window"] = 50
+    for tracker in node["trackers"].values():
+        tracker["window"] = 50
 
 
 def to_version_5(node):
@@ -250,6 +282,13 @@ def to_version_8(node):
     for agent in node["agents"].values():
         agent["adam"]["learning_rate"] = node["config"]["ppo"]["learning_rate"]
     node["dqn"]["adam"]["learning_rate"] = node["config"]["dqn"]["learning_rate"]
+
+
+def to_version_9(node):
+    # Each agent carries its own tracker.
+    trackers = node.pop("trackers")
+    for role, agent in node["agents"].items():
+        agent["tracker"] = trackers[role if role in trackers else "modifiers"]
 
 
 class TestCheckpoint:
@@ -366,6 +405,8 @@ class TestCheckpoint:
             (7, lambda node: node["config"]["execution"].update(noise_scale=0.0)),
             # Version 8 stores each Adam state's learning rate.
             (8, to_version_8),
+            # Version 9 stores a tracker in each agent's section.
+            (9, to_version_9),
         ],
     )
     def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
@@ -386,6 +427,8 @@ class TestCheckpoint:
             ("", "metrics_history"),
             ("agents.LegacyTestAnalysis", "bogus_key"),
             ("agents", "NoSuchRole"),
+            # The modifiers share the ``modifiers`` tracker.
+            ("trackers", "LegacyTestAnalysis"),
             ("kb_pending", "bogus_key"),
             ("rng_states", "NoSuchStream"),
             ("kb.retrieval_params", "bogus_key"),
@@ -405,7 +448,7 @@ class TestCheckpoint:
             ("agents.LegacyTestAnalysis.params", "agents.LegacyTestAnalysis.params"),
             ("agents.LegacyTestAnalysis.adam", "agents.LegacyTestAnalysis.adam"),
             ("agents.LegacyTestAnalysis.rollout", "agents.LegacyTestAnalysis.rollout"),
-            ("agents.LegacyTestAnalysis.tracker", "agents.LegacyTestAnalysis.tracker"),
+            ("trackers.modifiers", "trackers.modifiers"),
             ("rng_states.env", "rng_states.env"),
         ],
     )
@@ -441,9 +484,9 @@ class TestCheckpoint:
             ),
             ("agents.LegacyTestAnalysis.adam", lambda node: node["m"].pop(), "agents.LegacyTestAnalysis.adam.m"),
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.TestCaseGeneration",
                 lambda node: node["totals"].extend([0.0] * 60),
-                "agents.LegacyTestAnalysis.tracker.totals",
+                "trackers.TestCaseGeneration.totals",
             ),
             (
                 "dqn",
@@ -619,29 +662,29 @@ class TestCheckpoint:
         "section, edit, message",
         [
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.modifiers",
                 lambda node: node["records"].__setitem__(0, node["records"][0][:3]),
-                "agents.LegacyTestAnalysis.tracker.records[0] is [",
+                "trackers.modifiers.records[0] is [",
             ),
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.modifiers",
                 lambda node: node["records"][0].__setitem__(0, 1.5),
-                "agents.LegacyTestAnalysis.tracker.records[0] is [1.5,",
+                "trackers.modifiers.records[0] is [1.5,",
             ),
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.TestCaseGeneration",
                 lambda node: node["records"][0].__setitem__(0, -4),
-                "agents.LegacyTestAnalysis.tracker.records[0] is [-4,",
+                "trackers.TestCaseGeneration.records[0] is [-4,",
             ),
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.modifiers",
                 lambda node: node["records"][0].__setitem__(3, "0.5"),
-                "agents.LegacyTestAnalysis.tracker.records[0][3] is '0.5', expected a number",
+                "trackers.modifiers.records[0][3] is '0.5', expected a number",
             ),
             (
-                "agents.LegacyTestAnalysis.tracker",
+                "trackers.TestCaseGeneration",
                 lambda node: node["totals"].__setitem__(0, "0.5"),
-                "agents.LegacyTestAnalysis.tracker.totals[0] is '0.5', expected a number",
+                "trackers.TestCaseGeneration.totals[0] is '0.5', expected a number",
             ),
             ("", lambda node: node["reward_window"].__setitem__(0, "0.5"), "reward_window[0] is '0.5', expected a number"),
             (
@@ -677,6 +720,70 @@ class TestCheckpoint:
         ],
     )
     def test_number_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+            self.restore_edited(tmp_path, section, edit)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("bit_generator", "MT19937", "expected 'PCG64'"),
+            ("state", "-5", "expected the decimal text of an integer in [0, 2**128)"),
+            ("state", str(2**130), "expected the decimal text of an integer in [0, 2**128)"),
+            ("state", 12, "expected the decimal text of an integer in [0, 2**128)"),
+            ("state", " 12 ", "expected the decimal text of an integer in [0, 2**128)"),
+            ("state", 1000.7, "expected the decimal text of an integer in [0, 2**128)"),
+            ("inc", "012", "expected the decimal text of an integer in [0, 2**128)"),
+            ("has_uint32", 0.5, "expected a non-negative integer"),
+            ("has_uint32", 7, "outside [0, 2)"),
+            ("has_uint32", True, "expected a non-negative integer"),
+            ("uinteger", -1, "expected a non-negative integer"),
+            ("uinteger", 2**40, "outside [0, 4294967296)"),
+            ("uinteger", 3.9, "expected a non-negative integer"),
+        ],
+    )
+    def test_rng_state_that_state_dict_cannot_write_rejected_with_its_path(self, tmp_path, key, value, expected):
+        message = re.escape(f"checkpoint rng_states.env.{key} is {value!r}, {expected}")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, "rng_states.env", lambda node: node.update({key: value}))
+
+    @pytest.mark.parametrize(
+        "section, edit, message",
+        [
+            ("kb", lambda node: node.update(d_emb="64"), "kb.d_emb must be an integer >= 8, got '64'"),
+            (
+                "kb.graph_edges.0",
+                lambda node: node.update(weight="0.4"),
+                "kb.graph_edges[0].weight must be a number, got '0.4'",
+            ),
+            (
+                "kb.vector_records.0",
+                lambda node: node.update(embedding=[str(x) for x in node["embedding"]]),
+                "kb.vector_records: vector record 'req-000': embedding is not a vector of numbers",
+            ),
+            ("kb.graph_nodes", lambda node: node.__setitem__(0, 5), "kb.graph_nodes[0] must be a string, got 5"),
+            ("", lambda node: node.update(kb=[]), "kb schema_version None"),
+            (
+                "kb.retrieval_params",
+                lambda node: node.update(top_k="3"),
+                "kb.retrieval_params: top_k: expected int, got '3'",
+            ),
+            (
+                "config.kb",
+                lambda node: node.update(d_emb=32),
+                "kb.d_emb is 64, the config's kb.d_emb is 32",
+            ),
+        ],
+        ids=[
+            "d-emb-string",
+            "edge-weight-string",
+            "embedding-of-strings",
+            "graph-node-number",
+            "kb-not-an-object",
+            "retrieval-param-string",
+            "d-emb-not-the-config's",
+        ],
+    )
+    def test_kb_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
         with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
             self.restore_edited(tmp_path, section, edit)
 
