@@ -9,7 +9,9 @@
 # tests/test_golden.py (seed 0, and seed 1 with scalar_reward) with its own
 # code and its own configs/default.json, and the six output files of each
 # run are compared with `cmp`. The files that moved are listed on standard
-# output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY.
+# output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY; so are, for a
+# moved checkpoint.json, the dotted JSON paths added, removed or changed
+# (at most 20; a list is compared as a whole at its path).
 #
 # It fails when metrics.csv or checkpoint.json moved but the change leaves
 # tests/test_golden.py as it was: a change that moves pinned bytes on
@@ -51,6 +53,39 @@ for side in base head; do
     done
 done
 
+# The dotted paths of the JSON leaves that differ between two files, where a
+# leaf is anything but an object.
+json_paths() {
+    python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+
+def leaves(node, path, out):
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            leaves(value, f"{path}.{key}" if path else key, out)
+    else:
+        out[path] = node
+    return out
+
+
+base, head = (leaves(json.load(open(name, encoding="utf-8")), "", {}) for name in sys.argv[1:3])
+changes = []
+for path in sorted(base.keys() | head.keys()):
+    if path not in base:
+        changes.append((path, "added"))
+    elif path not in head:
+        changes.append((path, "removed"))
+    elif base[path] != head[path]:
+        changes.append((path, "changed"))
+for path, change in changes[:20]:
+    print(f"  - `{path}` {change}")
+if len(changes) > 20:
+    print(f"  - and {len(changes) - 20} more")
+PY
+}
+
 moved=()
 for run in "${runs[@]}"; do
     for name in "${files[@]}"; do
@@ -72,7 +107,12 @@ fi
         echo "No output file moved."
     else
         echo "Moved:"
-        printf -- '- `%s`\n' "${moved[@]}"
+        for path in "${moved[@]}"; do
+            echo "- \`$path\`"
+            if [ "${path##*/}" = checkpoint.json ]; then
+                json_paths "$work/out/base/$path" "$work/out/head/$path"
+            fi
+        done
     fi
     echo "tests/test_golden.py changed: $repinned"
 } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"

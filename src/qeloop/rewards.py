@@ -19,7 +19,7 @@ from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .config import ConfigCodec
-from .domain import FeedbackRecord, Severity
+from .domain import FeedbackRecord, Severity, check_keys, typed_field
 
 EFFICIENCY_CLAMP = 4.0
 
@@ -114,7 +114,11 @@ class RewardBreakdown:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RewardBreakdown":
-        return cls(**{k: float(v) for k, v in d.items()})
+        """The breakdown ``to_dict`` wrote; a missing or unknown key, or a
+        value that is not a JSON number, is rejected with its field name."""
+        names = [f.name for f in fields(cls)]
+        check_keys("RewardBreakdown", d, frozenset(names))
+        return cls(*(typed_field("RewardBreakdown", d, name, float) for name in names))
 
 
 def effectiveness_reward(batch: Sequence[FeedbackRecord], sw: SeverityWeights) -> float:

@@ -126,6 +126,15 @@ def load_count(value, what: str) -> int:
     return value
 
 
+def load_below(value, bound: int, what: str) -> int:
+    """``value`` as a counter below ``bound``; anything else is rejected with
+    its dotted path ``what``."""
+    count = load_count(value, what)
+    if count >= bound:
+        raise ValueError(f"{what} is {count}, outside [0, {bound})")
+    return count
+
+
 def check_actions(actions: np.ndarray, n_actions: int, what: str) -> None:
     """Reject a column of action indices holding one outside
     ``[0, n_actions)``, naming the column ``what`` and the first such row."""
@@ -504,18 +513,9 @@ class RngStreams:
             self.get(name).bit_generator.state = {
                 "bit_generator": "PCG64",
                 "state": state,
-                "has_uint32": _load_below(st["has_uint32"], 2, f"{where}.has_uint32"),
-                "uinteger": _load_below(st["uinteger"], 1 << 32, f"{where}.uinteger"),
+                "has_uint32": load_below(st["has_uint32"], 2, f"{where}.has_uint32"),
+                "uinteger": load_below(st["uinteger"], 1 << 32, f"{where}.uinteger"),
             }
-
-
-def _load_below(value, bound: int, what: str) -> int:
-    """``value`` as a counter below ``bound``; anything else is rejected with
-    its dotted path ``what``."""
-    count = load_count(value, what)
-    if count >= bound:
-        raise ValueError(f"{what} is {count}, outside [0, {bound})")
-    return count
 
 
 def _load_pcg64_word(text, what: str) -> int:

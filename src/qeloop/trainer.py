@@ -55,7 +55,7 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition, load_count, load_number, load_vector, load_window
+from .rl_core import RLCoreConfig, RngStreams, Transition, load_below, load_count, load_number, load_vector, load_window
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -70,20 +70,21 @@ DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
 # learn from one tracker; each generator role has its own.
 TRACKER_KEYS = ("modifiers", AgentRole.IntegrationPoint.name, AgentRole.TestCaseGeneration.name)
 
-# Version 10 holds the state the loop reads and no run history: each network
+# Version 11 holds the state the loop reads and no run history: each network
 # and its Adam moments (``t``, ``m``, ``v``; the rate is the config's) as one
 # flat list of floats, rollouts and the replay as one list per field, the
-# three trackers under ``TRACKER_KEYS``, the knowledge snapshot, the windows
-# and the RNG stream positions.
-CHECKPOINT_SCHEMA_VERSION = 10
+# three trackers under ``TRACKER_KEYS`` (the modifiers' is the run's one
+# reward and feedback history), the knowledge snapshot, the retrieval-hit
+# window and the RNG stream positions.
+CHECKPOINT_SCHEMA_VERSION = 11
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
     "schema_version", "config", "episode_index", "agents", "trackers", "dqn", "kb",
-    "content_vectors", "reward_window", "fp_window", "hit_window", "kb_pending", "prev_interval_mean",
+    "content_vectors", "hit_window", "kb_pending", "prev_interval_mean",
     "ppo_update_count", "rng_states",
 })
-_KB_PENDING_KEYS = frozenset({"state", "action", "totals"})
+_KB_PENDING_KEYS = frozenset({"state", "action"})
 # Every RNG stream a run draws from; a checkpoint holds those drawn so far.
 _RNG_STREAMS = frozenset(
     [f"{use}:{role.name}" for use in ("init", "policy", "ppo") for role in AgentRole]
@@ -93,10 +94,6 @@ _RNG_STREAMS = frozenset(
 # Version 2 of the event log writes one ``slot`` event per generation slot
 # in place of the per-action, per-test, per-feedback and reward events.
 EVENT_SCHEMA_VERSION = 2
-
-# Length of the false-positive and retrieval-hit windows that feed the
-# knowledge controller's state.
-KB_STATE_WINDOW = 50
 
 
 class TrainerError(Exception):
@@ -123,13 +120,10 @@ class AblationFlags(ConfigCodec):
 class RewardConfig(ConfigCodec):
     weights: RewardWeights = field(default_factory=RewardWeights)
     severity: SeverityWeights = field(default_factory=SeverityWeights)
-    adaptation_window: int = 50
 
     def validate(self) -> "RewardConfig":
         self.weights.validate()
         self.severity.validate()
-        if self.adaptation_window < 2:
-            raise ValueError(f"adaptation_window must be >= 2, got {self.adaptation_window}")
         return self
 
 
@@ -180,7 +174,10 @@ class KBConfig(ConfigCodec):
 
 @dataclass(frozen=True)
 class LoopConfig(ConfigCodec):
-    """Per-slot loop shape: how many tests per action, update cadences."""
+    """Per-slot loop shape: how many tests per action, update cadences.
+    ``tracker_window`` is the length of the run's one reward and feedback
+    history, which the agents, the adaptation reward and the knowledge
+    controller all read, so it must hold a KB interval."""
 
     n_tests: int = 3
     tracker_window: int = 50
@@ -193,6 +190,10 @@ class LoopConfig(ConfigCodec):
             raise ValueError("n_tests and tracker_window must be >= 1")
         if self.kb_action_interval < 1 or self.integration_slot_interval < 2:
             raise ValueError("kb_action_interval >= 1 and integration_slot_interval >= 2 required")
+        if self.kb_action_interval > self.tracker_window:
+            raise ValueError(
+                f"kb_action_interval {self.kb_action_interval} exceeds tracker_window {self.tracker_window}"
+            )
         if self.modifier_scale < 0:
             raise ValueError("modifier_scale must be non-negative")
         return self
@@ -419,10 +420,8 @@ class TrainingSystem:
             state_dim=KB_STATE_DIM,
         )
 
-        self.reward_window: deque[float] = deque(maxlen=config.rewards.adaptation_window)
-        self.fp_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
-        self.hit_window: deque[float] = deque(maxlen=KB_STATE_WINDOW)
-        self.kb_pending: tuple[np.ndarray, int, list[float]] | None = None
+        self.hit_window: deque[float] = deque(maxlen=config.loop.tracker_window)
+        self.kb_pending: tuple[np.ndarray, int] | None = None
         self._prev_interval_mean: float | None = None
         self.episode_index = 0
         self.tables = RunTables()
@@ -463,10 +462,11 @@ class TrainingSystem:
 
     def _kb_state(self) -> np.ndarray:
         params = self.kb.params
-        mean_reward = (
-            sum(self.reward_window) / len(self.reward_window) if self.reward_window else 0.0
-        )
-        fp_rate = sum(self.fp_window) / len(self.fp_window) if self.fp_window else 0.0
+        history = self.trackers["modifiers"]
+        mean_reward = sum(history.totals) / len(history.totals) if history.totals else 0.0
+        # A simulated record holds at most one false positive, so the
+        # tracker's FP rate is the share of records that carry one.
+        fp_rate = history.aggregates()[1]
         hit_rate = sum(self.hit_window) / len(self.hit_window) if self.hit_window else 0.0
         return np.asarray(
             [
@@ -504,8 +504,10 @@ class TrainingSystem:
     def _run_kb_action(self) -> None:
         state = self._kb_state()
         if self.kb_pending is not None:
-            prev_state, prev_action, totals = self.kb_pending
-            interval_mean = sum(totals) / len(totals) if totals else 0.0
+            prev_state, prev_action = self.kb_pending
+            # The slots since the pending action are the history's last interval.
+            interval = self.config.loop.kb_action_interval
+            interval_mean = sum(list(self.trackers["modifiers"].totals)[-interval:]) / interval
             # Reward the *change* in mean reward around the action: the raw
             # level trends upward with policy learning regardless of the KB
             # action, which would credit whatever drift happened to co-occur.
@@ -517,7 +519,7 @@ class TrainingSystem:
         epsilon = self.dqn.epsilon
         action = self.dqn.select_action(state)
         self.kb.params = apply_kb_action(action, self.kb.params)
-        self.kb_pending = (state, int(action), [])
+        self.kb_pending = (state, int(action))
         loss = mean_q = None
         if self.dqn.can_train():
             for _ in range(self.config.dqn.train_steps_per_action):
@@ -616,18 +618,16 @@ class TrainingSystem:
                 feedback = execute_test(test, self.project, config.execution, self.streams.get("env"))
                 validate_feedback(feedback, test_ids)
                 slot_records.append(feedback)
-                self.fp_window.append(1.0 if feedback.false_positives() else 0.0)
             ep_records.extend(slot_records)
 
             weights = (
                 RewardWeights.effectiveness_only() if flags.scalar_reward else config.rewards.weights
             )
-            breakdown = batch_reward(slot_records, config.rewards.severity, weights, list(self.reward_window))
+            # The adaptation term reads the totals before this slot's.
+            breakdown = batch_reward(
+                slot_records, config.rewards.severity, weights, self.trackers["modifiers"].totals
+            )
             ep_breakdowns.append(breakdown)
-            self.reward_window.append(breakdown.total)
-            # Only a running controller reads the rewards of its pending action.
-            if self.kb_pending is not None and not flags.disable_dqn:
-                self.kb_pending[2].append(breakdown.total)
             # A slot's tests differ only by id, so the event carries their
             # shared fields once.
             shared = tests[0].to_dict()
@@ -699,8 +699,6 @@ class TrainingSystem:
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
             "content_vectors": dict(zip(keys, shared_tolist(self.content_vectors[key] for key in keys))),
-            "reward_window": list(self.reward_window),
-            "fp_window": list(self.fp_window),
             "hit_window": list(self.hit_window),
             "kb_pending": (
                 None
@@ -708,7 +706,6 @@ class TrainingSystem:
                 else {
                     "state": [float(x) for x in self.kb_pending[0]],
                     "action": self.kb_pending[1],
-                    "totals": list(self.kb_pending[2]),
                 }
             ),
             "prev_interval_mean": self._prev_interval_mean,
@@ -778,18 +775,14 @@ class TrainingSystem:
             for key, tracker in system.trackers.items():
                 tracker.load_state_dict(payload["trackers"][key], f"checkpoint trackers.{key}")
             system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
-            for name in ("reward_window", "fp_window", "hit_window"):
-                window = getattr(system, name)
-                window.extend(load_window(payload[name], window.maxlen, f"checkpoint {name}"))
+            system.hit_window.extend(
+                load_window(payload["hit_window"], config.loop.tracker_window, "checkpoint hit_window")
+            )
             pending = payload["kb_pending"]
             if pending is not None:
-                action = load_count(pending["action"], "checkpoint kb_pending.action")
-                if action >= KB_ACTION_COUNT:
-                    raise ValueError(f"checkpoint kb_pending.action is {action}, outside [0, {KB_ACTION_COUNT})")
                 system.kb_pending = (
                     load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
-                    action,
-                    load_window(pending["totals"], config.loop.kb_action_interval, "checkpoint kb_pending.totals"),
+                    load_below(pending["action"], KB_ACTION_COUNT, "checkpoint kb_pending.action"),
                 )
             prev_mean = payload["prev_interval_mean"]
             if prev_mean is not None:
@@ -842,7 +835,11 @@ class EventLog:
 
 def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
     """Recompute per-episode metrics purely from the event log, read once.
-    A ``run_start`` of another ``event_schema``, or none, is rejected."""
+    A ``run_start`` of another ``event_schema``, or none, is rejected, and
+    so is a field of another JSON type than the one the run wrote, named
+    with its event type: a count that is not a non-negative integer, a
+    requirement count of 0, planned requirements that are not a list of
+    strings, and a record or reward breakdown its ``from_dict`` rejects."""
     n_requirements = None
     out: list[EpisodeMetrics] = []
     episode = None
@@ -857,11 +854,15 @@ def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
                 raise ValueError(
                     f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}"
                 )
-            n_requirements = int(event["n_requirements"])
+            n_requirements = load_count(event["n_requirements"], "run_start n_requirements")
+            if n_requirements < 1:
+                raise ValueError("run_start n_requirements is 0, expected at least 1")
         elif kind == "episode_start":
-            episode = int(event["episode"])
-            planned = list(event["planned_requirements"])
-            reachable = int(event["reachable_defects"])
+            episode = load_count(event["episode"], "episode_start episode")
+            planned = event["planned_requirements"]
+            if type(planned) is not list or not all(type(rid) is str for rid in planned):
+                raise ValueError(f"episode_start planned_requirements is {planned!r}, expected a list of strings")
+            reachable = load_count(event["reachable_defects"], "episode_start reachable_defects")
             records, breakdowns = [], []
         elif kind == "slot":
             records.extend(FeedbackRecord.from_dict(record) for record in event["records"])

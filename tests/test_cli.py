@@ -100,6 +100,9 @@ class TestLoadConfig:
                 id="integer-too-large-for-a-float",
             ),
             ("loop.n_tests=0", cli.ValidationError, "loop"),
+            # The one reward and feedback history must hold a KB interval.
+            ("loop.kb_action_interval=51", cli.ValidationError, "loop"),
+            ("rewards.adaptation_window=50", cli.UnknownKey, "rewards.adaptation_window"),
             ("kb.initial_params.top_k=100", cli.ValidationError, "kb"),
             ("dqn.epsilon_end=0.95", cli.ValidationError, "dqn"),
             ("episode_count=0", cli.ValidationError, "episode_count"),
@@ -401,6 +404,39 @@ class TestExportCommand:
         ids=["record-unknown-key", "record-non-numeric-field", "breakdown-unknown-key"],
     )
     def test_export_names_the_line_of_a_malformed_event(self, tmp_path, config_path, capsys, kind, edit):
+        line, err = self.export_edited(tmp_path, config_path, capsys, kind, edit)
+        assert f"qeloop.cli.ValidationError: input line {line}: malformed event log" in err
+
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            ("run_start", lambda event: event.update(n_requirements=0), "n_requirements"),
+            ("run_start", lambda event: event.update(n_requirements=True), "n_requirements"),
+            ("episode_start", lambda event: event.update(planned_requirements="req-000"), "planned_requirements"),
+            ("slot", lambda event: event["reward"].update(total="0.5"), "RewardBreakdown.total"),
+            ("slot", lambda event: event["reward"].update(effectiveness=True), "RewardBreakdown.effectiveness"),
+            ("episode_start", lambda event: event.update(reachable_defects=2.7), "reachable_defects"),
+            ("episode_start", lambda event: event.update(reachable_defects="20"), "reachable_defects"),
+        ],
+        ids=[
+            "no-requirements",
+            "boolean-requirement-count",
+            "planned-requirements-string",
+            "reward-total-string",
+            "reward-component-boolean",
+            "fractional-reachable-defects",
+            "reachable-defects-string",
+        ],
+    )
+    def test_export_names_the_field_of_a_mistyped_event(self, tmp_path, config_path, capsys, kind, edit, field):
+        line, err = self.export_edited(tmp_path, config_path, capsys, kind, edit)
+        assert f"input line {line}: malformed event log" in err and field in err
+
+    @staticmethod
+    def export_edited(tmp_path, config_path, capsys, kind, edit) -> tuple[int, str]:
+        """Export a 2-episode run's event log with ``edit`` applied to its
+        first ``kind`` event; assert it exits 1 and return that event's line
+        number and the standard error."""
         out_dir = tmp_path / "out"
         assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=2"]) == 0
         lines = (out_dir / "events.jsonl").read_text().splitlines()
@@ -413,7 +449,7 @@ class TestExportCommand:
         capsys.readouterr()
         argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
         assert cli.main(argv) == 1
-        assert f"qeloop.cli.ValidationError: input line {index + 1}: malformed event log" in capsys.readouterr().err
+        return index + 1, capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit", [lambda event: event.update(event_schema=1), lambda event: event.pop("event_schema")],

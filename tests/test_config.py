@@ -76,8 +76,8 @@ def test_shipped_config_spells_out_the_run_defaults():
     assert default_doc() == RunConfig().to_dict()
 
 
-def test_shipped_config_has_70_settable_leaves():
-    assert len(LEAVES) == 70
+def test_shipped_config_has_69_settable_leaves():
+    assert len(LEAVES) == 69
 
 
 def test_removed_timing_noise_knob_is_an_unknown_key():

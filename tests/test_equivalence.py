@@ -3,20 +3,23 @@
 Each reference below is the plain algorithm the fast path replaces: a full
 sort for the top-k vector query, a scan of every edge for edge
 reinforcement, a list of transitions stacked per batch for the replay ring,
-``np.cumsum`` and ``searchsorted`` for the action sampler, and a full
-recomputation for every cached value. The fast paths must agree with them
-exactly, bit for bit, because the metrics, events and checkpoints of a run
-depend on these values.
+``np.cumsum`` and ``searchsorted`` for the action sampler, a full
+recomputation for every cached value, and windows over a run's ``slot``
+events for the knowledge controller's reward statistics. The fast paths
+must agree with them exactly, bit for bit, because the metrics, events and
+checkpoints of a run depend on these values.
 """
 
 import math
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeloop import cli
 from qeloop.agents import (
     PerformanceTracker,
     modifier_vector,
@@ -37,6 +40,7 @@ from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
 from qeloop.qe_env import EnvConfig, generate_project
 from qeloop.rewards import trend_slope
 from qeloop.rl_core import ExperienceBuffer, Transition, sample_action
+from qeloop.trainer import run_training
 
 D_EMB = 8
 VOCAB = ("login", "retry", "cart", "audit", "tax")
@@ -412,6 +416,47 @@ class TestCacheInvalidation:
             tracker.push_reward(total)
         assert trend_slope(history) == reference_trend_slope(history)
         assert trend_slope(tracker.totals) == reference_reward_stats(tracker)[1]
+
+
+class TestKnowledgeControllerHistory:
+    # The knowledge controller once kept its own windows beside the
+    # modifiers' tracker: the last 50 slot totals, a flag per feedback
+    # record for carrying a false positive, and the totals gathered since
+    # its pending action. Its state and reward must still equal those
+    # windows, recomputed here from the run's events alone.
+    WINDOW = 50
+
+    def test_state_and_reward_match_windows_over_the_slot_events(self):
+        config_path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        config = cli.load_config(str(config_path), ("seed=0", "episode_count=35"))
+        system = run_training(config)
+        interval = config.loop.kb_action_interval
+        totals: list[float] = []
+        fp_flags: list[float] = []
+        windows: list[list[float]] = []
+        interval_means: list[float] = []
+        for event in system.events:
+            if event["type"] != "slot":
+                continue
+            totals.append(event["reward"]["total"])
+            for record in event["records"]:
+                has_fp = any(defect["is_false_positive"] for defect in record.get("defects", ()))
+                fp_flags.append(1.0 if has_fp else 0.0)
+            if (event["episode"] * config.tests_per_episode + event["slot"] + 1) % interval == 0:
+                reward_window, fp_window = totals[-self.WINDOW :], fp_flags[-self.WINDOW :]
+                windows.append([
+                    0.5 * (1.0 + np.tanh(sum(reward_window) / len(reward_window))),
+                    sum(fp_window) / len(fp_window),
+                ])
+                interval_means.append(sum(totals[-interval:]) / interval)
+        # The first action has no pending one, and the first transition no
+        # interval before its own.
+        rewards = [0.0] + [b - a for a, b in zip(interval_means[1:], interval_means[2:])]
+        replay = system.dqn.replay.state_dict()
+        assert len(replay["states"]) == len(windows) - 1 > 40
+        assert [row[7:9] for row in replay["states"]] == windows[:-1]
+        assert [row[7:9] for row in replay["next_states"]] == windows[1:]
+        assert replay["rewards"] == rewards
 
 
 # -- replay ring and action sampler ------------------------------------------------

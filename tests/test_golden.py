@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "20d058bf0ff58e42952014feef02e7e03e62f149f1b5df6c26072994393c6547",
+            "checkpoint.json": "deef0e4a36aebfc098070eaab58478fc72e49903858d42c85b6cbcbb6f49be77",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "a0b680f9de2f50668d6c46216f47497838de1776a3ae091e64eb4ee8cc5d3377",
+            "checkpoint.json": "ee80d89fbe519917ce8576bfab24ac25ad70c5dfe82b43772e6b39998180296a",
         },
     },
 }

@@ -160,11 +160,11 @@ class TestEpisodeLoop:
         # action must not gather every evaluated slot's reward.
         system = TrainingSystem(tiny_config())
         system.run(episodes=2)
-        pending = (system.kb_pending[0].copy(), system.kb_pending[1], list(system.kb_pending[2]))
+        state, action = system.kb_pending[0].copy(), system.kb_pending[1]
         system.config = replace(system.config, ablation=AblationFlags(disable_dqn=True))
         system.run(episodes=3)
-        assert np.array_equal(system.kb_pending[0], pending[0])
-        assert system.kb_pending[1:] == pending[1:]
+        assert np.array_equal(system.kb_pending[0], state)
+        assert system.kb_pending[1] == action
 
     def test_no_feedback_freezes_knowledge(self):
         config = tiny_config(ablation=AblationFlags(no_feedback=True))
@@ -291,6 +291,16 @@ def to_version_9(node):
         agent["tracker"] = trackers[role if role in trackers else "modifiers"]
 
 
+def to_version_10(node):
+    # The reward and false-positive windows beside the modifiers' tracker,
+    # the pending KB action's totals and the knob that sized the reward one.
+    modifiers = node["trackers"]["modifiers"]
+    node["reward_window"] = list(modifiers["totals"])
+    node["fp_window"] = [1.0 if record[1] else 0.0 for record in modifiers["records"]]
+    node["config"]["rewards"]["adaptation_window"] = 50
+    node["kb_pending"]["totals"] = modifiers["totals"][-2:]
+
+
 class TestCheckpoint:
     def test_split_run_equals_uninterrupted(self, tmp_path):
         straight = TrainingSystem(tiny_config(episode_count=6))
@@ -407,6 +417,8 @@ class TestCheckpoint:
             (8, to_version_8),
             # Version 9 stores a tracker in each agent's section.
             (9, to_version_9),
+            # Version 10 stores the run's reward and feedback history four times.
+            (10, to_version_10),
         ],
     )
     def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
@@ -649,7 +661,7 @@ class TestCheckpoint:
         assert resumed.tables.dqn_steps == straight.tables.dqn_steps[len(first.tables.dqn_steps):]
         assert resumed.checkpoint_dict() == straight.checkpoint_dict()
 
-    @pytest.mark.parametrize("name", ["reward_window", "fp_window", "hit_window"])
+    @pytest.mark.parametrize("name", ["hit_window"])
     def test_window_over_its_length_rejected(self, tmp_path, name):
         def overfill(node):
             node[name] = [0.5] * 51
@@ -686,7 +698,7 @@ class TestCheckpoint:
                 lambda node: node["totals"].__setitem__(0, "0.5"),
                 "trackers.TestCaseGeneration.totals[0] is '0.5', expected a number",
             ),
-            ("", lambda node: node["reward_window"].__setitem__(0, "0.5"), "reward_window[0] is '0.5', expected a number"),
+            ("", lambda node: node["hit_window"].__setitem__(0, "0.5"), "hit_window[0] is '0.5', expected a number"),
             (
                 "content_vectors",
                 lambda node: node.update({"tc-x": ["0.5"] * len(next(iter(node.values())))}),
@@ -698,11 +710,6 @@ class TestCheckpoint:
                 lambda node: node.update(action=1.5),
                 "kb_pending.action is 1.5, expected a non-negative integer",
             ),
-            (
-                "kb_pending",
-                lambda node: node.update(totals=[0.5] * 3),
-                "kb_pending.totals holds 3 entries, the window is 2",
-            ),
             ("", lambda node: node.update(prev_interval_mean="0.5"), "prev_interval_mean is '0.5', expected a number"),
         ],
         ids=[
@@ -711,11 +718,10 @@ class TestCheckpoint:
             "tracker-record-negative-count",
             "tracker-record-string-quality",
             "tracker-total-string",
-            "reward-window-string",
+            "hit-window-string",
             "content-vector-of-strings",
             "kb-pending-action-outside",
             "kb-pending-action-fractional",
-            "kb-pending-totals-over-the-interval",
             "prev-interval-mean-string",
         ],
     )
