@@ -8,10 +8,11 @@
 # the change. Each tree trains the two 35-episode runs of
 # tests/test_golden.py (seed 0, and seed 1 with scalar_reward) with its own
 # code and its own configs/default.json, and the six output files of each
-# run are compared with `cmp`. The files that moved are listed on standard
-# output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY; so are, for a
-# moved checkpoint.json, the dotted JSON paths added, removed or changed
-# (at most 20; a list is compared as a whole at its path).
+# run are compared with `cmp`. The files that moved are listed, each with
+# its base and head size in bytes, on standard output and, under GitHub
+# Actions, in $GITHUB_STEP_SUMMARY; so are, for a moved checkpoint.json, the
+# dotted JSON paths added, removed or changed (at most 20; a list is
+# compared as a whole at its path).
 #
 # It fails when metrics.csv or checkpoint.json moved but the change leaves
 # tests/test_golden.py as it was: a change that moves pinned bytes on
@@ -108,7 +109,7 @@ fi
     else
         echo "Moved:"
         for path in "${moved[@]}"; do
-            echo "- \`$path\`"
+            echo "- \`$path\` (base $(wc -c < "$work/out/base/$path") bytes, head $(wc -c < "$work/out/head/$path") bytes)"
             if [ "${path##*/}" = checkpoint.json ]; then
                 json_paths "$work/out/base/$path" "$work/out/head/$path"
             fi

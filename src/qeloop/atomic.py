@@ -1,9 +1,11 @@
-"""Whole-file replacement, and the JSON writer of the state files.
+"""Whole-file replacement, and the JSON writer of knowledge snapshots.
 
 ``atomic_open``: a reader of the path sees the old file or the new one,
 never a part of the new one. ``dump_json``: the bytes ``json.dump`` writes
 with ``sort_keys=True``, produced with the stdlib's C encoder instead of
-its pure-Python one.
+its pure-Python one. Knowledge snapshots, written with ``indent=2``, are its
+only user; a checkpoint holds no indent, so ``json.dumps`` writes it whole
+with the C encoder.
 """
 
 from __future__ import annotations

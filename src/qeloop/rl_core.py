@@ -13,6 +13,8 @@ it against central finite differences.
 
 from __future__ import annotations
 
+import base64
+import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -90,6 +92,36 @@ def load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
     return cast
 
 
+def encode_floats(values: np.ndarray) -> str:
+    """The float64 ``values``, in row-major order, as base64 of their
+    little-endian bytes: exact for every bit pattern, -0.0 and NaN payloads
+    included."""
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def load_floats(text, row_shape: tuple[int, ...], what: str, rows: int | None = None) -> np.ndarray:
+    """``encode_floats`` output as a float64 array of rows of ``row_shape``:
+    ``rows`` of them, or as many as ``text`` holds when ``rows`` is None.
+    A value that is not a string, text that is not strict base64 (no
+    newline, no missing padding) and a byte count other than 8 x the
+    expected count of floats, or not a multiple of 8 x the row width, are
+    rejected with the dotted path ``what``."""
+    if type(text) is not str:
+        raise ValueError(f"{what} is a {type(text).__name__}, expected base64 text of float64 values")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not strict base64: {exc}") from None
+    row_bytes = 8 * math.prod(row_shape)
+    if rows is not None and len(raw) != rows * row_bytes:
+        expected = rows * row_bytes
+        raise ValueError(f"{what} holds {len(raw)} bytes, expected {expected}: {expected // 8} float64 values")
+    if rows is None and len(raw) % row_bytes:
+        shape = f"{row_bytes}-byte rows of shape {row_shape}"
+        raise ValueError(f"{what} holds {len(raw)} bytes, not a whole number of {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, *row_shape)
+
+
 def load_vector(values, width: int, what: str) -> np.ndarray:
     """``values`` as a float64 vector; anything but ``width`` numbers is
     rejected with its dotted path ``what``."""
@@ -145,26 +177,33 @@ def check_actions(actions: np.ndarray, n_actions: int, what: str) -> None:
 
 
 def columns_dict(columns: NamedTuple) -> dict:
-    """Each column of ``columns`` as a JSON list under its field name."""
-    return {name: column.tolist() for name, column in zip(columns._fields, columns)}
+    """Each column of ``columns`` under its field name: a float64 column as
+    ``encode_floats`` text, any other as a JSON list."""
+    return {
+        name: encode_floats(column) if column.dtype == np.float64 else column.tolist()
+        for name, column in zip(columns._fields, columns)
+    }
 
 
 def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> NamedTuple:
     """``columns_dict`` output as arrays of ``template``'s dtypes and row
     shapes. ``what`` names ``d`` in the error for a missing or unknown
-    field, a column that is not a stack of such rows or is not as long as
-    the first, a value that the cast to the column's dtype would change
-    (an action of 1.5, a ``dones`` flag of 0.3), and more than
-    ``max_rows`` rows."""
+    field, a float64 column ``load_floats`` rejects, another column that is
+    not a stack of such rows or holds a value that the cast to its dtype
+    would change (an action of 1.5, a ``dones`` flag of 0.3), a column not
+    as long as the first, and more than ``max_rows`` rows."""
     check_keys(what, d, frozenset(template._fields))
     columns = []
     for name, like in zip(template._fields, template):
         path = f"{what}.{name}"
-        column = load_numbers(d[name], like.dtype, path, f"column of {like.dtype} rows")
-        if column.shape == (0,):
-            column = column.reshape(0, *like.shape[1:])
-        if column.shape[1:] != like.shape[1:]:
-            raise ValueError(f"{path} has rows of shape {column.shape[1:]}, expected {like.shape[1:]}")
+        if like.dtype == np.float64:
+            column = load_floats(d[name], like.shape[1:], path)
+        else:
+            column = load_numbers(d[name], like.dtype, path, f"column of {like.dtype} rows")
+            if column.shape == (0,):
+                column = column.reshape(0, *like.shape[1:])
+            if column.shape[1:] != like.shape[1:]:
+                raise ValueError(f"{path} has rows of shape {column.shape[1:]}, expected {like.shape[1:]}")
         if columns and len(column) != len(columns[0]):
             raise ValueError(f"{path} has {len(column)} rows, {template._fields[0]} has {len(columns[0])}")
         columns.append(column)
@@ -222,8 +261,7 @@ class MLPParameters:
         return self.layer_sizes == other.layer_sizes and np.array_equal(self.flat, other.flat)
 
     def to_dict(self) -> dict:
-        # JSON writes a float as its repr, which reads back exactly.
-        return {"layer_sizes": list(self.layer_sizes), "flat": self.flat.tolist()}
+        return {"layer_sizes": list(self.layer_sizes), "flat": encode_floats(self.flat)}
 
     def load_dict(self, d: Mapping, what: str = "MLP parameters") -> None:
         """Write ``to_dict`` output into this network's buffer. A topology
@@ -233,7 +271,7 @@ class MLPParameters:
         check_keys(what, d, _MLP_KEYS)
         if list(d["layer_sizes"]) != list(self.layer_sizes):
             raise ValueError(f"{what}.layer_sizes {d['layer_sizes']!r} != built {list(self.layer_sizes)}")
-        self.flat[...] = load_vector(d["flat"], self.flat.size, f"{what}.flat")
+        self.flat[...] = load_floats(d["flat"], (), f"{what}.flat", self.flat.size)
 
 
 def xavier_init(layer_sizes: Sequence[int], rng: np.random.Generator) -> MLPParameters:
@@ -354,7 +392,7 @@ class Adam:
             raise RLCoreError("non-finite parameter after Adam step")
 
     def state_dict(self) -> dict:
-        return {"t": self.t, "m": self.m.tolist(), "v": self.v.tolist()}
+        return {"t": self.t, "m": encode_floats(self.m), "v": encode_floats(self.v)}
 
     def load_state_dict(self, d: Mapping, what: str = "Adam state") -> None:
         """Write ``state_dict`` output into this optimizer's moments; ``what``
@@ -363,8 +401,8 @@ class Adam:
         not fit the network."""
         check_keys(what, d, _ADAM_KEYS)
         self.t = load_count(d["t"], f"{what}.t")
-        self.m[...] = load_vector(d["m"], self.m.size, f"{what}.m")
-        self.v[...] = load_vector(d["v"], self.v.size, f"{what}.v")
+        self.m[...] = load_floats(d["m"], (), f"{what}.m", self.m.size)
+        self.v[...] = load_floats(d["v"], (), f"{what}.v", self.v.size)
 
 
 class ReplayBatch(NamedTuple):

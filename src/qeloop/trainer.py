@@ -38,9 +38,9 @@ from .agents import (
     requirement_query,
     requirement_summary,
 )
-from .atomic import atomic_open, dump_json, shared_tolist
+from .atomic import atomic_open
 from .config import ConfigCodec, ConfigRangeError, ConfigTypeError, UnknownConfigKey  # noqa: F401 - re-exported
-from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, validate_feedback
+from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, typed_field, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
     EMBED_DIM_MIN,
@@ -55,7 +55,7 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition, load_below, load_count, load_number, load_vector, load_window
+from .rl_core import RLCoreConfig, RngStreams, Transition, load_below, load_count, load_vector, load_window
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -65,24 +65,30 @@ MODIFIER_ROLES = (
 
 PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
 DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
+# The keys of the events the learner tables fold; ``kb_action`` also carries
+# the retrieval parameters the action set, which no table reads.
+_EVENT_KEYS = {
+    "ppo_update": frozenset({"type", *PPO_CSV_COLUMNS}),
+    "kb_action": frozenset({"type", "params", *DQN_CSV_COLUMNS}),
+}
 
 # The modifiers act in every slot on the same records and reward, so they
 # learn from one tracker; each generator role has its own.
 TRACKER_KEYS = ("modifiers", AgentRole.IntegrationPoint.name, AgentRole.TestCaseGeneration.name)
 
-# Version 11 holds the state the loop reads and no run history: each network
+# Version 12 holds the state the loop reads and no run history: each network
 # and its Adam moments (``t``, ``m``, ``v``; the rate is the config's) as one
-# flat list of floats, rollouts and the replay as one list per field, the
+# flat float64 buffer, rollouts and the replay as one column per field, the
 # three trackers under ``TRACKER_KEYS`` (the modifiers' is the run's one
 # reward and feedback history), the knowledge snapshot, the retrieval-hit
-# window and the RNG stream positions.
-CHECKPOINT_SCHEMA_VERSION = 11
+# window and the RNG stream positions. The learners' float64 buffers and
+# columns are ``rl_core.encode_floats`` text; every other number is JSON.
+CHECKPOINT_SCHEMA_VERSION = 12
 
 # The keys of a checkpoint; ``TrainingSystem.restore`` reads each of them.
 _CHECKPOINT_KEYS = frozenset({
     "schema_version", "config", "episode_index", "agents", "trackers", "dqn", "kb",
-    "content_vectors", "hit_window", "kb_pending", "prev_interval_mean",
-    "ppo_update_count", "rng_states",
+    "content_vectors", "hit_window", "kb_pending", "ppo_update_count", "rng_states",
 })
 _KB_PENDING_KEYS = frozenset({"state", "action"})
 # Every RNG stream a run draws from; a checkpoint holds those drawn so far.
@@ -177,7 +183,8 @@ class LoopConfig(ConfigCodec):
     """Per-slot loop shape: how many tests per action, update cadences.
     ``tracker_window`` is the length of the run's one reward and feedback
     history, which the agents, the adaptation reward and the knowledge
-    controller all read, so it must hold a KB interval."""
+    controller all read; the controller's reward compares the last two KB
+    intervals, so it must hold two."""
 
     n_tests: int = 3
     tracker_window: int = 50
@@ -190,9 +197,9 @@ class LoopConfig(ConfigCodec):
             raise ValueError("n_tests and tracker_window must be >= 1")
         if self.kb_action_interval < 1 or self.integration_slot_interval < 2:
             raise ValueError("kb_action_interval >= 1 and integration_slot_interval >= 2 required")
-        if self.kb_action_interval > self.tracker_window:
+        if 2 * self.kb_action_interval > self.tracker_window:
             raise ValueError(
-                f"kb_action_interval {self.kb_action_interval} exceeds tracker_window {self.tracker_window}"
+                f"2 * kb_action_interval ({2 * self.kb_action_interval}) exceeds tracker_window {self.tracker_window}"
             )
         if self.modifier_scale < 0:
             raise ValueError("modifier_scale must be non-negative")
@@ -344,7 +351,12 @@ class RunTables:
     ``metrics.csv``, ``ppo_updates.csv`` and ``dqn_steps.csv``.
 
     ``metrics`` holds each ``episode_end`` event's metrics, ``ppo_updates``
-    the ``ppo_update`` events and ``dqn_steps`` the ``kb_action`` events.
+    the rows of the ``ppo_update`` events and ``dqn_steps`` those of the
+    ``kb_action`` events. An event that misses a key or carries an unknown
+    one, or a row field of another JSON type than the run writes (a count
+    that is not a non-negative integer, a name that is not a string, a
+    number that is not a number; a DQN ``loss`` and ``mean_q`` may be null),
+    is rejected, named with its event type and field.
     """
 
     def __init__(self):
@@ -357,9 +369,23 @@ class RunTables:
         if kind == "episode_end":
             self.metrics.append(EpisodeMetrics(**event["metrics"]))
         elif kind == "ppo_update":
-            self.ppo_updates.append(event)
+            check_keys(kind, event, _EVENT_KEYS[kind])
+            self.ppo_updates.append({
+                "update_index": load_count(event["update_index"], "ppo_update update_index"),
+                "role": typed_field(kind, event, "role", str),
+                **{name: typed_field(kind, event, name, float) for name in PPO_CSV_COLUMNS[2:]},
+            })
         elif kind == "kb_action":
-            self.dqn_steps.append(event)
+            check_keys(kind, event, _EVENT_KEYS[kind])
+            self.dqn_steps.append({
+                "step": load_count(event["step"], "kb_action step"),
+                "epsilon": typed_field(kind, event, "epsilon", float),
+                **{
+                    name: None if event[name] is None else typed_field(kind, event, name, float)
+                    for name in ("loss", "mean_q")
+                },
+                "chosen_action": typed_field(kind, event, "chosen_action", str),
+            })
 
     def write(self, out_dir) -> dict[str, str]:
         """Write the three CSVs and return the mapping of table name to path.
@@ -422,7 +448,6 @@ class TrainingSystem:
 
         self.hit_window: deque[float] = deque(maxlen=config.loop.tracker_window)
         self.kb_pending: tuple[np.ndarray, int] | None = None
-        self._prev_interval_mean: float | None = None
         self.episode_index = 0
         self.tables = RunTables()
         self.events: EventSink = [] if events is None else events
@@ -505,15 +530,19 @@ class TrainingSystem:
         state = self._kb_state()
         if self.kb_pending is not None:
             prev_state, prev_action = self.kb_pending
-            # The slots since the pending action are the history's last interval.
+            # The slots since the pending action are the history's last
+            # interval, and those before it, up to the action before, the
+            # interval before that; the window holds both.
             interval = self.config.loop.kb_action_interval
-            interval_mean = sum(list(self.trackers["modifiers"].totals)[-interval:]) / interval
+            totals = list(self.trackers["modifiers"].totals)
             # Reward the *change* in mean reward around the action: the raw
             # level trends upward with policy learning regardless of the KB
             # action, which would credit whatever drift happened to co-occur.
-            baseline = self._prev_interval_mean
-            reward = 0.0 if baseline is None else interval_mean - baseline
-            self._prev_interval_mean = interval_mean
+            # The run's first transition has no action before its own.
+            if self.dqn.action_steps == 1:
+                reward = 0.0
+            else:
+                reward = sum(totals[-interval:]) / interval - sum(totals[-2 * interval : -interval]) / interval
             self.dqn.record(Transition(prev_state, prev_action, reward, state, False))
         step = self.dqn.action_steps
         epsilon = self.dqn.epsilon
@@ -685,11 +714,8 @@ class TrainingSystem:
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
-        """The checkpoint document; its lists may be shared and are read-only.
-        The tests of one slot share a coverage vector, so equal
-        ``content_vectors`` entries share one list, which ``dump_json``
-        encodes once."""
-        keys = sorted(self.content_vectors)
+        """The checkpoint document; its ``kb`` lists may be shared and are
+        read-only."""
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "config": self.config.to_dict(),
@@ -698,7 +724,7 @@ class TrainingSystem:
             "trackers": {key: tracker.state_dict() for key, tracker in self.trackers.items()},
             "dqn": self.dqn.state_dict(),
             "kb": self.kb.snapshot_dict(),
-            "content_vectors": dict(zip(keys, shared_tolist(self.content_vectors[key] for key in keys))),
+            "content_vectors": {key: vec.tolist() for key, vec in self.content_vectors.items()},
             "hit_window": list(self.hit_window),
             "kb_pending": (
                 None
@@ -708,7 +734,6 @@ class TrainingSystem:
                     "action": self.kb_pending[1],
                 }
             ),
-            "prev_interval_mean": self._prev_interval_mean,
             "ppo_update_count": self._ppo_update_count,
             "rng_states": self.streams.state_dict(),
         }
@@ -717,7 +742,7 @@ class TrainingSystem:
         """Write the checkpoint JSON; the previous file survives a failed write."""
         try:
             with atomic_open(path) as fh:
-                dump_json(self.checkpoint_dict(), fh)
+                fh.write(json.dumps(self.checkpoint_dict(), sort_keys=True))
         except OSError as exc:
             raise IOFailure(f"cannot write checkpoint to {path}: {exc}") from exc
 
@@ -729,8 +754,9 @@ class TrainingSystem:
         out-of-range config value, a network or optimizer state of another
         topology, a vector, column or window of another width or length, a
         stored number that is not a number or that the cast to its type
-        would change, a stored action outside its action space, a negative
-        counter, a tracker record that is not three non-negative integers
+        would change, a float64 buffer or column that is not strict base64
+        text of its byte count, a stored action outside its action space, a
+        negative counter, a tracker record that is not three non-negative integers
         and a number, an RNG state value ``RngStreams.state_dict`` cannot
         write, a ``kb`` section ``KnowledgeStore.from_snapshot_dict``
         rejects and a ``kb.d_emb`` other than the config's are named with
@@ -784,9 +810,6 @@ class TrainingSystem:
                     load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
                     load_below(pending["action"], KB_ACTION_COUNT, "checkpoint kb_pending.action"),
                 )
-            prev_mean = payload["prev_interval_mean"]
-            if prev_mean is not None:
-                system._prev_interval_mean = load_number(prev_mean, "checkpoint prev_interval_mean")
             system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
             system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
             system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")

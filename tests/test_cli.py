@@ -102,6 +102,8 @@ class TestLoadConfig:
             ("loop.n_tests=0", cli.ValidationError, "loop"),
             # The one reward and feedback history must hold a KB interval.
             ("loop.kb_action_interval=51", cli.ValidationError, "loop"),
+            # The knowledge controller's reward compares two KB intervals.
+            ("loop.kb_action_interval=26", cli.ValidationError, "loop"),
             ("rewards.adaptation_window=50", cli.UnknownKey, "rewards.adaptation_window"),
             ("kb.initial_params.top_k=100", cli.ValidationError, "kb"),
             ("dqn.epsilon_end=0.95", cli.ValidationError, "dqn"),
@@ -417,6 +419,13 @@ class TestExportCommand:
             ("slot", lambda event: event["reward"].update(effectiveness=True), "RewardBreakdown.effectiveness"),
             ("episode_start", lambda event: event.update(reachable_defects=2.7), "reachable_defects"),
             ("episode_start", lambda event: event.update(reachable_defects="20"), "reachable_defects"),
+            ("kb_action", lambda event: event.pop("mean_q"), "kb_action: missing key(s) ['mean_q']"),
+            ("kb_action", lambda event: event.update(loss="abc", step=[1, 2]), "kb_action step is [1, 2]"),
+            ("kb_action", lambda event: event.update(loss="abc"), "kb_action.loss must be a number, got 'abc'"),
+            ("kb_action", lambda event: event.update(chosen_action=3), "kb_action.chosen_action must be a string"),
+            ("ppo_update", lambda event: event.update(update_index=-1), "ppo_update update_index is -1"),
+            ("ppo_update", lambda event: event.update(entropy=None), "ppo_update.entropy must be a number"),
+            ("ppo_update", lambda event: event.update(bogus=1), "ppo_update: unknown key(s) ['bogus']"),
         ],
         ids=[
             "no-requirements",
@@ -426,6 +435,13 @@ class TestExportCommand:
             "reward-component-boolean",
             "fractional-reachable-defects",
             "reachable-defects-string",
+            "kb-action-without-mean-q",
+            "kb-action-step-list",
+            "kb-action-loss-string",
+            "kb-action-chosen-action-number",
+            "ppo-update-negative-index",
+            "ppo-update-entropy-null",
+            "ppo-update-unknown-key",
         ],
     )
     def test_export_names_the_field_of_a_mistyped_event(self, tmp_path, config_path, capsys, kind, edit, field):

@@ -10,6 +10,7 @@ must agree with them exactly, bit for bit, because the metrics, events and
 checkpoints of a run depend on these values.
 """
 
+import base64
 import math
 from collections.abc import Mapping
 from pathlib import Path
@@ -46,6 +47,18 @@ D_EMB = 8
 VOCAB = ("login", "retry", "cart", "audit", "tax")
 
 # -- references ----------------------------------------------------------------
+
+
+def decoded_replay(saved: Mapping) -> dict[str, np.ndarray]:
+    """The float64 columns of a replay ``state_dict``, each base64 of its
+    little-endian bytes, the states as rows."""
+    n = len(saved["actions"])
+    columns = {
+        name: np.frombuffer(base64.b64decode(saved[name]), dtype="<f8") for name in ("states", "rewards", "next_states")
+    }
+    for name in ("states", "next_states"):
+        columns[name] = columns[name].reshape(n, -1)
+    return columns
 
 
 def reference_vector_query(rows: dict, query: np.ndarray, params: RetrievalParams) -> list:
@@ -421,9 +434,10 @@ class TestCacheInvalidation:
 class TestKnowledgeControllerHistory:
     # The knowledge controller once kept its own windows beside the
     # modifiers' tracker: the last 50 slot totals, a flag per feedback
-    # record for carrying a false positive, and the totals gathered since
-    # its pending action. Its state and reward must still equal those
-    # windows, recomputed here from the run's events alone.
+    # record for carrying a false positive, the totals gathered since its
+    # pending action and the mean of the interval before them. Its state and
+    # reward must still equal those windows, recomputed here from the run's
+    # events alone.
     WINDOW = 50
 
     def test_state_and_reward_match_windows_over_the_slot_events(self):
@@ -452,7 +466,7 @@ class TestKnowledgeControllerHistory:
         # The first action has no pending one, and the first transition no
         # interval before its own.
         rewards = [0.0] + [b - a for a, b in zip(interval_means[1:], interval_means[2:])]
-        replay = system.dqn.replay.state_dict()
+        replay = {name: column.tolist() for name, column in decoded_replay(system.dqn.replay.state_dict()).items()}
         assert len(replay["states"]) == len(windows) - 1 > 40
         assert [row[7:9] for row in replay["states"]] == windows[:-1]
         assert [row[7:9] for row in replay["next_states"]] == windows[1:]
@@ -480,13 +494,14 @@ class TestReplayArrays:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got, want)
         oldest_first = reference.ordered()
-        assert ring.state_dict() == {
-            "states": [t.state.tolist() for t in oldest_first],
-            "actions": [t.action for t in oldest_first],
-            "rewards": [t.reward for t in oldest_first],
-            "next_states": [t.next_state.tolist() for t in oldest_first],
-            "dones": [t.done for t in oldest_first],
-        }
+        saved = ring.state_dict()
+        assert [saved[name] for name in ("actions", "dones")] == [
+            [t.action for t in oldest_first], [t.done for t in oldest_first],
+        ]
+        decoded = decoded_replay(saved)
+        assert decoded["states"].tolist() == [t.state.tolist() for t in oldest_first]
+        assert decoded["rewards"].tolist() == [t.reward for t in oldest_first]
+        assert decoded["next_states"].tolist() == [t.next_state.tolist() for t in oldest_first]
 
     def test_arrays_grow_with_the_ring_not_with_its_capacity(self):
         ring = ExperienceBuffer(50_000, 10, np.random.default_rng(0))

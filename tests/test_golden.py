@@ -41,11 +41,11 @@ PINS = {
     "numpy 2.4.6 | scipy-openblas 0.3.31.188.0 | Intel(R) Xeon(R) Processor": {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
-            "checkpoint.json": "deef0e4a36aebfc098070eaab58478fc72e49903858d42c85b6cbcbb6f49be77",
+            "checkpoint.json": "1e4ee1c26bea5612041f7f7c3a72a259550dcc8cbed3af85d1ad3174614dffbe",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
-            "checkpoint.json": "ee80d89fbe519917ce8576bfab24ac25ad70c5dfe82b43772e6b39998180296a",
+            "checkpoint.json": "751bf332cf2736f94e9261028e3d8ff2d39788e9cfc3b203bdfbbc90e517e569",
         },
     },
 }

@@ -1,8 +1,12 @@
+import base64
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeloop.rl_core import (
     Adam,
@@ -15,11 +19,14 @@ from qeloop.rl_core import (
     Transition,
     backward,
     columns_dict,
+    encode_floats,
     forward,
     forward_cached,
     gradient_check,
     load_columns,
     load_count,
+    load_floats,
+    load_vector,
     sample_action,
     softmax_policy,
     xavier_init,
@@ -28,6 +35,19 @@ from qeloop.rl_core import (
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def edit_bytes(text: str, edit) -> str:
+    """``text``, base64 of float64 bytes, with ``edit`` applied to its bytes."""
+    return base64.b64encode(edit(base64.b64decode(text))).decode("ascii")
+
+
+def one_more(raw: bytes) -> bytes:
+    return raw + bytes(8)
+
+
+def one_less(raw: bytes) -> bytes:
+    return raw[:-8]
 
 
 def naive_forward(params: MLPParameters, x: np.ndarray) -> np.ndarray:
@@ -263,10 +283,17 @@ class TestAdam:
         assert np.array_equal(restored.m, adam.m) and np.array_equal(restored.v, adam.v)
         assert restored.state_dict() == snapshot
 
-    def test_moments_of_another_topology_rejected_with_their_path(self):
+    @pytest.mark.parametrize(
+        "key, edit, message",
+        [
+            ("m", one_less, "adam.m holds 200 bytes, expected 208: 26 float64 values"),
+            ("v", one_more, "adam.v holds 216 bytes, expected 208: 26 float64 values"),
+        ],
+    )
+    def test_moments_of_another_topology_rejected_with_their_path(self, key, edit, message):
         snapshot = Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).state_dict()
-        snapshot["m"].pop()
-        with pytest.raises(ValueError, match=re.escape("adam.m has shape (25,), expected (26,)")):
+        snapshot[key] = edit_bytes(snapshot[key], edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
             Adam(xavier_init((3, 4, 2), rng(0)), 1e-3).load_state_dict(snapshot, "adam")
 
 
@@ -327,10 +354,10 @@ class TestExperienceBuffer:
 
 def replay_columns(rows: int = 3) -> dict:
     return {
-        "states": [[float(i), 0.0] for i in range(rows)],
+        "states": encode_floats(np.array([[float(i), 0.0] for i in range(rows)])),
         "actions": list(range(rows)),
-        "rewards": [0.5] * rows,
-        "next_states": [[0.0, float(i)] for i in range(rows)],
+        "rewards": encode_floats(np.full(rows, 0.5)),
+        "next_states": encode_floats(np.array([[0.0, float(i)] for i in range(rows)])),
         "dones": [False] * rows,
     }
 
@@ -344,15 +371,20 @@ class TestColumns:
         loaded = load_columns(self.TEMPLATE, replay_columns(), 3, "replay")
         assert [c.dtype for c in loaded] == [c.dtype for c in self.TEMPLATE]
         assert loaded.states.shape == (3, 2) and loaded.dones.shape == (3,)
+        assert loaded.next_states.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]
         assert columns_dict(loaded) == replay_columns()
+
+    def test_float_columns_are_base64_and_the_others_json(self):
+        d = columns_dict(load_columns(self.TEMPLATE, replay_columns(), 3, "replay"))
+        assert [type(d[name]) for name in self.TEMPLATE._fields] == [str, list, str, str, list]
+        assert d["rewards"] == base64.b64encode(np.full(3, 0.5, "<f8").tobytes()).decode("ascii")
 
     def test_empty_columns_have_the_template_row_shape(self):
         assert load_columns(self.TEMPLATE, replay_columns(0), 3, "replay").states.shape == (0, 2)
 
     def test_values_the_cast_keeps_load(self):
         d = replay_columns()
-        d.update(actions=[0.0, 1.0, 2.0], dones=[0, 1, 0])
-        d["rewards"][0] = float("nan")
+        d.update(actions=[0.0, 1.0, 2.0], dones=[0, 1, 0], rewards=encode_floats(np.array([np.nan, 0.5, 0.5])))
         loaded = load_columns(self.TEMPLATE, d, 3, "replay")
         assert loaded.actions.tolist() == [0, 1, 2] and loaded.dones.tolist() == [False, True, False]
         assert np.isnan(loaded.rewards[0])
@@ -362,9 +394,20 @@ class TestColumns:
         [
             (lambda d: d.pop("dones"), "replay: missing key(s) ['dones']"),
             (lambda d: d.update(bogus=[]), "replay: unknown key(s) ['bogus']"),
-            (lambda d: d["rewards"].pop(), "replay.rewards has 2 rows, states has 3"),
-            (lambda d: d["next_states"][1].append(0.0), "replay.next_states is not a column of float64 rows"),
-            (lambda d: d.update(states=[[0.0, 0.0, 0.0]] * 3), "replay.states has rows of shape (3,), expected (2,)"),
+            (lambda d: d.update(rewards=edit_bytes(d["rewards"], one_less)), "replay.rewards has 2 rows, states has 3"),
+            (lambda d: d.update(rewards=edit_bytes(d["rewards"], one_more)), "replay.rewards has 4 rows, states has 3"),
+            (
+                lambda d: d.update(next_states=edit_bytes(d["next_states"], one_more)),
+                "replay.next_states holds 56 bytes, not a whole number of 16-byte rows of shape (2,)",
+            ),
+            (
+                lambda d: d.update(next_states=edit_bytes(d["next_states"], one_less)),
+                "replay.next_states holds 40 bytes, not a whole number of 16-byte rows of shape (2,)",
+            ),
+            (
+                lambda d: d.update(states=encode_floats(np.zeros((3, 3)))),
+                "replay.states holds 72 bytes, not a whole number of 16-byte rows of shape (2,)",
+            ),
             (lambda d: d.update(actions=[[0]] * 3), "replay.actions has rows of shape (1,), expected ()"),
             (lambda d: d.update(replay_columns(4)), "replay holds 4 rows, at most 3 fit"),
             (
@@ -375,12 +418,14 @@ class TestColumns:
                 lambda d: d["dones"].__setitem__(2, 0.3),
                 "replay.dones holds 0.3 at row 2, which the cast to bool changes to True",
             ),
-            (lambda d: d.update(rewards=["0.5"] * 3), "replay.rewards is not a column of float64 rows"),
+            (lambda d: d.update(rewards=[0.5] * 3), "replay.rewards is a list, expected base64 text of float64 values"),
+            (lambda d: d.update(rewards="0.5"), "replay.rewards is not strict base64"),
             (lambda d: d.update(dones=None), "replay.dones is not a column of bool rows"),
         ],
         ids=[
-            "missing", "unknown", "unequal-length", "ragged", "wrong-width", "nested-scalars", "too-many-rows",
-            "fractional-action", "numeric-done", "string-reward", "not-a-list",
+            "missing", "unknown", "one-reward-too-few", "one-reward-too-many", "one-float-too-many",
+            "one-float-too-few", "three-wide-rows", "nested-scalars", "too-many-rows",
+            "fractional-action", "numeric-done", "list-of-rewards", "string-reward", "not-a-list",
         ],
     )
     def test_bad_columns_rejected_with_their_path(self, edit, message):
@@ -388,6 +433,69 @@ class TestColumns:
         edit(d)
         with pytest.raises(ValueError, match=re.escape(message)):
             load_columns(self.TEMPLATE, d, 3, "replay")
+
+
+def float_bits(*words: int) -> np.ndarray:
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+class TestFloatCodec:
+    def test_known_answer_pins_little_endian_order(self):
+        assert encode_floats(np.array([1.0, -0.0])) == "AAAAAAAA8D8AAAAAAAAAgA=="
+        assert load_floats("AAAAAAAA8D8AAAAAAAAAgA==", (), "x", 2).view(np.uint64).tolist() == [
+            0x3FF0000000000000, 0x8000000000000000,
+        ]
+
+    def test_round_trip_keeps_every_bit(self):
+        values = np.concatenate([
+            np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, 1.7976931348623157e308]),
+            # A quiet NaN, one with a payload, a negative one and a signalling one.
+            float_bits(0x7FF8000000000000, 0x7FF800000000BEEF, 0xFFF8000000000001, 0x7FF0000000000001),
+        ])
+        loaded = load_floats(encode_floats(values), (), "x", len(values))
+        assert loaded.dtype == np.float64 and loaded.flags.writeable
+        assert loaded.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+    def test_rows_keep_their_shape(self):
+        values = np.arange(12.0).reshape(4, 3)
+        assert np.array_equal(load_floats(encode_floats(values), (3,), "x"), values)
+        assert load_floats("", (3,), "x").shape == (0, 3)
+
+    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_accepts_what_the_json_path_accepts(self, values):
+        # The values a JSON list of numbers held read back as the same bits.
+        via_json = load_vector(json.loads(json.dumps(values)), len(values), "x")
+        via_text = load_floats(encode_floats(np.asarray(values, dtype=np.float64)), (), "x", len(values))
+        assert via_text.view(np.uint64).tolist() == via_json.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ([1.0, -0.0], "net.flat is a list, expected base64 text of float64 values"),
+            (None, "net.flat is a NoneType, expected base64 text"),
+            (1.0, "net.flat is a float, expected base64 text"),
+            ("AAAAAAAA8D8AAAAAAAAAgA", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8A\nAAAAAAAAAgA==", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8AAAAAAAAAgA==\n", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8AAAAAAAAAgA=", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8AAAAAAAAA-A==", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8AAAAAAAAAgé==", "net.flat is not strict base64"),
+            ("AAAAAAAA8D8=", "net.flat holds 8 bytes, expected 16: 2 float64 values"),
+            ("AAAAAAAA8D8AAAAAAAAAgAAAAAAAAAAA", "net.flat holds 24 bytes, expected 16: 2 float64 values"),
+        ],
+        ids=[
+            "list", "null", "number", "no-padding", "inner-newline", "trailing-newline", "short-padding",
+            "url-safe-alphabet", "non-ascii", "one-float-too-few", "one-float-too-many",
+        ],
+    )
+    def test_reader_rejects_with_its_path(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_floats(text, (), "net.flat", 2)
+
+    def test_column_of_part_of_a_row_rejected_with_its_path(self):
+        with pytest.raises(ValueError, match=re.escape("replay.states holds 24 bytes, not a whole number of 16-byte")):
+            load_floats(encode_floats(np.zeros(3)), (2,), "replay.states")
 
 
 class TestLoadCount:
@@ -444,11 +552,11 @@ class TestParameterSerialization:
         clone = reloaded(params)
         assert clone.equals(params)
 
-    def test_weights_stored_as_one_flat_list_of_floats(self):
+    def test_weights_stored_as_one_base64_buffer(self):
         params = xavier_init((2, 2), rng(0))
         payload = params.to_dict()
-        assert payload == {"layer_sizes": [2, 2], "flat": params.flat.tolist()}
-        assert all(type(x) is float for x in payload["flat"])
+        flat = base64.b64encode(params.flat.astype("<f8").tobytes()).decode("ascii")
+        assert payload == {"layer_sizes": [2, 2], "flat": flat}
 
     def test_per_layer_payload_rejected(self):
         payload = {"schema_version": 1, "layer_sizes": [2, 2], "weights": [["0.0"] * 4], "biases": [["0.0"] * 2]}
@@ -459,10 +567,12 @@ class TestParameterSerialization:
         "edit, path",
         [
             (lambda d: d.update(layer_sizes=[3, 8, 2]), "net.layer_sizes"),
-            (lambda d: d["flat"].append(0.0), "net.flat has shape (27,)"),
-            (lambda d: d["flat"].pop(), "net.flat has shape (25,)"),
-            (lambda d: d.update(flat=[d["flat"]]), "net.flat has shape (1, 26)"),
+            (lambda d: d.update(flat=edit_bytes(d["flat"], one_more)), "net.flat holds 216 bytes, expected 208"),
+            (lambda d: d.update(flat=edit_bytes(d["flat"], one_less)), "net.flat holds 200 bytes, expected 208"),
+            (lambda d: d.update(flat=[d["flat"]]), "net.flat is a list, expected base64 text"),
+            (lambda d: d.update(flat=np.frombuffer(base64.b64decode(d["flat"])).tolist()), "net.flat is a list"),
         ],
+        ids=["layer-sizes", "one-float-too-many", "one-float-too-few", "nested", "json-list"],
     )
     def test_other_topology_rejected_with_its_path(self, edit, path):
         payload = xavier_init((3, 4, 2), rng(0)).to_dict()

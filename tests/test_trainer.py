@@ -1,8 +1,10 @@
+import base64
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import qeloop
 from qeloop import cli, trainer
 from qeloop.agents import PerformanceTracker, featurize_state
 from qeloop.config import ConfigTypeError
+from qeloop.domain import AgentRole
 from qeloop.dqn import DQNConfig
 from qeloop.knowledge import KB_ACTION_COUNT, EdgeType
 from qeloop.ppo import PPOConfig
@@ -249,6 +252,70 @@ class TestCacheIsolation:
                 assert (interleaved / name).read_bytes() == (alone / name).read_bytes(), (seed, name)
 
 
+def as_text(values) -> str:
+    """Float64 ``values`` as the checkpoint writes them: base64 of their
+    little-endian bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def floats_of(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8")
+
+
+def edit_bytes(text: str, edit) -> str:
+    """``text``, a float64 buffer or column, with ``edit`` applied to its bytes."""
+    return base64.b64encode(edit(base64.b64decode(text))).decode("ascii")
+
+
+def one_more(raw: bytes) -> bytes:
+    return raw + bytes(8)
+
+
+def one_less(raw: bytes) -> bytes:
+    return raw[:-8]
+
+
+def three_wide(width: int):
+    """An edit that cuts each ``width``-wide row of float64 bytes to 3 values."""
+    return lambda raw: np.frombuffer(raw, dtype="<f8").reshape(-1, width)[:, :3].tobytes()
+
+
+def tiled(columns: dict, rows: int) -> dict:
+    """``columns`` with their rows repeated in order up to ``rows`` rows."""
+    n = len(columns["actions"])
+    out = {}
+    for name, column in columns.items():
+        if isinstance(column, str):
+            values = floats_of(column).reshape(n, -1)
+            out[name] = as_text(np.resize(values, (rows, values.shape[1])))
+        else:
+            out[name] = (column * rows)[:rows]
+    return out
+
+
+def to_version_11(node):
+    # Each float64 buffer and column as a JSON list of numbers, and the mean
+    # reward of the KB interval before the last action (this checkpoint's
+    # last action closes an episode).
+    def as_lists(columns):
+        n = len(columns["actions"])
+        for name, column in columns.items():
+            if isinstance(column, str):
+                values = floats_of(column)
+                columns[name] = (values.reshape(n, -1) if values.size > n else values).tolist()
+
+    for section in [*node["agents"].values(), node["dqn"]]:
+        for net in ("params", "qnet", "target_net"):
+            if net in section:
+                section[net]["flat"] = floats_of(section[net]["flat"]).tolist()
+        for moment in ("m", "v"):
+            section["adam"][moment] = floats_of(section["adam"][moment]).tolist()
+        as_lists(section["rollout" if "rollout" in section else "replay"])
+    interval = node["config"]["loop"]["kb_action_interval"]
+    totals = node["trackers"]["modifiers"]["totals"]
+    node["prev_interval_mean"] = sum(totals[-interval:]) / interval if node["dqn"]["action_steps"] > 1 else None
+
+
 def to_version_4(node):
     node["dqn"]["replay_inserted"] = len(node["dqn"]["replay"]["actions"])
     for tracker in node["trackers"].values():
@@ -354,21 +421,23 @@ class TestCheckpoint:
         system.checkpoint(path)
         assert path.read_text(encoding="utf-8") == json.dumps(system.checkpoint_dict(), sort_keys=True)
 
-    def test_equal_content_vectors_share_one_list(self, tmp_path):
+    def test_learner_buffers_are_base64_and_the_rest_json_numbers(self):
         system = TrainingSystem(tiny_config(loop=LoopConfig(n_tests=3, kb_action_interval=2)))
         system.run(episodes=2)
         payload = system.checkpoint_dict()
-        vectors = payload["content_vectors"]
-        lists_by_bytes: dict[bytes, set[int]] = {}
-        for key, vec in system.content_vectors.items():
-            assert vectors[key] == vec.tolist()
-            lists_by_bytes.setdefault(vec.tobytes(), set()).add(id(vectors[key]))
-        # One list per distinct vector, and fewer distinct vectors than tests.
-        assert all(len(ids) == 1 for ids in lists_by_bytes.values())
-        assert len(lists_by_bytes) < len(vectors)
-        path = tmp_path / "ckpt.json"
-        system.checkpoint(path)
-        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True)
+        agent = system.agents[AgentRole.LegacyTestAnalysis]
+        saved = payload["agents"]["LegacyTestAnalysis"]
+        assert saved["params"]["flat"] == as_text(agent.params.flat)
+        assert (saved["adam"]["m"], saved["adam"]["v"]) == (as_text(agent.adam.m), as_text(agent.adam.v))
+        n = agent.rollout_steps
+        assert saved["rollout"]["states"] == as_text(agent.rollout.states[:n])
+        assert saved["rollout"]["actions"] == agent.rollout.actions[:n].tolist()
+        replay = payload["dqn"]["replay"]
+        assert [type(replay[name]) for name in ("states", "actions", "rewards", "next_states", "dones")] == [
+            str, list, str, str, list,
+        ]
+        assert payload["content_vectors"] == {key: vec.tolist() for key, vec in system.content_vectors.items()}
+        assert payload["kb_pending"]["state"] == system.kb_pending[0].tolist()
 
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -419,12 +488,18 @@ class TestCheckpoint:
             (9, to_version_9),
             # Version 10 stores the run's reward and feedback history four times.
             (10, to_version_10),
+            # Version 11 stores float64 buffers as JSON numbers and the mean
+            # reward of the interval before the last KB action.
+            (11, to_version_11),
         ],
     )
     def test_old_version_checkpoint_rejected_on_its_version(self, tmp_path, version, edit):
         # An old checkpoint must fail on its version, not on the keys it
-        # carries that this version does not read.
+        # carries that this version does not read. Versions before 12 hold
+        # version 11's JSON numbers.
         def to_old_version(node):
+            if version < 11:
+                to_version_11(node)
             edit(node)
             node["schema_version"] = version
 
@@ -437,6 +512,9 @@ class TestCheckpoint:
             ("", "bogus_key"),
             ("", "test_catalog"),
             ("", "metrics_history"),
+            # The modifiers' tracker holds the mean reward of the KB interval
+            # before the last action.
+            ("", "prev_interval_mean"),
             ("agents.LegacyTestAnalysis", "bogus_key"),
             ("agents", "NoSuchRole"),
             # The modifiers share the ``modifiers`` tracker.
@@ -491,10 +569,20 @@ class TestCheckpoint:
             ),
             (
                 "agents.LegacyTestAnalysis.params",
-                lambda node: node["flat"].append(0.0),
+                lambda node: node.update(flat=edit_bytes(node["flat"], one_more)),
                 "agents.LegacyTestAnalysis.params.flat",
             ),
-            ("agents.LegacyTestAnalysis.adam", lambda node: node["m"].pop(), "agents.LegacyTestAnalysis.adam.m"),
+            (
+                "agents.LegacyTestAnalysis.params",
+                lambda node: node.update(flat=edit_bytes(node["flat"], one_less)),
+                "agents.LegacyTestAnalysis.params.flat",
+            ),
+            (
+                "agents.LegacyTestAnalysis.adam",
+                lambda node: node.update(m=edit_bytes(node["m"], one_less)),
+                "agents.LegacyTestAnalysis.adam.m",
+            ),
+            ("dqn.qnet", lambda node: node.update(flat=edit_bytes(node["flat"], one_more)), "dqn.qnet.flat"),
             (
                 "trackers.TestCaseGeneration",
                 lambda node: node["totals"].extend([0.0] * 60),
@@ -508,25 +596,34 @@ class TestCheckpoint:
             ("dqn.adam", lambda node: node.update(v=[node["v"]]), "dqn.adam.v"),
             (
                 "agents.LegacyTestAnalysis.rollout",
-                lambda node: node.update(states=[row[:3] for row in node["states"]]),
+                lambda node: node.update(states=edit_bytes(node["states"], three_wide(16))),
                 "agents.LegacyTestAnalysis.rollout.states",
             ),
             (
                 "agents.LegacyTestAnalysis.rollout",
-                lambda node: node["states"][0].append(0.0),
+                lambda node: node.update(states=edit_bytes(node["states"], one_more)),
                 "agents.LegacyTestAnalysis.rollout.states",
             ),
             (
                 "agents.LegacyTestAnalysis.rollout",
-                lambda node: node["log_probs"].pop(),
+                lambda node: node.update(log_probs=edit_bytes(node["log_probs"], one_less)),
                 "agents.LegacyTestAnalysis.rollout.log_probs",
             ),
             (
                 "agents.LegacyTestAnalysis.rollout",
-                lambda node: node.update({name: column * 2 for name, column in node.items()}),
+                lambda node: node.update(rewards=edit_bytes(node["rewards"], one_more)),
+                "agents.LegacyTestAnalysis.rollout.rewards",
+            ),
+            (
+                "agents.LegacyTestAnalysis.rollout",
+                lambda node: node.update(tiled(node, 2 * len(node["actions"]))),
                 "agents.LegacyTestAnalysis.rollout",
             ),
-            ("dqn.replay", lambda node: node.update(states=[row[:3] for row in node["states"]]), "dqn.replay.states"),
+            (
+                "dqn.replay",
+                lambda node: node.update(states=edit_bytes(node["states"], three_wide(10))),
+                "dqn.replay.states",
+            ),
             ("dqn.replay", lambda node: node.update(next_states=[node["next_states"]]), "dqn.replay.next_states"),
             ("dqn.replay", lambda node: node["dones"].append(False), "dqn.replay.dones"),
             ("kb_pending", lambda node: node.update(state=node["state"] + [0.0]), "kb_pending.state"),
@@ -535,13 +632,16 @@ class TestCheckpoint:
         ids=[
             "agent-params-topology",
             "agent-params-flat-too-long",
+            "agent-params-flat-too-short",
             "agent-adam-m-too-short",
+            "dqn-qnet-flat-too-long",
             "tracker-longer-than-window",
             "dqn-target-topology",
             "dqn-adam-v-nested",
             "rollout-state-width",
-            "rollout-state-ragged",
+            "rollout-state-one-float-too-many",
             "rollout-unequal-lengths",
+            "rollout-one-reward-too-many",
             "rollout-as-long-as-an-update",
             "replay-state-width",
             "replay-next-state-shape",
@@ -603,8 +703,7 @@ class TestCheckpoint:
     def test_replay_over_its_capacity_rejected(self, tmp_path):
         def overfill(node):
             node["config"]["dqn"]["replay_capacity"] = 4
-            replay = node["dqn"]["replay"]
-            replay.update({name: (column * 6)[:6] for name, column in replay.items()})
+            node["dqn"]["replay"] = tiled(node["dqn"]["replay"], 6)
 
         message = re.escape("checkpoint dqn.replay holds 6 rows, at most 4 fit")
         with pytest.raises(SchemaVersionMismatch, match=message):
@@ -614,8 +713,8 @@ class TestCheckpoint:
         # Each update consumes the whole rollout as it fills, so a checkpoint
         # never holds ppo.rollout_length steps.
         def overfill(node):
-            rollout = node["agents"]["LegacyTestAnalysis"]["rollout"]
-            rollout.update({name: (column * 20)[:80] for name, column in rollout.items()})
+            agent = node["agents"]["LegacyTestAnalysis"]
+            agent["rollout"] = tiled(agent["rollout"], 80)
             node["config"]["ppo"]["rollout_length"] = 64
 
         message = re.escape("checkpoint agents.LegacyTestAnalysis.rollout holds 80 rows, at most 63 fit")
@@ -710,7 +809,6 @@ class TestCheckpoint:
                 lambda node: node.update(action=1.5),
                 "kb_pending.action is 1.5, expected a non-negative integer",
             ),
-            ("", lambda node: node.update(prev_interval_mean="0.5"), "prev_interval_mean is '0.5', expected a number"),
         ],
         ids=[
             "tracker-record-of-three-entries",
@@ -722,7 +820,6 @@ class TestCheckpoint:
             "content-vector-of-strings",
             "kb-pending-action-outside",
             "kb-pending-action-fractional",
-            "prev-interval-mean-string",
         ],
     )
     def test_number_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
@@ -822,17 +919,25 @@ class TestCheckpoint:
         system.checkpoint(path)
         before = path.read_bytes()
         system.run(episodes=1)
-        real_dump = trainer.dump_json
+        real_open = trainer.atomic_open
 
-        def dump_half_then_fail(obj, fh, indent=None):
-            text = json.dumps(obj, sort_keys=True, indent=indent)
-            fh.write(text[: len(text) // 2])
-            raise OSError("disk full")
+        class HalfThenFail:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(trainer, "dump_json", dump_half_then_fail)
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        @contextmanager
+        def open_half_then_fail(target):
+            with real_open(target) as fh:
+                yield HalfThenFail(fh)
+
+        monkeypatch.setattr(trainer, "atomic_open", open_half_then_fail)
         with pytest.raises(IOFailure):
             system.checkpoint(path)
-        monkeypatch.setattr(trainer, "dump_json", real_dump)
+        monkeypatch.setattr(trainer, "atomic_open", real_open)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
         system.checkpoint(path)
@@ -913,6 +1018,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             config.validate()
         replace(config, allow_out_of_range=True).validate()
+
+    @pytest.mark.parametrize("interval, window, ok", [(25, 50, True), (26, 50, False), (4, 7, False), (1, 2, True)])
+    def test_tracker_window_must_hold_two_kb_intervals(self, interval, window, ok):
+        loop = LoopConfig(kb_action_interval=interval, tracker_window=window)
+        if ok:
+            loop.validate()
+        else:
+            message = f"2 * kb_action_interval ({2 * interval}) exceeds tracker_window {window}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                loop.validate()
 
     def test_ablation_flags_round_trip(self):
         config = RunConfig.from_dict({"ablation": {"disable_ppo": True}})
