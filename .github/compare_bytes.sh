@@ -7,15 +7,16 @@
 # checked out with `git worktree`; without HEAD the checkout's own tree is
 # the change. Each tree trains the two 35-episode runs of
 # tests/test_golden.py (seed 0, and seed 1 with scalar_reward) with its own
-# code and its own configs/default.json, and the six output files of each
-# run are compared with `cmp`. The files that moved are listed, each with
-# its base and head size in bytes, on standard output and, under GitHub
-# Actions, in $GITHUB_STEP_SUMMARY; so are, for a moved checkpoint.json, the
-# dotted JSON paths added, removed or changed (at most 20; a list is
-# compared as a whole at its path).
+# code and its own configs/default.json, then writes the knowledge snapshot
+# (kb.json) of the store restored from the run's checkpoint. The six output
+# files and kb.json of each run are compared with `cmp`. The files that
+# moved are listed, each with its base and head size in bytes, on standard
+# output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY; so are, for a
+# moved checkpoint.json, the dotted JSON paths added, removed or changed (at
+# most 20; a list is compared as a whole at its path).
 #
-# It fails when metrics.csv or checkpoint.json moved but the change leaves
-# tests/test_golden.py as it was: a change that moves pinned bytes on
+# It fails when metrics.csv, checkpoint.json or kb.json moved but the change
+# leaves tests/test_golden.py as it was: a change that moves pinned bytes on
 # purpose re-pins them in the same change.
 set -euo pipefail
 
@@ -39,7 +40,7 @@ fi
 
 # The runs of tests/test_golden.py's RUNS, at its EPISODES.
 runs=("seed0-full:seed=0" "seed1-scalar_reward:seed=1 ablation.scalar_reward=true")
-files=(metrics.csv ppo_updates.csv dqn_steps.csv events.jsonl feedback.jsonl checkpoint.json)
+files=(metrics.csv ppo_updates.csv dqn_steps.csv events.jsonl feedback.jsonl checkpoint.json kb.json)
 
 for side in base head; do
     tree=$work/base
@@ -49,8 +50,12 @@ for side in base head; do
         for assignment in ${run#*:} episode_count=35; do
             sets+=(--set "$assignment")
         done
+        out=$work/out/$side/${run%%:*}
         (cd "$tree" && PYTHONPATH="$tree/src" python -m qeloop.cli train \
-            --config configs/default.json "${sets[@]}" --out "$work/out/$side/${run%%:*}" > /dev/null)
+            --config configs/default.json "${sets[@]}" --out "$out" > /dev/null)
+        (cd "$tree" && PYTHONPATH="$tree/src" python -c "import sys
+from qeloop.trainer import TrainingSystem
+TrainingSystem.restore(sys.argv[1]).kb.save_snapshot(sys.argv[2])" "$out/checkpoint.json" "$out/kb.json")
     done
 done
 
@@ -120,7 +125,7 @@ fi
 
 for path in "${moved[@]}"; do
     case $path in
-        */metrics.csv | */checkpoint.json)
+        */metrics.csv | */checkpoint.json | */kb.json)
             if [ "$repinned" = no ]; then
                 echo "$path moved, but tests/test_golden.py is unchanged: re-pin it and say why" >&2
                 exit 1

@@ -129,6 +129,15 @@ def requirement_query(requirement: Requirement, d_emb: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
+def generated_test_embedding(
+    requirement: Requirement, strategy: GenerationStrategy, mode: RetrievalMode, d_emb: int
+) -> np.ndarray:
+    """The knowledge-store embedding of a test generated for ``requirement``:
+    its query's tokens, then the test's strategy and retrieval mode."""
+    return _read_only(embed(requirement.text.split() + [requirement.id, strategy.name, mode.name], d_emb))
+
+
+@lru_cache(maxsize=4096)
 def requirement_summary(requirement: Requirement) -> np.ndarray:
     """8-dim hashed summary of a requirement's text and tags."""
     tokens = requirement.text.split() + sorted(requirement.component_tags) + [requirement.id]

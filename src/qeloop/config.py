@@ -10,7 +10,8 @@ base instance, driven by the dataclass fields and their type hints:
   ``UnknownConfigKey`` with its full dotted path;
 - values are type-checked, never coerced into shape: ints reject bools,
   strings and non-integral numbers, bools accept only booleans, floats
-  accept floats and the ints a float holds, strings accept only strings,
+  accept finite floats and the ints a float holds (so not the NaN and
+  Infinity tokens ``json.load`` parses), strings accept only strings,
   and a section must be an object. A mismatch raises ``ConfigTypeError``
   with its path.
 
@@ -21,6 +22,7 @@ Decoding checks shape only; ranges are each section's ``validate()``, which
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import typing
 from collections.abc import Mapping
@@ -55,7 +57,9 @@ _SCALARS = {
     bool: lambda v: isinstance(v, bool),
     int: lambda v: isinstance(v, int) or (isinstance(v, float) and v.is_integer()),
     # A JSON integer too large for a float is rejected, not overflowed.
-    float: lambda v: isinstance(v, float) or isinstance(v, int) and abs(v) <= sys.float_info.max,
+    float: lambda v: (
+        math.isfinite(v) if isinstance(v, float) else isinstance(v, int) and abs(v) <= sys.float_info.max
+    ),
     str: lambda v: isinstance(v, str),
 }
 
@@ -93,7 +97,7 @@ def decode(tp, raw, base, path: str = ""):
             out[enum[name]] = decode(value_type, value, out.get(enum[name]), key_path)
         return out
     if isinstance(raw, bool) and tp is not bool or not _SCALARS[tp](raw):
-        raise ConfigTypeError(path, tp.__name__, raw)
+        raise ConfigTypeError(path, "finite float" if tp is float else tp.__name__, raw)
     return tp(raw)
 
 

@@ -24,11 +24,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, dump_json, shared_tolist
+from .atomic import atomic_open
 from .config import ConfigCodec, UnknownConfigKey
 from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, stable_hash, typed_field
 from .rl_core import load_numbers
@@ -503,10 +505,10 @@ class KnowledgeStore:
 
     def snapshot_dict(self) -> dict:
         """The snapshot document. Records whose embeddings have the same bytes
-        share one embedding list, which ``dump_json`` then encodes once; the
-        document's lists are read-only."""
+        share one embedding list, which ``save_snapshot`` then encodes once;
+        the document's lists are read-only."""
         records = [self._records[rid] for rid in sorted(self._records)]
-        embeddings = shared_tolist(self._matrix[self._row[record.id]] for record in records)
+        embeddings = _shared_tolist(self._matrix[self._row[record.id]] for record in records)
         return {
             "schema_version": self.SCHEMA_VERSION,
             "d_emb": self.d_emb,
@@ -527,7 +529,7 @@ class KnowledgeStore:
     def save_snapshot(self, path) -> None:
         """Write the snapshot JSON; the previous file survives a failed write."""
         with atomic_open(path) as fh:
-            dump_json(self.snapshot_dict(), fh, indent=2)
+            _SnapshotWriter(fh.write).dump(self.snapshot_dict())
             fh.write("\n")
 
     @classmethod
@@ -585,3 +587,76 @@ class KnowledgeStore:
     def load_snapshot(cls, path) -> "KnowledgeStore":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_snapshot_dict(json.load(fh))
+
+
+def _shared_tolist(rows: Iterable[np.ndarray]) -> list[list]:
+    """``row.tolist()`` of each of ``rows``; rows with the same bytes share
+    one list. Comparing bytes keeps ``-0.0`` and ``0.0`` apart."""
+    lists: dict[bytes, list] = {}
+    out = []
+    for row in rows:
+        key = row.tobytes()
+        values = lists.get(key)
+        if values is None:
+            values = lists[key] = row.tolist()
+        out.append(values)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _indentation(depth: int) -> tuple[json.JSONEncoder, str, str]:
+    """At ``depth``: the encoder of a leaf, whose item separator carries the
+    indentation, the text after an opening bracket and before a closing one."""
+    opening = "\n" + "  " * (depth + 1)
+    return json.JSONEncoder(sort_keys=True, separators=("," + opening, ": ")), opening, opening[:-2]
+
+
+class _SnapshotWriter:
+    """Writes the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)``
+    for dicts with string keys, lists, tuples and JSON scalars; any other
+    value, a key that is not a string included, raises ``TypeError``.
+
+    ``json.dump`` runs the pure-Python encoder once it indents, so this walks
+    the containers itself and hands each leaf (a container that holds none,
+    such as an embedding list) to the C encoder in one call. The text goes
+    out one container at a time and is never held whole. Only a leaf object
+    met a second time at the same depth keeps its text, so a leaf shared by
+    many records is encoded twice at most.
+    """
+
+    def __init__(self, write: Callable[[str], object]):
+        self._write = write
+        # Leaves by (id, depth): None once met, their text once met twice. The
+        # caller holds the document for the whole dump, so ids are not reused.
+        self._leaves: dict[tuple[int, int], str | None] = {}
+
+    def dump(self, value, depth: int = 0) -> None:
+        encoder, opening, closing = _indentation(depth)
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            self._write(encoder.encode(value))
+            return
+        if not value:
+            self._write("{}" if is_dict else "[]")
+            return
+        memo = (id(value), depth)
+        text = self._leaves.get(memo)
+        children = value.values() if is_dict else value
+        if text is None and not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, children))):
+            # The C encoder would spell an int or float key as a string.
+            if is_dict and not all(isinstance(key, str) for key in value):
+                raise TypeError(f"keys must be str, got {[key for key in value if not isinstance(key, str)]!r}")
+            text = encoder.encode(value)
+            text = f"{text[0]}{opening}{text[1:-1]}{closing}{text[-1]}"
+            self._leaves[memo] = text if memo in self._leaves else None
+        if text is not None:
+            self._write(text)
+            return
+        # encode_basestring_ascii, json.dump's key encoder, raises TypeError
+        # on a key that is not a string.
+        separator = ("{" if is_dict else "[") + opening
+        for key, child in sorted(value.items()) if is_dict else enumerate(value):
+            self._write(f"{separator}{encode_basestring_ascii(key)}: " if is_dict else separator)
+            separator = encoder.item_separator
+            self.dump(child, depth + 1)
+        self._write(closing + ("}" if is_dict else "]"))

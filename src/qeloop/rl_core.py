@@ -102,16 +102,19 @@ def encode_floats(values: np.ndarray) -> str:
 def load_floats(text, row_shape: tuple[int, ...], what: str, rows: int | None = None) -> np.ndarray:
     """``encode_floats`` output as a float64 array of rows of ``row_shape``:
     ``rows`` of them, or as many as ``text`` holds when ``rows`` is None.
-    A value that is not a string, text that is not strict base64 (no
-    newline, no missing padding) and a byte count other than 8 x the
-    expected count of floats, or not a multiple of 8 x the row width, are
-    rejected with the dotted path ``what``."""
+    A value that is not a string, text that is not the canonical base64
+    of its bytes (no newline, no missing padding, no non-zero trailing bits)
+    and a byte count other than 8 x the expected count of floats, or not a
+    multiple of 8 x the row width, are rejected with the dotted path
+    ``what``; so what restores re-serialises to the same text."""
     if type(text) is not str:
         raise ValueError(f"{what} is a {type(text).__name__}, expected base64 text of float64 values")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ValueError(f"{what} is not strict base64: {exc}") from None
+    if base64.b64encode(raw) != text.encode("ascii"):
+        raise ValueError(f"{what} is not the canonical base64 of its bytes")
     row_bytes = 8 * math.prod(row_shape)
     if rows is not None and len(raw) != rows * row_bytes:
         expected = rows * row_bytes

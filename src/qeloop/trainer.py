@@ -33,6 +33,7 @@ from .agents import (
     PerformanceTracker,
     featurize_state,
     generate_test_cases,
+    generated_test_embedding,
     modifier_vector,
     record_feedback,
     requirement_query,
@@ -50,7 +51,6 @@ from .knowledge import (
     KnowledgeStore,
     RetrievalParams,
     apply_kb_action,
-    embed,
 )
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
@@ -577,10 +577,10 @@ class TrainingSystem:
             if self.kb.vector_count >= self.config.kb.max_records:
                 break
             if test.id not in self.content_vectors:
-                tokens = requirement.text.split() + [
-                    requirement.id, test.strategy.name, test.retrieval_mode.name,
-                ]
-                self.kb.insert_vector(test.id, embed(tokens, self.config.kb.d_emb), test.id)
+                embedding = generated_test_embedding(
+                    requirement, test.strategy, test.retrieval_mode, self.config.kb.d_emb
+                )
+                self.kb.insert_vector(test.id, embedding, test.id)
                 self.content_vectors[test.id] = np.asarray(test.coverage_vector, dtype=np.float64)
             if fb.true_defects():
                 self.kb.upsert_edge(test.id, requirement.id, EdgeType.Covers, 0.5)

@@ -99,6 +99,12 @@ class TestLoadConfig:
                 "kb.edge_learning_rate",
                 id="integer-too-large-for-a-float",
             ),
+            # --set parses values as JSON, which has NaN and Infinity tokens.
+            ("rewards.severity.false_positive_penalty=Infinity", cli.ValidationError,
+             "rewards.severity.false_positive_penalty"),
+            ("loop.modifier_scale=Infinity", cli.ValidationError, "loop.modifier_scale"),
+            ("loop.modifier_scale=-Infinity", cli.ValidationError, "loop.modifier_scale"),
+            ("execution.base_time=NaN", cli.ValidationError, "execution.base_time"),
             ("loop.n_tests=0", cli.ValidationError, "loop"),
             # The one reward and feedback history must hold a KB interval.
             ("loop.kb_action_interval=51", cli.ValidationError, "loop"),
@@ -140,6 +146,16 @@ class TestMainExitCodes:
 
     def test_invalid_override_exits_one(self, config_path):
         assert cli.main(["train", "--config", config_path, "--set", "ppo.learning_rate=0.5"]) == 1
+
+    @pytest.mark.parametrize(
+        "override", ["execution.base_time=NaN", "rewards.severity.false_positive_penalty=Infinity"]
+    )
+    def test_non_finite_override_exits_one_naming_its_key(self, tmp_path, config_path, capsys, override):
+        argv = ["train", "--config", config_path, "--set", override, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        key = override.split("=")[0]
+        assert f"qeloop.cli.ValidationError: {key}: expected finite float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_exits_zero_and_reports(self, config_path, capsys):
         assert cli.main(["gradcheck", "--config", config_path]) == 0
@@ -252,6 +268,19 @@ class TestEvaluateCommand:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "qeloop.trainer.SchemaVersionMismatch: checkpoint config.execution.bogus: unknown key" in err
+
+    def test_evaluate_names_a_non_finite_value_in_the_checkpoint_config(self, tmp_path, config_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["config"]["loop"]["modifier_scale"] = float("inf")
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "SchemaVersionMismatch: checkpoint config.loop.modifier_scale: expected finite float, got inf" in err
 
     def test_evaluate_names_an_rng_state_out_of_range(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Property tests of the config codec over the whole ``RunConfig`` tree."""
 
 import json
+import math
 import typing
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
@@ -119,6 +120,26 @@ def test_wrong_typed_leaf_rejected_with_its_path(path, data):
     with pytest.raises(ConfigTypeError) as exc:
         RunConfig.from_dict(doc)
     assert exc.value.key == path
+
+
+@pytest.mark.parametrize("path", sorted(path for path, value in LEAVES.items() if type(value) is float))
+def test_non_finite_float_rejected_with_its_path(path):
+    # json.load parses NaN, Infinity and -Infinity; a config must not hold them.
+    parent, _, key = path.rpartition(".")
+    for value in (math.nan, math.inf, -math.inf):
+        doc = default_doc()
+        node_at(doc, parent)[key] = value
+        with pytest.raises(ConfigTypeError) as exc:
+            RunConfig.from_dict(json.loads(json.dumps(doc)))
+        assert exc.value.key == path
+
+
+def test_config_file_holding_infinity_is_rejected_with_its_path(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"loop": {"modifier_scale": Infinity}}')
+    with pytest.raises(cli.ValidationError) as exc:
+        cli.load_config(str(path))
+    assert exc.value.key == "loop.modifier_scale"
 
 
 @pytest.mark.parametrize("path", SECTIONS[1:])

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from qeloop import cli
 from qeloop.agents import (
     PerformanceTracker,
+    generated_test_embedding,
     modifier_vector,
     requirement_query,
     strategy_signature,
@@ -33,6 +34,7 @@ from qeloop.domain import (
     FeedbackRecord,
     GenerationStrategy,
     Requirement,
+    RetrievalMode,
     Severity,
     UnknownTestCase,
     validate_feedback,
@@ -528,10 +530,15 @@ class TestCachedValuesAreShared:
         req = Requirement("req-7", "requirement 7 covering billing", frozenset({"billing"}))
         assert np.array_equal(requirement_query(req, 64), embed(req.text.split() + [req.id], 64))
         assert np.array_equal(
+            generated_test_embedding(req, GenerationStrategy.Boundary, RetrievalMode.GraphOnly, 64),
+            embed(req.text.split() + [req.id, "Boundary", "GraphOnly"], 64),
+        )
+        assert np.array_equal(
             modifier_vector(AgentRole.LegacyTestAnalysis, 2, 16), embed(["legacytestanalysis", "option2"], 16)
         )
         for vec in (
             requirement_query(req, 64),
+            generated_test_embedding(req, GenerationStrategy.Boundary, RetrievalMode.GraphOnly, 64),
             modifier_vector(AgentRole.LegacyTestAnalysis, 2, 16),
             strategy_signature(GenerationStrategy.Boundary, 16),
         ):

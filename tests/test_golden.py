@@ -1,12 +1,14 @@
-"""Pinned ``metrics.csv`` and ``checkpoint.json`` bytes for two short runs
-of ``configs/default.json``.
+"""Pinned ``metrics.csv``, ``checkpoint.json`` and knowledge-snapshot
+(``kb.json``) bytes for two short runs of ``configs/default.json``.
 
 The determinism contract says (seed, config) fixes every byte of
 ``metrics.csv``; these pins make that hold across code changes too. The
 checkpoint pin also sees last-bit drift in network weights and Adam moments,
-which can leave ``metrics.csv`` unchanged for hundreds of episodes. A change
-that moves the bytes on purpose (reordering a float sum, say) must say why
-and re-pin here in the same change.
+which can leave ``metrics.csv`` unchanged for hundreds of episodes. The
+snapshot pin is the text ``save_snapshot`` writes for the run's store, the
+format ``qeloop replay`` reads and writes. A change that moves the bytes on
+purpose (reordering a float sum, say) must say why and re-pin here in the
+same change.
 
 Float results can differ between numpy and BLAS builds and between the
 kernels BLAS picks for a CPU, so pins are keyed by that environment, the
@@ -42,10 +44,12 @@ PINS = {
         "seed0-full": {
             "metrics.csv": "ab3d8f931cad19fbb640a78f368bcc8480655b636e150e09ab80d171d5a0afff",
             "checkpoint.json": "1e4ee1c26bea5612041f7f7c3a72a259550dcc8cbed3af85d1ad3174614dffbe",
+            "kb.json": "b815aa67baff76ff80c27da665bb8819ce739df442bd765ebb0361ee13f1b1de",
         },
         "seed1-scalar_reward": {
             "metrics.csv": "d431998881d85df5ced8c6f345c39b0d86e00f82dd8bd2d6f3ce9fc0cae7b8f4",
             "checkpoint.json": "751bf332cf2736f94e9261028e3d8ff2d39788e9cfc3b203bdfbbc90e517e569",
+            "kb.json": "0af7905b211ea761d94a7ea12e5f6ea57ea368bc2a1d7b86e037871ae2b40ab3",
         },
     },
 }
@@ -99,3 +103,11 @@ def test_checkpoint_matches_pin(run, tmp_path):
     path = tmp_path / "checkpoint.json"
     trained(run).checkpoint(path)
     assert sha256(path.read_bytes()) == pins["checkpoint.json"]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_knowledge_snapshot_matches_pin(run, tmp_path):
+    pins = pins_for(run)
+    path = tmp_path / "kb.json"
+    trained(run).kb.save_snapshot(path)
+    assert sha256(path.read_bytes()) == pins["kb.json"]

@@ -579,12 +579,16 @@ class TestSnapshot:
         before = path.read_bytes()
         store.upsert_edge("a", "b", EdgeType.Covers, 0.4)
 
-        def dump_half_then_fail(obj, fh, indent=None):
-            text = json.dumps(obj, sort_keys=True, indent=indent)
-            fh.write(text[: len(text) // 2])
-            raise OSError("disk full")
+        class HalfThenFail:
+            def __init__(self, write):
+                self.write = write
 
-        monkeypatch.setattr(knowledge, "dump_json", dump_half_then_fail)
+            def dump(self, doc):
+                text = json.dumps(doc, sort_keys=True, indent=2)
+                self.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(knowledge, "_SnapshotWriter", HalfThenFail)
         with pytest.raises(OSError, match="disk full"):
             store.save_snapshot(path)
         assert path.read_bytes() == before

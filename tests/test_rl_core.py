@@ -481,12 +481,17 @@ class TestFloatCodec:
             ("AAAAAAAA8D8AAAAAAAAAgA=", "net.flat is not strict base64"),
             ("AAAAAAAA8D8AAAAAAAAA-A==", "net.flat is not strict base64"),
             ("AAAAAAAA8D8AAAAAAAAAgé==", "net.flat is not strict base64"),
+            # Non-zero trailing bits and odd padding decode, but re-encode
+            # as other text: "...gA==" and 3 bytes of "AAAA".
+            ("AAAAAAAA8D8AAAAAAAAAgB==", "net.flat is not the canonical base64 of its bytes"),
+            ("AAAA=", "net.flat is not the canonical base64 of its bytes"),
             ("AAAAAAAA8D8=", "net.flat holds 8 bytes, expected 16: 2 float64 values"),
             ("AAAAAAAA8D8AAAAAAAAAgAAAAAAAAAAA", "net.flat holds 24 bytes, expected 16: 2 float64 values"),
         ],
         ids=[
             "list", "null", "number", "no-padding", "inner-newline", "trailing-newline", "short-padding",
-            "url-safe-alphabet", "non-ascii", "one-float-too-few", "one-float-too-many",
+            "url-safe-alphabet", "non-ascii", "non-zero-trailing-bits", "odd-padding", "one-float-too-few",
+            "one-float-too-many",
         ],
     )
     def test_reader_rejects_with_its_path(self, text, message):

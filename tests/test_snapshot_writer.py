@@ -1,22 +1,17 @@
+"""The knowledge-snapshot writer against ``json.dump(indent=2, sort_keys=True)``."""
+
 import io
 import json
 import math
-from enum import IntEnum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeloop.atomic import _Writer, dump_json
+from qeloop.knowledge import _SnapshotWriter
 
-
-class Color(IntEnum):
-    RED = 1
-    BLUE = -7
-
-
-AWKWARD = [", ", ": ", '"', "\\", "\n", "\t", "a, b", 'x", "y', "naïve ☃", "測試", "🚀", "\x00", " "]
+AWKWARD = [", ", ": ", '"', "\\", "\n", "\t", "a, b", 'x", "y', "naïve ☃", "測試", "🚀", "\x00", " "]
 strings = st.one_of(st.text(max_size=8), st.sampled_from(AWKWARD))
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -26,12 +21,11 @@ scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
+    st.sampled_from([10**30, -(10**30)]),
     floats,
     strings,
     floats.map(np.float64),
-    st.sampled_from(Color),
 )
-non_string_keys = st.one_of(st.integers(), floats, st.booleans(), st.none(), st.sampled_from(Color))
 
 
 def containers(inner):
@@ -39,38 +33,28 @@ def containers(inner):
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(strings, inner, max_size=5),
-        st.dictionaries(st.integers(), inner, max_size=3),
-        st.dictionaries(floats, inner, max_size=3),
-        st.dictionaries(st.one_of(strings, non_string_keys), inner, max_size=3),
     )
 
 
 documents = st.recursive(scalars, containers, max_leaves=40)
 
 
-def json_dump_text(obj, indent):
+def json_dump_text(obj):
     fh = io.StringIO()
-    json.dump(obj, fh, sort_keys=True, indent=indent)
+    json.dump(obj, fh, indent=2, sort_keys=True)
     return fh.getvalue()
 
 
-def assert_writes_json_dump_bytes(obj, indent):
-    try:
-        expected = json_dump_text(obj, indent)
-    except TypeError:
-        # Keys that do not sort together, or a key json cannot spell.
-        with pytest.raises(TypeError):
-            dump_json(obj, io.StringIO(), indent)
-        return
-    out = io.StringIO()
-    dump_json(obj, out, indent)
-    assert out.getvalue() == expected
+def written(obj):
+    fh = io.StringIO()
+    _SnapshotWriter(fh.write).dump(obj)
+    return fh.getvalue()
 
 
-@settings(max_examples=500, deadline=None)
-@given(documents, st.sampled_from([None, 2]))
-def test_output_equals_json_dump(obj, indent):
-    assert_writes_json_dump_bytes(obj, indent)
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_output_equals_json_dump(obj):
+    assert written(obj) == json_dump_text(obj)
 
 
 # Leaf containers: lists, tuples and dicts that hold no container.
@@ -89,17 +73,16 @@ def documents_sharing_leaves(draw):
     return draw(st.recursive(st.sampled_from(pool), containers, max_leaves=30))
 
 
-@settings(max_examples=300, deadline=None)
-@given(documents_sharing_leaves(), st.sampled_from([None, 2]))
-def test_shared_leaves_output_equals_json_dump(obj, indent):
-    assert_writes_json_dump_bytes(obj, indent)
+@settings(max_examples=200, deadline=None)
+@given(documents_sharing_leaves())
+def test_shared_leaves_output_equals_json_dump(obj):
+    assert written(obj) == json_dump_text(obj)
 
 
 LEAF = [1.5, -0.0, "x"]
 EQUAL_BUT_DISTINCT = [[0.0], [-0.0], [1], [1.0], [True], (1,), {"k": 1}, {"k": 1.0}, {"k": True}]
 
 
-@pytest.mark.parametrize("indent", [None, 2])
 @pytest.mark.parametrize(
     "doc",
     [
@@ -112,32 +95,32 @@ EQUAL_BUT_DISTINCT = [[0.0], [-0.0], [1], [1.0], [True], (1,), {"k": 1}, {"k": 1
     ],
     ids=["list-one-depth", "dict-one-depth", "dict-several-depths", "list-several-depths", "equal-values", "zeros"],
 )
-def test_repeated_leaf_object_equals_json_dump(doc, indent):
-    assert_writes_json_dump_bytes(doc, indent)
+def test_repeated_leaf_object_equals_json_dump(doc):
+    assert written(doc) == json_dump_text(doc)
 
 
 def test_leaf_text_is_kept_only_for_leaves_met_again():
     shared = [0.25] * 10
     doc = {f"r{i}": {"own": [float(i)] * 10, "shared": shared} for i in range(50)}
-    writer = _Writer(io.StringIO().write, 2)
-    writer.dump(doc, 0)
+    writer = _SnapshotWriter(io.StringIO().write)
+    writer.dump(doc)
     # Each of the 51 leaf objects is recorded; only the shared one keeps text.
     assert len(writer._leaves) == 51
     texts = [text for text in writer._leaves.values() if text is not None]
     assert len(texts) == 1 and json.loads(texts[0]) == shared
 
 
-@pytest.mark.parametrize("indent", [None, 2])
-@pytest.mark.parametrize("bad", [{(1, 2): 0}, {"k": object()}, [1, {"x": {1j}}]])
-def test_what_json_cannot_write_raises_type_error(bad, indent):
+@pytest.mark.parametrize(
+    "bad",
+    [{1: 0}, {"k": {"a": 1, 2: 1}}, [{"k": [1]}, {0: [1]}], object(), {"k": object()}, [1, {"x": [{1j}]}]],
+    ids=["int-key", "int-key-in-leaf", "int-key-nested", "object", "object-value", "nested-set"],
+)
+def test_a_value_json_cannot_write_or_a_non_string_key_raises_type_error(bad):
     with pytest.raises(TypeError):
-        json_dump_text(bad, indent)
-    with pytest.raises(TypeError):
-        dump_json(bad, io.StringIO(), indent)
+        written(bad)
 
 
-@pytest.mark.parametrize("indent", [None, 2])
-def test_document_is_written_one_leaf_container_at_a_time(indent):
+def test_document_is_written_one_leaf_container_at_a_time():
     rng = np.random.default_rng(0)
     doc = {f"r{i}": {"embedding": rng.random(200).tolist(), "id": f"r{i}"} for i in range(50)}
     writes = []
@@ -146,8 +129,10 @@ def test_document_is_written_one_leaf_container_at_a_time(indent):
         def write(self, text):
             writes.append(text)
 
-    dump_json(doc, Recorder(), indent)
+    _SnapshotWriter(Recorder().write).dump(doc)
     text = "".join(writes)
-    assert text == json_dump_text(doc, indent)
-    # Each of the 50 records is about a fiftieth of the document.
-    assert max(map(len, writes)) < len(text) / 40
+    assert text == json_dump_text(doc)
+    # Each of the 50 records is about a fiftieth of the document; the
+    # largest write is one record's embedding.
+    record = len(json_dump_text({"r0": doc["r0"]}))
+    assert max(map(len, writes)) < record < len(text) / 40

@@ -660,7 +660,7 @@ class TestCheckpoint:
             (lambda node: node["execution"].update(bogus=1), "checkpoint config.execution.bogus: unknown key"),
             (
                 lambda node: node["execution"].update(base_time="x"),
-                "checkpoint config.execution.base_time: expected float, got 'x'",
+                "checkpoint config.execution.base_time: expected finite float, got 'x'",
             ),
             (
                 lambda node: node["execution"].update(base_time=-1.0),
