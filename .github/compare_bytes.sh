@@ -8,16 +8,18 @@
 # the change. Each tree trains the two 35-episode runs of
 # tests/test_golden.py (seed 0, and seed 1 with scalar_reward) with its own
 # code and its own configs/default.json, then writes the knowledge snapshot
-# (kb.json) of the store restored from the run's checkpoint. The six output
-# files and kb.json of each run are compared with `cmp`. The files that
+# (kb.json) of the store restored from the run's checkpoint and runs
+# `qeloop replay` of the run's feedback.jsonl into that kb.json, which writes
+# kb_after_replay.json. The six output files, kb.json and
+# kb_after_replay.json of each run are compared with `cmp`. The files that
 # moved are listed, each with its base and head size in bytes, on standard
 # output and, under GitHub Actions, in $GITHUB_STEP_SUMMARY; so are, for a
 # moved checkpoint.json, the dotted JSON paths added, removed or changed (at
 # most 20; a list is compared as a whole at its path).
 #
-# It fails when metrics.csv, checkpoint.json or kb.json moved but the change
-# leaves tests/test_golden.py as it was: a change that moves pinned bytes on
-# purpose re-pins them in the same change.
+# It fails when metrics.csv, checkpoint.json, kb.json or kb_after_replay.json
+# moved but the change leaves tests/test_golden.py as it was: a change that
+# moves pinned bytes on purpose re-pins them in the same change.
 set -euo pipefail
 
 base=$(git rev-parse --verify "$1^{commit}")
@@ -40,7 +42,7 @@ fi
 
 # The runs of tests/test_golden.py's RUNS, at its EPISODES.
 runs=("seed0-full:seed=0" "seed1-scalar_reward:seed=1 ablation.scalar_reward=true")
-files=(metrics.csv ppo_updates.csv dqn_steps.csv events.jsonl feedback.jsonl checkpoint.json kb.json)
+files=(metrics.csv ppo_updates.csv dqn_steps.csv events.jsonl feedback.jsonl checkpoint.json kb.json kb_after_replay.json)
 
 for side in base head; do
     tree=$work/base
@@ -56,6 +58,9 @@ for side in base head; do
         (cd "$tree" && PYTHONPATH="$tree/src" python -c "import sys
 from qeloop.trainer import TrainingSystem
 TrainingSystem.restore(sys.argv[1]).kb.save_snapshot(sys.argv[2])" "$out/checkpoint.json" "$out/kb.json")
+        (cd "$tree" && PYTHONPATH="$tree/src" python -m qeloop.cli replay \
+            --config configs/default.json "${sets[@]}" --kb "$out/kb.json" --out "$out" \
+            "$out/feedback.jsonl" > /dev/null)
     done
 done
 
@@ -125,7 +130,7 @@ fi
 
 for path in "${moved[@]}"; do
     case $path in
-        */metrics.csv | */checkpoint.json | */kb.json)
+        */metrics.csv | */checkpoint.json | */kb.json | */kb_after_replay.json)
             if [ "$repinned" = no ]; then
                 echo "$path moved, but tests/test_golden.py is unchanged: re-pin it and say why" >&2
                 exit 1

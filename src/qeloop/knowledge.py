@@ -33,7 +33,7 @@ import numpy as np
 from .atomic import atomic_open
 from .config import ConfigCodec, UnknownConfigKey
 from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, stable_hash, typed_field
-from .rl_core import load_numbers
+from .rl_core import load_numbers, parse_json
 
 
 class KnowledgeError(Exception):
@@ -585,8 +585,15 @@ class KnowledgeStore:
 
     @classmethod
     def load_snapshot(cls, path) -> "KnowledgeStore":
+        """Read the snapshot at ``path``; text that is not JSON is a
+        ``ValueError`` naming the path and the decoder's line and column."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_snapshot_dict(json.load(fh))
+            text = fh.read()
+        try:
+            doc = parse_json(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"knowledge snapshot {path} is not valid JSON: {exc}") from None
+        return cls.from_snapshot_dict(doc)
 
 
 def _shared_tolist(rows: Iterable[np.ndarray]) -> list[list]:

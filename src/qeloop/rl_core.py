@@ -14,6 +14,7 @@ it against central finite differences.
 from __future__ import annotations
 
 import base64
+import json
 import math
 import sys
 from bisect import bisect_right
@@ -123,6 +124,28 @@ def load_floats(text, row_shape: tuple[int, ...], what: str, rows: int | None = 
         shape = f"{row_bytes}-byte rows of shape {row_shape}"
         raise ValueError(f"{what} holds {len(raw)} bytes, not a whole number of {shape}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, *row_shape)
+
+
+class _FloatMemo(dict):
+    """Number texts of one document, each mapped to the float it parses to
+    the first time it is asked for."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def parse_json(text: str):
+    """``json.loads(text)``, with every occurrence of one number text read
+    as one shared float object. Stored embeddings, edge weights and windows
+    repeat a few values many times, so this holds one float per distinct
+    text instead of one per number. ``float(text)`` is the conversion
+    ``json.loads`` makes, so every value has the bits it would have had;
+    ``-0.0`` and ``0.0`` are distinct texts, and ``NaN`` and ``Infinity`` are
+    not number texts. Malformed text raises the ``json.JSONDecodeError``
+    ``json.loads`` raises. Text whose numbers are all distinct gains nothing
+    and parses about 3x slower than with ``json.loads``."""
+    return json.loads(text, parse_float=_FloatMemo().__getitem__)
 
 
 def load_vector(values, width: int, what: str) -> np.ndarray:

@@ -55,7 +55,16 @@ from .knowledge import (
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
 from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
-from .rl_core import RLCoreConfig, RngStreams, Transition, load_below, load_count, load_vector, load_window
+from .rl_core import (
+    RLCoreConfig,
+    RngStreams,
+    Transition,
+    load_below,
+    load_count,
+    load_vector,
+    load_window,
+    parse_json,
+)
 
 MODIFIER_ROLES = (
     AgentRole.LegacyTestAnalysis,
@@ -767,7 +776,7 @@ class TrainingSystem:
         except OSError as exc:
             raise IOFailure(f"cannot read checkpoint {path}: {exc}") from exc
         try:
-            payload = json.loads(raw)
+            payload = parse_json(raw)
         except json.JSONDecodeError as exc:
             raise SchemaVersionMismatch(f"checkpoint is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -847,10 +856,21 @@ class EventLog:
         return self
 
     def append(self, event: dict) -> None:
-        self._events.write(json.dumps(event, sort_keys=True) + "\n")
-        if event.get("type") == "slot":
-            for record in event["records"]:
-                self._feedback.write(json.dumps(record, sort_keys=True) + "\n")
+        if event.get("type") != "slot":
+            self._events.write(json.dumps(event, sort_keys=True) + "\n")
+            return
+        records = [json.dumps(record, sort_keys=True) for record in event["records"]]
+        # The slot line is json.dumps(event, sort_keys=True) with each record's
+        # text spliced in: the keys sorted before "records", then the records,
+        # then the keys sorted after it.
+        before = json.dumps({k: v for k, v in event.items() if k < "records"}, sort_keys=True)
+        after = json.dumps({k: v for k, v in event.items() if k > "records"}, sort_keys=True)
+        self._events.write(
+            before[:-1] + (", " if len(before) > 2 else "")
+            + f'"records": [{", ".join(records)}]'
+            + (", " if len(after) > 2 else "") + after[1:] + "\n"
+        )
+        self._feedback.writelines(text + "\n" for text in records)
 
     def __exit__(self, *exc_info) -> None:
         self._files.close()

@@ -353,6 +353,16 @@ class TestReplayCommand:
         assert cli.main(argv) == 2
         assert "knowledge snapshot.graph_edges[0].weight must be a number, got 1000" in capsys.readouterr().err
 
+    def test_replay_names_a_snapshot_that_is_not_json(self, tmp_path, config_path, capsys):
+        snap = self.build_snapshot(tmp_path)
+        snap.write_text(snap.read_text()[:33])
+        feedback_path = tmp_path / "feedback.jsonl"
+        write_feedback_file(feedback_path, self.feedback_records())
+        argv = ["replay", "--config", config_path, str(feedback_path), "--kb", str(snap), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"knowledge snapshot {snap} is not valid JSON: Expecting value: line 3 column 17 (char 33)" in err
+
     def test_replay_reports_bad_lines_and_continues(self, tmp_path, config_path, capsys):
         feedback_path = tmp_path / "feedback.jsonl"
         lines = [r.to_json_line() for r in self.feedback_records()]

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from qeloop import cli
+from qeloop.knowledge import KnowledgeStore
 from qeloop.trainer import TrainingSystem, metrics_csv_text, run_training
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -111,3 +112,22 @@ def test_knowledge_snapshot_matches_pin(run, tmp_path):
     path = tmp_path / "kb.json"
     trained(run).kb.save_snapshot(path)
     assert sha256(path.read_bytes()) == pins["kb.json"]
+
+
+# Reading goes through rl_core.parse_json, which shares one float among equal
+# number texts; what is read must write back to the same bytes on any
+# environment, pinned or not.
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_knowledge_snapshot_load_then_save_keeps_its_bytes(run, tmp_path):
+    first, second = tmp_path / "kb.json", tmp_path / "again.json"
+    trained(run).kb.save_snapshot(first)
+    KnowledgeStore.load_snapshot(first).save_snapshot(second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_checkpoint_restore_then_checkpoint_keeps_its_bytes(run, tmp_path):
+    first, second = tmp_path / "checkpoint.json", tmp_path / "again.json"
+    trained(run).checkpoint(first)
+    TrainingSystem.restore(first).checkpoint(second)
+    assert second.read_bytes() == first.read_bytes()

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qeloop.rl_core import (
     load_count,
     load_floats,
     load_vector,
+    parse_json,
     sample_action,
     softmax_policy,
     xavier_init,
@@ -501,6 +503,71 @@ class TestFloatCodec:
     def test_column_of_part_of_a_row_rejected_with_its_path(self):
         with pytest.raises(ValueError, match=re.escape("replay.states holds 24 bytes, not a whole number of 16-byte")):
             load_floats(encode_floats(np.zeros(3)), (2,), "replay.states")
+
+
+def assert_same_document(got, expected) -> None:
+    """Equal structure, key order and types, and floats of equal bits."""
+    assert type(got) is type(expected)
+    if isinstance(expected, dict):
+        assert list(got) == list(expected)
+        for key in expected:
+            assert_same_document(got[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same_document(g, e)
+    elif isinstance(expected, float):
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+    else:
+        assert got == expected
+
+
+# JSON's number grammar, and texts json.dumps never writes: a subnormal, the
+# largest double, overflow to inf, capital exponents, a plus sign, -0.
+NUMBER_TEXTS = st.from_regex(r"-?(0|[1-9][0-9]{0,19})(\.[0-9]{1,19})?([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+SPECIAL_TEXTS = st.sampled_from([
+    "-0.0", "0.0", "-0", "5e-324", "-5e-324", "1.7976931348623157e308", "1e400", "-1e400", "1E-5", "1e-5",
+    "1.0E+5", "12", "1.0", "1.00", "NaN", "Infinity", "-Infinity",
+])
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestParseJson:
+    @given(JSON_DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_loads_on_what_json_dumps_writes(self, doc):
+        text = json.dumps(doc)
+        assert_same_document(parse_json(text), json.loads(text))
+
+    @given(st.lists(NUMBER_TEXTS | SPECIAL_TEXTS, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_loads_on_any_number_text(self, texts):
+        text = "[" + ", ".join(texts) + "]"
+        assert_same_document(parse_json(text), json.loads(text))
+
+    @pytest.mark.parametrize(
+        "text", ["", "{", "[1, 2", "[1.5.2]", "[01]", "[-]", "[1e]", "[.5]", "[1,]", '{"a" 1}', "[NaN1]", "[1] x"]
+    )
+    def test_malformed_text_raises_what_json_loads_raises(self, text):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            parse_json(text)
+        assert str(got.value) == str(expected.value)
+
+    def test_equal_number_texts_share_one_float(self):
+        doc = parse_json('{"a": [0.25, 0.25, -0.0], "b": {"c": 0.25, "d": 0.0}, "e": [1.0, 1.00]}')
+        assert doc["a"][0] is doc["a"][1] is doc["b"]["c"]
+        # -0.0 and 0.0 are equal floats but distinct texts of distinct bits.
+        assert math.copysign(1.0, doc["a"][2]) == -1.0 and math.copysign(1.0, doc["b"]["d"]) == 1.0
+        assert doc["e"][0] == doc["e"][1] == 1.0
+
+    def test_each_document_parses_with_its_own_memo(self):
+        assert parse_json("[0.5]")[0] is not parse_json("[0.5]")[0]
 
 
 class TestLoadCount:

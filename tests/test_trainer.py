@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qeloop
 from qeloop import cli, trainer
@@ -945,6 +947,16 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
 
 
+EVENT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([-0.0, "é", "\u2603", "\U0001f600"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Keys that sort just before, just after and far from "records".
+EVENT_KEYS = st.sampled_from(["", "a", "recordr", "records0", "recordsa", "recorde", "reward", "z", "é"]) | st.text(max_size=8)
+
+
 class TestExport:
     def run_result(self, config=None) -> TrainingSystem:
         return run_training(config or tiny_config())
@@ -994,6 +1006,33 @@ class TestExport:
         original = [FeedbackRecord.from_dict(r) for e in slot_events(result) for r in e["records"]]
         replayed = list(replay_feedback(paths["feedback"]))
         assert replayed == original
+
+    def test_log_lines_equal_json_dumps_of_a_run(self, tmp_path):
+        result = self.run_result()
+        paths = self.event_log(result, tmp_path / "out")
+        with open(paths["events"], encoding="utf-8") as fh:
+            assert fh.read() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.events)
+        with open(paths["feedback"], encoding="utf-8") as fh:
+            records = [r for e in slot_events(result) for r in e["records"]]
+            assert fh.read() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.dictionaries(EVENT_KEYS, EVENT_VALUES, max_size=6),
+        records=st.lists(st.dictionaries(EVENT_KEYS, EVENT_VALUES, max_size=4), max_size=3),
+        other=st.dictionaries(EVENT_KEYS, EVENT_VALUES, max_size=3),
+    )
+    def test_log_lines_equal_json_dumps(self, tmp_path_factory, fields, records, other):
+        slot = {**fields, "type": "slot", "records": records}
+        events = [slot, {**other, "type": "episode_end"}, {**slot, "records": [{"x": -0.0, "é": "\u00e9"}]}]
+        with EventLog(tmp_path_factory.mktemp("log")) as log:
+            for event in events:
+                log.append(event)
+        with open(log.paths["events"], encoding="utf-8") as fh:
+            assert fh.read() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+        with open(log.paths["feedback"], encoding="utf-8") as fh:
+            expected = records + [{"x": -0.0, "é": "\u00e9"}]
+            assert fh.read() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
 class TestRunConfig:
