@@ -865,11 +865,8 @@ class EventLog:
         # then the keys sorted after it.
         before = json.dumps({k: v for k, v in event.items() if k < "records"}, sort_keys=True)
         after = json.dumps({k: v for k, v in event.items() if k > "records"}, sort_keys=True)
-        self._events.write(
-            before[:-1] + (", " if len(before) > 2 else "")
-            + f'"records": [{", ".join(records)}]'
-            + (", " if len(after) > 2 else "") + after[1:] + "\n"
-        )
+        members = (before[1:-1], f'"records": [{", ".join(records)}]', after[1:-1])
+        self._events.write("{" + ", ".join(filter(None, members)) + "}\n")
         self._feedback.writelines(text + "\n" for text in records)
 
     def __exit__(self, *exc_info) -> None:
