@@ -29,12 +29,13 @@ from .domain import (
     RetrievalMode,
     TestCase,
     check_keys,
+    read_json,
     stable_hash,
 )
 from .knowledge import KnowledgeStore, RetrievalParams, embed
 from .ppo import PPOConfig, Rollout, policy_value_forward
 from .rewards import trend_slope
-from .rl_core import HIDDEN_WIDTH, Adam, check_actions, columns_dict, load_columns, load_number, load_window
+from .rl_core import HIDDEN_WIDTH, Adam, check_actions, columns_dict, load_columns, load_count, load_window
 from .rl_core import sample_action, softmax_policy, xavier_init
 
 STATE_DIM = 16
@@ -211,21 +212,22 @@ class PerformanceTracker:
     def load_state_dict(self, d: Mapping, what: str = "tracker state") -> None:
         """Fill an empty tracker from ``state_dict`` output; ``what`` names
         ``d`` in the error for a missing or unknown key, a window longer
-        than this tracker's, a total that is not a number and a record that
-        is not three non-negative integers and a number."""
+        than this tracker's, a total that is not a finite number and a record
+        that is not three non-negative integers and a finite number."""
         check_keys(what, d, _TRACKER_KEYS)
         window = self.totals.maxlen
         self.totals.extend(load_window(d["totals"], window, f"{what}.totals"))
-        self.records.extend(load_window(d["records"], window, f"{what}.records", _load_tracker_record))
+        rows = load_window(d["records"], window, f"{what}.records", list)
+        self.records.extend(_load_tracker_record(row, f"{what}.records[{i}]") for i, row in enumerate(rows))
         self.counts = tuple(sum(r[i] for r in self.records) for i in range(3))
 
 
-def _load_tracker_record(row, what: str) -> tuple[int, int, int, float]:
+def _load_tracker_record(row: list, what: str) -> tuple[int, int, int, float]:
     """A ``records`` row: true defects, false positives and severity ranks,
     then the quality rating; anything else is rejected, named ``what``."""
-    if isinstance(row, list) and len(row) == 4 and all(type(n) is int and n >= 0 for n in row[:3]):
-        return (*row[:3], load_number(row[3], f"{what}[3]"))
-    raise ValueError(f"{what} is {row!r}, expected three non-negative integers and a number")
+    if len(row) != 4:
+        raise ValueError(f"{what} is {row!r}, expected three non-negative integers and a number")
+    return (*(load_count(n, f"{what}[{i}]") for i, n in enumerate(row[:3])), read_json(row[3], float, what, 3))
 
 
 def featurize_state(

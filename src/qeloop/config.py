@@ -8,12 +8,10 @@ base instance, driven by the dataclass fields and their type hints:
   base's values (the parent field's own default) for everything else;
 - a key that names no field, or no member of an enum-keyed mapping, raises
   ``UnknownConfigKey`` with its full dotted path;
-- values are type-checked, never coerced into shape: ints reject bools,
-  strings and non-integral numbers, bools accept only booleans, floats
-  accept finite floats and the ints a float holds (so not the NaN and
-  Infinity tokens ``json.load`` parses), strings accept only strings,
-  and a section must be an object. A mismatch raises ``ConfigTypeError``
-  with its path.
+- each value is read by ``domain.read_json`` as the kind of its field
+  (``int``, ``float``, ``bool`` or ``str``), never coerced into shape, and a
+  section must be an object. A mismatch raises ``ConfigTypeError`` with its
+  path and the reader's problem (``must be an integer, got 2.0``).
 
 Decoding checks shape only; ranges are each section's ``validate()``, which
 ``RunConfig.validate`` reports as ``ConfigRangeError`` with the section.
@@ -22,11 +20,11 @@ Decoding checks shape only; ranges are each section's ``validate()``, which
 from __future__ import annotations
 
 import dataclasses
-import math
-import sys
 import typing
 from collections.abc import Mapping
 from enum import Enum
+
+from .domain import MalformedRecord, read_json
 
 
 class UnknownConfigKey(Exception):
@@ -38,10 +36,10 @@ class UnknownConfigKey(Exception):
 
 
 class ConfigTypeError(ValueError):
-    def __init__(self, key: str, expected: str, value: object):
+    def __init__(self, key: str, problem: str):
         self.key = key
-        self.problem = f"expected {expected}, got {value!r}"
-        super().__init__(f"{key or 'config'}: {self.problem}")
+        self.problem = problem
+        super().__init__(f"{key or 'config'}: {problem}")
 
 
 class ConfigRangeError(ValueError):
@@ -51,17 +49,6 @@ class ConfigRangeError(ValueError):
         self.key = key
         self.problem = problem
         super().__init__(f"{key}: {problem}")
-
-
-_SCALARS = {
-    bool: lambda v: isinstance(v, bool),
-    int: lambda v: isinstance(v, int) or (isinstance(v, float) and v.is_integer()),
-    # A JSON integer too large for a float is rejected, not overflowed.
-    float: lambda v: (
-        math.isfinite(v) if isinstance(v, float) else isinstance(v, int) and abs(v) <= sys.float_info.max
-    ),
-    str: lambda v: isinstance(v, str),
-}
 
 
 def encode(value):
@@ -74,7 +61,7 @@ def encode(value):
 
 def _entries(raw, path: str):
     if not isinstance(raw, Mapping):
-        raise ConfigTypeError(path, "an object", raw)
+        raise ConfigTypeError(path, f"must be an object, got {raw!r}")
     return [(key, f"{path}.{key}" if path else key, value) for key, value in raw.items()]
 
 
@@ -96,9 +83,10 @@ def decode(tp, raw, base, path: str = ""):
                 raise UnknownConfigKey(key_path)
             out[enum[name]] = decode(value_type, value, out.get(enum[name]), key_path)
         return out
-    if isinstance(raw, bool) and tp is not bool or not _SCALARS[tp](raw):
-        raise ConfigTypeError(path, "finite float" if tp is float else tp.__name__, raw)
-    return tp(raw)
+    try:
+        return read_json(raw, tp, "")
+    except MalformedRecord as exc:
+        raise ConfigTypeError(path, str(exc)) from None
 
 
 class ConfigCodec:

@@ -19,7 +19,7 @@ import math
 import sys
 from collections.abc import Container, Mapping
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
+from enum import EnumMeta, IntEnum
 
 DEFAULT_COVERAGE_DIM = 32
 
@@ -66,18 +66,33 @@ def check_keys(
         raise MalformedRecord(f"{what}: {'; '.join(problems)}")
 
 
-def typed_field(what: str, d: Mapping, name: str, kind: type):
-    """``d[name]`` if it has the JSON type ``kind``: ``str``, ``bool``, or
-    ``float``, which takes a JSON integer too and returns it as a float.
-    Anything else, a boolean for a number included, is rejected, named
-    ``what.name``."""
-    value = d[name]
+_MAX = sys.float_info.max
+_KINDS = {str: "a string", bool: "a boolean", list: "a list", int: "an integer", float: "a finite number"}
+
+
+def read_json(value, kind, what: str, key: str | int | None = None):
+    """``value`` if it has the JSON kind ``kind``: ``str``, ``bool``, ``list``,
+    ``int`` (not a boolean or ``2.0``), ``float`` (finite; an integer a float
+    holds reads as that float) or an ``Enum`` class (a member's name, read as
+    the member); else ``MalformedRecord("PATH must be KIND, got VALUE!r")``,
+    VALUE!r cut after 1000 characters, as a whole section can be megabytes.
+    PATH, built only then, is ``what`` and ``.key`` or ``[key]``, or nothing."""
     if type(value) is kind:
-        return value
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    expected = {str: "a string", bool: "a boolean", float: "a number"}[kind]
-    raise MalformedRecord(f"{what}.{name} must be {expected}, got {value!r}")
+        # False for NaN and the infinities; exact for every int.
+        if kind is not float or -_MAX <= value <= _MAX:
+            return value
+    elif kind is float:
+        if type(value) is int and -_MAX <= value <= _MAX:
+            return float(value)
+    elif type(value) is str and isinstance(kind, EnumMeta):
+        member = kind.__members__.get(value)
+        if member is not None:
+            return member
+    path = what if key is None else f"{what}[{key}]" if type(key) is int else f"{what}.{key}"
+    got = repr(value)
+    got = got if len(got) <= 1000 else f"{got[:1000]}..."
+    problem = f"must be {_KINDS.get(kind) or f'one of {list(kind.__members__)}'}, got {got}"
+    raise MalformedRecord(f"{path} {problem}" if path else problem)
 
 
 class GenerationStrategy(IntEnum):
@@ -174,13 +189,14 @@ class DefectReport:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DefectReport":
-        check_keys("DefectReport", d, _DEFECT_REPORT_REQUIRED, _DEFECT_REPORT_OPTIONAL)
+        what = "DefectReport"
+        check_keys(what, d, _DEFECT_REPORT_REQUIRED, _DEFECT_REPORT_OPTIONAL)
         return cls(
-            id=typed_field("DefectReport", d, "id", str),
-            test_case_ref=typed_field("DefectReport", d, "test_case_ref", str),
-            severity=Severity[d["severity"]],
-            is_false_positive=typed_field("DefectReport", d, "is_false_positive", bool),
-            defect_ref=None if d.get("defect_ref") is None else typed_field("DefectReport", d, "defect_ref", str),
+            id=read_json(d["id"], str, what, "id"),
+            test_case_ref=read_json(d["test_case_ref"], str, what, "test_case_ref"),
+            severity=read_json(d["severity"], Severity, what, "severity"),
+            is_false_positive=read_json(d["is_false_positive"], bool, what, "is_false_positive"),
+            defect_ref=None if d.get("defect_ref") is None else read_json(d["defect_ref"], str, what, "defect_ref"),
         )
 
 
@@ -229,11 +245,12 @@ class FeedbackRecord:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeedbackRecord":
-        check_keys("FeedbackRecord", d, _FEEDBACK_RECORD_REQUIRED, _FEEDBACK_RECORD_OPTIONAL)
+        what = "FeedbackRecord"
+        check_keys(what, d, _FEEDBACK_RECORD_REQUIRED, _FEEDBACK_RECORD_OPTIONAL)
         return cls(
-            test_case_ref=typed_field("FeedbackRecord", d, "test_case_ref", str),
-            defects=tuple(DefectReport.from_dict(x) for x in d.get("defects", ())),
-            **{name: typed_field("FeedbackRecord", d, name, float) for name in _FEEDBACK_NUMBERS},
+            test_case_ref=read_json(d["test_case_ref"], str, what, "test_case_ref"),
+            defects=tuple(map(DefectReport.from_dict, read_json(d.get("defects", []), list, what, "defects"))),
+            **{name: read_json(d[name], float, what, name) for name in _FEEDBACK_NUMBERS},
         )
 
     def to_json_line(self) -> str:

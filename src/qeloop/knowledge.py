@@ -32,7 +32,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .config import ConfigCodec, UnknownConfigKey
-from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, stable_hash, typed_field
+from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, read_json, stable_hash
 from .rl_core import load_numbers, parse_json
 
 
@@ -179,18 +179,14 @@ class GraphEdge:
     @classmethod
     def from_dict(cls, d: Mapping, what: str = "graph edge") -> "GraphEdge":
         """``to_dict`` output; a missing or unknown key, an end that is not a
-        string, an unknown edge type and a weight that is not a JSON number
-        are rejected, named with their path under ``what``."""
+        string, an unknown edge type and a weight that is not a finite JSON
+        number are rejected, named with their path under ``what``."""
         check_keys(what, d, _EDGE_KEYS)
-        edge_type = EdgeType.__members__.get(typed_field(what, d, "edge_type", str))
-        if edge_type is None:
-            names = list(EdgeType.__members__)
-            raise MalformedRecord(f"{what}.edge_type must be one of {names}, got {d['edge_type']!r}")
         return cls(
-            typed_field(what, d, "source", str),
-            typed_field(what, d, "target", str),
-            edge_type,
-            typed_field(what, d, "weight", float),
+            read_json(d["source"], str, what, "source"),
+            read_json(d["target"], str, what, "target"),
+            read_json(d["edge_type"], EdgeType, what, "edge_type"),
+            read_json(d["weight"], float, what, "weight"),
         )
 
 
@@ -534,47 +530,45 @@ class KnowledgeStore:
 
     @classmethod
     def from_snapshot_dict(cls, d: Mapping, what: str = "knowledge snapshot") -> "KnowledgeStore":
-        """Rebuild a store. A missing or unknown key anywhere, a section that
-        is not a list, a ``d_emb`` that is not an integer of at least
-        ``EMBED_DIM_MIN``, an id, payload reference or graph node that is not
-        a string, a weight or usefulness that is not a JSON number, and what
-        the retrieval parameters' codec, ``_add_rows`` and ``upsert_edge``
+        """Rebuild a store. A missing or unknown key anywhere, a value that
+        ``read_json`` rejects as the kind its writer gives it (sections are
+        lists, ``d_emb`` an integer, ids, payload references and nodes strings,
+        weights and usefulness finite numbers), a ``d_emb`` below ``EMBED_DIM_MIN``
+        and what the retrieval parameters' codec, ``_add_rows`` and ``upsert_edge``
         reject are named with their dotted path under ``what``."""
         version = d.get("schema_version") if isinstance(d, Mapping) else None
         if version != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported {what} schema_version {version!r}")
         check_keys(what, d, _SNAPSHOT_KEYS)
-        for name in ("vector_records", "graph_nodes", "graph_edges"):
-            if not isinstance(d[name], list):
-                raise MalformedRecord(f"{what}.{name} must be a list, got {type(d[name]).__name__}")
+        vector_records, graph_nodes, graph_edges = (
+            read_json(d[name], list, what, name) for name in ("vector_records", "graph_nodes", "graph_edges")
+        )
         try:
             params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
         except (ValueError, UnknownConfigKey) as exc:
             raise ValueError(f"{what}.retrieval_params: {exc}") from None
-        d_emb = d["d_emb"]
-        if type(d_emb) is not int or d_emb < EMBED_DIM_MIN:
-            raise MalformedRecord(f"{what}.d_emb must be an integer >= {EMBED_DIM_MIN}, got {d_emb!r}")
+        d_emb = read_json(d["d_emb"], int, what, "d_emb")
+        if d_emb < EMBED_DIM_MIN:
+            raise MalformedRecord(f"{what}.d_emb must be >= {EMBED_DIM_MIN}, got {d_emb}")
         store = cls(d_emb=d_emb, params=params)
         records = []
-        for i, rec_d in enumerate(d["vector_records"]):
+        for i, rec_d in enumerate(vector_records):
             where = f"{what}.vector_records[{i}]"
             check_keys(where, rec_d, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS)
             records.append(
                 VectorRecord(
-                    typed_field(where, rec_d, "id", str),
-                    typed_field(where, rec_d, "payload_ref", str),
-                    typed_field(where, rec_d, "usefulness", float) if "usefulness" in rec_d else 0.5,
+                    read_json(rec_d["id"], str, where, "id"),
+                    read_json(rec_d["payload_ref"], str, where, "payload_ref"),
+                    read_json(rec_d["usefulness"], float, where, "usefulness") if "usefulness" in rec_d else 0.5,
                 )
             )
         try:
-            store._add_rows(records, [rec_d["embedding"] for rec_d in d["vector_records"]])
+            store._add_rows(records, [rec_d["embedding"] for rec_d in vector_records])
         except ValueError as exc:
             raise ValueError(f"{what}.vector_records: {exc}") from None
-        for i, node in enumerate(d["graph_nodes"]):
-            if type(node) is not str:
-                raise MalformedRecord(f"{what}.graph_nodes[{i}] must be a string, got {node!r}")
-            store.add_node(node)
-        for i, edge_d in enumerate(d["graph_edges"]):
+        for i, node in enumerate(graph_nodes):
+            store.add_node(read_json(node, str, f"{what}.graph_nodes", i))
+        for i, edge_d in enumerate(graph_edges):
             where = f"{what}.graph_edges[{i}]"
             e = GraphEdge.from_dict(edge_d, where)
             try:

@@ -19,7 +19,7 @@ from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .config import ConfigCodec
-from .domain import FeedbackRecord, Severity, check_keys, typed_field
+from .domain import FeedbackRecord, Severity, check_keys, read_json
 
 EFFICIENCY_CLAMP = 4.0
 
@@ -115,10 +115,10 @@ class RewardBreakdown:
     @classmethod
     def from_dict(cls, d: Mapping) -> "RewardBreakdown":
         """The breakdown ``to_dict`` wrote; a missing or unknown key, or a
-        value that is not a JSON number, is rejected with its field name."""
+        value that is not a finite JSON number, is rejected with its field name."""
         names = [f.name for f in fields(cls)]
         check_keys("RewardBreakdown", d, frozenset(names))
-        return cls(*(typed_field("RewardBreakdown", d, name, float) for name in names))
+        return cls(*(read_json(d[name], float, "RewardBreakdown", name) for name in names))
 
 
 def effectiveness_reward(batch: Sequence[FeedbackRecord], sw: SeverityWeights) -> float:

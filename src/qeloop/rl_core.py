@@ -16,7 +16,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -25,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import ConfigCodec
-from .domain import check_keys, stable_hash
+from .domain import check_keys, read_json, stable_hash
 
 HIDDEN_WIDTH = 64
 
@@ -149,39 +148,32 @@ def parse_json(text: str):
 
 
 def load_vector(values, width: int, what: str) -> np.ndarray:
-    """``values`` as a float64 vector; anything but ``width`` numbers is
-    rejected with its dotted path ``what``."""
-    vec = load_numbers(values, np.float64, what, "vector of numbers")
-    if vec.shape != (width,):
-        raise ValueError(f"{what} has shape {vec.shape}, expected ({width},)")
-    return vec
+    """``values``, a list of ``width`` finite JSON numbers, as a float64
+    vector; anything else is rejected with its dotted path ``what``, a bad
+    entry with its index."""
+    values = read_json(values, list, what)
+    if len(values) != width:
+        raise ValueError(f"{what} holds {len(values)} entries, expected {width}")
+    return np.array([read_json(value, float, what, i) for i, value in enumerate(values)], dtype=np.float64)
 
 
-def load_number(value, what: str) -> float:
-    """``value`` as a float; anything but a JSON number a float holds is
-    rejected with its dotted path ``what``."""
-    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ValueError(f"{what} is {value!r}, expected a number")
-
-
-def load_window(values, length: int, what: str, read=load_number) -> list:
-    """The entries of ``values``, a list of at most ``length`` entries, each
-    read by ``read(entry, path)``; anything else is rejected with its dotted
-    path ``what``, a bad entry with its index."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} is {values!r}, expected a list")
+def load_window(values, length: int, what: str, kind=float) -> list:
+    """The entries of ``values``, a list of at most ``length`` entries of the
+    JSON kind ``kind``; anything else is rejected with its dotted path
+    ``what``, a bad entry with its index."""
+    values = read_json(values, list, what)
     if len(values) > length:
         raise ValueError(f"{what} holds {len(values)} entries, the window is {length}")
-    return [read(value, f"{what}[{i}]") for i, value in enumerate(values)]
+    return [read_json(value, kind, what, i) for i, value in enumerate(values)]
 
 
 def load_count(value, what: str) -> int:
-    """``value`` as a counter; anything but a non-negative JSON integer (a
-    boolean or a float included) is rejected with its dotted path ``what``."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} is {value!r}, expected a non-negative integer")
-    return value
+    """``value`` as a counter; anything but a non-negative JSON integer is
+    rejected with its dotted path ``what``."""
+    count = read_json(value, int, what)
+    if count < 0:
+        raise ValueError(f"{what} is {count}, expected a non-negative integer")
+    return count
 
 
 def load_below(value, bound: int, what: str) -> int:
@@ -292,11 +284,13 @@ class MLPParameters:
     def load_dict(self, d: Mapping, what: str = "MLP parameters") -> None:
         """Write ``to_dict`` output into this network's buffer. A topology
         other than this network's is rejected: ``what`` names ``d`` in the
-        error for a missing or unknown key, another ``layer_sizes``, or a
-        ``flat`` buffer of another length."""
+        error for a missing or unknown key, ``layer_sizes`` that are not
+        this network's integers, or a ``flat`` buffer of another length."""
         check_keys(what, d, _MLP_KEYS)
-        if list(d["layer_sizes"]) != list(self.layer_sizes):
-            raise ValueError(f"{what}.layer_sizes {d['layer_sizes']!r} != built {list(self.layer_sizes)}")
+        path = f"{what}.layer_sizes"
+        sizes = [read_json(n, int, path, i) for i, n in enumerate(read_json(d["layer_sizes"], list, path))]
+        if sizes != list(self.layer_sizes):
+            raise ValueError(f"{path} {sizes!r} != built {list(self.layer_sizes)}")
         self.flat[...] = load_floats(d["flat"], (), f"{what}.flat", self.flat.size)
 
 
@@ -566,7 +560,7 @@ class RngStreams:
         ``state_dict`` writes: the bit generator ``"PCG64"``, ``state`` and
         ``inc`` as the decimal text of an integer in [0, 2**128),
         ``has_uint32`` as the JSON integer 0 or 1 and ``uinteger`` as a JSON
-        integer in [0, 2**32) (``load_count`` rejects a boolean or a
+        integer in [0, 2**32) (``read_json`` rejects a boolean or a
         float)."""
         for name, st in d.items():
             where = f"{what}.{name}"
@@ -586,8 +580,9 @@ def _load_pcg64_word(text, what: str) -> int:
     """The integer whose decimal text ``text`` is, if it is in [0, 2**128):
     ``str(n)`` exactly, with no sign, space or leading zero; anything else
     is rejected with its dotted path ``what``."""
+    text = read_json(text, str, what)
     # 2**128 has 39 digits, so a longer text is out of range unparsed.
-    if type(text) is str and len(text) <= 39 and text.isascii() and text.isdigit():
+    if len(text) <= 39 and text.isascii() and text.isdigit():
         n = int(text)
         if str(n) == text and n < 1 << 128:
             return n

@@ -41,7 +41,7 @@ from .agents import (
 )
 from .atomic import atomic_open
 from .config import ConfigCodec, ConfigRangeError, ConfigTypeError, UnknownConfigKey  # noqa: F401 - re-exported
-from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, typed_field, validate_feedback
+from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, read_json, validate_feedback
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
     EMBED_DIM_MIN,
@@ -381,19 +381,19 @@ class RunTables:
             check_keys(kind, event, _EVENT_KEYS[kind])
             self.ppo_updates.append({
                 "update_index": load_count(event["update_index"], "ppo_update update_index"),
-                "role": typed_field(kind, event, "role", str),
-                **{name: typed_field(kind, event, name, float) for name in PPO_CSV_COLUMNS[2:]},
+                "role": read_json(event["role"], str, kind, "role"),
+                **{name: read_json(event[name], float, kind, name) for name in PPO_CSV_COLUMNS[2:]},
             })
         elif kind == "kb_action":
             check_keys(kind, event, _EVENT_KEYS[kind])
             self.dqn_steps.append({
                 "step": load_count(event["step"], "kb_action step"),
-                "epsilon": typed_field(kind, event, "epsilon", float),
+                "epsilon": read_json(event["epsilon"], float, kind, "epsilon"),
                 **{
-                    name: None if event[name] is None else typed_field(kind, event, name, float)
+                    name: None if event[name] is None else read_json(event[name], float, kind, name)
                     for name in ("loss", "mean_q")
                 },
-                "chosen_action": typed_field(kind, event, "chosen_action", str),
+                "chosen_action": read_json(event["chosen_action"], str, kind, "chosen_action"),
             })
 
     def write(self, out_dir) -> dict[str, str]:
@@ -762,14 +762,16 @@ class TrainingSystem:
         partial system. A missing or unknown key, an unknown, mistyped or
         out-of-range config value, a network or optimizer state of another
         topology, a vector, column or window of another width or length, a
-        stored number that is not a number or that the cast to its type
+        stored number that is not a finite number or that the cast to its type
         would change, a float64 buffer or column that is not strict base64
         text of its byte count, a stored action outside its action space, a
         negative counter, a tracker record that is not three non-negative integers
         and a number, an RNG state value ``RngStreams.state_dict`` cannot
         write, a ``kb`` section ``KnowledgeStore.from_snapshot_dict``
-        rejects and a ``kb.d_emb`` other than the config's are named with
-        their dotted path. ``events`` as in ``__init__``."""
+        rejects, a ``kb.d_emb`` other than the config's and ``content_vectors``
+        keys other than the stored tests' ids are named with their dotted
+        path, and text that is not JSON with ``path``. ``events`` as in
+        ``__init__``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
@@ -778,7 +780,7 @@ class TrainingSystem:
         try:
             payload = parse_json(raw)
         except json.JSONDecodeError as exc:
-            raise SchemaVersionMismatch(f"checkpoint is not valid JSON: {exc}") from exc
+            raise SchemaVersionMismatch(f"checkpoint {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"unsupported checkpoint schema_version {payload.get('schema_version')!r}"
@@ -801,6 +803,11 @@ class TrainingSystem:
             system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"], "checkpoint kb")
             if system.kb.d_emb != config.kb.d_emb:
                 raise ValueError(f"checkpoint kb.d_emb is {system.kb.d_emb}, the config's kb.d_emb is {config.kb.d_emb}")
+            # The stored tests, the store's records that are not requirements,
+            # are the keys of ``content_vectors``.
+            requirement_ids = {req.id for req in system.project.requirements}
+            test_ids = frozenset(rec["id"] for rec in payload["kb"]["vector_records"]) - requirement_ids
+            check_keys("checkpoint content_vectors", payload["content_vectors"], test_ids)
             system.content_vectors = {
                 key: load_vector(vec, config.env.d_cov, f"checkpoint content_vectors.{key}")
                 for key, vec in payload["content_vectors"].items()
@@ -899,9 +906,10 @@ def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
                 raise ValueError("run_start n_requirements is 0, expected at least 1")
         elif kind == "episode_start":
             episode = load_count(event["episode"], "episode_start episode")
-            planned = event["planned_requirements"]
-            if type(planned) is not list or not all(type(rid) is str for rid in planned):
-                raise ValueError(f"episode_start planned_requirements is {planned!r}, expected a list of strings")
+            what = "episode_start planned_requirements"
+            planned = read_json(event["planned_requirements"], list, what)
+            for i, rid in enumerate(planned):
+                read_json(rid, str, what, i)
             reachable = load_count(event["reachable_defects"], "episode_start reachable_defects")
             records, breakdowns = [], []
         elif kind == "slot":

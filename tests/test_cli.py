@@ -154,7 +154,7 @@ class TestMainExitCodes:
         argv = ["train", "--config", config_path, "--set", override, "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         key = override.split("=")[0]
-        assert f"qeloop.cli.ValidationError: {key}: expected finite float" in capsys.readouterr().err
+        assert f"qeloop.cli.ValidationError: {key}: must be a finite number, got" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_gradcheck_exits_zero_and_reports(self, config_path, capsys):
@@ -280,7 +280,18 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "SchemaVersionMismatch: checkpoint config.loop.modifier_scale: expected finite float, got inf" in err
+        assert "SchemaVersionMismatch: checkpoint config.loop.modifier_scale: must be a finite number, got inf" in err
+
+    def test_evaluate_names_a_checkpoint_that_is_not_json(self, tmp_path, config_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        checkpoint.write_text(checkpoint.read_text()[:100])
+        capsys.readouterr()
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"qeloop.trainer.SchemaVersionMismatch: checkpoint {checkpoint} is not valid JSON: Unterminated" in err
 
     def test_evaluate_names_an_rng_state_out_of_range(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
@@ -351,7 +362,7 @@ class TestReplayCommand:
         write_feedback_file(feedback_path, self.feedback_records())
         argv = ["replay", "--config", config_path, str(feedback_path), "--kb", str(snap), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
-        assert "knowledge snapshot.graph_edges[0].weight must be a number, got 1000" in capsys.readouterr().err
+        assert "knowledge snapshot.graph_edges[0].weight must be a finite number, got 1000" in capsys.readouterr().err
 
     def test_replay_names_a_snapshot_that_is_not_json(self, tmp_path, config_path, capsys):
         snap = self.build_snapshot(tmp_path)
@@ -390,8 +401,24 @@ class TestReplayCommand:
         skipped = out.err.splitlines()
         assert len(skipped) == 3
         assert "line 2: DefectReport.is_false_positive must be a boolean" in skipped[0]
-        assert "line 3: FeedbackRecord.execution_time must be a number" in skipped[1]
-        assert "line 4: execution_time=inf outside finite real" in skipped[2]
+        assert "line 3: FeedbackRecord.execution_time must be a finite number, got '4.5'" in skipped[1]
+        assert "ParseError: line 4: FeedbackRecord.execution_time must be a finite number, got inf" in skipped[2]
+
+    def test_replay_names_a_severity_that_is_no_member(self, tmp_path, config_path, capsys):
+        lines = []
+        for severity in ("Bogus", 3):
+            record = self.feedback_records()[0].to_dict()
+            record["defects"][0]["severity"] = severity
+            lines.append(json.dumps(record))
+        feedback_path = tmp_path / "feedback.jsonl"
+        feedback_path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", config_path, str(feedback_path), "--out", str(tmp_path / "o")]) == 1
+        skipped = capsys.readouterr().err.splitlines()
+        members = "['Low', 'Medium', 'High', 'Critical']"
+        assert skipped == [
+            f"skipped qeloop.qe_env.ParseError: line 1: DefectReport.severity must be one of {members}, got 'Bogus'",
+            f"skipped qeloop.qe_env.ParseError: line 2: DefectReport.severity must be one of {members}, got 3",
+        ]
 
     def test_replay_input_not_modified(self, tmp_path, config_path):
         feedback_path = tmp_path / "feedback.jsonl"
@@ -459,11 +486,19 @@ class TestExportCommand:
             ("episode_start", lambda event: event.update(reachable_defects=2.7), "reachable_defects"),
             ("episode_start", lambda event: event.update(reachable_defects="20"), "reachable_defects"),
             ("kb_action", lambda event: event.pop("mean_q"), "kb_action: missing key(s) ['mean_q']"),
-            ("kb_action", lambda event: event.update(loss="abc", step=[1, 2]), "kb_action step is [1, 2]"),
-            ("kb_action", lambda event: event.update(loss="abc"), "kb_action.loss must be a number, got 'abc'"),
+            (
+                "kb_action",
+                lambda event: event.update(loss="abc", step=[1, 2]),
+                "kb_action step must be an integer, got [1, 2]",
+            ),
+            ("kb_action", lambda event: event.update(loss="abc"), "kb_action.loss must be a finite number, got 'abc'"),
             ("kb_action", lambda event: event.update(chosen_action=3), "kb_action.chosen_action must be a string"),
             ("ppo_update", lambda event: event.update(update_index=-1), "ppo_update update_index is -1"),
-            ("ppo_update", lambda event: event.update(entropy=None), "ppo_update.entropy must be a number"),
+            (
+                "ppo_update",
+                lambda event: event.update(entropy=None),
+                "ppo_update.entropy must be a finite number, got None",
+            ),
             ("ppo_update", lambda event: event.update(bogus=1), "ppo_update: unknown key(s) ['bogus']"),
         ],
         ids=[

@@ -134,10 +134,10 @@ class TestStrictRecordKeys:
         "field_name, value, expected",
         [
             ("test_case_ref", 5, "a string"),
-            ("execution_time", "4.5", "a number"),
-            ("compliance_score", True, "a number"),
-            ("quality_rating", None, "a number"),
-            ("baseline_time", 10**400, "a number"),
+            ("execution_time", "4.5", "a finite number"),
+            ("compliance_score", True, "a finite number"),
+            ("quality_rating", None, "a finite number"),
+            ("baseline_time", 10**400, "a finite number"),
         ],
         ids=["numeric-id", "string-number", "boolean-number", "null-number", "overflowing-number"],
     )

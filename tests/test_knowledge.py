@@ -478,17 +478,29 @@ class TestSnapshot:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.update(d_emb="8"), "d_emb must be an integer >= 8, got '8'"),
-            (lambda p: p.update(d_emb=8.0), "d_emb must be an integer >= 8, got 8.0"),
-            (lambda p: p["graph_edges"][0].update(weight="0.4"), "graph_edges[0].weight must be a number, got '0.4'"),
-            (lambda p: p["graph_edges"][0].update(weight=True), "graph_edges[0].weight must be a number, got True"),
-            (lambda p: p["graph_edges"][0].update(weight=10**400), "graph_edges[0].weight must be a number, got 1000"),
+            (lambda p: p.update(d_emb="8"), "d_emb must be an integer, got '8'"),
+            (lambda p: p.update(d_emb=8.0), "d_emb must be an integer, got 8.0"),
+            (
+                lambda p: p["graph_edges"][0].update(weight="0.4"),
+                "graph_edges[0].weight must be a finite number, got '0.4'",
+            ),
+            (
+                lambda p: p["graph_edges"][0].update(weight=True),
+                "graph_edges[0].weight must be a finite number, got True",
+            ),
+            (
+                lambda p: p["graph_edges"][0].update(weight=10**400),
+                "graph_edges[0].weight must be a finite number, got 1000",
+            ),
             (lambda p: p["graph_edges"][0].update(source=5), "graph_edges[0].source must be a string, got 5"),
-            (lambda p: p["graph_edges"][0].update(edge_type=0), "graph_edges[0].edge_type must be a string, got 0"),
+            (
+                lambda p: p["graph_edges"][0].update(edge_type=0),
+                "graph_edges[0].edge_type must be one of ['Covers', 'Impacts', 'DependsOn', 'DetectedBy'], got 0",
+            ),
             (lambda p: p["graph_edges"][0].update(edge_type="Bogus"), "graph_edges[0].edge_type must be one of"),
             (
                 lambda p: p["vector_records"][0].update(usefulness="0.9"),
-                "vector_records[0].usefulness must be a number, got '0.9'",
+                "vector_records[0].usefulness must be a finite number, got '0.9'",
             ),
             (
                 lambda p: p["vector_records"][0].update(embedding=[str(x) for x in p["vector_records"][0]["embedding"]]),
@@ -496,7 +508,8 @@ class TestSnapshot:
             ),
             (lambda p: p["vector_records"][0].update(id=5), "vector_records[0].id must be a string, got 5"),
             (lambda p: p["graph_nodes"].__setitem__(0, 5), "graph_nodes[0] must be a string, got 5"),
-            (lambda p: p.update(graph_nodes="ab"), "graph_nodes must be a list, got str"),
+            (lambda p: p.update(graph_nodes="ab"), "graph_nodes must be a list, got 'ab'"),
+            (lambda p: p["retrieval_params"].update(top_k=8.0), "retrieval_params: top_k: must be an integer, got 8.0"),
         ],
         ids=[
             "d-emb-string",
@@ -512,6 +525,7 @@ class TestSnapshot:
             "record-id-number",
             "graph-node-number",
             "graph-nodes-string",
+            "retrieval-param-integral-float",
         ],
     )
     def test_value_of_another_type_rejected_with_its_path(self, edit, message):

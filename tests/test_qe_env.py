@@ -298,10 +298,22 @@ class TestReplayFeedback:
                 ParseError,
                 "DefectReport.is_false_positive must be a boolean, got 'false'",
             ),
-            (lambda d: d.update(execution_time="4.5"), ParseError, "FeedbackRecord.execution_time must be a number"),
-            (lambda d: d.update(compliance_score=True), ParseError, "FeedbackRecord.compliance_score must be a number"),
+            (
+                lambda d: d.update(execution_time="4.5"),
+                ParseError,
+                "FeedbackRecord.execution_time must be a finite number, got '4.5'",
+            ),
+            (
+                lambda d: d.update(compliance_score=True),
+                ParseError,
+                "FeedbackRecord.compliance_score must be a finite number, got True",
+            ),
             (lambda d: d.update(test_case_ref=5), ParseError, "FeedbackRecord.test_case_ref must be a string, got 5"),
-            (lambda d: d.update(execution_time=float("inf")), ValidationError, "execution_time=inf outside finite real"),
+            (
+                lambda d: d.update(execution_time=float("inf")),
+                ParseError,
+                "FeedbackRecord.execution_time must be a finite number, got inf",
+            ),
         ],
         ids=["string-flag", "string-number", "boolean-number", "numeric-id", "infinite-number"],
     )

@@ -463,10 +463,11 @@ class TestFloatCodec:
         assert np.array_equal(load_floats(encode_floats(values), (3,), "x"), values)
         assert load_floats("", (3,), "x").shape == (0, 3)
 
-    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_accepts_what_the_json_path_accepts(self, values):
-        # The values a JSON list of numbers held read back as the same bits.
+        # The values a JSON list of finite numbers held read back as the same
+        # bits; load_vector rejects the NaN and Infinity tokens.
         via_json = load_vector(json.loads(json.dumps(values)), len(values), "x")
         via_text = load_floats(encode_floats(np.asarray(values, dtype=np.float64)), (), "x", len(values))
         assert via_text.view(np.uint64).tolist() == via_json.view(np.uint64).tolist()
@@ -576,7 +577,8 @@ class TestLoadCount:
 
     @pytest.mark.parametrize("value", [-1, 2.5, "3", True, 2.0])
     def test_negative_or_fractional_rejected_with_its_path(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"dqn.train_steps is {value!r}")):
+        problem = "is -1, expected a non-negative integer" if value == -1 else f"must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"dqn.train_steps {problem}")):
             load_count(value, "dqn.train_steps")
 
     def test_negative_adam_step_rejected(self):
@@ -639,12 +641,13 @@ class TestParameterSerialization:
         "edit, path",
         [
             (lambda d: d.update(layer_sizes=[3, 8, 2]), "net.layer_sizes"),
+            (lambda d: d.update(layer_sizes=[3.0, 4, 2]), "net.layer_sizes[0] must be an integer, got 3.0"),
             (lambda d: d.update(flat=edit_bytes(d["flat"], one_more)), "net.flat holds 216 bytes, expected 208"),
             (lambda d: d.update(flat=edit_bytes(d["flat"], one_less)), "net.flat holds 200 bytes, expected 208"),
             (lambda d: d.update(flat=[d["flat"]]), "net.flat is a list, expected base64 text"),
             (lambda d: d.update(flat=np.frombuffer(base64.b64decode(d["flat"])).tolist()), "net.flat is a list"),
         ],
-        ids=["layer-sizes", "one-float-too-many", "one-float-too-few", "nested", "json-list"],
+        ids=["layer-sizes", "layer-sizes-float", "one-float-too-many", "one-float-too-few", "nested", "json-list"],
     )
     def test_other_topology_rejected_with_its_path(self, edit, path):
         payload = xavier_init((3, 4, 2), rng(0)).to_dict()

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 import re
 import subprocess
@@ -293,6 +294,19 @@ def tiled(columns: dict, rows: int) -> dict:
         else:
             out[name] = (column * rows)[:rows]
     return out
+
+
+def stored_test_x(vector: list):
+    """A checkpoint edit that stores one more test, ``tc-x``, whose content
+    vector is ``vector``: a record for it in the store, which restore checks
+    the ``content_vectors`` keys against, and its vector."""
+
+    def edit(payload):
+        records = payload["kb"]["vector_records"]
+        records.append(dict(records[-1], id="tc-x", payload_ref="tc-x"))
+        payload["content_vectors"]["tc-x"] = vector
+
+    return edit
 
 
 def to_version_11(node):
@@ -629,7 +643,7 @@ class TestCheckpoint:
             ("dqn.replay", lambda node: node.update(next_states=[node["next_states"]]), "dqn.replay.next_states"),
             ("dqn.replay", lambda node: node["dones"].append(False), "dqn.replay.dones"),
             ("kb_pending", lambda node: node.update(state=node["state"] + [0.0]), "kb_pending.state"),
-            ("content_vectors", lambda node: node.update({"tc-x": [0.5] * 3}), "content_vectors.tc-x"),
+            ("", stored_test_x([0.5] * 3), "content_vectors.tc-x"),
         ],
         ids=[
             "agent-params-topology",
@@ -662,14 +676,18 @@ class TestCheckpoint:
             (lambda node: node["execution"].update(bogus=1), "checkpoint config.execution.bogus: unknown key"),
             (
                 lambda node: node["execution"].update(base_time="x"),
-                "checkpoint config.execution.base_time: expected finite float, got 'x'",
+                "checkpoint config.execution.base_time: must be a finite number, got 'x'",
             ),
             (
                 lambda node: node["execution"].update(base_time=-1.0),
                 "checkpoint config.execution: times must be positive",
             ),
+            (
+                lambda node: node["kb"].update(max_records=600.0),
+                "checkpoint config.kb.max_records: must be an integer, got 600.0",
+            ),
         ],
-        ids=["unknown-key", "wrong-type", "out-of-range"],
+        ids=["unknown-key", "wrong-type", "out-of-range", "integral-float-for-an-integer"],
     )
     def test_bad_config_rejected_with_its_path(self, tmp_path, edit, message):
         with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
@@ -782,34 +800,38 @@ class TestCheckpoint:
             (
                 "trackers.modifiers",
                 lambda node: node["records"][0].__setitem__(0, 1.5),
-                "trackers.modifiers.records[0] is [1.5,",
+                "trackers.modifiers.records[0][0] must be an integer, got 1.5",
             ),
             (
                 "trackers.TestCaseGeneration",
                 lambda node: node["records"][0].__setitem__(0, -4),
-                "trackers.TestCaseGeneration.records[0] is [-4,",
+                "trackers.TestCaseGeneration.records[0][0] is -4, expected a non-negative integer",
             ),
             (
                 "trackers.modifiers",
                 lambda node: node["records"][0].__setitem__(3, "0.5"),
-                "trackers.modifiers.records[0][3] is '0.5', expected a number",
+                "trackers.modifiers.records[0][3] must be a finite number, got '0.5'",
             ),
             (
                 "trackers.TestCaseGeneration",
                 lambda node: node["totals"].__setitem__(0, "0.5"),
-                "trackers.TestCaseGeneration.totals[0] is '0.5', expected a number",
+                "trackers.TestCaseGeneration.totals[0] must be a finite number, got '0.5'",
             ),
-            ("", lambda node: node["hit_window"].__setitem__(0, "0.5"), "hit_window[0] is '0.5', expected a number"),
             (
-                "content_vectors",
-                lambda node: node.update({"tc-x": ["0.5"] * len(next(iter(node.values())))}),
-                "content_vectors.tc-x is not a vector of numbers",
+                "",
+                lambda node: node["hit_window"].__setitem__(0, "0.5"),
+                "hit_window[0] must be a finite number, got '0.5'",
+            ),
+            (
+                "",
+                lambda node: stored_test_x(["0.5"] * len(next(iter(node["content_vectors"].values()))))(node),
+                "content_vectors.tc-x[0] must be a finite number, got '0.5'",
             ),
             ("kb_pending", lambda node: node.update(action=99), "kb_pending.action is 99, outside [0, 13)"),
             (
                 "kb_pending",
                 lambda node: node.update(action=1.5),
-                "kb_pending.action is 1.5, expected a non-negative integer",
+                "kb_pending.action must be an integer, got 1.5",
             ),
         ],
         ids=[
@@ -829,21 +851,68 @@ class TestCheckpoint:
             self.restore_edited(tmp_path, section, edit)
 
     @pytest.mark.parametrize(
+        "section, edit, message",
+        [
+            (
+                "",
+                lambda node: node["hit_window"].__setitem__(0, math.nan),
+                "hit_window[0] must be a finite number, got nan",
+            ),
+            (
+                "trackers.modifiers",
+                lambda node: node["totals"].__setitem__(0, math.inf),
+                "trackers.modifiers.totals[0] must be a finite number, got inf",
+            ),
+            (
+                "",
+                lambda node: stored_test_x([math.nan] * len(next(iter(node["content_vectors"].values()))))(node),
+                "content_vectors.tc-x[0] must be a finite number, got nan",
+            ),
+            (
+                "kb_pending",
+                lambda node: node["state"].__setitem__(0, -math.inf),
+                "kb_pending.state[0] must be a finite number, got -inf",
+            ),
+        ],
+        ids=["hit-window-nan", "tracker-total-infinity", "content-vector-nan", "kb-pending-state-infinity"],
+    )
+    def test_non_finite_number_rejected_with_its_path(self, tmp_path, section, edit, message):
+        # json.loads parses the NaN and Infinity tokens; a restored run must
+        # not carry them into its rewards and features.
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+            self.restore_edited(tmp_path, section, edit)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda vectors: vectors.pop(sorted(vectors)[0]), "missing key(s) ['{first}']"),
+            (
+                lambda vectors: vectors.update({"tc-bogus": vectors[sorted(vectors)[0]]}),
+                "unknown key(s) ['tc-bogus']",
+            ),
+        ],
+        ids=["stored-test-without-vector", "vector-of-no-stored-test"],
+    )
+    def test_content_vectors_not_keyed_by_the_stored_tests_rejected(self, tmp_path, edit, problem):
+        # Every test in the store has a content vector, and nothing else does;
+        # a missing one would drop the test out of every later context blend.
+        system = TrainingSystem(tiny_config())
+        system.run(episodes=1)
+        message = f"checkpoint content_vectors: {problem.format(first=sorted(system.content_vectors)[0])}"
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
+            self.restore_edited(tmp_path, "content_vectors", edit)
+
+    @pytest.mark.parametrize(
         "key, value, expected",
         [
             ("bit_generator", "MT19937", "expected 'PCG64'"),
             ("state", "-5", "expected the decimal text of an integer in [0, 2**128)"),
             ("state", str(2**130), "expected the decimal text of an integer in [0, 2**128)"),
-            ("state", 12, "expected the decimal text of an integer in [0, 2**128)"),
             ("state", " 12 ", "expected the decimal text of an integer in [0, 2**128)"),
-            ("state", 1000.7, "expected the decimal text of an integer in [0, 2**128)"),
             ("inc", "012", "expected the decimal text of an integer in [0, 2**128)"),
-            ("has_uint32", 0.5, "expected a non-negative integer"),
             ("has_uint32", 7, "outside [0, 2)"),
-            ("has_uint32", True, "expected a non-negative integer"),
             ("uinteger", -1, "expected a non-negative integer"),
             ("uinteger", 2**40, "outside [0, 4294967296)"),
-            ("uinteger", 3.9, "expected a non-negative integer"),
         ],
     )
     def test_rng_state_that_state_dict_cannot_write_rejected_with_its_path(self, tmp_path, key, value, expected):
@@ -852,13 +921,28 @@ class TestCheckpoint:
             self.restore_edited(tmp_path, "rng_states.env", lambda node: node.update({key: value}))
 
     @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("state", 12, "a string"),
+            ("state", 1000.7, "a string"),
+            ("has_uint32", 0.5, "an integer"),
+            ("has_uint32", True, "an integer"),
+            ("uinteger", 3.9, "an integer"),
+        ],
+    )
+    def test_rng_state_of_another_kind_rejected_with_its_path(self, tmp_path, key, value, kind):
+        message = re.escape(f"checkpoint rng_states.env.{key} must be {kind}, got {value!r}")
+        with pytest.raises(SchemaVersionMismatch, match=message):
+            self.restore_edited(tmp_path, "rng_states.env", lambda node: node.update({key: value}))
+
+    @pytest.mark.parametrize(
         "section, edit, message",
         [
-            ("kb", lambda node: node.update(d_emb="64"), "kb.d_emb must be an integer >= 8, got '64'"),
+            ("kb", lambda node: node.update(d_emb="64"), "kb.d_emb must be an integer, got '64'"),
             (
                 "kb.graph_edges.0",
                 lambda node: node.update(weight="0.4"),
-                "kb.graph_edges[0].weight must be a number, got '0.4'",
+                "kb.graph_edges[0].weight must be a finite number, got '0.4'",
             ),
             (
                 "kb.vector_records.0",
@@ -870,7 +954,7 @@ class TestCheckpoint:
             (
                 "kb.retrieval_params",
                 lambda node: node.update(top_k="3"),
-                "kb.retrieval_params: top_k: expected int, got '3'",
+                "kb.retrieval_params: top_k: must be an integer, got '3'",
             ),
             (
                 "config.kb",
