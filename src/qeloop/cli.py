@@ -191,22 +191,13 @@ def _cmd_export(args: argparse.Namespace, config: trainer.RunConfig) -> int:
     out_dir = args.out or config.output_dir
     tables = trainer.RunTables()
     line_number = 0
-
-    def events(fh):
-        nonlocal line_number
-        for line_number, line in enumerate(fh, start=1):
-            if line.strip():
-                event = json.loads(line)
-                tables.append(event)
-                yield event
-
-    with open(args.input_path, "r", encoding="utf-8") as fh:
-        # metrics.csv is recomputed from the feedback and reward tallies, not
-        # copied from the logged episode_end rows. Events are read lazily, so
-        # the line last read is the one that failed.
+    # Lines are decoded one by one, so a byte that is not UTF-8 is named with its line.
+    with open(args.input_path, "rb") as fh:
         try:
-            tables.metrics = trainer.derive_metrics_from_events(events(fh))
-        except (KeyError, TypeError, ValueError) as exc:
+            for line_number, line in enumerate(fh, start=1):
+                if line.strip():
+                    tables.append(trainer.read_event(json.loads(line.decode("utf-8"))))
+        except ValueError as exc:
             raise ValidationError(f"input line {line_number}", f"malformed event log: {exc!r}") from exc
     if not tables.metrics:
         raise ValidationError("input", "event log contains no complete episodes")

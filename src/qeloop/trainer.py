@@ -74,11 +74,16 @@ MODIFIER_ROLES = (
 
 PPO_CSV_COLUMNS = ("update_index", "role", "mean_ratio", "clip_fraction", "policy_loss", "value_loss", "entropy")
 DQN_CSV_COLUMNS = ("step", "epsilon", "loss", "mean_q", "chosen_action")
-# The keys of the events the learner tables fold; ``kb_action`` also carries
-# the retrieval parameters the action set, which no table reads.
-_EVENT_KEYS = {
-    "ppo_update": frozenset({"type", *PPO_CSV_COLUMNS}),
-    "kb_action": frozenset({"type", "params", *DQN_CSV_COLUMNS}),
+# The fields of each kind of event a run writes, besides ``type``, each with
+# the JSON kind ``read_event`` decides: ``int`` is a count, a non-negative
+# integer, and ``None`` a field it reads with its own code or not at all.
+_EVENT_FIELDS = {
+    "run_start": {"event_schema": None, "n_requirements": int, "n_defects": int, "seed": int},
+    "episode_start": {"episode": int, "planned_requirements": list, "reachable_defects": int},
+    "slot": {"episode": int, "slot": int, "records": list, **dict.fromkeys(("actions", "test", "test_ids", "reward"))},
+    "episode_end": {"episode": int, "metrics": None},
+    "ppo_update": {"update_index": int, "role": str, **dict.fromkeys(PPO_CSV_COLUMNS[2:], float)},
+    "kb_action": {"step": int, "epsilon": float, "loss": float, "mean_q": float, "chosen_action": str, "params": None},
 }
 
 # The modifiers act in every slot on the same records and reward, so they
@@ -295,30 +300,6 @@ class EpisodeMetrics:
 METRICS_CSV_COLUMNS = tuple(f.name for f in fields(EpisodeMetrics))
 
 
-def _metrics_from_tallies(
-    episode: int,
-    planned_requirements: Sequence[str],
-    reachable_defects: int,
-    records: Sequence[FeedbackRecord],
-    breakdowns: Sequence[RewardBreakdown],
-    n_requirements: int,
-) -> EpisodeMetrics:
-    n = len(records)
-    accuracy = sum(1 for r in records if r.quality_rating >= 0.5) / n if n else 0.0
-    detected = {d.defect_ref for r in records for d in r.true_defects()}
-    detection = min(1.0, len(detected) / reachable_defects) if reachable_defects else 0.0
-    fp_rate = min(1.0, sum(len(r.false_positives()) for r in records) / n) if n else 0.0
-    req_cov = len(set(planned_requirements)) / n_requirements
-    if breakdowns:
-        means = [
-            sum(getattr(b, name) for b in breakdowns) / len(breakdowns)
-            for name in ("effectiveness", "coverage", "efficiency", "compliance", "adaptation", "total")
-        ]
-    else:
-        means = [0.0] * 6
-    return EpisodeMetrics(episode, accuracy, detection, fp_rate, req_cov, *means)
-
-
 def _csv_cell(value) -> str:
     """A float as its repr, None as an empty cell, anything else as str."""
     if value is None:
@@ -355,46 +336,114 @@ class EventSink(Protocol):
     def append(self, event: dict) -> None: ...
 
 
+def read_event(event) -> dict:
+    """``event``, parsed from a line of an event log, once its ``type`` is a
+    kind the run writes of ``event_schema`` 2, its keys are that kind's and
+    each field the fold reads has the JSON kind the run writes: a count is a
+    non-negative integer (``n_requirements`` at least 1), a number finite
+    (a DQN ``loss`` and ``mean_q`` may be null), a record or breakdown one
+    its ``from_dict`` reads and ``metrics`` has the ``metrics.csv`` columns,
+    whose values the fold compares. Each rejection names the event type and
+    the field. A number given as an integer comes back as a float."""
+    if not isinstance(event, dict):
+        raise ValueError(f"event must be an object, got {type(event).__name__}")
+    kind = event.get("type")
+    if not (isinstance(kind, str) and kind in _EVENT_FIELDS):
+        raise ValueError(f"event.type must be one of {sorted(_EVENT_FIELDS)}, got {kind!r}")
+    if kind == "run_start" and event.get("event_schema") != EVENT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}")
+    check_keys(kind, event, frozenset({"type", *_EVENT_FIELDS[kind]}))
+    read = dict(event)
+    for name, json_kind in _EVENT_FIELDS[kind].items():
+        if json_kind is int:
+            load_count(event[name], f"{kind} {name}")
+        elif json_kind is not None and not (event[name] is None and name in ("loss", "mean_q")):
+            read[name] = read_json(event[name], json_kind, kind, name)
+    if kind == "run_start" and event["n_requirements"] < 1:
+        raise ValueError("run_start n_requirements is 0, expected at least 1")
+    elif kind == "episode_start":
+        for i, rid in enumerate(event["planned_requirements"]):
+            read_json(rid, str, "episode_start planned_requirements", i)
+    elif kind == "slot":
+        for record in event["records"]:
+            FeedbackRecord.from_dict(record)
+        RewardBreakdown.from_dict(event["reward"])
+    elif kind == "episode_end":
+        check_keys("episode_end metrics", event["metrics"], frozenset(METRICS_CSV_COLUMNS))
+    return read
+
+
 class RunTables:
-    """The run's tables, folded from its events, and the only writer of
+    """The run's tables, the one fold of its events, and the only writer of
     ``metrics.csv``, ``ppo_updates.csv`` and ``dqn_steps.csv``.
 
-    ``metrics`` holds each ``episode_end`` event's metrics, ``ppo_updates``
-    the rows of the ``ppo_update`` events and ``dqn_steps`` those of the
-    ``kb_action`` events. An event that misses a key or carries an unknown
-    one, or a row field of another JSON type than the run writes (a count
-    that is not a non-negative integer, a name that is not a string, a
-    number that is not a number; a DQN ``loss`` and ``mean_q`` may be null),
-    is rejected, named with its event type and field.
+    ``metrics`` holds a row per episode, computed from ``run_start``'s
+    requirement count, ``episode_start``'s plan and the records and rewards
+    of the episode's ``slot`` events. An ``episode_end`` whose ``episode``
+    or any ``metrics`` value differs from that row is rejected, naming the
+    field and both values, as is an episode event outside the open episode.
+    ``ppo_updates`` and ``dqn_steps`` hold the rows of the ``ppo_update``
+    and ``kb_action`` events. The fold trusts the kinds of the fields it
+    reads: an event from outside passes ``read_event`` first.
     """
 
     def __init__(self):
         self.metrics: list[EpisodeMetrics] = []
         self.ppo_updates: list[dict] = []
         self.dqn_steps: list[dict] = []
+        self._n_requirements = 0
+        # The open episode's ``episode_start`` event, None between episodes,
+        # and its ``slot`` events.
+        self._start: dict | None = None
+        self._slots: list[dict] = []
 
     def append(self, event: dict) -> None:
-        kind = event.get("type")
-        if kind == "episode_end":
-            self.metrics.append(EpisodeMetrics(**event["metrics"]))
+        kind = event["type"]
+        if kind == "run_start":
+            self._n_requirements = event["n_requirements"]
+        elif kind == "episode_start":
+            if not self._n_requirements or self._start is not None:
+                raise ValueError(f"episode_start {event['episode']} before run_start or inside an open episode")
+            self._start, self._slots = event, []
         elif kind == "ppo_update":
-            check_keys(kind, event, _EVENT_KEYS[kind])
-            self.ppo_updates.append({
-                "update_index": load_count(event["update_index"], "ppo_update update_index"),
-                "role": read_json(event["role"], str, kind, "role"),
-                **{name: read_json(event[name], float, kind, name) for name in PPO_CSV_COLUMNS[2:]},
-            })
+            self.ppo_updates.append({name: event[name] for name in PPO_CSV_COLUMNS})
         elif kind == "kb_action":
-            check_keys(kind, event, _EVENT_KEYS[kind])
-            self.dqn_steps.append({
-                "step": load_count(event["step"], "kb_action step"),
-                "epsilon": read_json(event["epsilon"], float, kind, "epsilon"),
-                **{
-                    name: None if event[name] is None else read_json(event[name], float, kind, name)
-                    for name in ("loss", "mean_q")
-                },
-                "chosen_action": read_json(event["chosen_action"], str, kind, "chosen_action"),
-            })
+            self.dqn_steps.append({name: event[name] for name in DQN_CSV_COLUMNS})
+        elif self._start is None:
+            raise ValueError(f"{kind} of episode {event['episode']!r} outside an open episode")
+        elif event["episode"] != self._start["episode"]:
+            raise ValueError(f"{kind} episode is {event['episode']!r}, the open episode is {self._start['episode']}")
+        elif kind == "slot":
+            self._slots.append(event)
+        else:
+            row = self.episode_row()
+            for name, value in row.to_dict().items():
+                logged = event["metrics"][name]
+                if logged != value:
+                    raise ValueError(f"episode_end metrics.{name} is {logged!r}, its events give {value!r}")
+            self.metrics.append(row)
+            self._start = None
+
+    def episode_row(self) -> EpisodeMetrics:
+        """The metrics row of the open episode's events so far."""
+        start, slots = self._start, self._slots
+        records = [record for slot in slots for record in slot["records"]]
+        defects = [defect for record in records for defect in record.get("defects", ())]
+        n, reachable = len(records), start["reachable_defects"]
+        detected = {defect.get("defect_ref") for defect in defects if not defect["is_false_positive"]}
+        false_positives = sum(1 for defect in defects if defect["is_false_positive"])
+        means = [
+            sum(slot["reward"][name] for slot in slots) / len(slots) if slots else 0.0
+            for name in ("effectiveness", "coverage", "efficiency", "compliance", "adaptation", "total")
+        ]
+        return EpisodeMetrics(
+            start["episode"],
+            sum(1 for record in records if record["quality_rating"] >= 0.5) / n if n else 0.0,
+            min(1.0, len(detected) / reachable) if reachable else 0.0,
+            min(1.0, false_positives / n) if n else 0.0,
+            len(set(start["planned_requirements"])) / self._n_requirements,
+            *means,
+        )
 
     def write(self, out_dir) -> dict[str, str]:
         """Write the three CSVs and return the mapping of table name to path.
@@ -618,9 +667,6 @@ class TrainingSystem:
                 "reachable_defects": reachable,
             }
         )
-        ep_records: list[FeedbackRecord] = []
-        ep_breakdowns: list[RewardBreakdown] = []
-
         interval = config.loop.integration_slot_interval
         for slot, requirement in enumerate(planned):
             gen_role = (
@@ -656,7 +702,6 @@ class TrainingSystem:
                 feedback = execute_test(test, self.project, config.execution, self.streams.get("env"))
                 validate_feedback(feedback, test_ids)
                 slot_records.append(feedback)
-            ep_records.extend(slot_records)
 
             weights = (
                 RewardWeights.effectiveness_only() if flags.scalar_reward else config.rewards.weights
@@ -665,7 +710,6 @@ class TrainingSystem:
             breakdown = batch_reward(
                 slot_records, config.rewards.severity, weights, self.trackers["modifiers"].totals
             )
-            ep_breakdowns.append(breakdown)
             # A slot's tests differ only by id, so the event carries their
             # shared fields once.
             shared = tests[0].to_dict()
@@ -705,12 +749,9 @@ class TrainingSystem:
             if not flags.disable_dqn and (first_slot + slot + 1) % config.loop.kb_action_interval == 0:
                 self._run_kb_action()
 
-        metrics = _metrics_from_tallies(
-            episode, planned_ids, reachable, ep_records, ep_breakdowns, len(requirements)
-        )
-        self._emit({"type": "episode_end", "episode": episode, "metrics": metrics.to_dict()})
+        self._emit({"type": "episode_end", "episode": episode, "metrics": self.tables.episode_row().to_dict()})
         self.episode_index += 1
-        return metrics
+        return self.tables.metrics[-1]
 
     def run(self, episodes: int | None = None) -> list[EpisodeMetrics]:
         """Run ``episodes`` more episodes (default: the config's count) and
@@ -881,47 +922,11 @@ class EventLog:
 
 
 def derive_metrics_from_events(events: Iterable[dict]) -> list[EpisodeMetrics]:
-    """Recompute per-episode metrics purely from the event log, read once.
-    A ``run_start`` of another ``event_schema``, or none, is rejected, and
-    so is a field of another JSON type than the one the run wrote, named
-    with its event type: a count that is not a non-negative integer, a
-    requirement count of 0, planned requirements that are not a list of
-    strings, and a record or reward breakdown its ``from_dict`` rejects."""
-    n_requirements = None
-    out: list[EpisodeMetrics] = []
-    episode = None
-    planned: list[str] = []
-    reachable = 0
-    records: list[FeedbackRecord] = []
-    breakdowns: list[RewardBreakdown] = []
+    """The metrics rows ``RunTables`` folds from ``events``, each read with ``read_event``."""
+    tables = RunTables()
     for event in events:
-        kind = event.get("type")
-        if kind == "run_start":
-            if event.get("event_schema") != EVENT_SCHEMA_VERSION:
-                raise ValueError(
-                    f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}"
-                )
-            n_requirements = load_count(event["n_requirements"], "run_start n_requirements")
-            if n_requirements < 1:
-                raise ValueError("run_start n_requirements is 0, expected at least 1")
-        elif kind == "episode_start":
-            episode = load_count(event["episode"], "episode_start episode")
-            what = "episode_start planned_requirements"
-            planned = read_json(event["planned_requirements"], list, what)
-            for i, rid in enumerate(planned):
-                read_json(rid, str, what, i)
-            reachable = load_count(event["reachable_defects"], "episode_start reachable_defects")
-            records, breakdowns = [], []
-        elif kind == "slot":
-            records.extend(FeedbackRecord.from_dict(record) for record in event["records"])
-            breakdowns.append(RewardBreakdown.from_dict(event["reward"]))
-        elif kind == "episode_end":
-            if n_requirements is None or episode is None:
-                raise ValueError("event log missing run_start/episode_start context")
-            out.append(
-                _metrics_from_tallies(episode, planned, reachable, records, breakdowns, n_requirements)
-            )
-    return out
+        tables.append(read_event(event))
+    return tables.metrics
 
 
 # -- ablations ----------------------------------------------------------------

@@ -436,6 +436,65 @@ def export_run(config_path, run_dir, export_dir):
     assert cli.main(argv) == 0
 
 
+@pytest.fixture(scope="module")
+def two_episode_log(tmp_path_factory) -> list[str]:
+    """The event-log lines of a 2-episode run of TINY."""
+    root = tmp_path_factory.mktemp("two_episode")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    argv = ["train", "--config", str(config), "--out", str(root / "out"), "--set", "episode_count=2"]
+    assert cli.main(argv) == 0
+    return (root / "out" / "events.jsonl").read_text().splitlines()
+
+
+def export_changed(lines, tmp_path, config_path, capsys, change) -> tuple[int, str]:
+    """Export the event log ``lines``, parsed and passed to ``change``, which
+    edits the list in place and returns the index of the event it made bad;
+    assert the export exits 1 and writes no directory, and return that
+    event's line number and the standard error."""
+    events = [json.loads(line) for line in lines]
+    index = change(events)
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(event) + "\n" for event in events))
+    capsys.readouterr()
+    argv = ["export", "--config", config_path, str(path), "--out", str(tmp_path / "export")]
+    assert cli.main(argv) == 1
+    assert not (tmp_path / "export").exists()
+    return index + 1, capsys.readouterr().err
+
+
+def first(events, kind) -> int:
+    return [event["type"] for event in events].index(kind)
+
+
+def inserted(event, after: str):
+    """A change that inserts ``event`` after the first event of type ``after``."""
+
+    def change(events):
+        index = first(events, after) + 1
+        events.insert(index, event)
+        return index
+
+    return change
+
+
+def edited(kind: str, edit):
+    """A change that applies ``edit`` to the first event of type ``kind``."""
+
+    def change(events):
+        index = first(events, kind)
+        edit(events[index])
+        return index
+
+    return change
+
+
+def slot_after_episode_end(events):
+    index = first(events, "episode_end") + 1
+    events.insert(index, events[first(events, "slot")])
+    return index
+
+
 class TestExportCommand:
     def test_export_rederives_identical_csv(self, tmp_path, config_path):
         out_dir, export_dir = tmp_path / "out", tmp_path / "export"
@@ -456,7 +515,10 @@ class TestExportCommand:
     )
     def test_export_rejects_a_malformed_event_log(self, tmp_path, config_path, capsys, event, problem):
         events = tmp_path / "events.jsonl"
-        run_start = {"type": "run_start", "event_schema": trainer.EVENT_SCHEMA_VERSION, "n_requirements": 6}
+        run_start = {
+            "type": "run_start", "event_schema": trainer.EVENT_SCHEMA_VERSION, "n_requirements": 6, "n_defects": 8,
+            "seed": 0,
+        }
         events.write_text(json.dumps(run_start) + "\n" + json.dumps(event) + "\n")
         argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
         assert cli.main(argv) == 1
@@ -471,8 +533,10 @@ class TestExportCommand:
         ],
         ids=["record-unknown-key", "record-non-numeric-field", "breakdown-unknown-key"],
     )
-    def test_export_names_the_line_of_a_malformed_event(self, tmp_path, config_path, capsys, kind, edit):
-        line, err = self.export_edited(tmp_path, config_path, capsys, kind, edit)
+    def test_export_names_the_line_of_a_malformed_event(
+        self, tmp_path, config_path, capsys, two_episode_log, kind, edit
+    ):
+        line, err = export_changed(two_episode_log, tmp_path, config_path, capsys, edited(kind, edit))
         assert f"qeloop.cli.ValidationError: input line {line}: malformed event log" in err
 
     @pytest.mark.parametrize(
@@ -500,6 +564,17 @@ class TestExportCommand:
                 "ppo_update.entropy must be a finite number, got None",
             ),
             ("ppo_update", lambda event: event.update(bogus=1), "ppo_update: unknown key(s) ['bogus']"),
+            ("episode_end", lambda event: event.update(episode=7), "episode_end episode is 7, the open episode is 0"),
+            ("slot", lambda event: event.update(episode=1), "slot episode is 1, the open episode is 0"),
+            ("episode_start", lambda event: event.update(episode="0"), "episode_start episode must be an integer"),
+            *[
+                (kind, lambda event: event.update(bogus=1), f"{kind}: unknown key(s) ['bogus']")
+                for kind in ("run_start", "episode_start", "slot", "episode_end")
+            ],
+            ("run_start", lambda event: event.pop("seed"), "run_start: missing key(s) ['seed']"),
+            ("episode_start", lambda event: event.pop("episode"), "episode_start: missing key(s) ['episode']"),
+            ("slot", lambda event: event.pop("test_ids"), "slot: missing key(s) ['test_ids']"),
+            ("episode_end", lambda event: event.pop("metrics"), "episode_end: missing key(s) ['metrics']"),
         ],
         ids=[
             "no-requirements",
@@ -516,30 +591,75 @@ class TestExportCommand:
             "ppo-update-negative-index",
             "ppo-update-entropy-null",
             "ppo-update-unknown-key",
+            "episode-end-of-another-episode",
+            "slot-of-another-episode",
+            "episode-string",
+            "run-start-unknown-key",
+            "episode-start-unknown-key",
+            "slot-unknown-key",
+            "episode-end-unknown-key",
+            "run-start-missing-key",
+            "episode-start-missing-key",
+            "slot-missing-key",
+            "episode-end-missing-key",
         ],
     )
-    def test_export_names_the_field_of_a_mistyped_event(self, tmp_path, config_path, capsys, kind, edit, field):
-        line, err = self.export_edited(tmp_path, config_path, capsys, kind, edit)
+    def test_export_names_the_field_of_a_mistyped_event(
+        self, tmp_path, config_path, capsys, two_episode_log, kind, edit, field
+    ):
+        line, err = export_changed(two_episode_log, tmp_path, config_path, capsys, edited(kind, edit))
         assert f"input line {line}: malformed event log" in err and field in err
 
-    @staticmethod
-    def export_edited(tmp_path, config_path, capsys, kind, edit) -> tuple[int, str]:
-        """Export a 2-episode run's event log with ``edit`` applied to its
-        first ``kind`` event; assert it exits 1 and return that event's line
-        number and the standard error."""
-        out_dir = tmp_path / "out"
-        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=2"]) == 0
-        lines = (out_dir / "events.jsonl").read_text().splitlines()
-        index = [json.loads(line)["type"] for line in lines].index(kind)
-        event = json.loads(lines[index])
-        edit(event)
-        lines[index] = json.dumps(event)
+    @pytest.mark.parametrize("column", trainer.METRICS_CSV_COLUMNS)
+    @pytest.mark.parametrize("value", ["number", "string"])
+    def test_export_rejects_logged_metrics_its_events_do_not_give(
+        self, tmp_path, config_path, capsys, two_episode_log, column, value
+    ):
+        def edit(event):
+            metrics = event["metrics"]
+            metrics[column] = metrics[column] + 1 if value == "number" else "abc"
+
+        line, err = export_changed(two_episode_log, tmp_path, config_path, capsys, edited("episode_end", edit))
+        assert f"input line {line}: malformed event log" in err and f"episode_end metrics.{column}" in err
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (inserted([1, 2], "run_start"), "event must be an object, got list"),
+            (inserted({"type": "bogus"}, "run_start"), "event.type must be one of"),
+            (inserted({"x": 1}, "run_start"), "event.type must be one of"),
+            (slot_after_episode_end, "slot of episode 0 outside an open episode"),
+        ],
+        ids=["not-an-object", "unknown-type", "no-type", "slot-outside-an-episode"],
+    )
+    def test_export_rejects_a_line_that_is_no_event_of_its_place(
+        self, tmp_path, config_path, capsys, two_episode_log, change, problem
+    ):
+        line, err = export_changed(two_episode_log, tmp_path, config_path, capsys, change)
+        assert f"input line {line}: malformed event log" in err and problem in err
+
+    def test_export_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, config_path, capsys, two_episode_log):
+        lines = [line.encode("utf-8") for line in two_episode_log]
+        lines[-1] = lines[-1][:-1] + b' , "\xff"}'
         events = tmp_path / "events.jsonl"
-        events.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
+        events.write_bytes(b"\n".join(lines) + b"\n")
         argv = ["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")]
         assert cli.main(argv) == 1
-        return index + 1, capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"input line {len(lines)}: malformed event log: UnicodeDecodeError" in err
+
+    def test_a_fault_in_the_fold_leaves_export_with_its_traceback(
+        self, tmp_path, config_path, two_episode_log, monkeypatch
+    ):
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(two_episode_log) + "\n")
+
+        def append(tables, event):
+            raise KeyError("fault in the fold")
+
+        monkeypatch.setattr(trainer.RunTables, "append", append)
+        with pytest.raises(KeyError, match="fault in the fold"):
+            cli.main(["export", "--config", config_path, str(events), "--out", str(tmp_path / "export")])
 
     @pytest.mark.parametrize(
         "edit", [lambda event: event.update(event_schema=1), lambda event: event.pop("event_schema")],

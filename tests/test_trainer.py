@@ -90,6 +90,14 @@ class TestEpisodeLoop:
         roles = {e["role"] for e in actions}
         assert "TestCaseGeneration" in roles and len(roles) >= 4
 
+    def test_run_episode_returns_the_folded_row(self):
+        system = TrainingSystem(tiny_config(episode_count=2))
+        for _ in range(2):
+            row = system.run_episode()
+            assert row is system.tables.metrics[-1]
+            assert system.events[-1] == {"type": "episode_end", "episode": row.episode, "metrics": row.to_dict()}
+        assert [row.episode for row in system.tables.metrics] == [0, 1]
+
     def test_a_slot_featurizes_and_pushes_once_per_tracker(self, monkeypatch):
         featurized, pushed = [], []
         monkeypatch.setattr(
