@@ -25,6 +25,7 @@ from .domain import (
     AgentRole,
     FeedbackRecord,
     GenerationStrategy,
+    InputError,
     Requirement,
     RetrievalMode,
     TestCase,
@@ -226,7 +227,7 @@ def _load_tracker_record(row: list, what: str) -> tuple[int, int, int, float]:
     """A ``records`` row: true defects, false positives and severity ranks,
     then the quality rating; anything else is rejected, named ``what``."""
     if len(row) != 4:
-        raise ValueError(f"{what} is {row!r}, expected three non-negative integers and a number")
+        raise InputError(f"{what} is {row!r}, expected three non-negative integers and a number")
     return (*(load_count(n, f"{what}[{i}]") for i, n in enumerate(row[:3])), read_json(row[3], float, what, 3))
 
 

@@ -3,7 +3,11 @@
 Subcommands: train, ablate, evaluate, replay, export, gradcheck. One JSON
 config file drives everything (``--config``), dotted-key overrides come via
 repeatable ``--set key=value`` flags, and unknown keys are hard errors.
-Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
+Exit codes: 0 success; 1 a ``ConfigError`` (a config, override, command
+line or event log to export that qeloop cannot use), or a replayed feedback
+file with no good line; 2 an ``InputError`` (a checkpoint or knowledge
+snapshot it cannot take) or an ``OSError``. Any other exception is a fault of
+qeloop itself and ends the command with its traceback.
 """
 
 from __future__ import annotations
@@ -14,43 +18,22 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import domain, qe_env, rewards, trainer
-from .config import ConfigRangeError, ConfigTypeError, UnknownConfigKey
+from .config import ConfigError
+from .domain import InputError
 from .knowledge import KnowledgeStore
 from .rl_core import gradient_check
 
 GRADCHECK_TOLERANCE = 1e-4
 
 
-class CliError(Exception):
-    pass
-
-
-class ParseError(CliError):
-    pass
-
-
-class ValidationError(CliError):
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
-
-
-class UnknownKey(CliError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown config key {key!r}")
-
-
 def _parse_override(item: str) -> tuple[list[str], object]:
     if "=" not in item:
-        raise ParseError(f"override {item!r} is not of the form key=value")
+        raise ConfigError("", f"override {item!r} is not of the form key=value")
     key, raw = item.split("=", 1)
     key = key.strip()
     if not key:
-        raise ParseError(f"override {item!r} has an empty key")
+        raise ConfigError("", f"override {item!r} has an empty key")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -64,26 +47,21 @@ def load_config(path: str, overrides: tuple[str, ...] = ()) -> trainer.RunConfig
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError("", f"cannot read config {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError("", f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ParseError(f"config {path} must hold a JSON object")
+        raise ConfigError("", f"config {path} must hold a JSON object")
     for item in overrides:
         keys, value = _parse_override(item)
         node = raw
         for part in keys[:-1]:
             nxt = node.setdefault(part, {})
             if not isinstance(nxt, dict):
-                raise ValidationError(".".join(keys), f"{part!r} is not a section")
+                raise ConfigError(".".join(keys), f"{part!r} is not a section")
             node = nxt
         node[keys[-1]] = value
-    try:
-        return trainer.RunConfig.from_dict(raw).validate()
-    except UnknownConfigKey as exc:
-        raise UnknownKey(exc.key) from exc
-    except (ConfigTypeError, ConfigRangeError) as exc:
-        raise ValidationError(exc.key, exc.problem) from exc
+    return trainer.RunConfig.from_dict(raw).validate()
 
 
 def _provenance(exc: BaseException) -> str:
@@ -120,14 +98,19 @@ def _cmd_ablate(args: argparse.Namespace, config: trainer.RunConfig) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace, config: trainer.RunConfig) -> int:
     if not args.checkpoint:
-        raise ValidationError("checkpoint", "evaluate requires --checkpoint PATH")
+        raise ConfigError("checkpoint", "evaluate requires --checkpoint PATH")
     out_dir = args.out or config.output_dir
     episodes = args.episodes or config.episode_count
     frozen = trainer.AblationFlags(disable_ppo=True, disable_dqn=True, no_feedback=True)
+    # The log truncates its files, so it opens only once the checkpoint has
+    # restored: a bad checkpoint leaves the files in ``out_dir`` as they were.
+    system = trainer.TrainingSystem.restore(args.checkpoint)
+    system.config = replace(system.config, ablation=frozen)
+    system.deterministic_policy = True
     with trainer.EventLog(out_dir) as events:
-        system = trainer.TrainingSystem.restore(args.checkpoint, events=events)
-        system.config = replace(system.config, ablation=frozen)
-        system.deterministic_policy = True
+        for event in system.events:
+            events.append(event)
+        system.events = events
         evaluated = system.run(episodes=episodes)
     paths = system.tables.write(out_dir)
     mean_reward = sum(m.r_total for m in evaluated) / len(evaluated)
@@ -138,13 +121,13 @@ def _cmd_evaluate(args: argparse.Namespace, config: trainer.RunConfig) -> int:
 
 def _cmd_replay(args: argparse.Namespace, config: trainer.RunConfig) -> int:
     if not args.input_path:
-        raise ValidationError("input", "replay requires a feedback JSONL path")
+        raise ConfigError("input", "replay requires a feedback JSONL path")
     out_dir = args.out or config.output_dir
     if args.kb_path:
         store = KnowledgeStore.load_snapshot(args.kb_path)
     else:
         store = KnowledgeStore(config.kb.d_emb, config.kb.initial_params)
-    issues: list[qe_env.QEEnvError] = []
+    issues: list[InputError] = []
     records = list(qe_env.replay_feedback(args.input_path, on_error=issues.append))
     for issue in issues:
         print(f"skipped {_provenance(issue)}: {issue}", file=sys.stderr)
@@ -187,7 +170,7 @@ def replay_into_store(
 
 def _cmd_export(args: argparse.Namespace, config: trainer.RunConfig) -> int:
     if not args.input_path:
-        raise ValidationError("input", "export requires an events JSONL path")
+        raise ConfigError("input", "export requires an events JSONL path")
     out_dir = args.out or config.output_dir
     tables = trainer.RunTables()
     line_number = 0
@@ -197,10 +180,10 @@ def _cmd_export(args: argparse.Namespace, config: trainer.RunConfig) -> int:
             for line_number, line in enumerate(fh, start=1):
                 if line.strip():
                     tables.append(trainer.read_event(json.loads(line.decode("utf-8"))))
-        except ValueError as exc:
-            raise ValidationError(f"input line {line_number}", f"malformed event log: {exc!r}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+            raise ConfigError(f"input line {line_number}", f"malformed event log: {exc!r}") from exc
     if not tables.metrics:
-        raise ValidationError("input", "event log contains no complete episodes")
+        raise ConfigError("input", "event log contains no complete episodes")
     paths = tables.write(out_dir)
     print(f"derived {len(tables.metrics)} episode rows")
     print(f"metrics: {paths['metrics']}")
@@ -269,23 +252,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config, tuple(args.overrides))
-    except CliError as exc:
-        print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.subcommand](args, config)
-    except (CliError, UnknownConfigKey) as exc:
+    except ConfigError as exc:
         print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
         return 1
-    except (
-        trainer.TrainerError,
-        qe_env.QEEnvError,
-        domain.DomainError,
-        rewards.RewardError,
-        OSError,
-        ValueError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"{_provenance(exc)}: {exc}", file=sys.stderr)
         return 2
 

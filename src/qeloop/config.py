@@ -7,14 +7,15 @@ base instance, driven by the dataclass fields and their type hints:
 - only the keys given are overlaid, so a section given in part keeps the
   base's values (the parent field's own default) for everything else;
 - a key that names no field, or no member of an enum-keyed mapping, raises
-  ``UnknownConfigKey`` with its full dotted path;
+  ``ConfigError`` with its full dotted path and the problem ``unknown key``;
 - each value is read by ``domain.read_json`` as the kind of its field
   (``int``, ``float``, ``bool`` or ``str``), never coerced into shape, and a
-  section must be an object. A mismatch raises ``ConfigTypeError`` with its
+  section must be an object. A mismatch raises ``ConfigError`` with its
   path and the reader's problem (``must be an integer, got 2.0``).
 
-Decoding checks shape only; ranges are each section's ``validate()``, which
-``RunConfig.validate`` reports as ``ConfigRangeError`` with the section.
+Decoding checks shape only; ranges are each section's ``validate()``, whose
+``ValueError`` ``RunConfig.validate`` reports as ``ConfigError`` with the
+section.
 """
 
 from __future__ import annotations
@@ -24,31 +25,18 @@ import typing
 from collections.abc import Mapping
 from enum import Enum
 
-from .domain import MalformedRecord, read_json
+from .domain import InputError, read_json
 
 
-class UnknownConfigKey(Exception):
-    problem = "unknown key"
-
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown config key {key!r}")
-
-
-class ConfigTypeError(ValueError):
-    def __init__(self, key: str, problem: str):
-        self.key = key
-        self.problem = problem
-        super().__init__(f"{key or 'config'}: {problem}")
-
-
-class ConfigRangeError(ValueError):
-    """A value outside its valid range, in section (or top-level key) ``key``."""
+class ConfigError(InputError):
+    """A config, or command line, that qeloop cannot run: ``problem`` is what
+    is wrong with the value at the dotted path ``key``, or with the file or
+    command line as a whole when ``key`` is empty. ``qeloop`` exits 1 on it."""
 
     def __init__(self, key: str, problem: str):
         self.key = key
         self.problem = problem
-        super().__init__(f"{key}: {problem}")
+        super().__init__(f"{key}: {problem}" if key else problem)
 
 
 def encode(value):
@@ -61,7 +49,7 @@ def encode(value):
 
 def _entries(raw, path: str):
     if not isinstance(raw, Mapping):
-        raise ConfigTypeError(path, f"must be an object, got {raw!r}")
+        raise ConfigError(path, f"must be an object, got {raw!r}")
     return [(key, f"{path}.{key}" if path else key, value) for key, value in raw.items()]
 
 
@@ -72,7 +60,7 @@ def decode(tp, raw, base, path: str = ""):
         changes = {}
         for key, key_path, value in _entries(raw, path):
             if key not in hints:
-                raise UnknownConfigKey(key_path)
+                raise ConfigError(key_path, "unknown key")
             changes[key] = decode(hints[key], value, getattr(base, key), key_path)
         return dataclasses.replace(base, **changes)
     if typing.get_origin(tp) is Mapping:
@@ -80,13 +68,13 @@ def decode(tp, raw, base, path: str = ""):
         out = dict(base)
         for name, key_path, value in _entries(raw, path):
             if name not in enum.__members__:
-                raise UnknownConfigKey(key_path)
+                raise ConfigError(key_path, "unknown key")
             out[enum[name]] = decode(value_type, value, out.get(enum[name]), key_path)
         return out
     try:
         return read_json(raw, tp, "")
-    except MalformedRecord as exc:
-        raise ConfigTypeError(path, str(exc)) from None
+    except InputError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 class ConfigCodec:

@@ -30,26 +30,10 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-class DomainError(Exception):
-    """Base class for domain validation failures."""
-
-
-class RangeViolation(DomainError):
-    """A bounded field is outside its permitted range."""
-
-    def __init__(self, field_name: str, value: object, bounds: str):
-        self.field_name = field_name
-        self.value = value
-        self.bounds = bounds
-        super().__init__(f"{field_name}={value!r} outside {bounds}")
-
-
-class UnknownTestCase(DomainError):
-    """A feedback record references a test case absent from the catalog."""
-
-
-class MalformedRecord(DomainError, ValueError):
-    """A serialized record lacks a key it requires or carries one it does not define."""
+class InputError(ValueError):
+    """Input from outside qeloop that it cannot take: a config, knowledge
+    snapshot, checkpoint, feedback line or event line. The message names the
+    value at fault by its dotted path, or the file or line."""
 
 
 def check_keys(
@@ -57,13 +41,13 @@ def check_keys(
 ) -> None:
     """Reject outside input whose keys are not exactly those its type reads."""
     if not isinstance(d, Mapping):
-        raise MalformedRecord(f"{what} must be an object, got {type(d).__name__}")
+        raise InputError(f"{what} must be an object, got {type(d).__name__}")
     missing = required - d.keys()
     unknown = d.keys() - required - optional
     if missing or unknown:
         problems = [f"missing key(s) {sorted(missing)}"] if missing else []
         problems += [f"unknown key(s) {sorted(unknown)}"] if unknown else []
-        raise MalformedRecord(f"{what}: {'; '.join(problems)}")
+        raise InputError(f"{what}: {'; '.join(problems)}")
 
 
 _MAX = sys.float_info.max
@@ -74,7 +58,7 @@ def read_json(value, kind, what: str, key: str | int | None = None):
     """``value`` if it has the JSON kind ``kind``: ``str``, ``bool``, ``list``,
     ``int`` (not a boolean or ``2.0``), ``float`` (finite; an integer a float
     holds reads as that float) or an ``Enum`` class (a member's name, read as
-    the member); else ``MalformedRecord("PATH must be KIND, got VALUE!r")``,
+    the member); else ``InputError("PATH must be KIND, got VALUE!r")``,
     VALUE!r cut after 1000 characters, as a whole section can be megabytes.
     PATH, built only then, is ``what`` and ``.key`` or ``[key]``, or nothing."""
     if type(value) is kind:
@@ -92,7 +76,7 @@ def read_json(value, kind, what: str, key: str | int | None = None):
     got = repr(value)
     got = got if len(got) <= 1000 else f"{got[:1000]}..."
     problem = f"must be {_KINDS.get(kind) or f'one of {list(kind.__members__)}'}, got {got}"
-    raise MalformedRecord(f"{path} {problem}" if path else problem)
+    raise InputError(f"{path} {problem}" if path else problem)
 
 
 class GenerationStrategy(IntEnum):
@@ -292,23 +276,23 @@ def validate_feedback(
     for name, lo, hi, lo_inc, hi_inc in _FEEDBACK_BOUNDS:
         value = getattr(record, name)
         if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise RangeViolation(name, value, "finite real")
+            raise InputError(f"{name}={value!r} outside finite real")
         if (lo is not None and (value < lo or (not lo_inc and value == lo))) or (
             hi is not None and (value > hi or (not hi_inc and value == hi))
         ):
             bounds = f"{'[' if lo_inc else '('}{lo}, {hi if hi is not None else 'inf'}{']' if hi_inc else ')'}"
-            raise RangeViolation(name, value, bounds)
+            raise InputError(f"{name}={value!r} outside {bounds}")
 
     if record.test_case_ref not in catalog:
-        raise UnknownTestCase(f"feedback references unknown test case {record.test_case_ref!r}")
+        raise InputError(f"feedback references unknown test case {record.test_case_ref!r}")
     for report in record.defects:
         if report.test_case_ref != record.test_case_ref:
-            raise UnknownTestCase(
+            raise InputError(
                 f"defect report {report.id} references {report.test_case_ref!r}, "
                 f"expected {record.test_case_ref!r}"
             )
         if report.is_false_positive and report.defect_ref is not None:
-            raise RangeViolation("defect_ref", report.defect_ref, "None for false positives")
+            raise InputError(f"defect_ref={report.defect_ref!r} outside None for false positives")
         if not report.is_false_positive and report.defect_ref is None:
-            raise RangeViolation("defect_ref", None, "defect id for true reports")
+            raise InputError("defect_ref=None outside defect id for true reports")
     return record

@@ -36,14 +36,6 @@ from .rl_core import (
 KB_STATE_DIM = 10
 
 
-class DQNError(Exception):
-    pass
-
-
-class InsufficientReplay(DQNError):
-    """Training was requested before the replay buffer held a full batch."""
-
-
 @dataclass(frozen=True)
 class DQNConfig(ConfigCodec):
     replay_capacity: int = 50_000
@@ -171,7 +163,7 @@ class DQNController:
 
     def train_step(self) -> tuple[float, float]:
         if not self.can_train():
-            raise InsufficientReplay(
+            raise ValueError(
                 f"replay holds {len(self.replay)} < batch_size {self.config.batch_size}"
             )
         batch = self.replay.sample(self.config.batch_size)

@@ -31,21 +31,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .config import ConfigCodec, UnknownConfigKey
-from .domain import FeedbackRecord, MalformedRecord, RetrievalMode, check_keys, read_json, stable_hash
+from .config import ConfigCodec
+from .domain import FeedbackRecord, InputError, RetrievalMode, check_keys, read_json, stable_hash
 from .rl_core import load_numbers, parse_json
-
-
-class KnowledgeError(Exception):
-    """Base class for knowledge-store failures."""
-
-
-class EmptyInput(KnowledgeError):
-    """An embedding was requested for an empty token list."""
-
-
-class UnknownNode(KnowledgeError):
-    """A traversal seed does not exist in the graph."""
 
 
 class EdgeType(IntEnum):
@@ -209,7 +197,7 @@ def embed(tokens: Sequence[str], d_emb: int) -> np.ndarray:
         raise ValueError(f"d_emb must be >= {EMBED_DIM_MIN}, got {d_emb}")
     tokens = [str(t) for t in tokens]
     if not tokens:
-        raise EmptyInput("cannot embed an empty token list")
+        raise ValueError("cannot embed an empty token list")
     features = list(tokens)
     features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
     vec = np.zeros(d_emb, dtype=np.float64)
@@ -414,7 +402,7 @@ class KnowledgeStore:
         params = params or self.params
         for seed in seed_nodes:
             if seed not in self._nodes:
-                raise UnknownNode(f"seed {seed!r} not in graph")
+                raise ValueError(f"seed {seed!r} not in graph")
         best: dict[str, float] = {}
         level: dict[str, float] = {}
         for seed in seed_nodes:
@@ -535,21 +523,22 @@ class KnowledgeStore:
         lists, ``d_emb`` an integer, ids, payload references and nodes strings,
         weights and usefulness finite numbers), a ``d_emb`` below ``EMBED_DIM_MIN``
         and what the retrieval parameters' codec, ``_add_rows`` and ``upsert_edge``
-        reject are named with their dotted path under ``what``."""
+        reject are named with their dotted path under ``what``, each an
+        ``InputError``."""
         version = d.get("schema_version") if isinstance(d, Mapping) else None
         if version != cls.SCHEMA_VERSION:
-            raise ValueError(f"unsupported {what} schema_version {version!r}")
+            raise InputError(f"unsupported {what} schema_version {version!r}")
         check_keys(what, d, _SNAPSHOT_KEYS)
         vector_records, graph_nodes, graph_edges = (
             read_json(d[name], list, what, name) for name in ("vector_records", "graph_nodes", "graph_edges")
         )
         try:
             params = RetrievalParams.from_dict(d["retrieval_params"]).validate()
-        except (ValueError, UnknownConfigKey) as exc:
-            raise ValueError(f"{what}.retrieval_params: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"{what}.retrieval_params: {exc}") from None
         d_emb = read_json(d["d_emb"], int, what, "d_emb")
         if d_emb < EMBED_DIM_MIN:
-            raise MalformedRecord(f"{what}.d_emb must be >= {EMBED_DIM_MIN}, got {d_emb}")
+            raise InputError(f"{what}.d_emb must be >= {EMBED_DIM_MIN}, got {d_emb}")
         store = cls(d_emb=d_emb, params=params)
         records = []
         for i, rec_d in enumerate(vector_records):
@@ -565,7 +554,7 @@ class KnowledgeStore:
         try:
             store._add_rows(records, [rec_d["embedding"] for rec_d in vector_records])
         except ValueError as exc:
-            raise ValueError(f"{what}.vector_records: {exc}") from None
+            raise InputError(f"{what}.vector_records: {exc}") from None
         for i, node in enumerate(graph_nodes):
             store.add_node(read_json(node, str, f"{what}.graph_nodes", i))
         for i, edge_d in enumerate(graph_edges):
@@ -574,19 +563,18 @@ class KnowledgeStore:
             try:
                 store.upsert_edge(e.source, e.target, e.edge_type, e.weight)
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise InputError(f"{where}: {exc}") from None
         return store
 
     @classmethod
     def load_snapshot(cls, path) -> "KnowledgeStore":
-        """Read the snapshot at ``path``; text that is not JSON is a
-        ``ValueError`` naming the path and the decoder's line and column."""
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        """Read the snapshot at ``path``; a file that is not UTF-8 JSON text is
+        an ``InputError`` naming the path and the decoder's position."""
         try:
-            doc = parse_json(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"knowledge snapshot {path} is not valid JSON: {exc}") from None
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = parse_json(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"knowledge snapshot {path} is not valid JSON: {exc}") from None
         return cls.from_snapshot_dict(doc)
 
 

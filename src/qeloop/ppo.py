@@ -23,18 +23,6 @@ from .rl_core import Adam, MLPParameters, backward, forward, forward_cached, sof
 LEARNING_RATE_RANGE = (1e-4, 3e-4)
 
 
-class PPOError(Exception):
-    pass
-
-
-class LengthMismatch(PPOError):
-    """Value estimates do not line up with the rollout."""
-
-
-class StaleRollout(PPOError):
-    """A step is missing the old policy's log-probability."""
-
-
 @dataclass(frozen=True)
 class PPOConfig(ConfigCodec):
     clip_epsilon: float = 0.2
@@ -114,9 +102,9 @@ def compute_gae(
     n = len(rollout.actions)
     values = np.asarray(value_estimates, dtype=np.float64)
     if values.shape != (n + 1,):
-        raise LengthMismatch(f"need {n + 1} value estimates, got {values.shape}")
+        raise ValueError(f"need {n + 1} value estimates, got {values.shape}")
     if len(rollout.states) != n + 1:
-        raise LengthMismatch(f"need {n + 1} states, got {len(rollout.states)}")
+        raise ValueError(f"need {n + 1} states, got {len(rollout.states)}")
     advantages = np.zeros(n, dtype=np.float64)
     gae = 0.0
     for t in range(n - 1, -1, -1):
@@ -198,11 +186,11 @@ def ppo_update(
     minibatch diagnostics of ``compute_minibatch_gradient``, each averaged
     over the update's minibatches.
 
-    Raises StaleRollout when any old log-probability is missing, since the
+    Raises ValueError when any old log-probability is missing, since the
     probability ratio is undefined without the collecting policy's snapshot.
     """
     if np.isnan(rollout.log_probs_old).any():
-        raise StaleRollout("rollout contains steps without an old log-probability")
+        raise ValueError("rollout contains steps without an old log-probability")
     n = len(rollout)
     totals = {"mean_ratio": 0.0, "clip_fraction": 0.0, "policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     batches = 0

@@ -31,39 +31,15 @@ from .config import ConfigCodec
 from .domain import (
     DEFAULT_COVERAGE_DIM,
     DefectReport,
-    DomainError,
     FeedbackRecord,
     GenerationStrategy,
+    InputError,
     Requirement,
     Severity,
     TestCase,
     validate_feedback,
 )
 from .knowledge import EMBED_DIM_MIN, EdgeType
-
-
-class QEEnvError(Exception):
-    pass
-
-
-class BadConfig(QEEnvError):
-    pass
-
-
-class UnknownRequirement(QEEnvError):
-    pass
-
-
-class ParseError(QEEnvError):
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
-
-
-class ValidationError(QEEnvError):
-    def __init__(self, line_number: int, message: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
 
 
 DEFAULT_SEVERITY_PROPORTIONS: dict[Severity, float] = {
@@ -137,13 +113,13 @@ class ExecutionModel(ConfigCodec):
 
     def validate(self) -> "ExecutionModel":
         if self.detection_sharpness <= 0:
-            raise BadConfig(f"detection_sharpness must be positive, got {self.detection_sharpness}")
+            raise ValueError(f"detection_sharpness must be positive, got {self.detection_sharpness}")
         if not 0.0 <= self.false_positive_rate < 1.0:
-            raise BadConfig(f"false_positive_rate {self.false_positive_rate} outside [0, 1)")
+            raise ValueError(f"false_positive_rate {self.false_positive_rate} outside [0, 1)")
         if self.base_time <= 0 or self.per_step_time <= 0 or self.baseline_time <= 0:
-            raise BadConfig("times must be positive")
+            raise ValueError("times must be positive")
         if not 0.0 < self.workflow_integration_factor <= 2.0:
-            raise BadConfig(
+            raise ValueError(
                 f"workflow_integration_factor {self.workflow_integration_factor} outside (0, 2]"
             )
         return self
@@ -176,23 +152,23 @@ class EnvConfig(ConfigCodec):
 
     def validate(self) -> "EnvConfig":
         if self.n_requirements < 1:
-            raise BadConfig(f"n_requirements must be >= 1, got {self.n_requirements}")
+            raise ValueError(f"n_requirements must be >= 1, got {self.n_requirements}")
         if self.n_defects < 0:
-            raise BadConfig(f"n_defects must be >= 0, got {self.n_defects}")
+            raise ValueError(f"n_defects must be >= 0, got {self.n_defects}")
         if self.d_cov < EMBED_DIM_MIN:
-            raise BadConfig(f"d_cov must be >= {EMBED_DIM_MIN}, got {self.d_cov}")
+            raise ValueError(f"d_cov must be >= {EMBED_DIM_MIN}, got {self.d_cov}")
         total = sum(self.severity_proportions.values())
         if abs(total - 1.0) > 1e-9 or any(p < 0 for p in self.severity_proportions.values()):
-            raise BadConfig(f"severity proportions must be non-negative and sum to 1, got {total}")
+            raise ValueError(f"severity proportions must be non-negative and sum to 1, got {total}")
         if not 0.0 <= self.requirement_link_density <= 1.0:
-            raise BadConfig("requirement_link_density outside [0, 1]")
+            raise ValueError("requirement_link_density outside [0, 1]")
         weights = (
             self.signature_requirement_weight,
             self.signature_strategy_weight,
             self.signature_noise_weight,
         )
         if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise BadConfig(f"signature mix weights must be non-negative and not all zero: {weights}")
+            raise ValueError(f"signature mix weights must be non-negative and not all zero: {weights}")
         return self
 
 
@@ -357,7 +333,7 @@ def execute_test(
     signatures = project.signatures_by_requirement
     for ref in test.requirement_refs:
         if ref not in by_req:
-            raise UnknownRequirement(f"test {test.id} references unknown requirement {ref!r}")
+            raise ValueError(f"test {test.id} references unknown requirement {ref!r}")
 
     coverage = np.asarray(test.coverage_vector, dtype=np.float64)
     reports: list[DefectReport] = []
@@ -419,31 +395,27 @@ def execute_test(
 
 def replay_feedback(
     path,
-    on_error: Callable[[QEEnvError], None] | None = None,
+    on_error: Callable[[InputError], None] | None = None,
 ) -> Iterator[FeedbackRecord]:
     """Yield validated feedback records from a JSONL file in file order.
 
-    Malformed lines raise ParseError / ValidationError carrying the 1-based
-    line number; passing ``on_error`` reports them there instead and keeps
-    going. A replayed record's own test id is taken as known, so only its
-    defect reports' references are checked.
+    A line that is not UTF-8 text, not JSON, or not a record that
+    ``FeedbackRecord.from_dict`` reads and ``validate_feedback`` accepts
+    raises ``InputError("line N: ...")`` with its 1-based number; passing
+    ``on_error`` reports it there instead and keeps going. Lines are decoded
+    one by one, so a byte that is not UTF-8 costs only its line. A replayed
+    record's own test id is taken as known, so only its defect reports'
+    references are checked.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = FeedbackRecord.from_json_line(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                err = ParseError(line_number, str(exc))
-                if on_error is None:
-                    raise err from exc
-                on_error(err)
-                continue
-            try:
+                record = FeedbackRecord.from_json_line(line.decode("utf-8"))
                 validate_feedback(record, {record.test_case_ref})
-            except DomainError as exc:
-                err = ValidationError(line_number, str(exc))
+            except (UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+                err = InputError(f"line {line_number}: {exc}")
                 if on_error is None:
                     raise err from exc
                 on_error(err)

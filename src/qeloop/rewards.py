@@ -24,18 +24,6 @@ from .domain import FeedbackRecord, Severity, check_keys, read_json
 EFFICIENCY_CLAMP = 4.0
 
 
-class RewardError(Exception):
-    pass
-
-
-class EmptyBatch(RewardError):
-    """A batch reward was requested for zero feedback records."""
-
-
-class NonPositiveTime(RewardError):
-    """A timing field required to be positive is not."""
-
-
 @dataclass(frozen=True)
 class RewardWeights(ConfigCodec):
     """Component weights; must sum to 1 within 1e-9."""
@@ -129,7 +117,7 @@ def effectiveness_reward(batch: Sequence[FeedbackRecord], sw: SeverityWeights) -
     defects the first term is zero.
     """
     if not batch:
-        raise EmptyBatch("effectiveness_reward over empty batch")
+        raise ValueError("effectiveness_reward over empty batch")
     total_tests = len(batch)
     true_weights = [
         sw.weight_of(d.severity) for record in batch for d in record.true_defects()
@@ -144,7 +132,7 @@ def effectiveness_reward(batch: Sequence[FeedbackRecord], sw: SeverityWeights) -
 def coverage_reward(batch: Sequence[FeedbackRecord]) -> float:
     """Mean of (requirement coverage + functional coverage); range [0, 2]."""
     if not batch:
-        raise EmptyBatch("coverage_reward over empty batch")
+        raise ValueError("coverage_reward over empty batch")
     return sum(
         r.requirement_coverage_assessment + r.functional_coverage_validation for r in batch
     ) / len(batch)
@@ -153,11 +141,11 @@ def coverage_reward(batch: Sequence[FeedbackRecord]) -> float:
 def efficiency_reward(batch: Sequence[FeedbackRecord]) -> float:
     """Mean of (baseline/actual) * workflow factor, clamped per record to [0, 4]."""
     if not batch:
-        raise EmptyBatch("efficiency_reward over empty batch")
+        raise ValueError("efficiency_reward over empty batch")
     total = 0.0
     for r in batch:
         if r.execution_time <= 0 or r.baseline_time <= 0:
-            raise NonPositiveTime(
+            raise ValueError(
                 f"times must be positive, got execution={r.execution_time} baseline={r.baseline_time}"
             )
         ratio = (r.baseline_time / r.execution_time) * r.workflow_integration_factor
@@ -168,7 +156,7 @@ def efficiency_reward(batch: Sequence[FeedbackRecord]) -> float:
 def compliance_reward(batch: Sequence[FeedbackRecord]) -> float:
     """Mean compliance score over the batch; range [0, 1]."""
     if not batch:
-        raise EmptyBatch("compliance_reward over empty batch")
+        raise ValueError("compliance_reward over empty batch")
     return sum(r.compliance_score for r in batch) / len(batch)
 
 

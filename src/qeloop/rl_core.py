@@ -24,21 +24,13 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import ConfigCodec
-from .domain import check_keys, read_json, stable_hash
+from .domain import InputError, check_keys, read_json, stable_hash
 
 HIDDEN_WIDTH = 64
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class RLCoreError(Exception):
-    pass
-
-
-class DimensionMismatch(RLCoreError):
-    """An input or gradient does not match the network topology."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +68,16 @@ def load_numbers(values, dtype, what: str, kind: str) -> np.ndarray:
     try:
         raw = np.asarray(values)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} is not a {kind}: {exc}") from None
+        raise InputError(f"{what} is not a {kind}: {exc}") from None
     if raw.ndim == 0 or raw.dtype.kind not in "biuf":
-        raise ValueError(f"{what} is not a {kind}: got {raw.dtype} of shape {raw.shape}")
+        raise InputError(f"{what} is not a {kind}: got {raw.dtype} of shape {raw.shape}")
     with np.errstate(invalid="ignore"):
         cast = raw.astype(dtype, copy=False)
     # A same-dtype cast changes nothing, NaN included.
     changed = np.argwhere(cast != raw) if raw.dtype != dtype else ()
     if len(changed):
         index = tuple(changed[0])
-        raise ValueError(
+        raise InputError(
             f"{what} holds {raw[index].item()!r} at row {index[0]}, "
             f"which the cast to {np.dtype(dtype)} changes to {cast[index].item()!r}"
         )
@@ -108,20 +100,20 @@ def load_floats(text, row_shape: tuple[int, ...], what: str, rows: int | None = 
     multiple of 8 x the row width, are rejected with the dotted path
     ``what``; so what restores re-serialises to the same text."""
     if type(text) is not str:
-        raise ValueError(f"{what} is a {type(text).__name__}, expected base64 text of float64 values")
+        raise InputError(f"{what} is a {type(text).__name__}, expected base64 text of float64 values")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
-        raise ValueError(f"{what} is not strict base64: {exc}") from None
+        raise InputError(f"{what} is not strict base64: {exc}") from None
     if base64.b64encode(raw) != text.encode("ascii"):
-        raise ValueError(f"{what} is not the canonical base64 of its bytes")
+        raise InputError(f"{what} is not the canonical base64 of its bytes")
     row_bytes = 8 * math.prod(row_shape)
     if rows is not None and len(raw) != rows * row_bytes:
         expected = rows * row_bytes
-        raise ValueError(f"{what} holds {len(raw)} bytes, expected {expected}: {expected // 8} float64 values")
+        raise InputError(f"{what} holds {len(raw)} bytes, expected {expected}: {expected // 8} float64 values")
     if rows is None and len(raw) % row_bytes:
         shape = f"{row_bytes}-byte rows of shape {row_shape}"
-        raise ValueError(f"{what} holds {len(raw)} bytes, not a whole number of {shape}")
+        raise InputError(f"{what} holds {len(raw)} bytes, not a whole number of {shape}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, *row_shape)
 
 
@@ -153,7 +145,7 @@ def load_vector(values, width: int, what: str) -> np.ndarray:
     entry with its index."""
     values = read_json(values, list, what)
     if len(values) != width:
-        raise ValueError(f"{what} holds {len(values)} entries, expected {width}")
+        raise InputError(f"{what} holds {len(values)} entries, expected {width}")
     return np.array([read_json(value, float, what, i) for i, value in enumerate(values)], dtype=np.float64)
 
 
@@ -163,7 +155,7 @@ def load_window(values, length: int, what: str, kind=float) -> list:
     ``what``, a bad entry with its index."""
     values = read_json(values, list, what)
     if len(values) > length:
-        raise ValueError(f"{what} holds {len(values)} entries, the window is {length}")
+        raise InputError(f"{what} holds {len(values)} entries, the window is {length}")
     return [read_json(value, kind, what, i) for i, value in enumerate(values)]
 
 
@@ -172,7 +164,7 @@ def load_count(value, what: str) -> int:
     rejected with its dotted path ``what``."""
     count = read_json(value, int, what)
     if count < 0:
-        raise ValueError(f"{what} is {count}, expected a non-negative integer")
+        raise InputError(f"{what} is {count}, expected a non-negative integer")
     return count
 
 
@@ -181,7 +173,7 @@ def load_below(value, bound: int, what: str) -> int:
     its dotted path ``what``."""
     count = load_count(value, what)
     if count >= bound:
-        raise ValueError(f"{what} is {count}, outside [0, {bound})")
+        raise InputError(f"{what} is {count}, outside [0, {bound})")
     return count
 
 
@@ -191,7 +183,7 @@ def check_actions(actions: np.ndarray, n_actions: int, what: str) -> None:
     outside = np.flatnonzero((actions < 0) | (actions >= n_actions))
     if len(outside):
         row = int(outside[0])
-        raise ValueError(f"{what} holds action {actions[row]} at row {row}, outside [0, {n_actions})")
+        raise InputError(f"{what} holds action {actions[row]} at row {row}, outside [0, {n_actions})")
 
 
 def columns_dict(columns: NamedTuple) -> dict:
@@ -221,12 +213,12 @@ def load_columns(template: NamedTuple, d: Mapping, max_rows: int, what: str) -> 
             if column.shape == (0,):
                 column = column.reshape(0, *like.shape[1:])
             if column.shape[1:] != like.shape[1:]:
-                raise ValueError(f"{path} has rows of shape {column.shape[1:]}, expected {like.shape[1:]}")
+                raise InputError(f"{path} has rows of shape {column.shape[1:]}, expected {like.shape[1:]}")
         if columns and len(column) != len(columns[0]):
-            raise ValueError(f"{path} has {len(column)} rows, {template._fields[0]} has {len(columns[0])}")
+            raise InputError(f"{path} has {len(column)} rows, {template._fields[0]} has {len(columns[0])}")
         columns.append(column)
     if len(columns[0]) > max_rows:
-        raise ValueError(f"{what} holds {len(columns[0])} rows, at most {max_rows} fit")
+        raise InputError(f"{what} holds {len(columns[0])} rows, at most {max_rows} fit")
     return type(template)(*columns)
 
 
@@ -260,7 +252,7 @@ class MLPParameters:
         if flat is None:
             flat = np.zeros(size, dtype=np.float64)
         elif flat.dtype != np.float64 or flat.shape != (size,):
-            raise DimensionMismatch(f"flat buffer {flat.dtype}{flat.shape} != float64({size},)")
+            raise ValueError(f"flat buffer {flat.dtype}{flat.shape} != float64({size},)")
         self.flat = flat
         self.weights, self.biases = _layer_views(self.layer_sizes, flat)
 
@@ -290,7 +282,7 @@ class MLPParameters:
         path = f"{what}.layer_sizes"
         sizes = [read_json(n, int, path, i) for i, n in enumerate(read_json(d["layer_sizes"], list, path))]
         if sizes != list(self.layer_sizes):
-            raise ValueError(f"{path} {sizes!r} != built {list(self.layer_sizes)}")
+            raise InputError(f"{path} {sizes!r} != built {list(self.layer_sizes)}")
         self.flat[...] = load_floats(d["flat"], (), f"{what}.flat", self.flat.size)
 
 
@@ -308,13 +300,13 @@ def _as_batch(x: np.ndarray, n_in: int) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         if arr.shape[0] != n_in:
-            raise DimensionMismatch(f"input dim {arr.shape[0]} != {n_in}")
+            raise ValueError(f"input dim {arr.shape[0]} != {n_in}")
         return arr[None, :], True
     if arr.ndim == 2:
         if arr.shape[1] != n_in:
-            raise DimensionMismatch(f"input dim {arr.shape[1]} != {n_in}")
+            raise ValueError(f"input dim {arr.shape[1]} != {n_in}")
         return arr, False
-    raise DimensionMismatch(f"input must be 1-D or 2-D, got shape {arr.shape}")
+    raise ValueError(f"input must be 1-D or 2-D, got shape {arr.shape}")
 
 
 def forward_cached(params: MLPParameters, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -350,7 +342,7 @@ def backward(params: MLPParameters, activations: Sequence[np.ndarray], output_gr
     """
     delta = np.asarray(output_gradient, dtype=np.float64)
     if delta.shape != activations[-1].shape:
-        raise DimensionMismatch(f"output_gradient shape {delta.shape} != {activations[-1].shape}")
+        raise ValueError(f"output_gradient shape {delta.shape} != {activations[-1].shape}")
     grads = MLPParameters(params.layer_sizes)
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, activations[i], out=grads.weights[i])
@@ -409,7 +401,7 @@ class Adam:
         self.v += (1.0 - ADAM_BETA2) * g * g
         params.flat -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
         if not np.isfinite(params.flat).all():
-            raise RLCoreError("non-finite parameter after Adam step")
+            raise FloatingPointError("non-finite parameter after Adam step")
 
     def state_dict(self) -> dict:
         return {"t": self.t, "m": encode_floats(self.m), "v": encode_floats(self.v)}
@@ -476,7 +468,7 @@ class ExperienceBuffer:
     def insert(self, transition: Transition) -> None:
         width = (self.state_dim,)
         if np.shape(transition.state) != width or np.shape(transition.next_state) != width:
-            raise DimensionMismatch(f"transition states must have shape {width}")
+            raise ValueError(f"transition states must have shape {width}")
         slot = self._next
         if slot == len(self._slots.actions):
             grown = _zero_batch(min(self.capacity, 2 * slot), self.state_dim)
@@ -566,7 +558,7 @@ class RngStreams:
             where = f"{what}.{name}"
             check_keys(where, st, _RNG_STATE_KEYS)
             if st["bit_generator"] != "PCG64":
-                raise ValueError(f"{where}.bit_generator is {st['bit_generator']!r}, expected 'PCG64'")
+                raise InputError(f"{where}.bit_generator is {st['bit_generator']!r}, expected 'PCG64'")
             state = {key: _load_pcg64_word(st[key], f"{where}.{key}") for key in ("state", "inc")}
             self.get(name).bit_generator.state = {
                 "bit_generator": "PCG64",
@@ -586,7 +578,7 @@ def _load_pcg64_word(text, what: str) -> int:
         n = int(text)
         if str(n) == text and n < 1 << 128:
             return n
-    raise ValueError(f"{what} is {text!r}, expected the decimal text of an integer in [0, 2**128)")
+    raise InputError(f"{what} is {text!r}, expected the decimal text of an integer in [0, 2**128)")
 
 
 def finite_difference_gradients(

@@ -40,8 +40,17 @@ from .agents import (
     requirement_summary,
 )
 from .atomic import atomic_open
-from .config import ConfigCodec, ConfigRangeError, ConfigTypeError, UnknownConfigKey  # noqa: F401 - re-exported
-from .domain import AgentRole, FeedbackRecord, Requirement, TestCase, check_keys, read_json, validate_feedback
+from .config import ConfigCodec, ConfigError
+from .domain import (
+    AgentRole,
+    FeedbackRecord,
+    InputError,
+    Requirement,
+    TestCase,
+    check_keys,
+    read_json,
+    validate_feedback,
+)
 from .dqn import DQNConfig, DQNController, KB_STATE_DIM
 from .knowledge import (
     EMBED_DIM_MIN,
@@ -53,7 +62,7 @@ from .knowledge import (
     apply_kb_action,
 )
 from .ppo import PPOConfig, compute_gae, policy_value_forward, ppo_update
-from .qe_env import BadConfig, EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
+from .qe_env import EnvConfig, ExecutionModel, SyntheticProject, execute_test, generate_project
 from .rewards import RewardBreakdown, RewardWeights, SeverityWeights, batch_reward
 from .rl_core import (
     RLCoreConfig,
@@ -114,18 +123,6 @@ _RNG_STREAMS = frozenset(
 # Version 2 of the event log writes one ``slot`` event per generation slot
 # in place of the per-action, per-test, per-feedback and reward events.
 EVENT_SCHEMA_VERSION = 2
-
-
-class TrainerError(Exception):
-    pass
-
-
-class IOFailure(TrainerError):
-    pass
-
-
-class SchemaVersionMismatch(TrainerError):
-    """A checkpoint is unreadable or carries an unsupported schema version."""
 
 
 @dataclass(frozen=True)
@@ -266,16 +263,16 @@ class RunConfig(ConfigCodec):
     loop: LoopConfig = field(default_factory=LoopConfig)
 
     def validate(self) -> "RunConfig":
-        """Check every range; ``ConfigRangeError`` names the failing key or section."""
+        """Check every range; ``ConfigError`` names the failing key or section."""
         for name, low in (("seed", 0), ("episode_count", 1), ("tests_per_episode", 1)):
             if getattr(self, name) < low:
-                raise ConfigRangeError(name, f"must be >= {low}, got {getattr(self, name)}")
+                raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
         for name in ("ppo", "dqn", "rl", "rewards", "env", "execution", "kb", "loop"):
             kwargs = {"allow_out_of_range": self.allow_out_of_range} if name == "ppo" else {}
             try:
                 getattr(self, name).validate(**kwargs)
-            except (ValueError, BadConfig) as exc:
-                raise ConfigRangeError(name, str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from exc
         return self
 
 
@@ -346,12 +343,12 @@ def read_event(event) -> dict:
     whose values the fold compares. Each rejection names the event type and
     the field. A number given as an integer comes back as a float."""
     if not isinstance(event, dict):
-        raise ValueError(f"event must be an object, got {type(event).__name__}")
+        raise InputError(f"event must be an object, got {type(event).__name__}")
     kind = event.get("type")
     if not (isinstance(kind, str) and kind in _EVENT_FIELDS):
-        raise ValueError(f"event.type must be one of {sorted(_EVENT_FIELDS)}, got {kind!r}")
+        raise InputError(f"event.type must be one of {sorted(_EVENT_FIELDS)}, got {kind!r}")
     if kind == "run_start" and event.get("event_schema") != EVENT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}")
+        raise InputError(f"unsupported event_schema {event.get('event_schema')!r}, expected {EVENT_SCHEMA_VERSION}")
     check_keys(kind, event, frozenset({"type", *_EVENT_FIELDS[kind]}))
     read = dict(event)
     for name, json_kind in _EVENT_FIELDS[kind].items():
@@ -360,7 +357,7 @@ def read_event(event) -> dict:
         elif json_kind is not None and not (event[name] is None and name in ("loss", "mean_q")):
             read[name] = read_json(event[name], json_kind, kind, name)
     if kind == "run_start" and event["n_requirements"] < 1:
-        raise ValueError("run_start n_requirements is 0, expected at least 1")
+        raise InputError("run_start n_requirements is 0, expected at least 1")
     elif kind == "episode_start":
         for i, rid in enumerate(event["planned_requirements"]):
             read_json(rid, str, "episode_start planned_requirements", i)
@@ -403,16 +400,16 @@ class RunTables:
             self._n_requirements = event["n_requirements"]
         elif kind == "episode_start":
             if not self._n_requirements or self._start is not None:
-                raise ValueError(f"episode_start {event['episode']} before run_start or inside an open episode")
+                raise InputError(f"episode_start {event['episode']} before run_start or inside an open episode")
             self._start, self._slots = event, []
         elif kind == "ppo_update":
             self.ppo_updates.append({name: event[name] for name in PPO_CSV_COLUMNS})
         elif kind == "kb_action":
             self.dqn_steps.append({name: event[name] for name in DQN_CSV_COLUMNS})
         elif self._start is None:
-            raise ValueError(f"{kind} of episode {event['episode']!r} outside an open episode")
+            raise InputError(f"{kind} of episode {event['episode']!r} outside an open episode")
         elif event["episode"] != self._start["episode"]:
-            raise ValueError(f"{kind} episode is {event['episode']!r}, the open episode is {self._start['episode']}")
+            raise InputError(f"{kind} episode is {event['episode']!r}, the open episode is {self._start['episode']}")
         elif kind == "slot":
             self._slots.append(event)
         else:
@@ -420,7 +417,7 @@ class RunTables:
             for name, value in row.to_dict().items():
                 logged = event["metrics"][name]
                 if logged != value:
-                    raise ValueError(f"episode_end metrics.{name} is {logged!r}, its events give {value!r}")
+                    raise InputError(f"episode_end metrics.{name} is {logged!r}, its events give {value!r}")
             self.metrics.append(row)
             self._start = None
 
@@ -446,24 +443,20 @@ class RunTables:
         )
 
     def write(self, out_dir) -> dict[str, str]:
-        """Write the three CSVs and return the mapping of table name to path.
-        Raises IOFailure on any filesystem problem and refuses a run with no
-        episodes."""
+        """Write the three CSVs and return the mapping of table name to path;
+        a run with no episodes is refused with ``ValueError``."""
         if not self.metrics:
-            raise IOFailure("refusing to export a run with no episodes")
+            raise ValueError("refusing to export a run with no episodes")
         texts = {
             "metrics": metrics_csv_text(self.metrics),
             "ppo_updates": _csv_text(PPO_CSV_COLUMNS, self.ppo_updates),
             "dqn_steps": _csv_text(DQN_CSV_COLUMNS, self.dqn_steps),
         }
         paths = {name: os.path.join(out_dir, f"{name}.csv") for name in texts}
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            for name, text in texts.items():
-                with open(paths[name], "w", encoding="utf-8") as fh:
-                    fh.write(text)
-        except OSError as exc:
-            raise IOFailure(f"export failed: {exc}") from exc
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in texts.items():
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
         return paths
 
 
@@ -790,88 +783,79 @@ class TrainingSystem:
 
     def checkpoint(self, path) -> None:
         """Write the checkpoint JSON; the previous file survives a failed write."""
-        try:
-            with atomic_open(path) as fh:
-                fh.write(json.dumps(self.checkpoint_dict(), sort_keys=True))
-        except OSError as exc:
-            raise IOFailure(f"cannot write checkpoint to {path}: {exc}") from exc
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.checkpoint_dict(), sort_keys=True))
 
     @classmethod
-    def restore(cls, path, events: EventSink | None = None) -> "TrainingSystem":
+    def restore(cls, path) -> "TrainingSystem":
         """Build the system the checkpointed config describes and load the
         checkpoint's state into it in place. Corrupt files never yield a
-        partial system. A missing or unknown key, an unknown, mistyped or
-        out-of-range config value, a network or optimizer state of another
-        topology, a vector, column or window of another width or length, a
-        stored number that is not a finite number or that the cast to its type
-        would change, a float64 buffer or column that is not strict base64
-        text of its byte count, a stored action outside its action space, a
-        negative counter, a tracker record that is not three non-negative integers
-        and a number, an RNG state value ``RngStreams.state_dict`` cannot
-        write, a ``kb`` section ``KnowledgeStore.from_snapshot_dict``
-        rejects, a ``kb.d_emb`` other than the config's and ``content_vectors``
-        keys other than the stored tests' ids are named with their dotted
-        path, and text that is not JSON with ``path``. ``events`` as in
-        ``__init__``."""
+        partial system; each is an ``InputError``. A missing or unknown key,
+        an unknown, mistyped or out-of-range config value, a network or
+        optimizer state of another topology, a vector, column or window of
+        another width or length, a stored number that is not a finite number
+        or that the cast to its type would change, a float64 buffer or column
+        that is not strict base64 text of its byte count, a stored action
+        outside its action space, a negative counter, a tracker record that
+        is not three non-negative integers and a number, an RNG state value
+        ``RngStreams.state_dict`` cannot write, a ``kb`` section
+        ``KnowledgeStore.from_snapshot_dict`` rejects, a ``kb.d_emb`` other
+        than the config's and ``content_vectors`` keys other than the stored
+        tests' ids are named with their dotted path, and a file that is not
+        UTF-8 JSON text with ``path``. Any other exception is a fault, not
+        bad input. The restored system's events go to a new list."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise IOFailure(f"cannot read checkpoint {path}: {exc}") from exc
-        try:
-            payload = parse_json(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaVersionMismatch(f"checkpoint {path} is not valid JSON: {exc}") from exc
+                payload = parse_json(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise SchemaVersionMismatch(
+            raise InputError(
                 f"unsupported checkpoint schema_version {payload.get('schema_version')!r}"
                 if isinstance(payload, dict)
                 else "checkpoint payload is not an object"
             )
+        check_keys("checkpoint", payload, _CHECKPOINT_KEYS)
+        check_keys("checkpoint agents", payload["agents"], frozenset(AgentRole.__members__))
+        check_keys("checkpoint trackers", payload["trackers"], frozenset(TRACKER_KEYS))
+        if payload["kb_pending"] is not None:
+            check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
+        check_keys("checkpoint rng_states", payload["rng_states"], frozenset(), _RNG_STREAMS)
         try:
-            check_keys("checkpoint", payload, _CHECKPOINT_KEYS)
-            check_keys("checkpoint agents", payload["agents"], frozenset(AgentRole.__members__))
-            check_keys("checkpoint trackers", payload["trackers"], frozenset(TRACKER_KEYS))
-            if payload["kb_pending"] is not None:
-                check_keys("checkpoint kb_pending", payload["kb_pending"], _KB_PENDING_KEYS)
-            check_keys("checkpoint rng_states", payload["rng_states"], frozenset(), _RNG_STREAMS)
-            try:
-                config = RunConfig.from_dict(payload["config"]).validate()
-            except (UnknownConfigKey, ConfigTypeError, ConfigRangeError) as exc:
-                path = ".".join(filter(None, ("checkpoint config", exc.key)))
-                raise SchemaVersionMismatch(f"{path}: {exc.problem}") from exc
-            system = cls(config, events=events)
-            system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"], "checkpoint kb")
-            if system.kb.d_emb != config.kb.d_emb:
-                raise ValueError(f"checkpoint kb.d_emb is {system.kb.d_emb}, the config's kb.d_emb is {config.kb.d_emb}")
-            # The stored tests, the store's records that are not requirements,
-            # are the keys of ``content_vectors``.
-            requirement_ids = {req.id for req in system.project.requirements}
-            test_ids = frozenset(rec["id"] for rec in payload["kb"]["vector_records"]) - requirement_ids
-            check_keys("checkpoint content_vectors", payload["content_vectors"], test_ids)
-            system.content_vectors = {
-                key: load_vector(vec, config.env.d_cov, f"checkpoint content_vectors.{key}")
-                for key, vec in payload["content_vectors"].items()
-            }
-            for role, agent in system.agents.items():
-                agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
-            for key, tracker in system.trackers.items():
-                tracker.load_state_dict(payload["trackers"][key], f"checkpoint trackers.{key}")
-            system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
-            system.hit_window.extend(
-                load_window(payload["hit_window"], config.loop.tracker_window, "checkpoint hit_window")
+            config = RunConfig.from_dict(payload["config"]).validate()
+        except ConfigError as exc:
+            key = ".".join(filter(None, ("checkpoint config", exc.key)))
+            raise InputError(f"{key}: {exc.problem}") from exc
+        system = cls(config)
+        system.kb = KnowledgeStore.from_snapshot_dict(payload["kb"], "checkpoint kb")
+        if system.kb.d_emb != config.kb.d_emb:
+            raise InputError(f"checkpoint kb.d_emb is {system.kb.d_emb}, the config's kb.d_emb is {config.kb.d_emb}")
+        # The stored tests, the store's records that are not requirements,
+        # are the keys of ``content_vectors``.
+        requirement_ids = {req.id for req in system.project.requirements}
+        test_ids = frozenset(rec["id"] for rec in payload["kb"]["vector_records"]) - requirement_ids
+        check_keys("checkpoint content_vectors", payload["content_vectors"], test_ids)
+        system.content_vectors = {
+            key: load_vector(vec, config.env.d_cov, f"checkpoint content_vectors.{key}")
+            for key, vec in payload["content_vectors"].items()
+        }
+        for role, agent in system.agents.items():
+            agent.load_state_dict(payload["agents"][role.name], f"checkpoint agents.{role.name}")
+        for key, tracker in system.trackers.items():
+            tracker.load_state_dict(payload["trackers"][key], f"checkpoint trackers.{key}")
+        system.dqn.load_state_dict(payload["dqn"], "checkpoint dqn")
+        system.hit_window.extend(
+            load_window(payload["hit_window"], config.loop.tracker_window, "checkpoint hit_window")
+        )
+        pending = payload["kb_pending"]
+        if pending is not None:
+            system.kb_pending = (
+                load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
+                load_below(pending["action"], KB_ACTION_COUNT, "checkpoint kb_pending.action"),
             )
-            pending = payload["kb_pending"]
-            if pending is not None:
-                system.kb_pending = (
-                    load_vector(pending["state"], KB_STATE_DIM, "checkpoint kb_pending.state"),
-                    load_below(pending["action"], KB_ACTION_COUNT, "checkpoint kb_pending.action"),
-                )
-            system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
-            system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
-            system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")
-        except (KeyError, TypeError, ValueError, UnknownConfigKey) as exc:
-            raise SchemaVersionMismatch(f"checkpoint payload incomplete or malformed: {exc}") from exc
+        system.episode_index = load_count(payload["episode_index"], "checkpoint episode_index")
+        system._ppo_update_count = load_count(payload["ppo_update_count"], "checkpoint ppo_update_count")
+        system.streams.load_state_dict(payload["rng_states"], "checkpoint rng_states")
         return system
 
 

@@ -1,9 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
-from qeloop import cli, qe_env, trainer
+from qeloop import cli, trainer
+from qeloop.config import ConfigError
 from qeloop.domain import FeedbackRecord, DefectReport, Severity
 from qeloop.knowledge import EdgeType, KnowledgeStore
 from qeloop.trainer import EventLog, RunConfig, metrics_csv_text, run_training
@@ -23,6 +25,12 @@ TINY = {
     },
     "loop": {"n_tests": 1, "kb_action_interval": 2},
 }
+
+
+# The problem of a ConfigError: an unknown key, or any other, a mistyped or
+# out-of-range value.
+UNKNOWN_KEY = "unknown key$"
+BAD_VALUE = "(?!unknown key$)"
 
 
 @pytest.fixture
@@ -48,7 +56,7 @@ class TestLoadConfig:
     def test_learning_rate_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        with pytest.raises(cli.ValidationError):
+        with pytest.raises(ConfigError, match="^ppo: learning_rate 0.01 outside"):
             cli.load_config(str(path), ("ppo.learning_rate=0.01",))
 
     def test_learning_rate_override_allowed_with_flag(self, tmp_path):
@@ -60,67 +68,67 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        with pytest.raises(cli.UnknownKey):
+        with pytest.raises(ConfigError, match="^ppo.lr: unknown key$"):
             cli.load_config(str(path), ("ppo.lr=0.0001",))
 
     def test_missing_file_is_parse_error(self, tmp_path):
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(ConfigError, match="^cannot read config .*absent.json"):
             cli.load_config(str(tmp_path / "absent.json"))
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(ConfigError, match="^config .*bad.json is not valid JSON"):
             cli.load_config(str(path))
 
     def test_bad_override_shape_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        with pytest.raises(cli.ParseError):
+        with pytest.raises(ConfigError, match="^override 'no_equals_sign' is not of the form key=value"):
             cli.load_config(str(path), ("no_equals_sign",))
 
     @pytest.mark.parametrize(
-        "override, error, key",
+        "override, problem, key",
         [
-            ("kb.initial_params.bogus=1", cli.UnknownKey, "kb.initial_params.bogus"),
-            ("ppo.epochs_per_update=2.7", cli.ValidationError, "ppo.epochs_per_update"),
-            ('ablation.disable_ppo="no"', cli.ValidationError, "ablation.disable_ppo"),
-            ("seed=1.9", cli.ValidationError, "seed"),
-            ("rewards.weights.bogus=0.1", cli.UnknownKey, "rewards.weights.bogus"),
-            ("env.severity_proportions.Bogus=0.1", cli.UnknownKey, "env.severity_proportions.Bogus"),
-            ("ppo=x", cli.ValidationError, "ppo"),
-            ("rl.seed=0", cli.UnknownKey, "rl.seed"),
-            ("kb.d_emb=4", cli.ValidationError, "kb"),
+            ("kb.initial_params.bogus=1", UNKNOWN_KEY, "kb.initial_params.bogus"),
+            ("ppo.epochs_per_update=2.7", BAD_VALUE, "ppo.epochs_per_update"),
+            ('ablation.disable_ppo="no"', BAD_VALUE, "ablation.disable_ppo"),
+            ("seed=1.9", BAD_VALUE, "seed"),
+            ("rewards.weights.bogus=0.1", UNKNOWN_KEY, "rewards.weights.bogus"),
+            ("env.severity_proportions.Bogus=0.1", UNKNOWN_KEY, "env.severity_proportions.Bogus"),
+            ("ppo=x", BAD_VALUE, "ppo"),
+            ("rl.seed=0", UNKNOWN_KEY, "rl.seed"),
+            ("kb.d_emb=4", BAD_VALUE, "kb"),
             # embed hashes the modifiers' nudges into d_cov dimensions.
-            ("env.d_cov=6", cli.ValidationError, "env"),
+            ("env.d_cov=6", BAD_VALUE, "env"),
             pytest.param(
                 "kb.edge_learning_rate=" + "9" * 401,
-                cli.ValidationError,
+                BAD_VALUE,
                 "kb.edge_learning_rate",
                 id="integer-too-large-for-a-float",
             ),
             # --set parses values as JSON, which has NaN and Infinity tokens.
-            ("rewards.severity.false_positive_penalty=Infinity", cli.ValidationError,
+            ("rewards.severity.false_positive_penalty=Infinity", BAD_VALUE,
              "rewards.severity.false_positive_penalty"),
-            ("loop.modifier_scale=Infinity", cli.ValidationError, "loop.modifier_scale"),
-            ("loop.modifier_scale=-Infinity", cli.ValidationError, "loop.modifier_scale"),
-            ("execution.base_time=NaN", cli.ValidationError, "execution.base_time"),
-            ("loop.n_tests=0", cli.ValidationError, "loop"),
+            ("loop.modifier_scale=Infinity", BAD_VALUE, "loop.modifier_scale"),
+            ("loop.modifier_scale=-Infinity", BAD_VALUE, "loop.modifier_scale"),
+            ("execution.base_time=NaN", BAD_VALUE, "execution.base_time"),
+            ("loop.n_tests=0", BAD_VALUE, "loop"),
             # The one reward and feedback history must hold a KB interval.
-            ("loop.kb_action_interval=51", cli.ValidationError, "loop"),
+            ("loop.kb_action_interval=51", BAD_VALUE, "loop"),
             # The knowledge controller's reward compares two KB intervals.
-            ("loop.kb_action_interval=26", cli.ValidationError, "loop"),
-            ("rewards.adaptation_window=50", cli.UnknownKey, "rewards.adaptation_window"),
-            ("kb.initial_params.top_k=100", cli.ValidationError, "kb"),
-            ("dqn.epsilon_end=0.95", cli.ValidationError, "dqn"),
-            ("episode_count=0", cli.ValidationError, "episode_count"),
-            ("tests_per_episode=0", cli.ValidationError, "tests_per_episode"),
+            ("loop.kb_action_interval=26", BAD_VALUE, "loop"),
+            ("rewards.adaptation_window=50", UNKNOWN_KEY, "rewards.adaptation_window"),
+            ("kb.initial_params.top_k=100", BAD_VALUE, "kb"),
+            ("dqn.epsilon_end=0.95", BAD_VALUE, "dqn"),
+            ("episode_count=0", BAD_VALUE, "episode_count"),
+            ("tests_per_episode=0", BAD_VALUE, "tests_per_episode"),
         ],
     )
-    def test_bad_override_rejected_with_its_path(self, tmp_path, override, error, key):
+    def test_bad_override_rejected_with_its_path(self, tmp_path, override, problem, key):
         path = tmp_path / "empty.json"
         path.write_text("{}")
-        with pytest.raises(error) as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {problem}") as exc:
             cli.load_config(str(path), (override,))
         assert exc.value.key == key
 
@@ -154,7 +162,7 @@ class TestMainExitCodes:
         argv = ["train", "--config", config_path, "--set", override, "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         key = override.split("=")[0]
-        assert f"qeloop.cli.ValidationError: {key}: must be a finite number, got" in capsys.readouterr().err
+        assert f"qeloop.config.ConfigError: {key}: must be a finite number, got" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_gradcheck_exits_zero_and_reports(self, config_path, capsys):
@@ -164,6 +172,22 @@ class TestMainExitCodes:
 
     def test_unknown_subcommand_exits_one(self, config_path):
         assert cli.main(["frobnicate", "--config", config_path]) == 1
+
+    def test_config_that_is_not_utf8_exits_one_naming_its_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"qeloop.config.ConfigError: config {path} is not valid JSON: 'utf-8' codec can't decode" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_value_error_in_a_run_is_a_fault_with_its_traceback(self, tmp_path, config_path, monkeypatch):
+        def run(system, episodes=None):
+            raise ValueError("fault in the run")
+
+        monkeypatch.setattr(trainer.TrainingSystem, "run", run)
+        with pytest.raises(ValueError, match="fault in the run"):
+            cli.main(["train", "--config", config_path, "--out", str(tmp_path / "out")])
 
 
 class TestTrainCommand:
@@ -198,7 +222,7 @@ class TestTrainCommand:
         def execute_then_fail(*args):
             calls.append(args)
             if len(calls) == fail_on:
-                raise qe_env.QEEnvError("simulated channel failure")
+                raise OSError("simulated channel failure")
             return real_execute(*args)
 
         monkeypatch.setattr(trainer, "execute_test", execute_then_fail)
@@ -267,7 +291,7 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "qeloop.trainer.SchemaVersionMismatch: checkpoint config.execution.bogus: unknown key" in err
+        assert "qeloop.domain.InputError: checkpoint config.execution.bogus: unknown key" in err
 
     def test_evaluate_names_a_non_finite_value_in_the_checkpoint_config(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
@@ -280,7 +304,7 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "SchemaVersionMismatch: checkpoint config.loop.modifier_scale: must be a finite number, got inf" in err
+        assert "InputError: checkpoint config.loop.modifier_scale: must be a finite number, got inf" in err
 
     def test_evaluate_names_a_checkpoint_that_is_not_json(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
@@ -291,7 +315,7 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert f"qeloop.trainer.SchemaVersionMismatch: checkpoint {checkpoint} is not valid JSON: Unterminated" in err
+        assert f"qeloop.domain.InputError: checkpoint {checkpoint} is not valid JSON: Unterminated" in err
 
     def test_evaluate_names_an_rng_state_out_of_range(self, tmp_path, config_path, capsys):
         out_dir = tmp_path / "out"
@@ -304,6 +328,25 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 2
         assert "checkpoint rng_states.env.uinteger is -1, expected a non-negative integer" in capsys.readouterr().err
+
+    def test_evaluate_names_a_checkpoint_that_is_not_utf8(self, tmp_path, config_path, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_bytes(b"\xff" + json.dumps({"schema_version": 12}).encode())
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"qeloop.domain.InputError: checkpoint {checkpoint} is not valid JSON: 'utf-8' codec can't decode" in err
+
+    def test_failed_evaluate_leaves_its_output_directory_as_it_was(self, tmp_path, config_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", config_path, "--out", str(out_dir), "--set", "episode_count=1"]) == 0
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert before["events.jsonl"] and before["feedback.jsonl"]
+        checkpoint = tmp_path / "truncated.json"
+        checkpoint.write_bytes(before["checkpoint.json"][:100])
+        argv = ["evaluate", "--config", config_path, "--checkpoint", str(checkpoint), "--out", str(out_dir)]
+        assert cli.main(argv) == 2
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
     def test_evaluate_rejects_a_non_positive_episode_count(self, tmp_path, config_path):
         argv = ["evaluate", "--config", config_path, "--checkpoint", str(tmp_path / "none.json")]
@@ -402,7 +445,7 @@ class TestReplayCommand:
         assert len(skipped) == 3
         assert "line 2: DefectReport.is_false_positive must be a boolean" in skipped[0]
         assert "line 3: FeedbackRecord.execution_time must be a finite number, got '4.5'" in skipped[1]
-        assert "ParseError: line 4: FeedbackRecord.execution_time must be a finite number, got inf" in skipped[2]
+        assert "InputError: line 4: FeedbackRecord.execution_time must be a finite number, got inf" in skipped[2]
 
     def test_replay_names_a_severity_that_is_no_member(self, tmp_path, config_path, capsys):
         lines = []
@@ -416,8 +459,31 @@ class TestReplayCommand:
         skipped = capsys.readouterr().err.splitlines()
         members = "['Low', 'Medium', 'High', 'Critical']"
         assert skipped == [
-            f"skipped qeloop.qe_env.ParseError: line 1: DefectReport.severity must be one of {members}, got 'Bogus'",
-            f"skipped qeloop.qe_env.ParseError: line 2: DefectReport.severity must be one of {members}, got 3",
+            f"skipped qeloop.domain.InputError: line 1: DefectReport.severity must be one of {members}, got 'Bogus'",
+            f"skipped qeloop.domain.InputError: line 2: DefectReport.severity must be one of {members}, got 3",
+        ]
+
+    def test_replay_names_a_snapshot_that_is_not_utf8(self, tmp_path, config_path, capsys):
+        snap = self.build_snapshot(tmp_path)
+        snap.write_bytes(snap.read_bytes().replace(b'"tc-1"', b'"tc-\xff"', 1))
+        feedback_path = tmp_path / "feedback.jsonl"
+        write_feedback_file(feedback_path, self.feedback_records())
+        argv = ["replay", "--config", config_path, str(feedback_path), "--kb", str(snap), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"qeloop.domain.InputError: knowledge snapshot {snap} is not valid JSON: 'utf-8' codec can't decode" in err
+
+    def test_replay_skips_a_line_that_is_not_utf8_with_its_number(self, tmp_path, config_path, capsys):
+        good = self.feedback_records()[0].to_json_line().encode()
+        feedback_path = tmp_path / "feedback.jsonl"
+        feedback_path.write_bytes(good + b"\n" + good.replace(b'"tc-1"', b'"tc-\xff"') + b"\n" + good + b"\n")
+        argv = ["replay", "--config", config_path, str(feedback_path), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        assert "replayed 2 records" in out.out
+        assert out.err.splitlines() == [
+            "skipped qeloop.domain.InputError: line 2: 'utf-8' codec can't decode byte 0xff in position "
+            f"{good.index(b'tc-1') + 3}: invalid start byte"
         ]
 
     def test_replay_input_not_modified(self, tmp_path, config_path):
@@ -537,7 +603,7 @@ class TestExportCommand:
         self, tmp_path, config_path, capsys, two_episode_log, kind, edit
     ):
         line, err = export_changed(two_episode_log, tmp_path, config_path, capsys, edited(kind, edit))
-        assert f"qeloop.cli.ValidationError: input line {line}: malformed event log" in err
+        assert f"qeloop.config.ConfigError: input line {line}: malformed event log" in err
 
     @pytest.mark.parametrize(
         "kind, edit, field",

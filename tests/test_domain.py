@@ -10,11 +10,9 @@ from qeloop.domain import (
     DefectReport,
     FeedbackRecord,
     GenerationStrategy,
-    RangeViolation,
+    InputError,
     RetrievalMode,
     Severity,
-    MalformedRecord,
-    UnknownTestCase,
     validate_feedback,
 )
 
@@ -42,41 +40,38 @@ class TestValidateFeedback:
 
     def test_quality_rating_above_one_rejected(self):
         record = make_record(quality_rating=1.3)
-        with pytest.raises(RangeViolation) as exc:
+        with pytest.raises(InputError, match=r"^quality_rating=1.3 outside \[0.0, 1.0\]$"):
             validate_feedback(record, {"tc-1"})
-        assert exc.value.field_name == "quality_rating"
 
     def test_dangling_test_reference_rejected(self):
         record = make_record(test_case_ref="tc-999")
-        with pytest.raises(UnknownTestCase):
+        with pytest.raises(InputError, match="^feedback references unknown test case 'tc-999'$"):
             validate_feedback(record, {"tc-1"})
 
     def test_zero_execution_time_rejected(self):
-        with pytest.raises(RangeViolation) as exc:
+        with pytest.raises(InputError, match=r"^execution_time=0.0 outside \(0.0, inf\)$"):
             validate_feedback(make_record(execution_time=0.0), {"tc-1"})
-        assert exc.value.field_name == "execution_time"
 
     def test_workflow_factor_bounds_are_half_open(self):
         validate_feedback(make_record(workflow_integration_factor=2.0), {"tc-1"})
-        with pytest.raises(RangeViolation):
+        with pytest.raises(InputError, match=r"^workflow_integration_factor=0.0 outside \(0.0, 2.0\]$"):
             validate_feedback(make_record(workflow_integration_factor=0.0), {"tc-1"})
-        with pytest.raises(RangeViolation):
+        with pytest.raises(InputError, match=r"^workflow_integration_factor=2.1 outside \(0.0, 2.0\]$"):
             validate_feedback(make_record(workflow_integration_factor=2.1), {"tc-1"})
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_number_rejected(self, value):
-        with pytest.raises(RangeViolation, match="finite real") as exc:
+        with pytest.raises(InputError, match="^baseline_time=.* outside finite real$"):
             validate_feedback(make_record(baseline_time=value), {"tc-1"})
-        assert exc.value.field_name == "baseline_time"
 
     def test_false_positive_must_not_carry_defect_ref(self):
         bad = DefectReport("r1", "tc-1", Severity.Low, True, defect_ref="def-1")
-        with pytest.raises(RangeViolation):
+        with pytest.raises(InputError, match="^defect_ref='def-1' outside None for false positives$"):
             validate_feedback(make_record(defects=(bad,)), {"tc-1"})
 
     def test_true_report_requires_defect_ref(self):
         bad = DefectReport("r1", "tc-1", Severity.Low, False, defect_ref=None)
-        with pytest.raises(RangeViolation):
+        with pytest.raises(InputError, match="^defect_ref=None outside defect id for true reports$"):
             validate_feedback(make_record(defects=(bad,)), {"tc-1"})
 
     def test_catalog_kinds_agree(self):
@@ -84,7 +79,7 @@ class TestValidateFeedback:
         for catalog in ({"tc-1": None}, {"tc-1"}, frozenset({"tc-1"}), ["tc-1"], iter(["tc-1"])):
             validate_feedback(make_record(), catalog)
         for catalog in ({"tc-2": None}, {"tc-2"}, ["tc-2"], iter(())):
-            with pytest.raises(UnknownTestCase):
+            with pytest.raises(InputError, match="^feedback references unknown test case 'tc-1'$"):
                 validate_feedback(make_record(), catalog)
 
 
@@ -92,26 +87,26 @@ class TestStrictRecordKeys:
     def test_feedback_record_unknown_key_rejected(self):
         payload = make_record().to_dict()
         payload["qualty_rating"] = 0.5
-        with pytest.raises(MalformedRecord, match="qualty_rating"):
+        with pytest.raises(InputError, match="qualty_rating"):
             FeedbackRecord.from_dict(payload)
 
     def test_defect_report_unknown_key_rejected(self):
         payload = DefectReport("r1", "tc-1", Severity.High, False, "def-1").to_dict()
         payload["extra"] = 1
-        with pytest.raises(MalformedRecord, match="extra"):
+        with pytest.raises(InputError, match="extra"):
             DefectReport.from_dict(payload)
 
     def test_unknown_key_inside_a_defect_of_a_record_rejected(self):
         report = DefectReport("r1", "tc-1", Severity.High, False, "def-1")
         payload = make_record(defects=(report,)).to_dict()
         payload["defects"][0]["severty"] = "Low"
-        with pytest.raises(MalformedRecord, match="severty"):
+        with pytest.raises(InputError, match="severty"):
             FeedbackRecord.from_dict(payload)
 
     def test_missing_key_rejected(self):
         payload = make_record().to_dict()
         del payload["compliance_score"]
-        with pytest.raises(MalformedRecord, match="compliance_score"):
+        with pytest.raises(InputError, match="compliance_score"):
             FeedbackRecord.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -127,7 +122,7 @@ class TestStrictRecordKeys:
     def test_defect_report_value_of_the_wrong_json_type_rejected(self, field_name, value, expected):
         payload = DefectReport("r1", "tc-1", Severity.High, False, "def-1").to_dict()
         payload[field_name] = value
-        with pytest.raises(MalformedRecord, match=f"DefectReport.{field_name} must be {expected}, got {value!r}"):
+        with pytest.raises(InputError, match=f"DefectReport.{field_name} must be {expected}, got {value!r}"):
             DefectReport.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -144,7 +139,7 @@ class TestStrictRecordKeys:
     def test_feedback_record_value_of_the_wrong_json_type_rejected(self, field_name, value, expected):
         payload = make_record().to_dict()
         payload[field_name] = value
-        with pytest.raises(MalformedRecord, match=f"FeedbackRecord.{field_name} must be {expected}"):
+        with pytest.raises(InputError, match=f"FeedbackRecord.{field_name} must be {expected}"):
             FeedbackRecord.from_dict(payload)
 
     def test_integral_numbers_read_as_floats(self):
@@ -154,8 +149,8 @@ class TestStrictRecordKeys:
         assert type(record.execution_time) is float and record.execution_time == 2.0
 
     def test_malformed_record_is_a_value_error(self):
-        # Readers that treat ValueError as malformed input keep doing so.
-        assert issubclass(MalformedRecord, ValueError)
+        # Code that treats a ValueError as a rejected value keeps doing so.
+        assert issubclass(InputError, ValueError)
 
     def test_optional_keys_may_be_left_out(self):
         payload = make_record().to_dict()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qeloop.dqn import (
     DQNConfig,
     DQNController,
-    InsufficientReplay,
     dqn_train_step,
     epsilon_at,
     select_kb_action,
@@ -156,7 +155,7 @@ class TestController:
 
     def test_insufficient_replay_rejected(self):
         ctrl = self.make()
-        with pytest.raises(InsufficientReplay):
+        with pytest.raises(ValueError, match=r"^replay holds 0 < batch_size \d+$"):
             ctrl.train_step()
 
     def test_target_syncs_exactly_on_interval(self):

@@ -35,8 +35,8 @@ from qeloop.domain import (
     GenerationStrategy,
     Requirement,
     RetrievalMode,
+    InputError,
     Severity,
-    UnknownTestCase,
     validate_feedback,
 )
 from qeloop.knowledge import EdgeType, KnowledgeStore, RetrievalParams, embed
@@ -582,5 +582,5 @@ class TestValidateFeedbackCatalog:
         if ref in ids:
             assert validate_feedback(record, catalog) is record
         else:
-            with pytest.raises(UnknownTestCase):
+            with pytest.raises(InputError, match=f"^feedback references unknown test case '{ref}'$"):
                 validate_feedback(record, catalog)

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeloop import knowledge
-from qeloop.domain import FeedbackRecord, DefectReport, MalformedRecord, RetrievalMode, Severity
+from qeloop.domain import FeedbackRecord, DefectReport, InputError, RetrievalMode, Severity
 from qeloop.knowledge import (
     EdgeType,
-    EmptyInput,
     KBAction,
     KnowledgeStore,
     RetrievalParams,
-    UnknownNode,
     apply_kb_action,
     embed,
 )
@@ -41,7 +39,7 @@ class TestEmbed:
             assert abs(np.linalg.norm(embed(tokens, 256)) - 1.0) < 1e-6
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="^cannot embed an empty token list$"):
             embed([], 64)
 
     def test_small_dimension_rejected(self):
@@ -156,7 +154,7 @@ class TestGraphTraverse:
     def test_unknown_seed_rejected(self):
         store = KnowledgeStore(d_emb=8)
         store.add_node("a")
-        with pytest.raises(UnknownNode):
+        with pytest.raises(ValueError, match="^seed 'ghost' not in graph$"):
             store.graph_traverse(["ghost"])
 
     def test_diamond_takes_best_path(self):
@@ -389,7 +387,7 @@ class TestSnapshot:
     def test_misspelt_section_rejected(self):
         payload = self.small_snapshot()
         payload["graph_edgs"] = payload.pop("graph_edges")
-        with pytest.raises(MalformedRecord, match="graph_edgs") as exc:
+        with pytest.raises(InputError, match="graph_edgs") as exc:
             KnowledgeStore.from_snapshot_dict(payload)
         assert "graph_edges" in str(exc.value)
 
@@ -397,25 +395,25 @@ class TestSnapshot:
     def test_missing_section_rejected(self, section):
         payload = self.small_snapshot()
         del payload[section]
-        with pytest.raises(MalformedRecord, match=section):
+        with pytest.raises(InputError, match=section):
             KnowledgeStore.from_snapshot_dict(payload)
 
     def test_unknown_top_level_key_rejected(self):
         payload = self.small_snapshot()
         payload["comment"] = "hand edited"
-        with pytest.raises(MalformedRecord, match="comment"):
+        with pytest.raises(InputError, match="comment"):
             KnowledgeStore.from_snapshot_dict(payload)
 
     def test_unknown_vector_record_key_rejected(self):
         payload = self.small_snapshot()
         payload["vector_records"][0]["usefullness"] = 0.9
-        with pytest.raises(MalformedRecord, match="usefullness"):
+        with pytest.raises(InputError, match="usefullness"):
             KnowledgeStore.from_snapshot_dict(payload)
 
     def test_unknown_edge_key_rejected(self):
         payload = self.small_snapshot()
         payload["graph_edges"][0]["wieght"] = 0.9
-        with pytest.raises(MalformedRecord, match="wieght"):
+        with pytest.raises(InputError, match="wieght"):
             KnowledgeStore.from_snapshot_dict(payload)
 
     def test_usefulness_may_be_left_out(self):
@@ -581,9 +579,9 @@ class TestSnapshot:
         assert "-0.0" in text
 
     def test_malformed_snapshot_is_a_value_error(self):
-        # The checkpoint reader maps ValueError to SchemaVersionMismatch and
-        # the CLI maps it to exit code 2.
-        assert issubclass(MalformedRecord, ValueError)
+        # A snapshot's rejection is an InputError, which the CLI maps to exit
+        # code 2.
+        assert issubclass(InputError, ValueError)
 
     def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
         store = KnowledgeStore(d_emb=8)

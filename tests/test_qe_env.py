@@ -9,20 +9,17 @@ from qeloop.domain import (
     DefectReport,
     FeedbackRecord,
     GenerationStrategy,
+    InputError,
     Requirement,
     RetrievalMode,
     Severity,
     TestCase as DomainTestCase,
 )
 from qeloop.qe_env import (
-    BadConfig,
     DefectSpec,
     EnvConfig,
     ExecutionModel,
-    ParseError,
     SyntheticProject,
-    UnknownRequirement,
-    ValidationError,
     detection_probability,
     execute_test,
     generate_project,
@@ -101,9 +98,9 @@ class TestGenerateProject:
             assert np.linalg.norm(defect.signature) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(BadConfig):
+        with pytest.raises(ValueError, match="n_requirements must be >= 1, got 0"):
             EnvConfig(n_requirements=0).validate()
-        with pytest.raises(BadConfig):
+        with pytest.raises(ValueError, match="severity proportions must be non-negative and sum to 1"):
             EnvConfig(severity_proportions={Severity.Low: 0.5}).validate()
 
 
@@ -186,7 +183,7 @@ class TestExecuteTest:
             "tc-x", ("req-ghost",), GenerationStrategy.HappyPath, RetrievalMode.VectorOnly,
             tuple(np.zeros(16)), AgentRole.TestCaseGeneration,
         )
-        with pytest.raises(UnknownRequirement):
+        with pytest.raises(ValueError, match="test tc-x references unknown requirement 'req-ghost'"):
             execute_test(test, project, ExecutionModel(), rng(0))
 
     def test_false_positive_rate_observed(self):
@@ -259,13 +256,13 @@ class TestReplayFeedback:
         records = list(replay_feedback(path, on_error=issues.append))
         assert len(records) == 9
         assert len(issues) == 1
-        assert isinstance(issues[0], ParseError)
-        assert issues[0].line_number == 5
+        assert isinstance(issues[0], InputError)
+        assert str(issues[0]).startswith("line 5: Expecting property name")
 
     def test_strict_mode_raises_on_first_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_lines(path, ["not json at all"])
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^line 1: Expecting value"):
             list(replay_feedback(path))
 
     def test_range_violation_becomes_validation_error(self, tmp_path):
@@ -275,8 +272,8 @@ class TestReplayFeedback:
         write_lines(path, [json.dumps(payload)])
         issues = []
         assert list(replay_feedback(path, on_error=issues.append)) == []
-        assert isinstance(issues[0], ValidationError)
-        assert issues[0].line_number == 1
+        assert isinstance(issues[0], InputError)
+        assert str(issues[0]) == "line 1: quality_rating=3.0 outside [0.0, 1.0]"
 
     def test_unknown_key_is_a_parse_error_with_its_line(self, tmp_path):
         payload = json.loads(sample_record().to_json_line())
@@ -286,38 +283,33 @@ class TestReplayFeedback:
         issues = []
         assert list(replay_feedback(path, on_error=issues.append)) == [sample_record()]
         assert len(issues) == 1
-        assert isinstance(issues[0], ParseError)
-        assert issues[0].line_number == 2
-        assert "quality" in str(issues[0])
+        assert isinstance(issues[0], InputError)
+        assert str(issues[0]).startswith("line 2: FeedbackRecord: unknown key(s) ['quality']")
 
     @pytest.mark.parametrize(
-        "edit, error, message",
+        "edit, message",
         [
             (
                 lambda d: d["defects"][0].update(is_false_positive="false"),
-                ParseError,
                 "DefectReport.is_false_positive must be a boolean, got 'false'",
             ),
             (
                 lambda d: d.update(execution_time="4.5"),
-                ParseError,
                 "FeedbackRecord.execution_time must be a finite number, got '4.5'",
             ),
             (
                 lambda d: d.update(compliance_score=True),
-                ParseError,
                 "FeedbackRecord.compliance_score must be a finite number, got True",
             ),
-            (lambda d: d.update(test_case_ref=5), ParseError, "FeedbackRecord.test_case_ref must be a string, got 5"),
+            (lambda d: d.update(test_case_ref=5), "FeedbackRecord.test_case_ref must be a string, got 5"),
             (
                 lambda d: d.update(execution_time=float("inf")),
-                ParseError,
                 "FeedbackRecord.execution_time must be a finite number, got inf",
             ),
         ],
         ids=["string-flag", "string-number", "boolean-number", "numeric-id", "infinite-number"],
     )
-    def test_value_of_the_wrong_json_type_reported_with_its_line(self, tmp_path, edit, error, message):
+    def test_value_of_the_wrong_json_type_reported_with_its_line(self, tmp_path, edit, message):
         report = DefectReport("rep-1", "tc-1", Severity.High, True)
         payload = FeedbackRecord("tc-1", (report,), 1.0, 2.0, 0.0, 0.4, 0.6, 1.0, 0.8).to_dict()
         edit(payload)
@@ -325,9 +317,20 @@ class TestReplayFeedback:
         write_lines(path, [sample_record().to_json_line(), json.dumps(payload)])
         issues = []
         assert list(replay_feedback(path, on_error=issues.append)) == [sample_record()]
-        assert [type(issue) for issue in issues] == [error]
-        assert issues[0].line_number == 2
-        assert message in str(issues[0])
+        assert [type(issue) for issue in issues] == [InputError]
+        assert str(issues[0]) == f"line 2: {message}"
+
+    def test_a_type_error_in_the_record_reader_is_a_fault_not_a_bad_line(self, tmp_path, monkeypatch):
+        def from_dict(cls, d):
+            raise TypeError("fault in the reader")
+
+        monkeypatch.setattr(FeedbackRecord, "from_dict", classmethod(from_dict))
+        path = tmp_path / "feedback.jsonl"
+        write_lines(path, [sample_record().to_json_line()] * 3)
+        issues = []
+        with pytest.raises(TypeError, match="fault in the reader"):
+            list(replay_feedback(path, on_error=issues.append))
+        assert issues == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeloop import cli
-from qeloop.domain import DefectReport, FeedbackRecord, MalformedRecord, Severity, read_json
+from qeloop.config import ConfigError
+from qeloop.domain import DefectReport, FeedbackRecord, InputError, Severity, read_json
 from qeloop.knowledge import EdgeType, KnowledgeStore
-from qeloop.trainer import EventLog, SchemaVersionMismatch, TrainingSystem
+from qeloop.trainer import EventLog, TrainingSystem
 
 TINY = {
     "episode_count": 2,
@@ -81,7 +82,7 @@ class TestReader:
     def test_agrees_with_the_kinds_definitions(self, value, kind):
         expected = oracle(value, kind)
         if expected is REJECT:
-            with pytest.raises(MalformedRecord) as exc:
+            with pytest.raises(InputError) as exc:
                 read_json(value, kind, "doc.section", 3)
             got = repr(value) if len(repr(value)) <= 1000 else repr(value)[:1000] + "..."
             assert str(exc.value) == f"doc.section[3] must be {kind_name(kind)}, got {got}"
@@ -97,12 +98,12 @@ class TestReader:
             assert same(read_json(once, kind, "x"), once)
 
     def test_string_key_extends_the_path(self):
-        with pytest.raises(MalformedRecord) as exc:
+        with pytest.raises(InputError) as exc:
             read_json("0.4", float, "doc.edges[0]", "weight")
         assert str(exc.value) == "doc.edges[0].weight must be a finite number, got '0.4'"
 
     def test_empty_path_leaves_the_problem_alone(self):
-        with pytest.raises(MalformedRecord) as exc:
+        with pytest.raises(InputError) as exc:
             read_json(2.0, int, "")
         assert str(exc.value) == "must be an integer, got 2.0"
 
@@ -118,13 +119,13 @@ class TestReader:
     def test_a_large_value_is_quoted_in_part(self):
         # A snapshot section of the wrong kind can hold megabytes.
         section = {str(i): {"embedding": [0.0] * 256} for i in range(100)}
-        with pytest.raises(MalformedRecord) as exc:
+        with pytest.raises(InputError) as exc:
             read_json(section, list, "knowledge snapshot", "vector_records")
         prefix = "knowledge snapshot.vector_records must be a list, got "
         assert str(exc.value) == prefix + repr(section)[:1000] + "..."
 
     def test_malformed_record_is_a_value_error(self):
-        assert issubclass(MalformedRecord, ValueError)
+        assert issubclass(InputError, ValueError)
 
 
 # One value of the wrong kind per row: (name, field kind, value).
@@ -157,10 +158,10 @@ def edit_config(run_dir, tmp_path, capsys, kind, value):
     paths = {float: "execution.base_time", int: "ppo.epochs_per_update"}
     if kind is Enum:
         key = f"env.severity_proportions.{value}"
-        with pytest.raises(cli.UnknownKey) as exc:
+        with pytest.raises(ConfigError, match="unknown key$") as exc:
             cli.load_config(str(run_dir / "config.json"), (f"{key}=0.1",))
         return exc.value.key, key
-    with pytest.raises(cli.ValidationError) as exc:
+    with pytest.raises(ConfigError, match="must be") as exc:
         cli.load_config(str(run_dir / "config.json"), (f"{paths[kind]}={json.dumps(value)}",))
     assert exc.value.key == paths[kind]
     return str(exc.value), f"{paths[kind]}: must be {kind_name(kind)}, got {value!r}"
@@ -179,7 +180,7 @@ def edit_snapshot(run_dir, tmp_path, capsys, kind, value):
     field(value)
     path = tmp_path / "kb.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(MalformedRecord) as exc:
+    with pytest.raises(InputError) as exc:
         KnowledgeStore.load_snapshot(path)
     read_as = EdgeType if kind is Enum else kind
     return str(exc.value), f"knowledge snapshot.{name} must be {kind_name(read_as)}, got {value!r}"
@@ -196,7 +197,7 @@ def edit_checkpoint(run_dir, tmp_path, capsys, kind, value):
     field(value)
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaVersionMismatch) as exc:
+    with pytest.raises(InputError) as exc:
         TrainingSystem.restore(path)
     read_as = EdgeType if kind is Enum else kind
     return str(exc.value), f"checkpoint {name} must be {kind_name(read_as)}, got {value!r}"
@@ -218,7 +219,7 @@ def edit_feedback_line(run_dir, tmp_path, capsys, kind, value):
     argv = ["replay", "--config", str(run_dir / "config.json"), str(path), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     read_as = Severity if kind is Enum else kind
-    return capsys.readouterr().err, f"ParseError: line 1: {name} must be {kind_name(read_as)}, got {value!r}"
+    return capsys.readouterr().err, f"InputError: line 1: {name} must be {kind_name(read_as)}, got {value!r}"
 
 
 def edit_event_line(run_dir, tmp_path, capsys, kind, value):
@@ -240,7 +241,7 @@ def edit_event_line(run_dir, tmp_path, capsys, kind, value):
     argv = ["export", "--config", str(run_dir / "config.json"), str(path), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert f"ValidationError: input line {index + 1}: malformed event log" in err
+    assert f"ConfigError: input line {index + 1}: malformed event log" in err
     return err, f"{name} must be {kind_name(read_as)}, got {value!r}"
 
 

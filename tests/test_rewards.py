@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from qeloop.domain import DefectReport, FeedbackRecord, Severity
 from qeloop.rewards import (
-    EmptyBatch,
-    NonPositiveTime,
     RewardWeights,
     SeverityWeights,
     adaptation_reward,
@@ -83,7 +81,7 @@ class TestEffectiveness:
         assert effectiveness_reward(batch, SW) == pytest.approx(1.25, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="^effectiveness_reward over empty batch$"):
             effectiveness_reward([], SW)
 
     def test_adding_critical_defect_never_decreases(self):
@@ -124,7 +122,7 @@ class TestCoverage:
         assert coverage_reward(batch) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="^coverage_reward over empty batch$"):
             coverage_reward([])
 
 
@@ -140,11 +138,11 @@ class TestEfficiency:
         assert efficiency_reward(batch) == 4.0
 
     def test_non_positive_time_rejected(self):
-        with pytest.raises(NonPositiveTime):
+        with pytest.raises(ValueError, match="^times must be positive, got execution=0.0 baseline="):
             efficiency_reward([record(execution_time=0.0)])
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="^efficiency_reward over empty batch$"):
             efficiency_reward([])
 
 
@@ -160,7 +158,7 @@ class TestCompliance:
         assert compliance_reward([record(compliance=0.0)]) == 0.0
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="^compliance_reward over empty batch$"):
             compliance_reward([])
 
 

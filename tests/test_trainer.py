@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import qeloop
 from qeloop import cli, trainer
 from qeloop.agents import PerformanceTracker, featurize_state
-from qeloop.config import ConfigTypeError
-from qeloop.domain import AgentRole
+from qeloop.config import ConfigError
+from qeloop.domain import AgentRole, InputError
 from qeloop.dqn import DQNConfig
 from qeloop.knowledge import KB_ACTION_COUNT, EdgeType
 from qeloop.ppo import PPOConfig
@@ -29,13 +29,10 @@ from qeloop.trainer import (
     AblationFlags,
     EpisodeMetrics,
     EventLog,
-    IOFailure,
     KBConfig,
     LoopConfig,
     RunConfig,
-    SchemaVersionMismatch,
     TrainingSystem,
-    UnknownConfigKey,
     derive_metrics_from_events,
     final_window_mean,
     metrics_csv_text,
@@ -466,13 +463,13 @@ class TestCheckpoint:
     def test_corrupted_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{garbage")
-        with pytest.raises(SchemaVersionMismatch):
+        with pytest.raises(InputError, match=f"^checkpoint {re.escape(str(path))} is not valid JSON: "):
             TrainingSystem.restore(path)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "wrong.json"
         path.write_text(json.dumps({"schema_version": 99}))
-        with pytest.raises(SchemaVersionMismatch):
+        with pytest.raises(InputError, match="^unsupported checkpoint schema_version 99$"):
             TrainingSystem.restore(path)
 
     def restore_edited(self, tmp_path, section: str, edit):
@@ -527,7 +524,7 @@ class TestCheckpoint:
             edit(node)
             node["schema_version"] = version
 
-        with pytest.raises(SchemaVersionMismatch, match=f"schema_version {version}"):
+        with pytest.raises(InputError, match=f"schema_version {version}"):
             self.restore_edited(tmp_path, "", to_old_version)
 
     @pytest.mark.parametrize(
@@ -549,7 +546,7 @@ class TestCheckpoint:
         ],
     )
     def test_unknown_key_rejected_with_its_name(self, tmp_path, section, key):
-        with pytest.raises(SchemaVersionMismatch, match=key):
+        with pytest.raises(InputError, match=key):
             self.restore_edited(tmp_path, section, lambda node: node.update({key: {}}))
 
     @pytest.mark.parametrize(
@@ -568,14 +565,14 @@ class TestCheckpoint:
     )
     def test_unknown_nested_key_rejected_with_its_path(self, tmp_path, section, path):
         message = re.escape(f"checkpoint {path}: unknown key(s) ['bogus']")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, section, lambda node: node.update(bogus=0))
 
     @pytest.mark.parametrize("section", ["agents.LegacyTestAnalysis.adam", "dqn.adam"])
     def test_stored_learning_rate_rejected_with_its_path(self, tmp_path, section):
         # The rate is the config's; a checkpoint cannot set another one.
         message = re.escape(f"checkpoint {section}: unknown key(s) ['learning_rate']")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, section, lambda node: node.update(learning_rate=10.0))
 
     def test_restored_optimizers_step_at_the_config_rates(self, tmp_path):
@@ -675,7 +672,7 @@ class TestCheckpoint:
         ],
     )
     def test_state_that_does_not_fit_the_built_system_rejected_with_its_path(self, tmp_path, section, edit, path):
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {path} ")):
+        with pytest.raises(InputError, match=re.escape(f"checkpoint {path} ")):
             self.restore_edited(tmp_path, section, edit)
 
     @pytest.mark.parametrize(
@@ -698,7 +695,7 @@ class TestCheckpoint:
         ids=["unknown-key", "wrong-type", "out-of-range", "integral-float-for-an-integer"],
     )
     def test_bad_config_rejected_with_its_path(self, tmp_path, edit, message):
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
+        with pytest.raises(InputError, match=re.escape(message)):
             self.restore_edited(tmp_path, "config", edit)
 
     @pytest.mark.parametrize("action", [-1, 99])
@@ -707,7 +704,7 @@ class TestCheckpoint:
     )
     def test_action_outside_the_action_space_rejected_with_its_path(self, tmp_path, section, n_actions, action):
         message = re.escape(f"checkpoint {section}.actions holds action {action} at row 0, outside [0, {n_actions})")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, section, lambda node: node["actions"].__setitem__(0, action))
 
     @pytest.mark.parametrize(
@@ -725,7 +722,7 @@ class TestCheckpoint:
     )
     def test_value_the_cast_would_change_rejected_with_its_path(self, tmp_path, section, column, value, message):
         message = re.escape(f"checkpoint {section}.{column} {message}")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, section, lambda node: node[column].__setitem__(0, value))
 
     def test_replay_over_its_capacity_rejected(self, tmp_path):
@@ -734,7 +731,7 @@ class TestCheckpoint:
             node["dqn"]["replay"] = tiled(node["dqn"]["replay"], 6)
 
         message = re.escape("checkpoint dqn.replay holds 6 rows, at most 4 fit")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, "", overfill)
 
     def test_rollout_of_an_update_or_more_rejected(self, tmp_path):
@@ -746,7 +743,7 @@ class TestCheckpoint:
             node["config"]["ppo"]["rollout_length"] = 64
 
         message = re.escape("checkpoint agents.LegacyTestAnalysis.rollout holds 80 rows, at most 63 fit")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, "", overfill)
 
     @pytest.mark.parametrize(
@@ -763,13 +760,13 @@ class TestCheckpoint:
     def test_negative_counter_rejected_with_its_path(self, tmp_path, section, key):
         path = ".".join(filter(None, [section, key]))
         message = re.escape(f"checkpoint {path} is -3, expected a non-negative integer")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, section, lambda node: node.update({key: -3}))
 
     def test_slot_count_is_not_stored(self, tmp_path):
         # The episode index gives the slots run so far; a stored count could
         # only disagree with it.
-        with pytest.raises(SchemaVersionMismatch, match=re.escape("unknown key(s) ['global_slot']")):
+        with pytest.raises(InputError, match=re.escape("unknown key(s) ['global_slot']")):
             self.restore_edited(tmp_path, "", lambda node: node.update(global_slot=7))
 
     def test_split_run_with_a_full_replay_equals_uninterrupted(self, tmp_path):
@@ -794,7 +791,7 @@ class TestCheckpoint:
             node[name] = [0.5] * 51
 
         message = re.escape(f"checkpoint {name} holds 51 entries, the window is 50")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, "", overfill)
 
     @pytest.mark.parametrize(
@@ -855,7 +852,7 @@ class TestCheckpoint:
         ],
     )
     def test_number_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+        with pytest.raises(InputError, match=re.escape(f"checkpoint {message}")):
             self.restore_edited(tmp_path, section, edit)
 
     @pytest.mark.parametrize(
@@ -887,7 +884,7 @@ class TestCheckpoint:
     def test_non_finite_number_rejected_with_its_path(self, tmp_path, section, edit, message):
         # json.loads parses the NaN and Infinity tokens; a restored run must
         # not carry them into its rewards and features.
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+        with pytest.raises(InputError, match=re.escape(f"checkpoint {message}")):
             self.restore_edited(tmp_path, section, edit)
 
     @pytest.mark.parametrize(
@@ -907,7 +904,7 @@ class TestCheckpoint:
         system = TrainingSystem(tiny_config())
         system.run(episodes=1)
         message = f"checkpoint content_vectors: {problem.format(first=sorted(system.content_vectors)[0])}"
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
+        with pytest.raises(InputError, match=re.escape(message)):
             self.restore_edited(tmp_path, "content_vectors", edit)
 
     @pytest.mark.parametrize(
@@ -925,7 +922,7 @@ class TestCheckpoint:
     )
     def test_rng_state_that_state_dict_cannot_write_rejected_with_its_path(self, tmp_path, key, value, expected):
         message = re.escape(f"checkpoint rng_states.env.{key} is {value!r}, {expected}")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, "rng_states.env", lambda node: node.update({key: value}))
 
     @pytest.mark.parametrize(
@@ -940,7 +937,7 @@ class TestCheckpoint:
     )
     def test_rng_state_of_another_kind_rejected_with_its_path(self, tmp_path, key, value, kind):
         message = re.escape(f"checkpoint rng_states.env.{key} must be {kind}, got {value!r}")
-        with pytest.raises(SchemaVersionMismatch, match=message):
+        with pytest.raises(InputError, match=message):
             self.restore_edited(tmp_path, "rng_states.env", lambda node: node.update({key: value}))
 
     @pytest.mark.parametrize(
@@ -981,7 +978,7 @@ class TestCheckpoint:
         ],
     )
     def test_kb_read_strictly_rejected_with_its_path(self, tmp_path, section, edit, message):
-        with pytest.raises(SchemaVersionMismatch, match=re.escape(f"checkpoint {message}")):
+        with pytest.raises(InputError, match=re.escape(f"checkpoint {message}")):
             self.restore_edited(tmp_path, section, edit)
 
     def test_restored_checkpoint_reserialises_byte_identically(self, tmp_path):
@@ -993,8 +990,16 @@ class TestCheckpoint:
         assert again.read_bytes() == path.read_bytes()
 
     def test_missing_file_is_io_failure(self, tmp_path):
-        with pytest.raises(IOFailure):
+        with pytest.raises(FileNotFoundError, match="absent.json"):
             TrainingSystem.restore(tmp_path / "absent.json")
+
+    def test_a_key_error_in_a_state_loader_is_a_fault_not_bad_input(self, tmp_path, monkeypatch):
+        def load_state_dict(controller, d, what):
+            raise KeyError("replay_size")
+
+        monkeypatch.setattr(trainer.DQNController, "load_state_dict", load_state_dict)
+        with pytest.raises(KeyError, match="replay_size"):
+            self.restore_edited(tmp_path, "", lambda node: None)
 
     def test_truncated_payload_never_partial(self, tmp_path):
         system = TrainingSystem(tiny_config())
@@ -1003,7 +1008,7 @@ class TestCheckpoint:
         del payload["agents"]
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaVersionMismatch):
+        with pytest.raises(InputError, match=re.escape("checkpoint: missing key(s) ['agents']")):
             TrainingSystem.restore(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
@@ -1029,7 +1034,7 @@ class TestCheckpoint:
                 yield HalfThenFail(fh)
 
         monkeypatch.setattr(trainer, "atomic_open", open_half_then_fail)
-        with pytest.raises(IOFailure):
+        with pytest.raises(OSError, match="^disk full$"):
             system.checkpoint(path)
         monkeypatch.setattr(trainer, "atomic_open", real_open)
         assert path.read_bytes() == before
@@ -1067,7 +1072,7 @@ class TestExport:
 
     def test_empty_run_refuses_export(self, tmp_path):
         system = TrainingSystem(tiny_config())
-        with pytest.raises(IOFailure):
+        with pytest.raises(ValueError, match="^refusing to export a run with no episodes$"):
             system.tables.write(tmp_path / "out")
 
     def event_log(self, result, out_dir) -> dict[str, str]:
@@ -1136,11 +1141,11 @@ class TestRunConfig:
         assert RunConfig.from_dict({}) == RunConfig()
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(UnknownConfigKey):
+        with pytest.raises(ConfigError, match="^episodes: unknown key$"):
             RunConfig.from_dict({"episodes": 5})
 
     def test_unknown_nested_key_rejected(self):
-        with pytest.raises(UnknownConfigKey) as exc:
+        with pytest.raises(ConfigError, match="unknown key$") as exc:
             RunConfig.from_dict({"ppo": {"lr": 1e-4}})
         assert "ppo.lr" in str(exc.value)
 
@@ -1168,22 +1173,22 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "raw, error, key",
         [
-            ({"kb": {"initial_params": {"bogus": 1}}}, UnknownConfigKey, "kb.initial_params.bogus"),
-            ({"ppo": {"epochs_per_update": 2.7}}, ConfigTypeError, "ppo.epochs_per_update"),
-            ({"ablation": {"disable_ppo": "no"}}, ConfigTypeError, "ablation.disable_ppo"),
-            ({"seed": 1.9}, ConfigTypeError, "seed"),
-            ({"rewards": {"weights": {"bogus": 0.1}}}, UnknownConfigKey, "rewards.weights.bogus"),
+            ({"kb": {"initial_params": {"bogus": 1}}}, "unknown key$", "kb.initial_params.bogus"),
+            ({"ppo": {"epochs_per_update": 2.7}}, "must be ", "ppo.epochs_per_update"),
+            ({"ablation": {"disable_ppo": "no"}}, "must be ", "ablation.disable_ppo"),
+            ({"seed": 1.9}, "must be ", "seed"),
+            ({"rewards": {"weights": {"bogus": 0.1}}}, "unknown key$", "rewards.weights.bogus"),
             (
                 {"env": {"severity_proportions": {"Bogus": 0.1}}},
-                UnknownConfigKey,
+                "unknown key$",
                 "env.severity_proportions.Bogus",
             ),
-            ({"ppo": "x"}, ConfigTypeError, "ppo"),
-            ({"rl": {"seed": 0}}, UnknownConfigKey, "rl.seed"),
+            ({"ppo": "x"}, "must be ", "ppo"),
+            ({"rl": {"seed": 0}}, "unknown key$", "rl.seed"),
         ],
     )
     def test_bad_input_rejected_with_its_path(self, raw, error, key):
-        with pytest.raises(error) as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {error}") as exc:
             RunConfig.from_dict(raw)
         assert exc.value.key == key
 
